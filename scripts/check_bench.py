@@ -21,11 +21,12 @@ one that wrote the baseline — drops by more than ``--tolerance``
 (headline ``speedup_at_64``), the multiproc bench's
 sharded-vs-simulator wall-clock ratio (headline ``speedup_at_4``,
 which additionally must clear the absolute 1.5x floor), the net
-bench's tcp-vs-shm warm-solve ratio (headline ``tcp_vs_shm_at_2``,
+bench's mesh-vs-shm warm-solve ratio (headline ``mesh_vs_shm_at_2``,
 floored by the baseline's ``ratio_floor``), the mesh bench's
-direct-socket-vs-router ratio (headline ``mesh_vs_router_at_4``,
-floored by the baseline's ``ratio_floor`` of 1.0 — direct sockets
-must beat the router path — plus the recovery case: a worker killed
+hub-relayed share of warm-solve wave frames (per case, headline
+``fallback_share_at_4``, capped by the baseline's absolute
+``fallback_ceiling`` of 1% — the coordinator must carry no
+steady-state waves — plus the recovery case: a worker killed
 mid-solve must recover to the same stopping decision within the
 baseline's ``overhead_ceiling``), the planbuild bench's
 dense-vs-sparse plan-construction ratio (headline ``speedup_at_320``,
@@ -238,7 +239,7 @@ def compare_net(baseline: dict, fresh: dict, tolerance: float, *,
                 require_all: bool = True) -> tuple[list[str], list[str]]:
     """Compare a fresh net-transport record against the baseline.
 
-    The failing signal is the per-case warm **tcp_vs_shm** solve-time
+    The failing signal is the per-case warm **mesh_vs_shm** solve-time
     ratio (same machine and run — shm's solve is the in-run control),
     plus the absolute floor recorded in the baseline: a healthy socket
     fabric sits near 1.0, and a frame-thrash regression (e.g. losing
@@ -261,72 +262,66 @@ def compare_net(baseline: dict, fresh: dict, tolerance: float, *,
             msg = f"net nx={nx}: case missing from fresh run"
             (problems if require_all else warnings).append(msg)
             continue
-        ratio = cur.get("tcp_vs_shm")
-        base_ratio = base.get("tcp_vs_shm")
+        ratio = cur.get("mesh_vs_shm")
+        base_ratio = base.get("mesh_vs_shm")
         if ratio is None:
-            problems.append(f"net nx={nx}: fresh case lacks tcp_vs_shm")
+            problems.append(f"net nx={nx}: fresh case lacks mesh_vs_shm")
             continue
         if ratio < floor:
             problems.append(
-                f"net nx={nx}: tcp_vs_shm ratio {ratio:.2f} is below "
+                f"net nx={nx}: mesh_vs_shm ratio {ratio:.2f} is below "
                 f"the {floor} floor (socket fabric regressed)")
         if base_ratio and ratio < base_ratio * (1.0 - tolerance):
             problems.append(
-                f"net nx={nx}: tcp_vs_shm fell from {base_ratio:.2f} "
+                f"net nx={nx}: mesh_vs_shm fell from {base_ratio:.2f} "
                 f"to {ratio:.2f} (more than {tolerance:.0%} drop)")
     return problems, warnings
 
 
-def compare_mesh(baseline: dict, fresh: dict, tolerance: float, *,
+def compare_mesh(baseline: dict, fresh: dict, *,
                  require_all: bool = True) -> tuple[list[str], list[str]]:
     """Compare a fresh worker-mesh record against the baseline.
 
-    Two failing signals.  First the per-case warm **mesh_vs_router**
-    solve-time ratio (tcp's router-path solve is the in-run control,
-    so the ratio is host-independent), with the baseline's absolute
-    ``ratio_floor`` applied at the headline case — the ISSUE 8
-    acceptance criterion is that direct neighbor sockets *beat* the
-    router path at 4 shards, so a mesh degraded to hub-fallback-only
-    fails here.  Second the **recovery** case: a worker hard-killed
-    mid-solve must actually trigger a recovery, complete to the same
-    stopping decision as the clean control run, and stay within the
-    baseline's ``overhead_ceiling`` wall-clock overhead.  With
+    Two failing signals, both absolute.  First the warm solve's
+    **fallback_share** — hub-relayed wave frames over all wave frames,
+    a count ratio and so host-independent — against the baseline's
+    ``fallback_ceiling``, in every case that ran: once peers are
+    dialled the coordinator carries no steady-state waves, so a mesh
+    degraded to hub-relay-only fails here.  Second the
+    **recovery** case: a worker hard-killed mid-solve must actually
+    trigger a recovery, complete to the same stopping decision as the
+    clean control run, and stay within the baseline's
+    ``overhead_ceiling`` wall-clock overhead.  With
     ``require_all=False`` (quick mode) baseline cases absent from the
     fresh run — the 10k-unknown headline — downgrade to warnings; the
     cases that *did* run are fully gated.
     """
     problems: list[str] = []
     warnings: list[str] = []
-    floor = float(baseline.get("ratio_floor", 1.0))
+    share_ceiling = float(baseline.get("fallback_ceiling", 0.01))
     ceiling = float(baseline.get("overhead_ceiling", 10.0))
     base_cases = {c["nx"]: c for c in baseline.get("cases", [])}
     fresh_cases = {c["nx"]: c for c in fresh.get("cases", [])}
     if not fresh_cases:
         problems.append("mesh fresh record has no cases")
         return problems, warnings
-    headline_nx = max(base_cases) if base_cases else None
-    for nx, base in sorted(base_cases.items()):
+    for nx in sorted(base_cases):
         cur = fresh_cases.get(nx)
         if cur is None:
             msg = f"mesh nx={nx}: case missing from fresh run"
             (problems if require_all else warnings).append(msg)
             continue
-        ratio = cur.get("mesh_vs_router")
-        base_ratio = base.get("mesh_vs_router")
-        if ratio is None:
+        share = cur.get("fallback_share")
+        if share is None:
             problems.append(
-                f"mesh nx={nx}: fresh case lacks mesh_vs_router")
+                f"mesh nx={nx}: fresh case lacks fallback_share")
             continue
-        if nx == headline_nx and ratio < floor:
+        if share > share_ceiling:
             problems.append(
-                f"mesh nx={nx}: mesh_vs_router ratio {ratio:.2f} is "
-                f"below the {floor} floor (direct sockets no longer "
-                "beat the router path)")
-        if base_ratio and ratio < base_ratio * (1.0 - tolerance):
-            problems.append(
-                f"mesh nx={nx}: mesh_vs_router fell from "
-                f"{base_ratio:.2f} to {ratio:.2f} (more than "
-                f"{tolerance:.0%} drop)")
+                f"mesh nx={nx}: {share:.1%} of the warm solve's wave "
+                f"frames went through the hub (ceiling "
+                f"{share_ceiling:.0%}: peer sockets are missing or "
+                "flapping)")
     if baseline.get("recovery"):
         rec = fresh.get("recovery")
         if rec is None:
@@ -548,7 +543,7 @@ def _speedup_summary(record: dict) -> dict:
         return {}
     out = {k: record[k]
            for k in ("speedup_at_256", "speedup_at_64", "speedup_at_4",
-                     "tcp_vs_shm_at_2", "mesh_vs_router_at_4",
+                     "mesh_vs_shm_at_2", "fallback_share_at_4",
                      "speedup_at_320", "overhead_disabled_pct_at_256")
            if record.get(k) is not None}
     if isinstance(record.get("large"), dict) \
@@ -562,7 +557,7 @@ def _speedup_summary(record: dict) -> dict:
         out["recovery_overhead"] = record["recovery"]["overhead"]
     out["cases"] = [{k: c.get(k)
                      for k in ("n_parts", "nx", "speedup", "speedup_at_4",
-                               "tcp_vs_shm", "mesh_vs_router",
+                               "mesh_vs_shm", "fallback_share",
                                "overhead_disabled_pct",
                                "overhead_enabled_pct")
                      if c.get(k) is not None}
@@ -579,7 +574,7 @@ def _write_report(path: str, *, exit_code: int, problems, warnings,
                   obs_fresh: dict,
                   error: str = "") -> None:
     report = {
-        "schema": "check_bench-report/7",
+        "schema": "check_bench-report/8",
         "pass": exit_code == 0,
         "exit_code": exit_code,
         "error": error,
@@ -587,7 +582,6 @@ def _write_report(path: str, *, exit_code: int, problems, warnings,
         "plan_tolerance": args.plan_tolerance,
         "multiproc_tolerance": args.multiproc_tolerance,
         "net_tolerance": args.net_tolerance,
-        "mesh_tolerance": args.mesh_tolerance,
         "planbuild_tolerance": args.planbuild_tolerance,
         "planstore_tolerance": args.planstore_tolerance,
         "strict_time": bool(args.strict_time),
@@ -804,15 +798,9 @@ def main(argv=None) -> int:
                     "the hard backstop; default 0.50)")
     ap.add_argument("--net-tolerance", type=float, default=0.50,
                     help="allowed relative regression for the net "
-                    "bench's tcp-vs-shm warm-solve ratio (scheduler-"
+                    "bench's mesh-vs-shm warm-solve ratio (scheduler-"
                     "noisy; the baseline's ratio_floor is the hard "
                     "backstop; default 0.50)")
-    ap.add_argument("--mesh-tolerance", type=float, default=0.50,
-                    help="allowed relative regression for the mesh "
-                    "bench's direct-vs-router warm-solve ratio "
-                    "(scheduler-noisy; the baseline's ratio_floor and "
-                    "overhead_ceiling are the hard backstops; default "
-                    "0.50)")
     ap.add_argument("--planbuild-tolerance", type=float, default=0.50,
                     help="allowed relative regression for the "
                     "planbuild bench's dense-vs-sparse build speedups "
@@ -901,7 +889,6 @@ def main(argv=None) -> int:
             mesh_baseline = _require_baseline(args.mesh_baseline)
             mesh_fresh = _load_or_run_mesh(args, mesh_baseline)
             p, w = compare_mesh(mesh_baseline, mesh_fresh,
-                                args.mesh_tolerance,
                                 require_all=not args.quick)
             problems += p
             warnings += w

@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # One-command verify recipe for this repo (see .claude/skills/verify).
 #
-#   tier 1 — the full pytest suite (correctness; ~2 min)
+#   tier 1 — the full pytest suite (correctness; ~6 min)
 #   tier 2 — benchmark smoke tests + the regression gate against the
-#            committed BENCH_kernel.json / BENCH_plan.json /
-#            BENCH_multiproc.json baselines (a missing baseline file
-#            is a hard failure, never a silent skip)
+#            committed benchmarks/BENCH_*.json baselines (a missing
+#            baseline file is a hard failure, never a silent skip)
 #
 # Usage:
 #   scripts/run_tiers.sh            # both tiers

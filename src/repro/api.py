@@ -189,15 +189,15 @@ def solve_dtm(a, b=None, *, n_subdomains: int = 4,
 
     ``transport`` selects the multiproc backend's wave fabric (see
     :mod:`repro.net.transport`): ``"shm"`` (default) runs workers over
-    shared memory on this machine; ``"tcp"`` runs the same latest-wins
-    mailbox frames over loopback sockets — the fabric that also spans
-    machines (a :class:`repro.net.TcpTransport` instance bound to a
-    LAN address accepts remote workers); ``"mesh"`` adds direct
-    worker-to-worker neighbor sockets plus automatic failure recovery
-    (a shard worker lost mid-solve is respawned and re-snapshotted
-    from the coordinator's last published state — see
-    :class:`repro.net.MeshTransport` and PERFORMANCE.md → "Worker
-    mesh & failure recovery").
+    shared memory on this machine; ``"mesh"`` runs the same latest-wins
+    mailbox frames over sockets — direct worker-to-worker neighbor
+    connections, the coordinator's hub relaying for any worker without
+    one — and is the fabric that also spans machines (a
+    :class:`repro.net.MeshTransport` instance bound to a LAN address
+    accepts remote workers), with automatic failure recovery (a shard
+    worker lost mid-solve is respawned and re-snapshotted from the
+    coordinator's last published state — see PERFORMANCE.md →
+    "Transports").
 
     ``obs=True`` (or ``REPRO_OBS=1``) collects solve/sweep/traffic
     metrics into a registry (see :mod:`repro.obs`); ``trace=True``

@@ -4,13 +4,13 @@ Two halves, mirroring the runtime/serving split:
 
 * :mod:`repro.net.transport` — the :class:`Transport` abstraction the
   sharded runtime executes over: :class:`ShmTransport` (one machine,
-  ``multiprocessing.shared_memory``, the PR-4 fabric),
-  :class:`TcpTransport` (length-prefixed latest-wins wave frames over
-  loopback/LAN sockets; workers may join from other machines via
-  ``python -m repro.net.worker``) and :class:`MeshTransport`
-  (:mod:`repro.net.mesh`: direct worker-to-worker neighbor sockets,
-  heartbeat liveness and failure recovery; chaos scenarios are
-  scripted with :mod:`repro.net.faults`);
+  ``multiprocessing.shared_memory``, the PR-4 fabric) and
+  :class:`MeshTransport` (:mod:`repro.net.mesh`: length-prefixed
+  latest-wins wave frames over loopback/LAN sockets — direct
+  worker-to-worker neighbor sockets with the coordinator's hub as the
+  per-frame fallback, heartbeat liveness and failure recovery; workers
+  may join from other machines via ``python -m repro.net.worker``;
+  chaos scenarios are scripted with :mod:`repro.net.faults`);
 * :mod:`repro.net.frontend` / :mod:`repro.net.client` — a socket front
   end for :class:`~repro.runtime.server.DtmServer` plus the matching
   :class:`DtmClient` (``register`` / ``solve`` / ``solve_many`` /
@@ -22,7 +22,6 @@ from .mesh import MeshTransport
 from .transport import (
     EdgeMailbox,
     ShmTransport,
-    TcpTransport,
     Transport,
     resolve_transport,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "MeshTransport",
     "ShardFaults",
     "ShmTransport",
-    "TcpTransport",
     "Transport",
     "resolve_transport",
 ]

@@ -1,9 +1,16 @@
-"""Decentralized worker mesh: direct neighbor sockets + recovery.
+"""The socket fabric: a control hub, direct neighbor sockets, recovery.
 
 The paper's transmission model is fully decentralized — subdomains
 exchange waves with their neighbors directly, and no central party
 touches the data path.  :class:`MeshTransport` realizes that over the
-existing wire framing:
+wire framing of :mod:`repro.net.wire`, with no shared address space: a
+remote machine joins with ``python -m repro.net.worker`` given host,
+port and token.
+
+* **Hub.**  The coordinator side (:class:`_Hub`) owns the
+  authoritative wave/x0/state/control mirrors, accepts worker
+  connections, and carries what the paper assigns the coordinator:
+  control words, stopping probes, RHS swaps, state gathers.
 
 * **Direct neighbor sockets.**  Every worker opens a listen socket and
   publishes its address in the HELLO frame; the hub rebroadcasts the
@@ -11,34 +18,36 @@ existing wire framing:
   background dialer connects to the peers a shard emits to, with
   exponential backoff, so startup order never matters.  Once a direct
   connection is up, ``post_waves`` ships ``T_WAVES`` frames
-  peer-to-peer; the coordinator's router is only a *fallback* path
-  while a direct socket is absent or broken.  The coordinator keeps
-  what the paper assigns it: control, stopping probes and RHS swaps.
+  peer-to-peer.  A sender with *no* peer socket to a destination —
+  not dialled yet, broken, or unreachable (NAT) — sends the same frame
+  to the hub, which forwards it; the choice is made per frame from
+  what the sender can observe, never from a setting.
 
 * **Failure recovery.**  Workers heartbeat (``T_HEARTBEAT``) through
-  the control socket; the hub tracks per-shard liveness and exposes
-  :meth:`~_MeshHub.stale_workers`.  A worker that dies is respawned by
-  the runner and re-registers: the hub's :meth:`_Router._register`
-  levels it from the coordinator's mirrors (spec, x0, its current
-  wave slice, control words) — the re-snapshot — and broadcasts a new
-  peer directory generation so neighbors redial it.  Workers that
-  join while a stop is in flight are reported via
-  :meth:`~_MeshHub.stop_joiners` so the coordinator can forgive their
-  acks for that epoch; the stopping decision is still re-verified
-  against the gathered state, so recovery can cost extra rounds but
-  never a wrong answer.
+  the hub socket; the hub tracks per-shard liveness and exposes
+  :meth:`~_Hub.stale_workers`.  A worker that dies is respawned by
+  the runner and re-registers: :meth:`_Hub._register` levels it from
+  the coordinator's mirrors (spec, x0, its current wave slice, control
+  words) — the re-snapshot — and broadcasts a new peer directory
+  generation so neighbors redial it.  A worker levelled while a stop
+  is in flight sees that epoch already ended, publishes its snapshot
+  state and acks; the stopping decision is re-verified against the
+  gathered state, so recovery can cost extra rounds but never a wrong
+  answer.
 
-Latest-wins stays intact: each incoming slot has exactly one emitting
-peer, each frame is applied whole, and per-connection FIFO makes the
-newest frame win.  A sender switches between the direct and fallback
-path only when a socket appears or dies, and any momentarily stale
-slot is overwritten by the very next post — the asynchronous
-relaxation tolerates it by construction (Avron et al. 2013), and the
-coordinator's residual re-verification would catch it regardless.
+Latest-wins stays intact on both paths: each incoming slot has exactly
+one emitting peer, each frame is applied whole on receive, and
+per-connection FIFO makes the newest frame win, with no queue growth.
+A sender switches between the direct and hub path only when a socket
+appears or dies, and any momentarily stale slot is overwritten by the
+very next post — the asynchronous relaxation tolerates it by
+construction (Avron et al. 2013), and the coordinator's residual
+re-verification would catch it regardless.
 """
 
 from __future__ import annotations
 
+import secrets
 import socket
 import threading
 import time
@@ -47,14 +56,21 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigurationError, ProtocolError, TransportError
+from ..plan.shard import ShardSpec
 from . import wire
 from .transport import (
     EPOCH,
+    ERR,
+    PER_SHARD,
+    PROBE,
+    SHUTDOWN,
     STOP,
-    TcpCoordinatorPort,
-    TcpTransport,
-    TcpWorkerPort,
-    _Router,
+    CoordinatorPort,
+    Transport,
+    WorkerPort,
+    ack_cell,
+    ctrl_size,
+    probe_cell,
     sweep_cell,
 )
 
@@ -69,57 +85,186 @@ LIVENESS_TIMEOUT = 5.0
 HEARTBEAT_EVERY = 0.2
 
 
-class _MeshHub(_Router):
-    """Router extended with a peer directory and liveness tracking.
+class _Hub:
+    """Coordinator-side switchboard of the socket fabric.
 
-    Keeps every base responsibility (mirrors, levelling snapshot on
-    register, ``T_WAVES`` fallback forwarding) and adds: listen-address
-    capture from the HELLO frame, whole-directory ``T_PEERS``
-    rebroadcast on membership changes, heartbeat bookkeeping, and the
-    stop-joiner set the recovery-aware coordinator consults.
+    Owns the authoritative wave/x0/state/control mirrors (the same
+    layout the shm transport shares), accepts worker connections,
+    applies worker publishes, forwards ``T_WAVES`` frames for senders
+    without a peer socket, keeps the peer directory (listen addresses
+    from the HELLO frames, rebroadcast whole as ``T_PEERS`` on every
+    membership change) and tracks heartbeat liveness.  Single-writer
+    discipline is preserved: a frame from shard *k* only touches cells
+    shard *k* owns.  A worker that joins late (or reconnects) receives
+    a full state snapshot — spec, x0, its wave slice and the current
+    control words — so control state is levelled, not merely streamed.
     """
 
-    def __init__(self, *args, liveness_timeout: float, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(
+        self,
+        specs,
+        *,
+        host: str,
+        port: int,
+        token: str,
+        n_slots: int,
+        n_states: int,
+        idle_sleep: float,
+        probe_every: int,
+        liveness_timeout: float,
+        obs_enabled: bool = False,
+    ) -> None:
+        self.token = token
+        self.obs_enabled = bool(obs_enabled)
+        #: shard -> latest jsonable metric snapshot the worker
+        #: piggybacked on a state/heartbeat frame
+        self.worker_obs: dict = {}
+        self._c_rx_waves = None
+        self._c_rx_states = None
+        self.n_shards = len(specs)
+        self.n_slots = int(n_slots)
+        self.n_states = int(n_states)
+        self.idle_sleep = float(idle_sleep)
+        self.probe_every = int(probe_every)
         self.liveness_timeout = float(liveness_timeout)
+        self.payloads = [spec.to_payload() for spec in specs]
+        self.slot_bounds = [
+            (int(spec.slot_lo), int(spec.slot_hi)) for spec in specs
+        ]
+        self.state_bounds = [
+            (int(spec.state_lo), int(spec.state_hi)) for spec in specs
+        ]
+        self.waves = np.zeros(self.n_slots)
+        self.x0 = np.zeros(self.n_states)
+        self.states = np.zeros(self.n_states)
+        self.ctrl = np.zeros(ctrl_size(self.n_shards), dtype=np.int64)
+        self.err_text = ""
+        self.lock = threading.RLock()
+        self.closing = False
+        self.lost: set = set()
+        self._conns: dict = {}
         self.peer_addrs: dict = {}  # shard -> (host, port)
         self.peer_gen = 0
         self.last_seen: dict = {}  # shard -> time.monotonic()
-        self.stop_joiner_set: set = set()
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind((host, port))
+        listener.listen(self.n_shards + 2)
+        self._listener = listener
+        self.address = listener.getsockname()
 
-    # -- registration / membership -------------------------------------
-    def _on_register(self, conn, shard: int, header: dict) -> None:
-        self.last_seen[shard] = time.monotonic()
-        if self.ctrl[STOP]:
-            # joined mid-stop: it will idle-wait for the next epoch,
-            # so the coordinator must not expect its ack this one
-            self.stop_joiner_set.add(shard)
-        listen = header.get("listen")
-        if listen:
+    def start(self) -> None:
+        accept = threading.Thread(
+            target=self._accept_loop, name="dtm-net-accept", daemon=True
+        )
+        accept.start()
+
+    # -- connection lifecycle ------------------------------------------
+    def _accept_loop(self) -> None:
+        while not self.closing:
             try:
-                host = conn.getpeername()[0]
-            except OSError:  # pragma: no cover - conn died during hello
+                conn, _addr = self._listener.accept()
+            except OSError:
                 return
-            self.peer_addrs[shard] = (host, int(listen))
-        self.peer_gen += 1
-        self._broadcast_peers()
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            worker = threading.Thread(
+                target=self._serve_conn,
+                args=(conn,),
+                name="dtm-net-conn",
+                daemon=True,
+            )
+            worker.start()
+
+    def _serve_conn(self, conn) -> None:
+        shard = -1
+        try:
+            ftype, header, _arrays, _blob = wire.recv_message(conn)
+            shard = self._register(conn, ftype, header)
+            while True:
+                ftype, header, arrays, _blob = wire.recv_message(conn)
+                self._handle_frame(shard, ftype, header, arrays)
+        except (TransportError, OSError):
+            pass
+        finally:
+            if shard >= 0:
+                self._drop(conn, shard)
+            else:
+                conn.close()
 
     def _drop(self, conn, shard: int) -> None:
         with self.lock:
             entry = self._conns.get(shard)
-            current = entry is not None and entry[0] is conn
-        super()._drop(conn, shard)
-        if not current:
             # a stale socket's late EOF after the shard already
             # re-registered must not retire the live incarnation
-            return
+            if entry is not None and entry[0] is conn:
+                del self._conns[shard]
+                if not self.closing:
+                    self.lost.add(shard)
+                    if self.peer_addrs.pop(shard, None) is not None:
+                        # retire the address so senders stop dialing a
+                        # corpse; a respawn re-registers its new port
+                        self.peer_gen += 1
+                        self._broadcast_peers()
+        conn.close()
+
+    def _register(self, conn, ftype: int, header: dict) -> int:
+        if ftype != wire.T_HELLO:
+            raise ProtocolError("expected HELLO frame")
+        if header.get("token") != self.token:
+            wire.send_message(conn, wire.T_ERR, {"error": "bad token"})
+            raise ProtocolError("worker presented a bad token")
+        shard = int(header.get("shard", -1))
+        if not 0 <= shard < self.n_shards:
+            raise ProtocolError(f"unknown shard index {shard}")
+        slot_lo, slot_hi = self.slot_bounds[shard]
+        state_lo, state_hi = self.state_bounds[shard]
+        wlock = threading.Lock()
         with self.lock:
-            if shard in self.peer_addrs and not self.closing:
-                # retire the address so senders stop dialing a corpse;
-                # a respawn re-registers with its new port
-                del self.peer_addrs[shard]
-                self.peer_gen += 1
-                self._broadcast_peers()
+            self._conns[shard] = (conn, wlock)
+            self.lost.discard(shard)
+            self.last_seen[shard] = time.monotonic()
+            spec_header = {
+                "n_slots": self.n_slots,
+                "n_states": self.n_states,
+                "idle_sleep": self.idle_sleep,
+                "probe_every": self.probe_every,
+                "obs": self.obs_enabled,
+            }
+            with wlock:
+                wire.send_message(
+                    conn,
+                    wire.T_SPEC,
+                    spec_header,
+                    blob=self.payloads[shard],
+                )
+                wire.send_message(
+                    conn,
+                    wire.T_X0,
+                    {},
+                    {"x0": self.x0[state_lo:state_hi]},
+                )
+                slots = np.arange(slot_lo, slot_hi, dtype=np.int64)
+                values = np.array(self.waves[slot_lo:slot_hi])
+                wire.send_message(
+                    conn,
+                    wire.T_WAVES,
+                    {"dst": shard},
+                    {"slots": slots, "values": values},
+                )
+                for word in (STOP, EPOCH, SHUTDOWN):
+                    self._send_ctrl(conn, word, int(self.ctrl[word]))
+                cell = probe_cell(self.n_shards, shard)
+                self._send_ctrl(conn, PROBE, int(self.ctrl[cell]))
+            listen = header.get("listen")
+            if listen:
+                try:
+                    host = conn.getpeername()[0]
+                except OSError:  # pragma: no cover - conn died in hello
+                    return shard
+                self.peer_addrs[shard] = (host, int(listen))
+            self.peer_gen += 1
+            self._broadcast_peers()
+        return shard
 
     def _broadcast_peers(self) -> None:
         with self.lock:
@@ -136,32 +281,119 @@ class _MeshHub(_Router):
                 except TransportError:
                     pass  # dropped peer is reported via lost_workers
 
-    # -- frames / liveness ---------------------------------------------
-    def _handle_frame(
-        self, conn, shard: int, ftype: int, header, arrays, blob
-    ) -> None:
+    @staticmethod
+    def _send_ctrl(conn, word: int, value: int) -> None:
+        wire.send_message(
+            conn, wire.T_CTRL, {"word": int(word), "value": int(value)}
+        )
+
+    # -- worker frames --------------------------------------------------
+    def _handle_frame(self, shard: int, ftype: int, header, arrays) -> None:
+        """Apply one worker frame to the mirrors."""
+        n = self.n_shards
         self.last_seen[shard] = time.monotonic()
-        if ftype == wire.T_HEARTBEAT:
+        if ftype == wire.T_WAVES:
+            if self._c_rx_waves is not None:
+                self._c_rx_waves.inc()
+            dst = int(header["dst"])
+            if not 0 <= dst < n:
+                raise ProtocolError(f"wave frame to bad shard {dst}")
+            slots = arrays["slots"]
+            values = arrays["values"]
+            dst_lo, dst_hi = self.slot_bounds[dst]
+            if slots.shape != values.shape:
+                raise ProtocolError(
+                    f"wave frame from shard {shard} has mismatched "
+                    "slot/value shapes"
+                )
+            # single-writer discipline: a frame may only touch the
+            # destination shard's slot range (slots outside it
+            # would overwrite cells some other shard owns)
+            if slots.size:
+                lo_ok = int(slots.min()) >= dst_lo
+                hi_ok = int(slots.max()) < dst_hi
+                if not (lo_ok and hi_ok):
+                    raise ProtocolError(
+                        f"wave frame from shard {shard} violates "
+                        f"shard {dst}'s slot range "
+                        f"[{dst_lo}, {dst_hi})"
+                    )
+            self.waves[slots] = values
+            entry = self._conns.get(dst)
+            if entry is not None and dst != shard:
+                dst_conn, dst_lock = entry
+                try:
+                    with dst_lock:
+                        wire.send_message(
+                            dst_conn,
+                            wire.T_WAVES,
+                            header,
+                            arrays,
+                        )
+                except TransportError:
+                    pass  # dropped peer is reported via lost_workers
+        elif ftype == wire.T_STATES:
+            state_lo, state_hi = self.state_bounds[shard]
+            slot_lo, slot_hi = self.slot_bounds[shard]
+            states = arrays["states"]
+            waves = arrays["waves"]
+            if states.shape != (state_hi - state_lo,):
+                raise ProtocolError(
+                    f"state frame from shard {shard} has wrong shape"
+                )
+            if waves.shape != (slot_hi - slot_lo,):
+                raise ProtocolError(
+                    f"wave slice from shard {shard} has wrong shape"
+                )
+            self.states[state_lo:state_hi] = states
+            self.waves[slot_lo:slot_hi] = waves
+            self.ctrl[sweep_cell(shard)] = int(header["sweeps"])
+            self.ctrl[probe_cell(n, shard)] = 0
+            if self._c_rx_states is not None:
+                self._c_rx_states.inc()
+            obs = header.get("obs")
+            if obs is not None:
+                self.worker_obs[shard] = obs
+        elif ftype == wire.T_HEARTBEAT:
             self.ctrl[sweep_cell(shard)] = int(header.get("sweeps", 0))
             obs = header.get("obs")
             if obs is not None:
                 self.worker_obs[shard] = obs
-            return
-        super()._handle_frame(conn, shard, ftype, header, arrays, blob)
+        elif ftype == wire.T_ACK:
+            self.ctrl[ack_cell(n, shard)] = int(header["epoch"])
+        elif ftype == wire.T_ERR:
+            self.err_text = str(header.get("error", ""))
+            self.ctrl[ERR] = shard + 1
+        else:
+            raise ProtocolError(f"unexpected worker frame {ftype}")
 
-    def on_begin_epoch(self) -> None:
-        """Reset per-epoch recovery state (called before the bump).
+    # -- coordinator operations ----------------------------------------
+    def install_obs(self, registry) -> None:
+        """Create the hub's frame counters on *registry*."""
+        self._c_rx_waves = registry.counter(
+            "repro_router_frames_total",
+            "frames the coordinator router received, by type",
+            type="waves")
+        self._c_rx_states = registry.counter(
+            "repro_router_frames_total",
+            "frames the coordinator router received, by type",
+            type="states")
 
-        Heartbeat timestamps are refreshed so a coordinator that sat
-        idle between solves never sees minutes-old timestamps as an
-        instant staleness verdict, and the stop-joiner set starts the
-        epoch empty (those workers sweep normally from now on).
+    def connected_shards(self) -> list:
+        with self.lock:
+            return sorted(self._conns)
+
+    def refresh_liveness(self) -> None:
+        """Restart every connected shard's heartbeat clock.
+
+        Called at each epoch start so a coordinator that sat idle
+        between solves never reads minutes-old timestamps as an
+        instant staleness verdict.
         """
         with self.lock:
             now = time.monotonic()
             for shard in self._conns:
                 self.last_seen[shard] = now
-            self.stop_joiner_set.clear()
 
     def stale_workers(self) -> list:
         now = time.monotonic()
@@ -173,23 +405,144 @@ class _MeshHub(_Router):
                 > self.liveness_timeout
             )
 
-    def stop_joiners(self) -> set:
+    def broadcast_ctrl(self, word: int, value: int) -> None:
         with self.lock:
-            return set(self.stop_joiner_set)
+            self.ctrl[word] = int(value)
+            if word == SHUTDOWN and value:
+                self.closing = True
+            for conn, wlock in list(self._conns.values()):
+                try:
+                    with wlock:
+                        self._send_ctrl(conn, word, value)
+                except TransportError:
+                    pass
+
+    def request_probes(self) -> None:
+        with self.lock:
+            for shard in range(self.n_shards):
+                self.ctrl[probe_cell(self.n_shards, shard)] = 1
+            for _shard, (conn, wlock) in list(self._conns.items()):
+                try:
+                    with wlock:
+                        self._send_ctrl(conn, PROBE, 1)
+                except TransportError:
+                    pass
+
+    def write_x0(self, x0: np.ndarray) -> None:
+        with self.lock:
+            self.x0[:] = x0
+            for shard, (conn, wlock) in list(self._conns.items()):
+                lo, hi = self.state_bounds[shard]
+                try:
+                    with wlock:
+                        wire.send_message(
+                            conn,
+                            wire.T_X0,
+                            {},
+                            {"x0": self.x0[lo:hi]},
+                        )
+                except TransportError:
+                    pass
+
+    def write_waves(self, waves: np.ndarray) -> None:
+        with self.lock:
+            self.waves[:] = waves
+            for shard, (conn, wlock) in list(self._conns.items()):
+                lo, hi = self.slot_bounds[shard]
+                slots = np.arange(lo, hi, dtype=np.int64)
+                values = np.array(self.waves[lo:hi])
+                try:
+                    with wlock:
+                        wire.send_message(
+                            conn,
+                            wire.T_WAVES,
+                            {"dst": shard},
+                            {"slots": slots, "values": values},
+                        )
+                except TransportError:
+                    pass
+
+    def close(self) -> None:
+        self.closing = True
+        try:
+            self._listener.close()
+        except OSError:  # pragma: no cover - best-effort
+            pass
+        with self.lock:
+            conns = list(self._conns.values())
+            self._conns.clear()
+        for conn, _wlock in conns:
+            try:
+                conn.close()
+            except OSError:  # pragma: no cover - best-effort
+                pass
 
 
-class MeshCoordinatorPort(TcpCoordinatorPort):
-    """Coordinator port over the mesh hub's mirrors."""
+class HubCoordinatorPort(CoordinatorPort):
+    """Coordinator port over the :class:`_Hub` mirrors."""
+
+    def __init__(self, transport: "MeshTransport", hub: _Hub) -> None:
+        self._transport = transport
+        self._hub = hub
+        self._n_shards = hub.n_shards
 
     def begin_epoch(self, epoch: int) -> None:
-        self._router.on_begin_epoch()
-        super().begin_epoch(epoch)
+        self._hub.refresh_liveness()
+        self._hub.broadcast_ctrl(EPOCH, int(epoch))
+
+    def signal_stop(self, epoch: int) -> None:
+        self._hub.broadcast_ctrl(STOP, int(epoch))
+
+    def shutdown(self) -> None:
+        self._hub.broadcast_ctrl(SHUTDOWN, 1)
+
+    def write_x0(self, x0: np.ndarray) -> None:
+        self._hub.write_x0(x0)
+
+    def write_waves(self, waves: np.ndarray) -> None:
+        self._hub.write_waves(waves)
+
+    def read_waves(self) -> np.ndarray:
+        return np.array(self._hub.waves)
+
+    def read_states(self) -> np.ndarray:
+        return np.array(self._hub.states)
+
+    def sweep_counts(self) -> np.ndarray:
+        cells = [sweep_cell(i) for i in range(self._n_shards)]
+        return np.array(self._hub.ctrl[cells], dtype=np.int64)
+
+    def acks(self) -> np.ndarray:
+        n = self._n_shards
+        cells = [ack_cell(n, i) for i in range(n)]
+        return np.array(self._hub.ctrl[cells], dtype=np.int64)
+
+    def failed_shard(self) -> int:
+        return int(self._hub.ctrl[ERR])
+
+    def error_detail(self) -> str:
+        return self._hub.err_text
+
+    def request_probes(self) -> None:
+        self._hub.request_probes()
+
+    def lost_workers(self) -> list:
+        return sorted(self._hub.lost)
+
+    def connected_shards(self) -> list:
+        return self._hub.connected_shards()
 
     def stale_workers(self) -> list:
-        return self._router.stale_workers()
+        return self._hub.stale_workers()
 
-    def stop_joiners(self) -> set:
-        return self._router.stop_joiners()
+    def install_obs(self, registry) -> None:
+        self._hub.install_obs(registry)
+
+    def worker_metrics(self) -> dict:
+        return dict(self._hub.worker_obs)
+
+    def close(self) -> None:
+        self._transport.close()
 
 
 class _PeerConn:
@@ -203,15 +556,16 @@ class _PeerConn:
         self.addr = addr
 
 
-class MeshWorkerPort(TcpWorkerPort):
-    """Worker port that exchanges neighbor waves peer-to-peer.
+class MeshWorkerPort(WorkerPort):
+    """Worker port: private wave buffer, hub socket, neighbor sockets.
 
-    The hub connection (inherited) still carries control, x0, state
-    publishes, acks and heartbeats; wave frames to neighbors prefer a
-    direct socket and fall back to the hub path until one is up.  All
-    inbound applying (hub reader, per-peer readers) only ever writes
-    local arrays, preserving the no-send-on-receive rule that rules
-    out distributed write-write deadlock.
+    The hub connection carries control, x0, state publishes, acks and
+    heartbeats; wave frames to neighbors prefer a direct socket and
+    take the hub path while none is up.  All inbound applying (hub
+    reader, per-peer readers) only ever writes local arrays — reader
+    threads never send — which rules out distributed write-write
+    deadlock: a worker's receive buffers always drain, so the hub's
+    forwarding writes and the peers' sends always complete.
     """
 
     def __init__(
@@ -224,10 +578,8 @@ class MeshWorkerPort(TcpWorkerPort):
         listen_port: int = 0,
         listen_host: str = "0.0.0.0",
         connect_timeout: float = 30.0,
-        heartbeat_every: float = HEARTBEAT_EVERY,
     ) -> None:
-        # peer state must exist before super().__init__ starts the hub
-        # reader thread — a T_PEERS frame can arrive immediately
+        self.shard = int(shard)
         self._token = str(token)
         self._closing = False
         self._peers_lock = threading.Lock()
@@ -236,51 +588,92 @@ class MeshWorkerPort(TcpWorkerPort):
         self._peer_out: dict = {}  # shard -> _PeerConn
         self._peer_in: list = []  # inbound sockets (for close/faults)
         self._dial_wakeup = threading.Event()
-        self._hb_every = float(heartbeat_every)
         self._hb_last = 0.0
         self._faults = None
-        # mesh counters stay None until install_obs; the dialer and
+        self._sweeps = 0
+        # counters stay None until install_obs; the reader, dialer and
         # accept threads start before any registry can be attached
+        self._obs = None
         self._c_frames = None
         self._c_dropped = None
         self._c_delayed = None
         self._c_fallback = None
         self._c_dials = None
         self._c_dial_failures = None
+        try:
+            sock = socket.create_connection(
+                (host, int(port)), timeout=float(connect_timeout)
+            )
+        except OSError as exc:
+            raise TransportError(
+                f"cannot reach coordinator at {host}:{port}: {exc}"
+            ) from exc
+        sock.settimeout(None)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock = sock
+        self._sock_wlock = threading.Lock()
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((listen_host, int(listen_port)))
-        listener.listen(8)
         self._listener = listener
-        self.listen_port = int(listener.getsockname()[1])
-        super().__init__(
-            host,
-            port,
-            token,
-            shard,
-            connect_timeout=connect_timeout,
-            hello_extra={"listen": self.listen_port},
-        )
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((listen_host, int(listen_port)))
+            listener.listen(8)
+            self.listen_port = int(listener.getsockname()[1])
+            hello = {
+                "token": token,
+                "shard": self.shard,
+                "listen": self.listen_port,
+            }
+            wire.send_message(sock, wire.T_HELLO, hello)
+            ftype, header, _arrays, blob = wire.recv_message(sock)
+            if ftype == wire.T_ERR:
+                raise TransportError(
+                    f"coordinator rejected worker: {header.get('error')}"
+                )
+            if ftype != wire.T_SPEC:
+                raise ProtocolError("expected SPEC frame after HELLO")
+        except (OSError, TransportError):
+            self.close()  # a rejected handshake must not leak sockets
+            raise
+        self.spec = ShardSpec.from_payload(blob)
+        self.idle_sleep = float(header["idle_sleep"])
+        self.probe_every = int(header["probe_every"])
+        self.obs_enabled = bool(header.get("obs", False))
+        spec = self.spec
+        self._slot_lo = int(spec.slot_lo)
+        self._slot_hi = int(spec.slot_hi)
+        n_owned = self._slot_hi - self._slot_lo
+        n_local = int(spec.state_hi) - int(spec.state_lo)
+        self._in_waves = np.zeros(n_owned)
+        self._x0 = np.zeros(n_local)
+        self._mirror = np.zeros(PER_SHARD, dtype=np.int64)
+        self._loop_pos = spec.loopback.emit_pos
+        self._loop_local = spec.loopback.dest_slots - self._slot_lo
+        self._outboxes = [
+            (int(box.dst_shard), box.emit_pos, box.dest_slots)
+            for box in spec.outboxes
+        ]
         self._out_dsts = [dst for dst, _, _ in self._outboxes]
-        accept = threading.Thread(
-            target=self._accept_loop, name="dtm-mesh-accept", daemon=True
-        )
-        accept.start()
-        dialer = threading.Thread(
-            target=self._dial_loop, name="dtm-mesh-dial", daemon=True
-        )
-        dialer.start()
+        for target, name in (
+            (self._reader_loop, "dtm-net-recv"),
+            (self._accept_loop, "dtm-mesh-accept"),
+            (self._dial_loop, "dtm-mesh-dial"),
+        ):
+            threading.Thread(target=target, name=name, daemon=True).start()
 
     def install_obs(self, registry) -> None:
-        """Mesh data-path counters on top of the base worker set.
+        """Data-path counters + snapshot piggyback.
 
+        Once installed, every state publish and heartbeat carries a
+        jsonable snapshot of *registry* in its header, which the hub
+        stores per shard — the cross-process aggregation channel.
         ``frames`` counts outbound wave frames before fault injection,
         so scripted drop quotas are verifiable against it;
         ``fallback`` counts frames routed through the hub while no
         direct peer socket was up; ``dials``/``dial_failures`` expose
         the backoff dialer's churn.
         """
-        super().install_obs(registry)
+        self._obs = registry
         shard = str(self.shard)
 
         def counter(name, help_text):
@@ -305,8 +698,45 @@ class MeshWorkerPort(TcpWorkerPort):
             "peer dial attempts that failed (backoff applied)")
 
     # -- hub frames -----------------------------------------------------
-    def _apply_frame(self, ftype: int, header, arrays, blob) -> None:
-        if ftype == wire.T_PEERS:
+    def _reader_loop(self) -> None:
+        try:
+            while True:
+                ftype, header, arrays, _blob = wire.recv_message(self._sock)
+                self._apply_frame(ftype, header, arrays)
+        except ProtocolError:
+            self._mirror[SHUTDOWN] = 1
+            raise
+        except (TransportError, OSError):
+            # a vanished coordinator must release the worker loop
+            self._mirror[SHUTDOWN] = 1
+
+    def _apply_wave_frame(self, arrays, source: str) -> None:
+        """Latest-wins apply-on-receive, from the hub or a peer."""
+        lo, hi = self._slot_lo, self._slot_hi
+        slots = arrays["slots"]
+        values = arrays["values"]
+        if slots.shape != values.shape:
+            raise ProtocolError(f"{source} wave frame has mismatched shapes")
+        if np.any((slots < lo) | (slots >= hi)):
+            raise ProtocolError(
+                f"{source} wave frame targets slots outside this "
+                f"shard's range [{lo}, {hi})"
+            )
+        self._in_waves[slots - lo] = values
+
+    def _apply_frame(self, ftype: int, header, arrays) -> None:
+        """Apply one coordinator frame to local state."""
+        if ftype == wire.T_WAVES:
+            self._apply_wave_frame(arrays, "hub")
+        elif ftype == wire.T_X0:
+            x0 = arrays["x0"]
+            if x0.shape != self._x0.shape:
+                raise ProtocolError("x0 frame has wrong shape")
+            self._x0[:] = x0
+        elif ftype == wire.T_CTRL:
+            word = int(header["word"])
+            self._mirror[word] = int(header["value"])
+        elif ftype == wire.T_PEERS:
             with self._peers_lock:
                 gen = int(header.get("gen", 0))
                 if gen <= self._peer_gen:
@@ -318,8 +748,8 @@ class MeshWorkerPort(TcpWorkerPort):
                     if int(s) != self.shard
                 }
             self._dial_wakeup.set()
-            return
-        super()._apply_frame(ftype, header, arrays, blob)
+        else:
+            raise ProtocolError(f"unexpected coordinator frame {ftype}")
 
     # -- inbound peer side ----------------------------------------------
     def _accept_loop(self) -> None:
@@ -338,7 +768,6 @@ class MeshWorkerPort(TcpWorkerPort):
             reader.start()
 
     def _peer_reader(self, conn) -> None:
-        lo, hi = self._slot_lo, self._slot_hi
         try:
             ftype, header, _arrays, _blob = wire.recv_message(conn)
             if ftype != wire.T_PEER_HELLO:
@@ -352,18 +781,7 @@ class MeshWorkerPort(TcpWorkerPort):
                     raise ProtocolError(
                         f"unexpected peer frame {ftype}"
                     )
-                slots = arrays["slots"]
-                values = arrays["values"]
-                if slots.shape != values.shape:
-                    raise ProtocolError(
-                        "peer wave frame has mismatched shapes"
-                    )
-                if np.any((slots < lo) | (slots >= hi)):
-                    raise ProtocolError(
-                        "peer wave frame targets slots outside this "
-                        f"shard's range [{lo}, {hi})"
-                    )
-                self._in_waves[slots - lo] = values
+                self._apply_wave_frame(arrays, "peer")
         except (TransportError, ProtocolError, OSError):
             pass
         finally:
@@ -431,8 +849,18 @@ class MeshWorkerPort(TcpWorkerPort):
             except OSError:  # pragma: no cover - best-effort
                 pass
 
+    def _send_hub(self, ftype: int, header, arrays=None) -> None:
+        """Serialized send on the coordinator socket.
+
+        The worker loop, heartbeats and (under fault injection) a
+        delay-flusher thread may all emit hub frames; a lock keeps the
+        frames whole on the wire.
+        """
+        with self._sock_wlock:
+            wire.send_message(self._sock, ftype, header, arrays)
+
     def _send_wave_frame(self, dst, slots, values) -> None:
-        """One wave frame: direct peer socket, hub path as fallback."""
+        """One wave frame: direct peer socket, else through the hub."""
         conn = self._peer_out.get(dst)
         if conn is not None:
             try:
@@ -455,6 +883,23 @@ class MeshWorkerPort(TcpWorkerPort):
             {"slots": slots, "values": values},
         )
 
+    # -- the port interface ----------------------------------------------
+    def shutdown_requested(self) -> bool:
+        return bool(self._mirror[SHUTDOWN])
+
+    def current_epoch(self) -> int:
+        self._maybe_heartbeat()
+        return int(self._mirror[EPOCH])
+
+    def stop_requested(self, epoch: int) -> bool:
+        return int(self._mirror[STOP]) >= epoch
+
+    def read_x0(self) -> np.ndarray:
+        return np.array(self._x0)
+
+    def wave_snapshot(self) -> np.ndarray:
+        return np.array(self._in_waves)
+
     def post_waves(self, out: np.ndarray) -> None:
         self._in_waves[self._loop_local] = out[self._loop_pos]
         faults = self._faults
@@ -476,8 +921,48 @@ class MeshWorkerPort(TcpWorkerPort):
                     continue
             self._send_wave_frame(dst, dest_slots, out[emit_pos])
         if self._outboxes:
-            # the load-bearing yield (see TcpWorkerPort.post_waves)
+            # yield the core so the peers (or the hub) and sibling
+            # shards can move the frames we just emitted; on busy
+            # hosts this keeps boundary data fresh instead of letting
+            # one hot shard relax against stale waves for a whole
+            # scheduler quantum
             time.sleep(0)
+
+    def record_sweeps(self, total: int) -> None:
+        self._sweeps = int(total)
+        self._maybe_heartbeat()
+
+    def publish_states(self, states: np.ndarray, sweeps: int) -> None:
+        self._sweeps = int(sweeps)
+        header = {"shard": self.shard, "sweeps": self._sweeps}
+        if self._obs is not None:
+            header["obs"] = self._obs.snapshot().to_jsonable()
+        self._send_hub(
+            wire.T_STATES,
+            header,
+            {"states": states, "waves": self._in_waves},
+        )
+
+    def probe_requested(self) -> bool:
+        return bool(self._mirror[PROBE])
+
+    def clear_probe(self) -> None:
+        self._mirror[PROBE] = 0
+
+    def ack(self, epoch: int) -> None:
+        self._send_hub(
+            wire.T_ACK,
+            {"shard": self.shard, "epoch": int(epoch)},
+        )
+
+    def mark_error(self, detail: str = "") -> None:
+        try:
+            self._send_hub(
+                wire.T_ERR,
+                {"shard": self.shard, "error": detail},
+            )
+        except TransportError:  # pragma: no cover - socket already gone
+            pass
 
     # -- fault injection hooks (driven by repro.net.faults) --------------
     def install_frame_faults(self, injector) -> None:
@@ -505,8 +990,8 @@ class MeshWorkerPort(TcpWorkerPort):
     def close_peer_conns(self) -> None:
         """Abruptly close every peer socket (socket-close injection).
 
-        The mesh must recover on its own: senders fall back to the hub
-        path and the dialer re-establishes direct sockets.
+        The mesh must recover on its own: senders take the hub path
+        and the dialer re-establishes direct sockets.
         """
         for dst in list(self._peer_out):
             self._retire_peer(dst)
@@ -520,7 +1005,7 @@ class MeshWorkerPort(TcpWorkerPort):
     # -- liveness --------------------------------------------------------
     def _maybe_heartbeat(self) -> None:
         now = time.monotonic()
-        if now - self._hb_last < self._hb_every:
+        if now - self._hb_last < HEARTBEAT_EVERY:
             return
         self._hb_last = now
         header = {"shard": self.shard, "sweeps": self._sweeps}
@@ -531,31 +1016,36 @@ class MeshWorkerPort(TcpWorkerPort):
         except TransportError:
             pass  # the hub reader thread raises SHUTDOWN for the loop
 
-    def current_epoch(self) -> int:
-        self._maybe_heartbeat()
-        return super().current_epoch()
-
-    def record_sweeps(self, total: int) -> None:
-        super().record_sweeps(total)
-        self._maybe_heartbeat()
-
     def close(self) -> None:
         self._closing = True
         self._dial_wakeup.set()
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - best-effort
-            pass
         self.close_peer_conns()
-        super().close()
+        for sock in (self._listener, self._sock):
+            try:
+                sock.close()
+            except OSError:  # pragma: no cover - best-effort
+                pass
 
 
-class MeshTransport(TcpTransport):
-    """Socket fabric with direct neighbor edges and failure recovery.
+class MeshTransport(Transport):
+    """Socket fabric: shards may live on any machine that can connect.
 
-    Same coordinator address/token contract as :class:`TcpTransport`;
-    workers additionally open peer listen sockets and exchange wave
-    frames directly.  Sets ``supports_recovery`` so
+    Parameters
+    ----------
+    host, port:
+        Listen address of the coordinator-side hub.  The defaults
+        (loopback, ephemeral port) serve the single-machine case; bind
+        a LAN address to span machines.  After :meth:`bind`,
+        ``transport.port`` holds the actual port.
+    token:
+        Shared secret workers must present in their HELLO frame (and
+        to each other when dialling); a random one is generated when
+        omitted.
+    liveness_timeout:
+        Seconds of heartbeat silence before a connected worker is
+        reported stale.
+
+    Sets ``supports_recovery`` so
     :class:`~repro.runtime.multiproc.MultiprocDtmRunner` respawns and
     re-snapshots lost shard workers instead of aborting the solve.
     """
@@ -571,8 +1061,11 @@ class MeshTransport(TcpTransport):
         *,
         liveness_timeout: float = LIVENESS_TIMEOUT,
     ) -> None:
-        super().__init__(host, port, token)
+        self.host = str(host)
+        self.port = int(port)
+        self.token = token if token is not None else secrets.token_hex(16)
         self.liveness_timeout = float(liveness_timeout)
+        self._hub: Optional[_Hub] = None
 
     def bind(
         self,
@@ -583,10 +1076,10 @@ class MeshTransport(TcpTransport):
         idle_sleep: float,
         probe_every: int,
         obs_enabled: bool = False,
-    ) -> MeshCoordinatorPort:
-        if self._router is not None:
+    ) -> HubCoordinatorPort:
+        if self._hub is not None:
             raise ConfigurationError("MeshTransport is already bound")
-        hub = _MeshHub(
+        hub = _Hub(
             specs,
             host=self.host,
             port=self.port,
@@ -595,24 +1088,28 @@ class MeshTransport(TcpTransport):
             n_states=n_states,
             idle_sleep=idle_sleep,
             probe_every=probe_every,
-            obs_enabled=obs_enabled,
             liveness_timeout=self.liveness_timeout,
+            obs_enabled=obs_enabled,
         )
         hub.start()
-        self._router = hub
+        self._hub = hub
         self.port = int(hub.address[1])
-        return MeshCoordinatorPort(self, hub)
+        return HubCoordinatorPort(self, hub)
 
     def worker_descriptor(self, index: int) -> tuple:
-        if self._router is None:
+        if self._hub is None:
             raise ConfigurationError("bind the transport before workers")
         return ("mesh", self.host, self.port, self.token, int(index), 0)
+
+    def close(self) -> None:
+        if self._hub is not None:
+            self._hub.close()
 
 
 __all__ = [
     "LIVENESS_TIMEOUT",
     "HEARTBEAT_EVERY",
     "MeshTransport",
-    "MeshCoordinatorPort",
+    "HubCoordinatorPort",
     "MeshWorkerPort",
 ]

@@ -11,8 +11,8 @@ worker per shard against two tiny port interfaces defined here:
   stop control, right-hand-side/wave publication, and consistent
   gathers of the published states.
 
-A :class:`Transport` binds the two sides together.  Two
-implementations ship:
+A :class:`Transport` binds the two sides together.  This module holds
+the interfaces, the control-word layout both fabrics share, and
 
 :class:`ShmTransport`
     The PR-4 ``multiprocessing.shared_memory`` fabric, refactored out
@@ -20,51 +20,40 @@ implementations ship:
     cell, a delivery is an aligned 8-byte overwrite.  Workers must
     share the coordinator's machine.
 
-:class:`TcpTransport`
-    The same frames over length-prefixed loopback/LAN sockets.  Every
-    worker keeps a private copy of its owned wave slots; cross-shard
-    emissions travel as ``T_WAVES`` frames through a coordinator-side
-    router and are applied on receive — TCP's per-connection FIFO plus
-    apply-on-arrival overwrite realizes exactly the latest-wins
-    semantics of the shared-memory scatter, with no queue growth.
-    Workers need no shared address space: a remote machine can join
-    with ``python -m repro.net.worker`` given host, port and token.
+The one socket fabric, :class:`~repro.net.mesh.MeshTransport`, lives in
+:mod:`repro.net.mesh`; :func:`resolve_transport` and
+:func:`open_worker_port` resolve both by name.
 
 Torn reads cannot occur on either fabric: shm cells are aligned
-8-byte values with one writer, and TCP frames are applied whole under
-the GIL (a reader thread's fancy-index scatter and the solve loop's
-snapshot copy are serialized).
+8-byte values with one writer, and socket frames are applied whole
+under the GIL (a reader thread's fancy-index scatter and the solve
+loop's snapshot copy are serialized).
 """
 
 from __future__ import annotations
 
 import os
 import secrets
-import socket
-import threading
-import time
 import weakref
 from multiprocessing import shared_memory
-from typing import Optional
 
 import numpy as np
 
-from ..errors import ConfigurationError, ProtocolError, TransportError
+from ..errors import ConfigurationError
 from ..plan.shard import MailboxSpec, ShardSpec
-from . import wire
 
 # ----------------------------------------------------------------------
 # control-block layout (int64 words, single-writer per cell); shared by
-# both transports — the TCP router keeps a coordinator-side mirror with
+# both transports — the mesh hub keeps a coordinator-side mirror with
 # the identical layout
 # ----------------------------------------------------------------------
-STOP = 0  # coordinator -> workers: end the current epoch
+STOP = 0  # coordinator -> workers: the newest epoch that has ended
 EPOCH = 1  # coordinator -> workers: bumped to start an epoch
 SHUTDOWN = 2  # coordinator -> workers: exit the idle loop
 ERR = 3  # workers -> coordinator: 1 + index of a failed shard
 PER_SHARD = 4  # then: sweeps[n], acks[n], probe-request[n]
 
-#: worker-mirror word for a coordinator probe request (the TCP worker
+#: worker-mirror word for a coordinator probe request (the mesh worker
 #: keeps a 4-word local mirror: STOP, EPOCH, SHUTDOWN, PROBE; the shm
 #: transport uses per-shard probe cells in the shared control block)
 PROBE = 3
@@ -119,10 +108,17 @@ class CoordinatorPort:
     """Coordinator-side handle of a bound transport."""
 
     def begin_epoch(self, epoch: int) -> None:
-        """Clear the stop flag, then publish the new epoch number."""
+        """Publish the new epoch number (epochs only ever grow)."""
         raise NotImplementedError
 
-    def signal_stop(self) -> None:
+    def signal_stop(self, epoch: int) -> None:
+        """End *epoch*: the STOP word carries the epoch it ends.
+
+        A STOP left over from epoch ``N-1`` can therefore never end
+        epoch ``N``, and one raised for ``N`` before a descheduled
+        worker even saw ``N`` start still ends it for that worker —
+        no ordering between the two control words is needed.
+        """
         raise NotImplementedError
 
     def shutdown(self) -> None:
@@ -161,7 +157,7 @@ class CoordinatorPort:
         raise NotImplementedError
 
     def lost_workers(self) -> list:
-        """Shards whose connection dropped (TCP); always [] for shm."""
+        """Shards whose connection dropped (mesh); always [] for shm."""
         return []
 
     def connected_shards(self):
@@ -176,15 +172,6 @@ class CoordinatorPort:
     def stale_workers(self) -> list:
         """Shards whose liveness signal has gone quiet (mesh only)."""
         return []
-
-    def stop_joiners(self) -> set:
-        """Shards that (re)joined while STOP was set this epoch.
-
-        Such workers idle-wait for the next epoch instead of sweeping,
-        so a recovery-aware coordinator must not wait for their acks.
-        Cleared by :meth:`begin_epoch`.
-        """
-        return set()
 
     def install_obs(self, registry) -> None:
         """Attach a metric registry for coordinator-side counters."""
@@ -219,7 +206,8 @@ class WorkerPort:
     def current_epoch(self) -> int:
         raise NotImplementedError
 
-    def stop_requested(self) -> bool:
+    def stop_requested(self, epoch: int) -> bool:
+        """True once the coordinator has ended *epoch* (or a later one)."""
         raise NotImplementedError
 
     def read_x0(self) -> np.ndarray:
@@ -428,12 +416,10 @@ class ShmCoordinatorPort(CoordinatorPort):
         self._n_shards = int(n_shards)
 
     def begin_epoch(self, epoch: int) -> None:
-        # order matters: workers wait out a stale STOP before sweeping
-        self._ctrl[STOP] = 0
         self._ctrl[EPOCH] = int(epoch)
 
-    def signal_stop(self) -> None:
-        self._ctrl[STOP] = 1
+    def signal_stop(self, epoch: int) -> None:
+        self._ctrl[STOP] = int(epoch)
 
     def shutdown(self) -> None:
         self._ctrl[SHUTDOWN] = 1
@@ -511,8 +497,8 @@ class ShmWorkerPort(WorkerPort):
     def current_epoch(self) -> int:
         return int(self._ctrl[EPOCH])
 
-    def stop_requested(self) -> bool:
-        return bool(self._ctrl[STOP])
+    def stop_requested(self, epoch: int) -> bool:
+        return int(self._ctrl[STOP]) >= epoch
 
     def read_x0(self) -> np.ndarray:
         return self._x0[self._state_sl]
@@ -552,695 +538,12 @@ class ShmWorkerPort(WorkerPort):
 
 
 # ----------------------------------------------------------------------
-# TCP transport: the same frames over sockets, no shared address space
-# ----------------------------------------------------------------------
-class _Router:
-    """Coordinator-side switchboard of the TCP transport.
-
-    Owns the authoritative wave/x0/state/control mirrors (the same
-    layout the shm transport shares), accepts worker connections,
-    forwards cross-shard ``T_WAVES`` frames and applies worker
-    publishes.  Single-writer discipline is preserved: a frame from
-    shard *k* only touches cells shard *k* owns.  A worker that joins
-    late (or reconnects) receives a full state snapshot — spec, x0,
-    its wave slice and the current control words — so control state is
-    levelled, not merely streamed.
-    """
-
-    def __init__(
-        self,
-        specs,
-        *,
-        host: str,
-        port: int,
-        token: str,
-        n_slots: int,
-        n_states: int,
-        idle_sleep: float,
-        probe_every: int,
-        obs_enabled: bool = False,
-    ) -> None:
-        self.token = token
-        self.obs_enabled = bool(obs_enabled)
-        #: shard -> latest jsonable metric snapshot the worker
-        #: piggybacked on a state/heartbeat frame
-        self.worker_obs: dict = {}
-        self._c_rx_waves = None
-        self._c_rx_states = None
-        self.n_shards = len(specs)
-        self.n_slots = int(n_slots)
-        self.n_states = int(n_states)
-        self.idle_sleep = float(idle_sleep)
-        self.probe_every = int(probe_every)
-        self.payloads = [spec.to_payload() for spec in specs]
-        self.slot_bounds = [
-            (int(spec.slot_lo), int(spec.slot_hi)) for spec in specs
-        ]
-        self.state_bounds = [
-            (int(spec.state_lo), int(spec.state_hi)) for spec in specs
-        ]
-        self.waves = np.zeros(self.n_slots)
-        self.x0 = np.zeros(self.n_states)
-        self.states = np.zeros(self.n_states)
-        self.ctrl = np.zeros(ctrl_size(self.n_shards), dtype=np.int64)
-        self.err_text = ""
-        self.lock = threading.RLock()
-        self.closing = False
-        self.lost: set = set()
-        self._conns: dict = {}
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((host, port))
-        listener.listen(self.n_shards + 2)
-        self._listener = listener
-        self.address = listener.getsockname()
-
-    def start(self) -> None:
-        accept = threading.Thread(
-            target=self._accept_loop, name="dtm-net-accept", daemon=True
-        )
-        accept.start()
-
-    # -- connection lifecycle ------------------------------------------
-    def _accept_loop(self) -> None:
-        while not self.closing:
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:
-                return
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            worker = threading.Thread(
-                target=self._serve_conn,
-                args=(conn,),
-                name="dtm-net-conn",
-                daemon=True,
-            )
-            worker.start()
-
-    def _serve_conn(self, conn) -> None:
-        shard = -1
-        try:
-            ftype, header, _arrays, _blob = wire.recv_message(conn)
-            shard = self._register(conn, ftype, header)
-            self._reader_loop(conn, shard)
-        except (TransportError, OSError):
-            pass
-        finally:
-            if shard >= 0:
-                self._drop(conn, shard)
-            else:
-                conn.close()
-
-    def _drop(self, conn, shard: int) -> None:
-        with self.lock:
-            entry = self._conns.get(shard)
-            if entry is not None and entry[0] is conn:
-                del self._conns[shard]
-                if not self.closing:
-                    self.lost.add(shard)
-        conn.close()
-
-    def _register(self, conn, ftype: int, header: dict) -> int:
-        if ftype != wire.T_HELLO:
-            raise ProtocolError("expected HELLO frame")
-        if header.get("token") != self.token:
-            wire.send_message(conn, wire.T_ERR, {"error": "bad token"})
-            raise ProtocolError("worker presented a bad token")
-        shard = int(header.get("shard", -1))
-        if not 0 <= shard < self.n_shards:
-            raise ProtocolError(f"unknown shard index {shard}")
-        slot_lo, slot_hi = self.slot_bounds[shard]
-        state_lo, state_hi = self.state_bounds[shard]
-        wlock = threading.Lock()
-        with self.lock:
-            self._conns[shard] = (conn, wlock)
-            self.lost.discard(shard)
-            spec_header = {
-                "n_slots": self.n_slots,
-                "n_states": self.n_states,
-                "idle_sleep": self.idle_sleep,
-                "probe_every": self.probe_every,
-                "obs": self.obs_enabled,
-            }
-            with wlock:
-                wire.send_message(
-                    conn,
-                    wire.T_SPEC,
-                    spec_header,
-                    blob=self.payloads[shard],
-                )
-                wire.send_message(
-                    conn,
-                    wire.T_X0,
-                    {},
-                    {"x0": self.x0[state_lo:state_hi]},
-                )
-                slots = np.arange(slot_lo, slot_hi, dtype=np.int64)
-                values = np.array(self.waves[slot_lo:slot_hi])
-                wire.send_message(
-                    conn,
-                    wire.T_WAVES,
-                    {"dst": shard},
-                    {"slots": slots, "values": values},
-                )
-                for word in (STOP, EPOCH, SHUTDOWN):
-                    self._send_ctrl(conn, word, int(self.ctrl[word]))
-                cell = probe_cell(self.n_shards, shard)
-                self._send_ctrl(conn, PROBE, int(self.ctrl[cell]))
-            self._on_register(conn, shard, header)
-        return shard
-
-    def _on_register(self, conn, shard: int, header: dict) -> None:
-        """Hook after a worker is levelled (called under ``self.lock``).
-
-        The mesh hub uses it to record the worker's peer listen
-        address and rebroadcast the directory; the base router has
-        nothing to add.
-        """
-
-    @staticmethod
-    def _send_ctrl(conn, word: int, value: int) -> None:
-        wire.send_message(
-            conn, wire.T_CTRL, {"word": int(word), "value": int(value)}
-        )
-
-    # -- worker frames --------------------------------------------------
-    def _reader_loop(self, conn, shard: int) -> None:
-        while True:
-            ftype, header, arrays, blob = wire.recv_message(conn)
-            self._handle_frame(conn, shard, ftype, header, arrays, blob)
-
-    def _handle_frame(
-        self, conn, shard: int, ftype: int, header, arrays, blob
-    ) -> None:
-        """Apply one worker frame to the mirrors (overridable).
-
-        The mesh hub extends the dispatch with heartbeat frames; the
-        wave/state/ack/err core is shared verbatim.
-        """
-        n = self.n_shards
-        if ftype == wire.T_WAVES:
-            if self._c_rx_waves is not None:
-                self._c_rx_waves.inc()
-            dst = int(header["dst"])
-            if not 0 <= dst < n:
-                raise ProtocolError(f"wave frame to bad shard {dst}")
-            slots = arrays["slots"]
-            values = arrays["values"]
-            dst_lo, dst_hi = self.slot_bounds[dst]
-            if slots.shape != values.shape:
-                raise ProtocolError(
-                    f"wave frame from shard {shard} has mismatched "
-                    "slot/value shapes"
-                )
-            # single-writer discipline: a frame may only touch the
-            # destination shard's slot range (slots outside it
-            # would overwrite cells some other shard owns)
-            if slots.size:
-                lo_ok = int(slots.min()) >= dst_lo
-                hi_ok = int(slots.max()) < dst_hi
-                if not (lo_ok and hi_ok):
-                    raise ProtocolError(
-                        f"wave frame from shard {shard} violates "
-                        f"shard {dst}'s slot range "
-                        f"[{dst_lo}, {dst_hi})"
-                    )
-            self.waves[slots] = values
-            entry = self._conns.get(dst)
-            if entry is not None and dst != shard:
-                dst_conn, dst_lock = entry
-                try:
-                    with dst_lock:
-                        wire.send_message(
-                            dst_conn,
-                            wire.T_WAVES,
-                            header,
-                            arrays,
-                        )
-                except TransportError:
-                    pass  # dropped peer is reported via lost_workers
-        elif ftype == wire.T_STATES:
-            state_lo, state_hi = self.state_bounds[shard]
-            slot_lo, slot_hi = self.slot_bounds[shard]
-            states = arrays["states"]
-            waves = arrays["waves"]
-            if states.shape != (state_hi - state_lo,):
-                raise ProtocolError(
-                    f"state frame from shard {shard} has wrong shape"
-                )
-            if waves.shape != (slot_hi - slot_lo,):
-                raise ProtocolError(
-                    f"wave slice from shard {shard} has wrong shape"
-                )
-            self.states[state_lo:state_hi] = states
-            self.waves[slot_lo:slot_hi] = waves
-            self.ctrl[sweep_cell(shard)] = int(header["sweeps"])
-            self.ctrl[probe_cell(n, shard)] = 0
-            if self._c_rx_states is not None:
-                self._c_rx_states.inc()
-            obs = header.get("obs")
-            if obs is not None:
-                self.worker_obs[shard] = obs
-        elif ftype == wire.T_ACK:
-            self.ctrl[ack_cell(n, shard)] = int(header["epoch"])
-        elif ftype == wire.T_ERR:
-            self.err_text = str(header.get("error", ""))
-            self.ctrl[ERR] = shard + 1
-        else:
-            raise ProtocolError(f"unexpected worker frame {ftype}")
-
-    # -- coordinator operations ----------------------------------------
-    def install_obs(self, registry) -> None:
-        """Create the router's frame counters on *registry*."""
-        self._c_rx_waves = registry.counter(
-            "repro_router_frames_total",
-            "frames the coordinator router received, by type",
-            type="waves")
-        self._c_rx_states = registry.counter(
-            "repro_router_frames_total",
-            "frames the coordinator router received, by type",
-            type="states")
-
-    def connected_shards(self) -> list:
-        with self.lock:
-            return sorted(self._conns)
-
-    def broadcast_ctrl(self, word: int, value: int) -> None:
-        with self.lock:
-            self.ctrl[word] = int(value)
-            if word == SHUTDOWN and value:
-                self.closing = True
-            for conn, wlock in list(self._conns.values()):
-                try:
-                    with wlock:
-                        self._send_ctrl(conn, word, value)
-                except TransportError:
-                    pass
-
-    def request_probes(self) -> None:
-        with self.lock:
-            for shard in range(self.n_shards):
-                self.ctrl[probe_cell(self.n_shards, shard)] = 1
-            for _shard, (conn, wlock) in list(self._conns.items()):
-                try:
-                    with wlock:
-                        self._send_ctrl(conn, PROBE, 1)
-                except TransportError:
-                    pass
-
-    def write_x0(self, x0: np.ndarray) -> None:
-        with self.lock:
-            self.x0[:] = x0
-            for shard, (conn, wlock) in list(self._conns.items()):
-                lo, hi = self.state_bounds[shard]
-                try:
-                    with wlock:
-                        wire.send_message(
-                            conn,
-                            wire.T_X0,
-                            {},
-                            {"x0": self.x0[lo:hi]},
-                        )
-                except TransportError:
-                    pass
-
-    def write_waves(self, waves: np.ndarray) -> None:
-        with self.lock:
-            self.waves[:] = waves
-            for shard, (conn, wlock) in list(self._conns.items()):
-                lo, hi = self.slot_bounds[shard]
-                slots = np.arange(lo, hi, dtype=np.int64)
-                values = np.array(self.waves[lo:hi])
-                try:
-                    with wlock:
-                        wire.send_message(
-                            conn,
-                            wire.T_WAVES,
-                            {"dst": shard},
-                            {"slots": slots, "values": values},
-                        )
-                except TransportError:
-                    pass
-
-    def close(self) -> None:
-        self.closing = True
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - best-effort
-            pass
-        with self.lock:
-            conns = list(self._conns.values())
-            self._conns.clear()
-        for conn, _wlock in conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - best-effort
-                pass
-
-
-class TcpTransport(Transport):
-    """Socket fabric: shards may live on any machine that can connect.
-
-    Parameters
-    ----------
-    host, port:
-        Listen address of the coordinator-side router.  The defaults
-        (loopback, ephemeral port) serve the single-machine case; bind
-        a LAN address to span machines.  After :meth:`bind`,
-        ``transport.port`` holds the actual port.
-    token:
-        Shared secret workers must present in their HELLO frame; a
-        random one is generated when omitted.
-    """
-
-    name = "tcp"
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        token: Optional[str] = None,
-    ) -> None:
-        self.host = str(host)
-        self.port = int(port)
-        self.token = token if token is not None else secrets.token_hex(16)
-        self._router: Optional[_Router] = None
-
-    def bind(
-        self,
-        specs,
-        *,
-        n_slots: int,
-        n_states: int,
-        idle_sleep: float,
-        probe_every: int,
-        obs_enabled: bool = False,
-    ) -> "TcpCoordinatorPort":
-        if self._router is not None:
-            raise ConfigurationError("TcpTransport is already bound")
-        router = _Router(
-            specs,
-            host=self.host,
-            port=self.port,
-            token=self.token,
-            n_slots=n_slots,
-            n_states=n_states,
-            idle_sleep=idle_sleep,
-            probe_every=probe_every,
-            obs_enabled=obs_enabled,
-        )
-        router.start()
-        self._router = router
-        self.port = int(router.address[1])
-        return TcpCoordinatorPort(self, router)
-
-    def worker_descriptor(self, index: int) -> tuple:
-        if self._router is None:
-            raise ConfigurationError("bind the transport before workers")
-        return ("tcp", self.host, self.port, self.token, int(index))
-
-    def close(self) -> None:
-        if self._router is not None:
-            self._router.close()
-
-
-class TcpCoordinatorPort(CoordinatorPort):
-    """Coordinator port over the :class:`_Router` mirrors."""
-
-    def __init__(self, transport: TcpTransport, router: _Router) -> None:
-        self._transport = transport
-        self._router = router
-        self._n_shards = router.n_shards
-
-    def begin_epoch(self, epoch: int) -> None:
-        self._router.broadcast_ctrl(STOP, 0)
-        self._router.broadcast_ctrl(EPOCH, int(epoch))
-
-    def signal_stop(self) -> None:
-        self._router.broadcast_ctrl(STOP, 1)
-
-    def shutdown(self) -> None:
-        self._router.broadcast_ctrl(SHUTDOWN, 1)
-
-    def write_x0(self, x0: np.ndarray) -> None:
-        self._router.write_x0(x0)
-
-    def write_waves(self, waves: np.ndarray) -> None:
-        self._router.write_waves(waves)
-
-    def read_waves(self) -> np.ndarray:
-        return np.array(self._router.waves)
-
-    def read_states(self) -> np.ndarray:
-        return np.array(self._router.states)
-
-    def sweep_counts(self) -> np.ndarray:
-        cells = [sweep_cell(i) for i in range(self._n_shards)]
-        return np.array(self._router.ctrl[cells], dtype=np.int64)
-
-    def acks(self) -> np.ndarray:
-        n = self._n_shards
-        cells = [ack_cell(n, i) for i in range(n)]
-        return np.array(self._router.ctrl[cells], dtype=np.int64)
-
-    def failed_shard(self) -> int:
-        return int(self._router.ctrl[ERR])
-
-    def error_detail(self) -> str:
-        return self._router.err_text
-
-    def request_probes(self) -> None:
-        self._router.request_probes()
-
-    def lost_workers(self) -> list:
-        return sorted(self._router.lost)
-
-    def connected_shards(self) -> list:
-        return self._router.connected_shards()
-
-    def install_obs(self, registry) -> None:
-        self._router.install_obs(registry)
-
-    def worker_metrics(self) -> dict:
-        return dict(self._router.worker_obs)
-
-    def close(self) -> None:
-        self._transport.close()
-
-
-class TcpWorkerPort(WorkerPort):
-    """Worker port: private wave buffer + a reader thread.
-
-    The reader thread only ever *applies* frames to local arrays (it
-    never sends), which rules out distributed write-write deadlock: a
-    worker's receive buffer always drains, so the router's forwarding
-    writes always complete.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        token: str,
-        shard: int,
-        *,
-        connect_timeout: float = 30.0,
-        hello_extra: Optional[dict] = None,
-    ) -> None:
-        try:
-            sock = socket.create_connection(
-                (host, int(port)), timeout=float(connect_timeout)
-            )
-        except OSError as exc:
-            raise TransportError(
-                f"cannot reach coordinator at {host}:{port}: {exc}"
-            ) from exc
-        sock.settimeout(None)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock = sock
-        self._sock_wlock = threading.Lock()
-        self.shard = int(shard)
-        hello = {"token": token, "shard": self.shard}
-        if hello_extra:
-            hello.update(hello_extra)
-        wire.send_message(sock, wire.T_HELLO, hello)
-        ftype, header, _arrays, blob = wire.recv_message(sock)
-        if ftype == wire.T_ERR:
-            raise TransportError(
-                f"coordinator rejected worker: {header.get('error')}"
-            )
-        if ftype != wire.T_SPEC:
-            raise ProtocolError("expected SPEC frame after HELLO")
-        self.spec = ShardSpec.from_payload(blob)
-        self.idle_sleep = float(header["idle_sleep"])
-        self.probe_every = int(header["probe_every"])
-        self.obs_enabled = bool(header.get("obs", False))
-        self._obs = None
-        self._c_tx_frames = None
-        spec = self.spec
-        self._slot_lo = int(spec.slot_lo)
-        self._slot_hi = int(spec.slot_hi)
-        n_owned = self._slot_hi - self._slot_lo
-        n_local = int(spec.state_hi) - int(spec.state_lo)
-        self._in_waves = np.zeros(n_owned)
-        self._x0 = np.zeros(n_local)
-        self._mirror = np.zeros(PER_SHARD, dtype=np.int64)
-        self._loop_pos = spec.loopback.emit_pos
-        self._loop_local = spec.loopback.dest_slots - self._slot_lo
-        self._outboxes = [
-            (int(box.dst_shard), box.emit_pos, box.dest_slots)
-            for box in spec.outboxes
-        ]
-        self._sweeps = 0
-        reader = threading.Thread(
-            target=self._reader_loop, name="dtm-net-recv", daemon=True
-        )
-        reader.start()
-
-    def _reader_loop(self) -> None:
-        try:
-            while True:
-                ftype, header, arrays, blob = wire.recv_message(self._sock)
-                self._apply_frame(ftype, header, arrays, blob)
-        except ProtocolError:
-            self._mirror[SHUTDOWN] = 1
-            raise
-        except (TransportError, OSError):
-            # a vanished coordinator must release the worker loop
-            self._mirror[SHUTDOWN] = 1
-
-    def _apply_frame(self, ftype: int, header, arrays, blob) -> None:
-        """Apply one coordinator frame to local state (overridable).
-
-        The mesh port extends the dispatch with peer-directory frames;
-        the wave/x0/ctrl core is shared verbatim.
-        """
-        lo, hi = self._slot_lo, self._slot_hi
-        if ftype == wire.T_WAVES:
-            slots = arrays["slots"]
-            if np.any((slots < lo) | (slots >= hi)):
-                raise ProtocolError(
-                    "wave frame targets slots outside this "
-                    f"shard's range [{lo}, {hi})"
-                )
-            self._in_waves[slots - lo] = arrays["values"]
-        elif ftype == wire.T_X0:
-            x0 = arrays["x0"]
-            if x0.shape != self._x0.shape:
-                raise ProtocolError("x0 frame has wrong shape")
-            self._x0[:] = x0
-        elif ftype == wire.T_CTRL:
-            word = int(header["word"])
-            self._mirror[word] = int(header["value"])
-        else:
-            raise ProtocolError(f"unexpected coordinator frame {ftype}")
-
-    def shutdown_requested(self) -> bool:
-        return bool(self._mirror[SHUTDOWN])
-
-    def current_epoch(self) -> int:
-        return int(self._mirror[EPOCH])
-
-    def stop_requested(self) -> bool:
-        return bool(self._mirror[STOP])
-
-    def read_x0(self) -> np.ndarray:
-        return np.array(self._x0)
-
-    def wave_snapshot(self) -> np.ndarray:
-        return np.array(self._in_waves)
-
-    def install_obs(self, registry) -> None:
-        """Worker-side frame counters + snapshot piggyback.
-
-        Once installed, every state publish carries a jsonable
-        snapshot of *registry* in its header, which the router stores
-        per shard — the cross-process aggregation channel.
-        """
-        self._obs = registry
-        self._c_tx_frames = registry.counter(
-            "repro_net_frames_sent_total",
-            "wave frames this worker emitted toward the hub",
-            shard=str(self.shard))
-
-    def _send_hub(self, ftype: int, header, arrays=None) -> None:
-        """Serialized send on the coordinator socket.
-
-        The worker loop, heartbeats and (under fault injection) a
-        delay-flusher thread may all emit hub frames; a lock keeps the
-        frames whole on the wire.
-        """
-        with self._sock_wlock:
-            wire.send_message(self._sock, ftype, header, arrays)
-
-    def post_waves(self, out: np.ndarray) -> None:
-        self._in_waves[self._loop_local] = out[self._loop_pos]
-        if self._c_tx_frames is not None and self._outboxes:
-            self._c_tx_frames.inc(len(self._outboxes))
-        for dst, emit_pos, dest_slots in self._outboxes:
-            self._send_hub(
-                wire.T_WAVES,
-                {"dst": dst},
-                {"slots": dest_slots, "values": out[emit_pos]},
-            )
-        if self._outboxes:
-            # yield the core so the router and sibling shards can move
-            # the frames we just emitted; on busy hosts this keeps
-            # boundary data fresh instead of letting one hot shard
-            # relax against stale waves for a whole scheduler quantum
-            time.sleep(0)
-
-    def record_sweeps(self, total: int) -> None:
-        self._sweeps = int(total)
-
-    def publish_states(self, states: np.ndarray, sweeps: int) -> None:
-        self._sweeps = int(sweeps)
-        header = {"shard": self.shard, "sweeps": self._sweeps}
-        if self._obs is not None:
-            header["obs"] = self._obs.snapshot().to_jsonable()
-        self._send_hub(
-            wire.T_STATES,
-            header,
-            {"states": states, "waves": self._in_waves},
-        )
-
-    def probe_requested(self) -> bool:
-        return bool(self._mirror[PROBE])
-
-    def clear_probe(self) -> None:
-        self._mirror[PROBE] = 0
-
-    def ack(self, epoch: int) -> None:
-        self._send_hub(
-            wire.T_ACK,
-            {"shard": self.shard, "epoch": int(epoch)},
-        )
-
-    def mark_error(self, detail: str = "") -> None:
-        try:
-            self._send_hub(
-                wire.T_ERR,
-                {"shard": self.shard, "error": detail},
-            )
-        except TransportError:  # pragma: no cover - socket already gone
-            pass
-
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover - best-effort
-            pass
-
-
-# ----------------------------------------------------------------------
 # resolution helpers
 # ----------------------------------------------------------------------
 def resolve_transport(transport) -> Transport:
     """Normalize a transport spec: None/str name/instance → instance."""
     if transport is None or transport == "shm":
         return ShmTransport()
-    if transport == "tcp":
-        return TcpTransport()
     if transport == "mesh":
         from .mesh import MeshTransport  # avoid an import cycle
 
@@ -1248,8 +551,8 @@ def resolve_transport(transport) -> Transport:
     if isinstance(transport, Transport):
         return transport
     raise ConfigurationError(
-        f"unknown transport {transport!r}; use 'shm', 'tcp', 'mesh' "
-        "or a Transport instance"
+        f"unknown transport {transport!r}; use 'shm', 'mesh' or a "
+        "Transport instance"
     )
 
 
@@ -1266,10 +569,6 @@ def open_worker_port(descriptor) -> tuple:
         shms = {key: _attach_shm(name) for key, name in names.items()}
         port = ShmWorkerPort(spec, shms, n_slots, n_states)
         return spec, port, idle, probe
-    if kind == "tcp":
-        _, host, tcp_port, token, index = descriptor
-        port = TcpWorkerPort(host, tcp_port, token, index)
-        return port.spec, port, port.idle_sleep, port.probe_every
     if kind == "mesh":
         from .mesh import MeshWorkerPort  # avoid an import cycle
 
@@ -1299,9 +598,6 @@ __all__ = [
     "ShmTransport",
     "ShmCoordinatorPort",
     "ShmWorkerPort",
-    "TcpTransport",
-    "TcpCoordinatorPort",
-    "TcpWorkerPort",
     "resolve_transport",
     "open_worker_port",
 ]

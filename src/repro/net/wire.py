@@ -5,7 +5,7 @@ by one type byte and the payload.  Payloads carry a JSON header plus
 zero or more raw numpy array buffers (dtype/shape described in the
 header, bytes concatenated after it) and an optional trailing opaque
 blob — enough structure for both halves of :mod:`repro.net`: the
-wave/control frames of :class:`~repro.net.transport.TcpTransport` and
+wave/control frames of :class:`~repro.net.mesh.MeshTransport` and
 the request/response messages of the serving front end.
 
 Reads are torn-safe by construction: :func:`recv_exact` loops until
@@ -34,7 +34,7 @@ from ..core.convergence import (
 )
 from ..errors import ProtocolError, TransportError
 
-# -- frame types used by the shard transport ---------------------------
+# -- frame types used by the shard transport (worker <-> hub) ----------
 T_HELLO = 1
 T_SPEC = 2
 T_X0 = 3
@@ -44,7 +44,7 @@ T_CTRL = 6
 T_ACK = 7
 T_ERR = 8
 
-# -- frame types used by the mesh transport (worker-to-worker) ---------
+# -- peer directory, worker-to-worker and liveness frames --------------
 #: direct peer handshake: the first frame on a worker→worker socket,
 #: carrying the shared token and the sender's shard index
 T_PEER_HELLO = 9

@@ -1,14 +1,13 @@
-"""Remote shard worker: join a TCP or mesh coordinator over sockets.
+"""Remote shard worker: join a mesh coordinator over sockets.
 
 The machine-spanning half of the transport story: a coordinator binds
-a :class:`~repro.net.transport.TcpTransport` (or
-:class:`~repro.net.mesh.MeshTransport`) on a LAN address (with
+a :class:`~repro.net.mesh.MeshTransport` on a LAN address (with
 ``spawn_workers=False`` on the runner), and each worker machine runs
 
 .. code-block:: bash
 
     python -m repro.net.worker HOST PORT TOKEN SHARD
-    python -m repro.net.worker HOST PORT TOKEN SHARD --mesh --listen 0
+    python -m repro.net.worker HOST PORT TOKEN SHARD --listen 7101
 
 The worker connects, authenticates with the shared token, receives
 its shard payload (factored local systems, routing tables, mailbox
@@ -20,10 +19,11 @@ shared filesystem, no shared memory.
 Fleet startup order does not matter: when the coordinator is not
 listening yet, the worker retries the connect with exponential
 backoff (``--retries``/``--backoff``) instead of exiting, so process
-supervisors can launch workers and coordinator in any order.  With
-``--mesh`` the worker additionally opens a peer listen socket
-(``--listen``, ``0`` = ephemeral) and exchanges neighbor wave frames
-directly with its peers.
+supervisors can launch workers and coordinator in any order.  The
+worker opens a peer listen socket (``--listen``, ``0`` = ephemeral)
+and exchanges neighbor wave frames directly with every peer it can
+dial; frames for a peer it cannot reach travel through the
+coordinator's hub instead.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ def run_worker(
     token: str,
     shard: int,
     *,
-    mesh: bool = False,
     listen_port: int = 0,
     retries: int = 8,
     backoff: float = 0.25,
@@ -58,12 +57,9 @@ def run_worker(
     connect-level failures are, so a misconfigured worker still fails
     fast.
     """
-    if mesh:
-        descriptor = (
-            "mesh", host, int(port), token, int(shard), int(listen_port)
-        )
-    else:
-        descriptor = ("tcp", host, int(port), token, int(shard))
+    descriptor = (
+        "mesh", host, int(port), token, int(shard), int(listen_port)
+    )
     delay = float(backoff)
     for attempt in range(int(retries) + 1):
         try:
@@ -93,16 +89,11 @@ def main(argv=None) -> int:
     parser.add_argument("token", help="shared transport token")
     parser.add_argument("shard", type=int, help="shard index to serve")
     parser.add_argument(
-        "--mesh",
-        action="store_true",
-        help="join a mesh coordinator (direct peer wave sockets)",
-    )
-    parser.add_argument(
         "--listen",
         type=int,
         default=0,
         metavar="PORT",
-        help="peer listen port for --mesh (0 = ephemeral, default)",
+        help="peer listen port (0 = ephemeral, default)",
     )
     parser.add_argument(
         "--retries",
@@ -122,7 +113,6 @@ def main(argv=None) -> int:
         args.port,
         args.token,
         args.shard,
-        mesh=args.mesh,
         listen_port=args.listen,
         retries=args.retries,
         backoff=args.backoff,

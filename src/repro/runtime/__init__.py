@@ -4,8 +4,8 @@ The simulator (:mod:`repro.sim`) models DTM's asynchrony in virtual
 time; these backends run it for real — :class:`AsyncioDtmRunner` with
 one cooperative task per subdomain, :class:`MultiprocDtmRunner` with
 one OS process per shard over a pluggable transport
-(:mod:`repro.net.transport`: shared memory on one machine, TCP across
-address spaces/machines), and :class:`DtmServer` serving warm sharded
+(:mod:`repro.net.transport`: shared memory on one machine, the socket
+mesh across address spaces/machines), and :class:`DtmServer` serving warm sharded
 runners over a shared :class:`PlanStore` (optionally LRU-bounded via
 ``max_plans``), exposable on a socket via
 :class:`repro.net.DtmTcpFrontend`.

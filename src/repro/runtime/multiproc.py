@@ -12,7 +12,7 @@ barrier and no locks**:
   the default :class:`~repro.net.transport.ShmTransport` keeps the
   global wave vector in one ``shared_memory`` array where every slot
   has exactly one writer (a delivery is an aligned 8-byte overwrite);
-  :class:`~repro.net.transport.TcpTransport` carries the same
+  :class:`~repro.net.mesh.MeshTransport` carries the same
   latest-wins frames over length-prefixed sockets so shards need no
   shared address space at all — the machine-spanning mode;
 * cross-shard traffic is organized per directed shard pair
@@ -42,7 +42,7 @@ Memory-ordering note: on shm, workers and coordinator exchange float64
 waves and int64 control words through aligned shared-memory cells with
 single-writer discipline; on the cache-coherent platforms CPython
 supports this yields latest-wins visibility without locks (torn
-8-byte reads do not occur on aligned cells).  On TCP, frames are
+8-byte reads do not occur on aligned cells).  On sockets, frames are
 applied whole under the GIL.  Residual probes may observe a *mix* of
 sweep generations — harmless for monitoring, which is why the final
 convergence check re-runs on quiesced state.
@@ -103,7 +103,9 @@ def _run_worker(spec: ShardSpec, port, idle_sleep: float,
     """The transport-agnostic shard loop.
 
     Protocol: idle-poll the port for an epoch bump; on one, reload the
-    zero-wave states, then free-run sweeps until the stop flag rises;
+    zero-wave states, then free-run sweeps until the coordinator ends
+    *that* epoch (the STOP word names the epoch it ends, so neither a
+    leftover STOP nor one that overtook the bump can be misread);
     publish final states and ack the epoch; repeat until shutdown.
     """
     kern = spec.kernel
@@ -116,16 +118,6 @@ def _run_worker(spec: ShardSpec, port, idle_sleep: float,
         if epoch == last_epoch:
             time.sleep(idle_sleep)
             continue
-        # the coordinator clears STOP *before* bumping the epoch; wait
-        # out any stale STOP observation (weakly ordered platforms)
-        # instead of acking a zero-sweep epoch
-        while port.stop_requested() and not port.shutdown_requested():
-            time.sleep(idle_sleep)
-        # re-read after the wait: a worker that (re)joined while a stop
-        # was in flight waited out that *previous* epoch's STOP above,
-        # and must sweep and ack the epoch the coordinator is actually
-        # running, not the one it observed on join
-        epoch = port.current_epoch()
         last_epoch = epoch
         kern.load_x0(port.read_x0())
         # publish the zero-sweep state so early coordinator probes see
@@ -134,7 +126,7 @@ def _run_worker(spec: ShardSpec, port, idle_sleep: float,
                             total_sweeps)
         since_probe = 0
         last_a: Optional[np.ndarray] = None
-        while not port.stop_requested():
+        while not port.stop_requested(epoch):
             if port.shutdown_requested():
                 # a coordinator that vanishes (or closes) mid-epoch
                 # never raises STOP; the worker must still exit
@@ -254,17 +246,18 @@ class MultiprocDtmRunner:
         Seconds to wait for workers to acknowledge epoch transitions
         before declaring them lost.
     transport:
-        ``"shm"`` (default), ``"tcp"``, ``"mesh"``, or a
+        ``"shm"`` (default), ``"mesh"``, or a
         :class:`~repro.net.transport.Transport` instance — the fabric
         waves/states/control travel over.  ``"shm"`` requires one
-        machine; ``"tcp"`` works across address spaces and, with a
-        bound LAN address, across machines; ``"mesh"`` adds direct
-        worker-to-worker neighbor sockets and failure recovery.
+        machine; ``"mesh"`` is the socket fabric: it works across
+        address spaces and, with a bound LAN address, across machines,
+        ships neighbor waves worker-to-worker (through the
+        coordinator's hub for any worker without a peer socket) and
+        recovers lost workers.
     spawn_workers:
-        Spawn one local process per shard (default).  With a TCP or
-        mesh transport you may pass ``False`` and attach workers
-        yourself (``python -m repro.net.worker``) — e.g. from other
-        machines.
+        Spawn one local process per shard (default).  With a mesh
+        transport you may pass ``False`` and attach workers yourself
+        (``python -m repro.net.worker``) — e.g. from other machines.
     faults:
         Optional :class:`~repro.net.faults.FaultPlan` armed on the
         spawned workers — the deterministic chaos-testing hook.
@@ -274,7 +267,7 @@ class MultiprocDtmRunner:
         Recover lost workers (respawn local ones with a fresh state
         snapshot; wait for external ones to reconnect) instead of
         aborting the solve.  Default: whatever the transport supports
-        (``True`` for mesh, ``False`` for shm/tcp).
+        (``True`` for mesh, ``False`` for shm).
     max_recoveries:
         Worker losses tolerated over the runner's lifetime before
         :class:`~repro.errors.WorkerLostError` is raised.
@@ -509,18 +502,13 @@ class MultiprocDtmRunner:
         pending = set(range(self.shards))
         while pending:
             self._check_workers()
-            forgiven = set()
-            if self.recover:
-                # shards mid-recovery cannot ack; shards that joined
-                # while this stop was in flight idle-wait for the next
-                # epoch and must not be waited on either — their last
-                # published states serve the gather, and the stopping
-                # decision is re-verified against it
-                forgiven = (set(self._recovering)
-                            | self._port.stop_joiners())
+            # shards mid-recovery cannot ack: their last published
+            # states serve the gather, and the stopping decision is
+            # re-verified against it (a shard levelled while this stop
+            # is in flight sees the epoch already ended and acks)
             acks = self._port.acks()
             done = {i for i in pending
-                    if int(acks[i]) >= epoch or i in forgiven}
+                    if int(acks[i]) >= epoch or i in self._recovering}
             pending -= done
             if not pending:
                 return
@@ -681,7 +669,7 @@ class MultiprocDtmRunner:
                 event = monitor.update(t, probe)
                 if event is not None or time.perf_counter() > deadline:
                     break
-            self._port.signal_stop()
+            self._port.signal_stop(epoch)
             self._wait_acks(epoch)
             # consistent post-quiescence measurement
             t = time.perf_counter() - t0

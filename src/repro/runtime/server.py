@@ -386,7 +386,7 @@ class DtmServer:
         the mmap-loaded artifact — no re-planning.
     runner_opts:
         Extra :class:`MultiprocDtmRunner` keyword arguments applied to
-        every runner the server creates (e.g. ``transport="tcp"``).
+        every runner the server creates (e.g. ``transport="mesh"``).
 
     Whatever the store, the server registers an eviction listener: a
     plan falling out of the LRU shuts down its warm runner pool too,

@@ -4,8 +4,8 @@ Covers the tentpole contract:
 
 * resolution and lifecycle of :class:`MeshTransport`;
 * 4-shard mesh runs converging to the same reference-free tolerances
-  as the router-path fabrics, with warm starts and RHS swaps on a
-  persistent pool;
+  as the shm fabric, with warm starts and RHS swaps on a persistent
+  pool;
 * the bitwise ``shards=1`` delegation contract;
 * failure recovery: a worker killed before the first sweep, mid-solve
   or between solves is detected, respawned and re-snapshotted, and the
@@ -76,11 +76,8 @@ class TestResolution:
         t = resolve_transport("mesh")
         assert isinstance(t, MeshTransport)
         assert t.supports_recovery
-        assert resolve_transport(t) is t
-
-    def test_tcp_does_not_support_recovery(self):
-        assert not resolve_transport("tcp").supports_recovery
         assert not resolve_transport("shm").supports_recovery
+        assert resolve_transport(t) is t
 
     def test_descriptor_requires_bind(self):
         with pytest.raises(ConfigurationError):
@@ -226,7 +223,7 @@ class TestRecovery:
                 r.solve(stopping=ResidualRule(tol=REC_TOL),
                         wall_budget=120.0)
 
-    def test_recover_false_aborts_like_tcp(self, rec_plan):
+    def test_recover_false_aborts(self, rec_plan):
         faults = FaultPlan({0: ShardFaults(kill_at_sweep=5)})
         with MultiprocDtmRunner(rec_plan, shards=4, transport="mesh",
                                 faults=faults, recover=False) as r:
@@ -268,7 +265,7 @@ class TestWorkerRetry:
             threading.Thread(
                 target=run_worker,
                 args=("127.0.0.1", port, transport.token, i),
-                kwargs=dict(mesh=True, retries=40, backoff=0.05),
+                kwargs=dict(retries=40, backoff=0.05),
                 daemon=True)
             for i in range(2)
         ]

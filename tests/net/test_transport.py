@@ -1,20 +1,26 @@
-"""The machine-spanning transport layer (ISSUE 5).
+"""The machine-spanning transport layer (ISSUE 5, one fabric since 14).
 
 Covers the tentpole contract:
 
-* resolution and lifecycle of the :class:`Transport` implementations;
-* ``TcpTransport`` loopback runs (≥2 shards) converging to the same
+* resolution and lifecycle of the :class:`Transport` implementations
+  (``"tcp"`` is gone: it raises, naming ``"mesh"``);
+* socket-fabric loopback runs (≥2 shards) converging to the same
   reference-free tolerances as the shm fabric, with RHS swaps and warm
   starts on a persistent worker pool, and without ever materializing
   the plan's reference factor;
+* the hub-only path — no worker ever learns a peer address, so every
+  wave frame is relayed by the coordinator's hub: the whole behaviour
+  of the deleted ``tcp`` transport, kept as the fallback it always was;
 * externally-attached workers (``spawn_workers=False`` +
   ``repro.net.worker.run_worker``) — the machine-spanning shape, here
   joined from threads instead of remote hosts;
-* handshake hardening (bad token, unknown shard index);
+* handshake hardening (hub bad token, unknown shard index, peer bad
+  token);
 * the ``api.solve_dtm(transport=...)`` threading.
 """
 
 import faulthandler
+import socket
 import threading
 
 import numpy as np
@@ -23,12 +29,9 @@ import pytest
 from repro.api import ResidualRule, solve_dtm
 from repro.core.convergence import QuiescenceRule, relative_residual
 from repro.errors import ConfigurationError, TransportError
-from repro.net.transport import (
-    ShmTransport,
-    TcpTransport,
-    TcpWorkerPort,
-    resolve_transport,
-)
+from repro.net import mesh, wire
+from repro.net.mesh import MeshTransport, MeshWorkerPort
+from repro.net.transport import ShmTransport, resolve_transport
 from repro.net.worker import run_worker
 from repro.plan import build_plan
 from repro.runtime.multiproc import MultiprocDtmRunner
@@ -45,9 +48,9 @@ def plan():
 
 
 @pytest.fixture(scope="module")
-def tcp_runner(plan):
-    """One warm 2-shard TCP worker pool shared by the solve tests."""
-    with MultiprocDtmRunner(plan, shards=2, transport="tcp") as r:
+def socket_runner(plan):
+    """One warm 2-shard socket worker pool shared by the solve tests."""
+    with MultiprocDtmRunner(plan, shards=2, transport="mesh") as r:
         yield r
 
 
@@ -60,13 +63,17 @@ class TestResolution:
     def test_names(self):
         assert isinstance(resolve_transport("shm"), ShmTransport)
         assert isinstance(resolve_transport(None), ShmTransport)
-        assert isinstance(resolve_transport("tcp"), TcpTransport)
-        t = TcpTransport()
+        assert isinstance(resolve_transport("mesh"), MeshTransport)
+        t = MeshTransport()
         assert resolve_transport(t) is t
 
     def test_unknown_rejected(self):
         with pytest.raises(ConfigurationError):
             resolve_transport("carrier-pigeon")
+
+    def test_tcp_is_gone_and_names_its_replacement(self):
+        with pytest.raises(ConfigurationError, match="'mesh'"):
+            resolve_transport("tcp")
 
     def test_runner_rejects_unknown_transport(self, plan):
         with pytest.raises(ConfigurationError):
@@ -76,7 +83,7 @@ class TestResolution:
         from repro.plan.shard import extract_shards
 
         specs = extract_shards(plan, 2)
-        for transport in (ShmTransport(), TcpTransport()):
+        for transport in (ShmTransport(), MeshTransport()):
             port = transport.bind(specs, n_slots=8, n_states=8,
                                   idle_sleep=0.001, probe_every=8)
             try:
@@ -88,12 +95,12 @@ class TestResolution:
 
     def test_descriptor_requires_bind(self):
         with pytest.raises(ConfigurationError):
-            TcpTransport().worker_descriptor(0)
+            MeshTransport().worker_descriptor(0)
 
 
 class TestTcpSolve:
-    def test_residual_converges_to_tolerance(self, plan, tcp_runner):
-        res = tcp_runner.solve(stopping=ResidualRule(tol=TOL),
+    def test_residual_converges_to_tolerance(self, plan, socket_runner):
+        res = socket_runner.solve(stopping=ResidualRule(tol=TOL),
                                wall_budget=120.0)
         assert res.converged
         assert res.stopped_by == "residual"
@@ -106,48 +113,71 @@ class TestTcpSolve:
         assert len(res.shard_reports) == 2
         assert all(rep.sweeps > 0 for rep in res.shard_reports)
 
-    def test_rhs_swap_on_warm_pool(self, plan, tcp_runner):
+    def test_rhs_swap_on_warm_pool(self, plan, socket_runner):
         rng = np.random.default_rng(7)
         b2 = rng.standard_normal(plan.n)
-        res = tcp_runner.solve(b2, stopping=ResidualRule(tol=TOL),
+        res = socket_runner.solve(b2, stopping=ResidualRule(tol=TOL),
                                wall_budget=120.0)
         assert res.converged
         assert relative_residual(plan.a_mat, res.x, b2) <= TOL
         assert np.max(np.abs(res.x - direct_solution(plan, b2))) < 1e-4
 
-    def test_warm_start_flag(self, tcp_runner):
-        cold = tcp_runner.solve(stopping=ResidualRule(tol=TOL))
-        warm = tcp_runner.solve(stopping=ResidualRule(tol=TOL),
+    def test_warm_start_flag(self, socket_runner):
+        cold = socket_runner.solve(stopping=ResidualRule(tol=TOL))
+        warm = socket_runner.solve(stopping=ResidualRule(tol=TOL),
                                 warm_start=True)
         assert not cold.warm_started
         assert warm.warm_started
         assert warm.converged
 
-    def test_quiescence_rule(self, plan, tcp_runner):
-        res = tcp_runner.solve(stopping=QuiescenceRule(threshold=1e-10),
+    def test_quiescence_rule(self, plan, socket_runner):
+        res = socket_runner.solve(stopping=QuiescenceRule(threshold=1e-10),
                                wall_budget=120.0)
         assert res.converged
         assert res.stopped_by == "quiescence"
         assert res.relative_residual < 1e-6
         assert not plan.reference_materialized
 
-    def test_matches_shm_tolerance(self, plan, tcp_runner):
+    def test_matches_shm_tolerance(self, plan, socket_runner):
         """The acceptance shape: both fabrics reach the same tol."""
         rule = ResidualRule(tol=TOL)
-        tcp = tcp_runner.solve(stopping=rule, wall_budget=120.0)
+        sock = socket_runner.solve(stopping=rule, wall_budget=120.0)
         with MultiprocDtmRunner(plan, shards=2, transport="shm") as r:
             shm = r.solve(stopping=rule, wall_budget=120.0)
-        assert tcp.converged and shm.converged
-        assert tcp.relative_residual <= TOL
+        assert sock.converged and shm.converged
+        assert sock.relative_residual <= TOL
         assert shm.relative_residual <= TOL
-        assert np.max(np.abs(tcp.x - shm.x)) < 1e-4
+        assert np.max(np.abs(sock.x - shm.x)) < 1e-4
+
+
+class TestHubOnlyPath:
+    def test_converges_with_every_frame_relayed(self, plan, monkeypatch):
+        """No peer directory is ever broadcast, so no worker can dial a
+        neighbor and every wave frame goes through the hub — what
+        ``transport="tcp"`` used to be."""
+        monkeypatch.setattr(mesh._Hub, "_broadcast_peers",
+                            lambda self: None)
+        with MultiprocDtmRunner(plan, shards=3, transport="mesh",
+                                obs=True) as r:
+            res = r.solve(stopping=ResidualRule(tol=TOL),
+                          wall_budget=120.0)
+            snap = r.metrics_snapshot()
+        assert res.converged
+        assert res.relative_residual <= TOL
+        assert np.max(np.abs(res.x - direct_solution(plan))) < 1e-4
+        frames = snap.total("repro_mesh_frames_total")
+        assert frames > 0
+        assert snap.total("repro_mesh_fallback_total") == frames
+        assert snap.total("repro_mesh_dials_total") == 0
+        assert snap.value("repro_router_frames_total",
+                          type="waves") > 0
 
 
 class TestExternalWorkers:
     def test_attached_workers_solve(self, plan):
         """spawn_workers=False + net.worker joins — machine-spanning
         shape, with 'remote' workers attached from threads."""
-        transport = TcpTransport()
+        transport = MeshTransport()
         with MultiprocDtmRunner(plan, shards=2, transport=transport,
                                 spawn_workers=False) as runner:
             threads = [
@@ -176,7 +206,7 @@ class TestMidEpochClose:
         the same to a remote worker)."""
         import time
 
-        transport = TcpTransport()
+        transport = MeshTransport()
         runner = MultiprocDtmRunner(plan, shards=2, transport=transport,
                                     spawn_workers=False,
                                     ack_timeout=2.0)
@@ -212,35 +242,67 @@ class TestMidEpochClose:
 
 class TestHandshake:
     def test_bad_token_rejected(self, plan):
-        transport = TcpTransport()
+        transport = MeshTransport()
         with MultiprocDtmRunner(plan, shards=2, transport=transport,
                                 spawn_workers=False):
             with pytest.raises(TransportError):
-                TcpWorkerPort(transport.host, transport.port,
-                              "wrong-token", 0)
+                MeshWorkerPort(transport.host, transport.port,
+                               "wrong-token", 0)
 
     def test_unknown_shard_rejected(self, plan):
-        transport = TcpTransport()
+        transport = MeshTransport()
         with MultiprocDtmRunner(plan, shards=2, transport=transport,
                                 spawn_workers=False):
             with pytest.raises(TransportError):
-                TcpWorkerPort(transport.host, transport.port,
-                              transport.token, 99)
+                MeshWorkerPort(transport.host, transport.port,
+                               transport.token, 99)
+
+    def test_peer_bad_token_rejected(self, plan):
+        """A dialler without the shared token never gets to write a
+        wave slot: the worker's peer listener hangs up on it."""
+        transport = MeshTransport()
+        with MultiprocDtmRunner(plan, shards=2, transport=transport,
+                                spawn_workers=False):
+            port = MeshWorkerPort(transport.host, transport.port,
+                                  transport.token, 0)
+            try:
+                before = port.wave_snapshot()
+                with socket.create_connection(
+                        ("127.0.0.1", port.listen_port),
+                        timeout=5.0) as intruder:
+                    wire.send_message(
+                        intruder, wire.T_PEER_HELLO,
+                        {"token": "wrong-token", "shard": 1})
+                    slots = np.arange(port.spec.slot_lo,
+                                      port.spec.slot_hi)
+                    try:
+                        wire.send_message(
+                            intruder, wire.T_WAVES, {"dst": 0},
+                            {"slots": slots,
+                             "values": np.full(slots.shape, 7.0)})
+                    except TransportError:
+                        pass  # already hung up on
+                    try:
+                        hung_up = intruder.recv(1) == b""
+                    except ConnectionError:  # RST: unread frame pending
+                        hung_up = True
+                    assert hung_up
+                assert np.array_equal(port.wave_snapshot(), before)
+            finally:
+                port.close()
 
 
 class TestApiTransport:
     def test_tcp_via_solve_dtm(self):
-        g = grid2d_poisson(16)
-        res = solve_dtm(g, n_subdomains=6, seed=2, backend="multiproc",
-                        shards=2, transport="tcp",
-                        stopping=ResidualRule(tol=1e-6),
-                        wall_budget=120.0)
-        assert res.converged
-        assert res.relative_residual <= 1e-6
+        # the deliberate break: no alias, no shim, a pointer to "mesh"
+        with pytest.raises(ConfigurationError, match="'mesh'"):
+            solve_dtm(grid2d_poisson(16), n_subdomains=6, seed=2,
+                      backend="multiproc", shards=2, transport="tcp",
+                      stopping=ResidualRule(tol=1e-6))
 
     def test_transport_requires_multiproc_backend(self):
-        with pytest.raises(ConfigurationError):
-            solve_dtm(grid2d_poisson(6), transport="tcp")
+        with pytest.raises(ConfigurationError, match="multiproc"):
+            solve_dtm(grid2d_poisson(6), transport="mesh")
 
     def test_edge_mailbox_reexport(self):
         # PR-4 import location keeps working after the net refactor

@@ -14,10 +14,14 @@ Covers the numerical contract end to end:
 * the per-edge mailbox property — latest-wins delivery under
   arbitrary (fair, boundedly stale) interleavings preserves the
   stopping-rule invariants of ``tests/test_stopping_integration.py``;
+* the stop protocol — ``_run_worker`` against a scripted in-memory
+  port: a STOP that overtook the epoch bump ends that epoch, a STOP
+  left over from the previous epoch does not;
 * the serving layer — plan store keying, warm runners, the serve loop.
 """
 
 import faulthandler
+import threading
 
 import numpy as np
 import pytest
@@ -36,7 +40,12 @@ from repro.plan.shard import (
     extract_shards,
     shard_bounds,
 )
-from repro.runtime.multiproc import EdgeMailbox, MultiprocDtmRunner
+from repro.net.transport import WorkerPort
+from repro.runtime.multiproc import (
+    EdgeMailbox,
+    MultiprocDtmRunner,
+    _run_worker,
+)
 from repro.runtime.server import DtmServer, PlanStore, ServeRequest, plan_hash
 from repro.workloads.circuits import resistor_grid
 from repro.workloads.poisson import grid2d_poisson
@@ -305,6 +314,105 @@ class TestMailboxProperty:
         assert not plan.reference_materialized
         assert relative_residual(plan.a_mat, gather(), plan.base_b) \
             <= 1e-6
+
+
+# ----------------------------------------------------------------------
+# the stop protocol, against a scripted port (no process, no clock)
+# ----------------------------------------------------------------------
+class ScriptedPort(WorkerPort):
+    """In-memory worker port presenting fixed EPOCH/STOP control words.
+
+    ``stop_after`` sweeps, STOP is raised to the live epoch; the first
+    ack ends the script by requesting shutdown.
+    """
+
+    def __init__(self, spec, x0, *, epoch, stop, stop_after=None):
+        self.epoch = epoch
+        self.stop = stop
+        self.stop_after = stop_after
+        self.x0 = x0[spec.state_lo:spec.state_hi]
+        self.waves = np.zeros(spec.slot_hi - spec.slot_lo)
+        self.loop_local = spec.loopback.dest_slots - spec.slot_lo
+        self.loop_pos = spec.loopback.emit_pos
+        self.sweeps = 0
+        self.acks = []
+        self.published = []
+        self.shutdown = False
+
+    def shutdown_requested(self):
+        return self.shutdown
+
+    def current_epoch(self):
+        return self.epoch
+
+    # epoch defaults to None only so the pre-fix loop, which called
+    # stop_requested() and read STOP as a flag, spins here (the bug)
+    # instead of dying on a TypeError
+    def stop_requested(self, epoch=None):
+        return bool(self.stop) if epoch is None else self.stop >= epoch
+
+    def read_x0(self):
+        return self.x0
+
+    def wave_snapshot(self):
+        return self.waves.copy()
+
+    def post_waves(self, out):
+        self.waves[self.loop_local] = out[self.loop_pos]
+
+    def record_sweeps(self, total):
+        self.sweeps = total
+        if self.stop_after is not None and total >= self.stop_after:
+            self.stop = self.epoch
+
+    def publish_states(self, states, sweeps):
+        self.published.append(sweeps)
+
+    def probe_requested(self):
+        return False
+
+    def clear_probe(self):
+        pass
+
+    def ack(self, epoch):
+        self.acks.append(epoch)
+        self.shutdown = True
+
+
+class TestStopProtocol:
+    def _drive(self, poisson_plan, **script):
+        spec = extract_shards(poisson_plan, 2)[0]
+        x0 = np.concatenate([loc.x0 for loc in poisson_plan.base_locals])
+        port = ScriptedPort(spec, x0, **script)
+        worker = threading.Thread(
+            target=_run_worker, args=(spec, port, 1e-4, 8), daemon=True)
+        worker.start()
+        worker.join(timeout=10.0)
+        hung = worker.is_alive()
+        port.shutdown = True  # release a spinning loop either way
+        worker.join(timeout=10.0)
+        assert not hung, "worker never acknowledged the epoch"
+        return port
+
+    def test_stop_raised_before_the_worker_saw_the_epoch(
+            self, poisson_plan):
+        """Same RHS twice: stale states satisfy the rule at the first
+        poll, so STOP(N) can overtake a descheduled worker's view of
+        EPOCH=N.  It must end epoch N — zero sweeps, one ack — not be
+        waited out as a leftover while the coordinator waits for the
+        ack (the re-verification turns it into one extra round)."""
+        port = self._drive(poisson_plan, epoch=3, stop=3)
+        assert port.acks == [3]
+        assert port.sweeps == 0
+        assert port.published  # x0-consistent state before the ack
+
+    def test_leftover_stop_does_not_end_the_next_epoch(
+            self, poisson_plan):
+        """STOP still names epoch N-1 when N starts (begin_epoch no
+        longer clears it): the worker sweeps until STOP reaches N."""
+        port = self._drive(poisson_plan, epoch=3, stop=2, stop_after=5)
+        assert port.acks == [3]
+        assert port.sweeps == 5
 
 
 # ----------------------------------------------------------------------
