@@ -99,8 +99,7 @@ def bench_case(nx: int, *, n_parts: int, parts_shape: tuple[int, int],
         "shards": {},
     }
     for n_shards in shards:
-        with MultiprocDtmRunner(plan, shards=n_shards,
-                                poll_interval=0.02) as runner:
+        with MultiprocDtmRunner(plan, shards=n_shards) as runner:
             t0 = time.perf_counter()
             first = runner.solve(stopping=rule, wall_budget=wall_budget)
             first_solve_s = time.perf_counter() - t0

@@ -9,9 +9,9 @@ client round trip through the serving front end:
 * **shm.solve_s / mesh.solve_s** — warm-pool solves (workers resident,
   waves cold) on each fabric: the median of ``WARM_REPEATS`` solves,
   each against a fresh right-hand side (a repeated one lets the first
-  10 ms poll stop on the previous solve's still-valid states, which
-  times the poll interval, not the fabric); cold ``first_solve_s``
-  (spawn included) is recorded for context;
+  probe stop on the previous solve's still-valid states, which times
+  the probe schedule, not the fabric); cold ``first_solve_s`` (spawn
+  included) is recorded for context;
 * **mesh_vs_shm** — ``shm.solve_s / mesh.solve_s`` per case, the
   regression-gated ratio.  1.0 means the socket fabric matches shared
   memory; the floor (``ratio_floor``) guards against the transport

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Post-pytest leak check for the net/chaos CI jobs: fails when a
-# dtm-shard-* worker process or a /dev/shm segment created during the
-# job survived it.
+# Post-pytest leak check for the multiproc/net/chaos CI jobs: fails
+# when a dtm-shard-* worker process or a /dev/shm segment created
+# during the job survived it.
 #
 # Usage: check_leaks.sh SHM_BEFORE
 #   SHM_BEFORE — sorted `ls -A /dev/shm` taken before the tests ran

@@ -14,6 +14,7 @@ need.  Edge weights are stored once per undirected edge with ``u < v``.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,6 +103,18 @@ class ElectricGraph:
                    np.asarray(eu, dtype=np.int64),
                    np.asarray(ev, dtype=np.int64),
                    np.asarray(ew, dtype=np.float64))
+
+    def with_sources(self, sources) -> "ElectricGraph":
+        """This graph carrying another right-hand side.
+
+        The topology was validated when *self* was built and cannot
+        have changed, so the copy shares the vertex/edge arrays and the
+        cached adjacency instead of re-running ``__post_init__`` over
+        every edge; only *sources* is checked (length, finiteness).
+        """
+        graph = copy.copy(self)
+        graph.sources = as_float_vector(sources, "sources", self.n)
+        return graph
 
     # ------------------------------------------------------------------
     # basic queries

@@ -325,9 +325,7 @@ class SplitResult:
             return self
         if rhs_list is None:
             rhs_list = self.spread_sources(b)
-        graph = ElectricGraph(self.graph.vertex_weights, b,
-                              self.graph.edge_u, self.graph.edge_v,
-                              self.graph.edge_weights)
+        graph = self.graph.with_sources(b)
         subdomains = [replace(sub, rhs=rhs)
                       for sub, rhs in zip(self.subdomains, rhs_list)]
         return SplitResult(graph=graph, partition=self.partition,

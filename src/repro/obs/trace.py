@@ -15,7 +15,12 @@ kind                 meaning
 ``rhs_swap``         span: right-hand-side swap against kept factors
 ``solve``            span: the whole execute phase of one solve
 ``round``            span: one multiproc stop-check round
-``stop_check``       event: a stopping-rule probe (with its metric)
+``probe``            event: one stop-rule evaluation of the multiproc
+                     coordinator — solve time ``t``, the ``residual``
+                     it measured, the ``next_delay`` the pacer chose
+                     and the predicted tolerance ``crossing``
+``stop_check``       event: the consistent re-measurement on the
+                     quiesced state that ends a round (with its metric)
 ``stop``             event: the stopping decision that ended the run
 ``sweeps``           event: per-shard sweep totals at a probe, with
                      the min/max spread (the staleness delta between

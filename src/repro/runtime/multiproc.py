@@ -19,11 +19,13 @@ barrier and no locks**:
   (:class:`~repro.plan.shard.MailboxSpec` channels), each a batch of
   latest-wins slots;
 * stopping is **reference-free**: the parent process acts as the
-  designated coordinator, periodically gathering the published state
-  buffer and running a :class:`~repro.core.convergence.ResidualRule` /
+  designated coordinator, gathering the published state buffer and
+  running a :class:`~repro.core.convergence.ResidualRule` /
   ``QuiescenceRule`` monitor against wall-clock time — the plan's
   dense reference factor is never touched
-  (``plan.reference_materialized`` stays ``False``).
+  (``plan.reference_materialized`` stays ``False``).  *When* it looks
+  is paced by the measured residual decay (:class:`_ProbePacer`);
+  *whether* it stops is only ever decided on a measured sample.
 
 Numerical contract
 ------------------
@@ -50,8 +52,11 @@ convergence check re-runs on quiesced state.
 
 from __future__ import annotations
 
+import math
+import statistics
 import time
 import traceback
+from collections import deque
 from multiprocessing import get_context
 from typing import Optional
 
@@ -59,6 +64,7 @@ import numpy as np
 
 from ..core.convergence import (
     QuiescenceRule,
+    ResidualMonitor,
     ResidualRule,
     StateProbe,
     StoppingRule,
@@ -198,26 +204,120 @@ def _worker_main(descriptor, faults=None) -> None:
 # ----------------------------------------------------------------------
 # coordinator
 # ----------------------------------------------------------------------
-def _residual_tol(rule: StoppingRule) -> Optional[float]:
-    """Tolerance of the first ResidualRule in *rule*'s tree, if any."""
-    if isinstance(rule, ResidualRule):
-        return rule.tol
-    for member in getattr(rule, "rules", ()):
-        tol = _residual_tol(member)
-        if tol is not None:
-            return tol
+#: longest coordinator nap between two stop probes (wall seconds): the
+#: health-check cadence, and the fixed cadence of quiescence solves
+PROBE_CEILING = 0.01
+
+#: first nap of the stop handshake's back-off (it doubles up to
+#: ``idle_sleep``): workers ack within one sweep, ~0.1 ms on small shards
+_ACK_NAP = 2e-5
+
+#: how far past the predicted crossing a probe is aimed, in nats of
+#: residual decay (half a decade).  An early probe costs a whole extra
+#: look, a late one only its lateness, so the aim errs late.
+_AIM_PAST = 0.5 * math.log(10.0)
+
+
+def _first(node, kind, children: str):
+    """First *kind* instance in a rule or monitor tree, or ``None``.
+
+    Composite rules keep their members in ``rules``, composite
+    monitors in ``children``; *children* names the attribute to walk.
+    """
+    if isinstance(node, kind):
+        return node
+    for child in getattr(node, children, ()):
+        hit = _first(child, kind, children)
+        if hit is not None:
+            return hit
     return None
 
 
-def _quiescence_threshold(rule: StoppingRule) -> Optional[float]:
-    """Threshold of the first QuiescenceRule in *rule*'s tree, if any."""
-    if isinstance(rule, QuiescenceRule):
-        return rule.threshold
-    for member in getattr(rule, "rules", ()):
-        thr = _quiescence_threshold(member)
-        if thr is not None:
-            return thr
-    return None
+class _ProbePacer:
+    """Chooses *when* the coordinator evaluates the stopping rule next.
+
+    DTM's error decays geometrically and the zero state's relative
+    residual is 1, so ``log r(t)`` is a line through the origin of the
+    solve whose slope belongs to the plan (the split and the
+    impedances), not to the right-hand side.  Every measured sample
+    gives that slope as the chord ``-log r / t``; the pacer keeps the
+    last solves' chords and seeds a solve with their median
+    (:attr:`rate`, nats per second), so in the steady state the first
+    probe already lands just past the ``tol`` crossing.  A sample above
+    the seeded line is read as a late start, not a slower plan (the
+    line is moved to the sample and keeps the steeper of the two
+    slopes) — but only twice per solve, the one or two probes a worker
+    that lost its core costs on a busy host: from the third sample on
+    the slope is the one measured between the solve's last two
+    samples, so a wrong seed is paid for with two probes, not with a
+    re-probe at every step down to the floor.
+
+    The pacer never decides *whether* to stop: that takes a measured
+    ``residual <= tol`` from the monitor.  Whenever there is nothing to
+    extrapolate (no residual rule, no slope yet, a residual that is not
+    decreasing) delays grow geometrically from ``floor`` to
+    :data:`PROBE_CEILING`; a quiescence rule, whose metric is the wave
+    change *per sample interval*, gets the fixed ceiling cadence.
+    """
+
+    def __init__(self, floor: float) -> None:
+        self.floor = min(float(floor), PROBE_CEILING)
+        self._chords: deque = deque(maxlen=5)
+        self.start(None, False)
+
+    @property
+    def rate(self) -> Optional[float]:
+        """Decay rate learned from earlier solves (``None`` before)."""
+        return statistics.median(self._chords) if self._chords else None
+
+    def start(self, tol: Optional[float], fixed: bool) -> None:
+        """Begin a solve: *tol* of its residual rule (if any), and
+        whether its rule tree pins the cadence."""
+        self._log_tol = None if tol is None else math.log(tol)
+        self._fixed = fixed
+        self._anchor = (0.0, 0.0)
+        self._slope = self.rate
+        self._chord: Optional[float] = None
+        self._stalled = False
+        self._falls = 0
+        self._delay = 0.0
+
+    def finish(self) -> None:
+        """End a solve: its last chord joins the learned rate."""
+        if self._chord is not None:
+            self._chords.append(self._chord)
+
+    def next(self, t: float, residual: Optional[float] = None) -> tuple:
+        """``(delay, crossing)`` at solve time *t*.
+
+        *residual* is what a probe at *t* just measured (``None`` when
+        it measured none, or at the start of a round); *crossing* is
+        the solve time at which the fitted line meets the tolerance
+        (``None`` without a fit).
+        """
+        if residual is not None and residual > 0.0:
+            log_r = math.log(residual)
+            t_a, log_a = self._anchor
+            # (a residual still above the zero state's 1 has no chord)
+            self._stalled = log_r >= min(log_a, 0.0)
+            if not self._stalled:
+                self._chord = -log_r / t
+                self._falls += 1
+                if self._falls > 2 and log_a < 0.0 and t > t_a:
+                    self._slope = (log_a - log_r) / (t - t_a)
+                else:
+                    self._slope = max(self._chord, self.rate or 0.0)
+            self._anchor = (t, log_r)
+        if self._fixed or self._stalled or self._slope is None \
+                or self._log_tol is None:
+            self._delay = PROBE_CEILING if self._fixed else min(
+                PROBE_CEILING, max(self.floor, 2.0 * self._delay))
+            return self._delay, None
+        t_a, log_a = self._anchor
+        crossing = t_a + (log_a - self._log_tol) / self._slope
+        self._delay = min(PROBE_CEILING, max(
+            self.floor, crossing + _AIM_PAST / self._slope - t))
+        return self._delay, crossing
 
 
 class MultiprocDtmRunner:
@@ -236,8 +336,13 @@ class MultiprocDtmRunner:
     probe_every:
         Worker-side fallback cadence (in sweeps) for refreshing the
         shared state buffer; coordinator probe requests override it.
-    poll_interval:
-        Coordinator sampling period in wall seconds.
+    idle_sleep:
+        Worker nap while it has nothing to do, and the shortest nap
+        the coordinator takes between two stop probes (the longest is
+        the module constant :data:`PROBE_CEILING`; everything between
+        is paced by the measured residual decay, see
+        :class:`_ProbePacer` and PERFORMANCE.md "Stopping without a
+        barrier").
     mp_context:
         ``multiprocessing`` start method (default ``"spawn"``, the
         start method that is safe regardless of parent threads; pass
@@ -282,7 +387,7 @@ class MultiprocDtmRunner:
     """
 
     def __init__(self, plan, shards: int = 2, *, probe_every: int = 8,
-                 poll_interval: float = 0.01, idle_sleep: float = 0.001,
+                 idle_sleep: float = 0.001,
                  mp_context: str = "spawn",
                  ack_timeout: float = 30.0,
                  transport="shm",
@@ -300,14 +405,13 @@ class MultiprocDtmRunner:
             raise ConfigurationError("shards must be >= 1")
         if probe_every < 1:
             raise ConfigurationError("probe_every must be >= 1")
-        if poll_interval <= 0 or idle_sleep <= 0:
-            raise ConfigurationError(
-                "poll_interval and idle_sleep must be positive")
+        if idle_sleep <= 0:
+            raise ConfigurationError("idle_sleep must be positive")
         self.plan = plan
         self.shards = int(shards)
         self.probe_every = int(probe_every)
-        self.poll_interval = float(poll_interval)
         self.idle_sleep = float(idle_sleep)
+        self._pacer = _ProbePacer(self.idle_sleep)
         self.ack_timeout = float(ack_timeout)
         if max_recoveries < 0:
             raise ConfigurationError("max_recoveries must be >= 0")
@@ -335,6 +439,13 @@ class MultiprocDtmRunner:
         self._c_recoveries = self.obs.counter(
             "repro_runner_recoveries_total",
             "lost shard workers recovered (respawn or rejoin)")
+        self._h_probes = self.obs.histogram(
+            "repro_runner_stop_probes",
+            "stop-rule evaluations per solve",
+            buckets=(1, 2, 3, 4, 6, 8, 12, 16, 32, 64, 128))
+        self._h_overshoot = self.obs.histogram(
+            "repro_runner_stop_overshoot_seconds",
+            "stop signal minus the interpolated tolerance crossing")
         self._active_trace = None
 
         if self.shards == 1:
@@ -497,9 +608,17 @@ class MultiprocDtmRunner:
                 proc.join(timeout=5.0)
                 self._procs[shard] = self._spawn_one(shard)
 
-    def _wait_acks(self, epoch: int) -> None:
+    def _wait_acks(self, epoch: int, budget_end: float) -> None:
+        """Block until every live shard has acknowledged *epoch*.
+
+        Workers ack within one sweep, so the wait backs off from
+        ``_ACK_NAP`` up to ``idle_sleep``; while any of the solve's
+        budget remains, a nap is cut at *budget_end* like every other
+        coordinator nap.
+        """
         deadline = time.perf_counter() + self.ack_timeout
         pending = set(range(self.shards))
+        nap = _ACK_NAP
         while pending:
             self._check_workers()
             # shards mid-recovery cannot ack: their last published
@@ -516,7 +635,12 @@ class MultiprocDtmRunner:
                 raise MultiprocError(
                     f"shards {sorted(pending)} did not acknowledge "
                     f"epoch {epoch} within {self.ack_timeout:.0f}s")
-            time.sleep(self.idle_sleep)
+            # (a spent budget no longer bounds the nap: the wait ends
+            # on the acks, and must not spin while they are slow)
+            remaining = budget_end - time.perf_counter()
+            time.sleep(min(nap, remaining) if remaining > _ACK_NAP
+                       else nap)
+            nap = min(2.0 * nap, self.idle_sleep)
 
     # -- coordinator-side measurement -----------------------------------
     def _gather(self) -> np.ndarray:
@@ -611,7 +735,8 @@ class MultiprocDtmRunner:
         if sample_interval is not None or max_events is not None:
             raise ConfigurationError(
                 "sample_interval/max_events are simulator knobs; with "
-                "shards>1 use poll_interval and wall_budget")
+                "shards>1 the coordinator paces its own probes — bound "
+                "the solve with wall_budget")
         if wall_budget <= 0:
             raise ConfigurationError("wall_budget must be positive")
         if max_rounds < 1:
@@ -620,8 +745,10 @@ class MultiprocDtmRunner:
         plan = self.plan
         b_vec = plan.base_b if b is None else _as_rhs(b, plan.n)
         rule = self._resolve_rule(stopping, tol)
-        res_tol = _residual_tol(rule)
-        quiet_thr = _quiescence_threshold(rule)
+        res_rule = _first(rule, ResidualRule, "rules")
+        res_tol = None if res_rule is None else res_rule.tol
+        quiet_rule = _first(rule, QuiescenceRule, "rules")
+        quiet_thr = None if quiet_rule is None else quiet_rule.threshold
         tr = resolve_trace(trace)
         self._active_trace = tr
 
@@ -648,29 +775,55 @@ class MultiprocDtmRunner:
         base_sweeps = self._port.sweep_counts()
         deadline = t0 + wall_budget
         waves_fn = self._port.read_waves
+        # a warm start does not begin at the zero state the learned
+        # decay line starts from: pace it cold and learn nothing from it
+        pacer = _ProbePacer(self.idle_sleep) if warm else self._pacer
+        pacer.start(res_tol, fixed=quiet_thr is not None)
+        n_probes = 0
         event = None
+        verified = True
         final_rr = np.inf
         series_parts = []
         x = None
         for _ in range(max_rounds):
             _, monitor, _ = begin_monitor(
                 rule, tol=tol, system=(plan.a_mat, b_vec))
+            res_monitor = _first(monitor, ResidualMonitor, "children")
+            residuals = None if res_monitor is None else res_monitor.series
+            n_seen = 0
             self._epoch += 1
             epoch = self._epoch
             self._port.begin_epoch(epoch)
             if tr is not None:
                 tr.event("round", epoch=epoch)
+            delay, crossing = pacer.next(time.perf_counter() - t0)
             while True:
                 self._port.request_probes()
-                time.sleep(self.poll_interval)
+                time.sleep(max(0.0, min(
+                    delay, deadline - time.perf_counter())))
                 self._check_workers()
                 t = time.perf_counter() - t0
                 probe = StateProbe(self._gather, waves_fn)
                 event = monitor.update(t, probe)
-                if event is not None or time.perf_counter() > deadline:
+                n_probes += 1
+                residual = None
+                if residuals is not None and len(residuals) > n_seen:
+                    n_seen = len(residuals)
+                    residual = float(residuals.final)
+                # the prediction only places the next look; stopping
+                # takes the monitor's verdict on a measured sample
+                delay, crossing = pacer.next(t, residual)
+                if tr is not None:
+                    tr.event("probe", t=t, residual=residual,
+                             next_delay=delay, crossing=crossing)
+                if event is not None or time.perf_counter() >= deadline:
                     break
             self._port.signal_stop(epoch)
-            self._wait_acks(epoch)
+            if event is not None and event.rule == "residual" \
+                    and crossing is not None:
+                self._h_overshoot.observe(max(
+                    0.0, time.perf_counter() - t0 - crossing))
+            self._wait_acks(epoch, deadline)
             # consistent post-quiescence measurement
             t = time.perf_counter() - t0
             x = self._gather()
@@ -694,25 +847,21 @@ class MultiprocDtmRunner:
                 verified = final_rr <= res_tol
             elif event.rule == "quiescence" and quiet_thr is not None:
                 verified = self._wave_fixed_point_delta() <= quiet_thr
-            if verified or time.perf_counter() > deadline:
+            if verified or time.perf_counter() >= deadline:
                 break
             event = None  # premature: resume sweeping on live state
 
         wall = time.perf_counter() - t0
+        pacer.finish()
         self._last_waves = self._port.read_waves()
         self.n_solves += 1
         self._c_solves.inc()
+        self._h_probes.observe(n_probes)
         self._sync_sweep_counters()
         self._active_trace = None
         served = plan.record_solve()
         reports = self.shard_reports(base_sweeps)
-        converged = event is not None and event.converged
-        if converged and event.rule == "residual" \
-                and res_tol is not None:
-            converged = final_rr <= res_tol
-        if converged and event.rule == "quiescence" \
-                and quiet_thr is not None:
-            converged = self._wave_fixed_point_delta() <= quiet_thr
+        converged = event is not None and event.converged and verified
         if tr is not None:
             tr.event("stop",
                      rule=event.rule if event is not None else None,

@@ -387,3 +387,101 @@ class TestSpreadSources:
         res.source_fractions = {}  # simulate a pre-recording SplitResult
         with pytest.raises(ValidationError):
             res.spread_sources(g.sources)
+
+
+# ----------------------------------------------------------------------
+# re-dressing a split with a new right-hand side (shared topology)
+# ----------------------------------------------------------------------
+class TestWithSources:
+    @staticmethod
+    def _split(n=8):
+        g = grid2d_random(n, seed=1)
+        p = grid_block_partition(n, n, 2, 2)
+        return split_graph(g, p, strategy=DominancePreservingSplit())
+
+    def test_topology_is_shared_not_revalidated(self, monkeypatch):
+        res = self._split()
+        b2 = np.linspace(-1.0, 2.0, res.graph.n)
+        adjacency = res.graph.adjacency()
+        sources = res.graph.sources.copy()
+        # the per-solve cost this guards: __post_init__ runs np.unique
+        # over every edge of a topology that cannot have changed
+        monkeypatch.setattr(
+            ElectricGraph, "__post_init__",
+            lambda self: pytest.fail("topology re-validated"))
+        res2 = res.with_sources(b2)
+        g, g2 = res.graph, res2.graph
+        assert g2 is not g
+        assert g2.edge_u is g.edge_u and g2.edge_v is g.edge_v
+        assert g2.edge_weights is g.edge_weights
+        assert g2.vertex_weights is g.vertex_weights
+        assert g2.adjacency() is adjacency
+        assert np.array_equal(g2.sources, b2)
+        assert np.array_equal(g.sources, sources)  # parent untouched
+        assert res2.partition is res.partition
+        assert res2.twin_links is res.twin_links
+        for sub, sub2, rhs in zip(res.subdomains, res2.subdomains,
+                                  res.spread_sources(b2)):
+            assert sub2.matrix is sub.matrix
+            assert np.array_equal(sub2.rhs, rhs)
+
+    def test_equals_a_fully_validated_rebuild(self):
+        res = self._split()
+        b2 = np.linspace(-1.0, 2.0, res.graph.n)
+        g = res.graph
+        want = ElectricGraph(g.vertex_weights, b2, g.edge_u, g.edge_v,
+                             g.edge_weights)
+        got = res.with_sources(b2).graph
+        for name in ("vertex_weights", "sources", "edge_u", "edge_v",
+                     "edge_weights"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        a_got, b_got = got.to_system()
+        a_want, b_want = want.to_system()
+        assert np.array_equal(a_got.to_dense(), a_want.to_dense())
+        assert np.array_equal(b_got, b_want)
+
+    def test_equal_sources_return_self(self):
+        res = self._split()
+        assert res.with_sources(res.graph.sources.copy()) is res
+
+    @pytest.mark.parametrize("bad", [
+        lambda n: np.zeros(n + 1),
+        lambda n: np.zeros(n - 1),
+        lambda n: np.zeros((n, 2)),
+        lambda n: np.full(n, np.nan),
+    ], ids=["long", "short", "2-D", "non-finite"])
+    def test_bad_rhs_rejected(self, bad):
+        res = self._split()
+        n = res.graph.n
+        with pytest.raises(ValidationError):
+            res.with_sources(bad(n))
+        # ... also when the caller brings its own rhs_list
+        with pytest.raises(ValidationError):
+            res.with_sources(bad(n), [s.rhs for s in res.subdomains])
+
+    def test_swapped_solves_match_a_plan_built_on_that_rhs(self):
+        """Through ``SolverSession`` and ``DtmSimulator.swap_rhs``: the
+        shared-topology split solves bitwise like a split validated
+        from scratch around the new right-hand side."""
+        from repro.plan import build_plan
+        from repro.sim.executor import DtmSimulator
+
+        a, b = grid2d_poisson(10).to_system()
+        b2 = np.random.default_rng(4).standard_normal(b.size)
+        kwargs = dict(n_subdomains=4, seed=0)
+        plan = build_plan(a, b, **kwargs)
+        plan2 = build_plan(a, b2, **kwargs)
+        got = plan.session().solve(b2, t_max=12000.0, tol=1e-8)
+        want = plan2.session().solve(t_max=12000.0, tol=1e-8)
+        assert got.converged and want.converged
+        assert np.array_equal(got.x, want.x)
+        assert got.split.graph.edge_u is plan.split.graph.edge_u
+        assert np.array_equal(got.split.graph.sources, b2)
+
+        sim = DtmSimulator(plan=plan)
+        sim.swap_rhs(b2)
+        assert sim.split.graph.edge_u is plan.split.graph.edge_u
+        res = sim.run(12000.0, tol=1e-8)
+        ref = DtmSimulator(plan=plan2).run(12000.0, tol=1e-8)
+        assert res.converged and ref.converged
+        assert np.array_equal(res.x, ref.x)

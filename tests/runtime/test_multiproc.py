@@ -17,11 +17,19 @@ Covers the numerical contract end to end:
 * the stop protocol — ``_run_worker`` against a scripted in-memory
   port: a STOP that overtook the epoch bump ends that epoch, a STOP
   left over from the previous epoch does not;
+* probe pacing — the coordinator against a scripted port and a fake
+  clock: a geometric residual is stopped at its crossing in a probe or
+  two, a stalled one falls back to the ceiling cadence, a quiescence
+  solve keeps the fixed cadence, no nap outlives the wall budget, and
+  STOP is only ever raised on a measured ``residual <= tol``;
 * the serving layer — plan store keying, warm runners, the serve loop.
 """
 
 import faulthandler
+import math
 import threading
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,10 +48,13 @@ from repro.plan.shard import (
     extract_shards,
     shard_bounds,
 )
-from repro.net.transport import WorkerPort
+from repro.net.transport import CoordinatorPort, Transport, WorkerPort
+from repro.runtime import multiproc
 from repro.runtime.multiproc import (
+    PROBE_CEILING,
     EdgeMailbox,
     MultiprocDtmRunner,
+    _ProbePacer,
     _run_worker,
 )
 from repro.runtime.server import DtmServer, PlanStore, ServeRequest, plan_hash
@@ -413,6 +424,384 @@ class TestStopProtocol:
         port = self._drive(poisson_plan, epoch=3, stop=2, stop_after=5)
         assert port.acks == [3]
         assert port.sweeps == 5
+
+
+# ----------------------------------------------------------------------
+# probe pacing, against a scripted coordinator port and a fake clock
+# ----------------------------------------------------------------------
+class FakeClock:
+    """``time`` stand-in for the runner: only naps move the clock."""
+
+    def __init__(self):
+        self.now = 1000.0
+        self.naps = []
+
+    def perf_counter(self):
+        return self.now
+
+    def sleep(self, seconds):
+        assert seconds >= 0.0
+        self.naps.append(seconds)
+        self.now += seconds
+
+
+class ScriptedCoordinatorPort(CoordinatorPort):
+    """Workers replaced by a script: the published states have relative
+    residual ``residual_of(seconds since the right-hand side landed)``,
+    and every shard acks ``ack_delay`` seconds after STOP names the
+    epoch.  Records what the last gather measured whenever STOP is
+    raised."""
+
+    def __init__(self, plan, clock, n_shards):
+        self.plan = plan
+        self.clock = clock
+        self.n_shards = n_shards
+        self.residual_of = None
+        self.ack_delay = 0.0
+        self.t0 = clock.now
+        self.stop = 0
+        self.stop_time = 0.0
+        self.served = []  # (solve time, residual) per read_states
+        self.stops = []  # (solve time, last residual served)
+        n = plan.n
+        self.x_star = np.linalg.solve(plan.a_mat.to_dense(), plan.base_b)
+        e = np.random.default_rng(0).standard_normal(n)
+        self.e = e * (np.linalg.norm(plan.base_b)
+                      / np.linalg.norm(plan.a_mat.matvec(e)))
+        self.n_slots = plan.fleet_template.n_slots_total
+
+    def begin_epoch(self, epoch):
+        pass
+
+    def signal_stop(self, epoch):
+        self.stop = epoch
+        self.stop_time = self.clock.now
+        self.stops.append((self.clock.now - self.t0, self.served[-1][1]))
+
+    def shutdown(self):
+        pass
+
+    def write_x0(self, x0):
+        self.t0 = self.clock.now
+
+    def write_waves(self, waves):
+        pass
+
+    def read_waves(self):
+        return np.zeros(self.n_slots)
+
+    def read_states(self):
+        t = self.clock.now - self.t0
+        r = float(self.residual_of(t))
+        self.served.append((t, r))
+        return np.concatenate(
+            self.plan.split.spread(self.x_star + r * self.e))
+
+    def sweep_counts(self):
+        return np.zeros(self.n_shards, dtype=np.int64)
+
+    def acks(self):
+        acked = self.clock.now >= self.stop_time + self.ack_delay
+        return np.full(self.n_shards, self.stop if acked else 0)
+
+    def failed_shard(self):
+        return 0
+
+    def request_probes(self):
+        pass
+
+    def close(self):
+        pass
+
+
+class ScriptedTransport(Transport):
+    name = "scripted"
+
+    def __init__(self, plan, clock):
+        self.plan = plan
+        self.clock = clock
+        self.port = None
+
+    def bind(self, specs, **_):
+        self.port = ScriptedCoordinatorPort(self.plan, self.clock,
+                                            len(specs))
+        return self.port
+
+    def close(self):
+        pass
+
+
+@contextmanager
+def scripted_runner(plan, **runner_kwargs):
+    """``(runner, port, clock)`` with the runner's clock faked."""
+    clock = FakeClock()
+    transport = ScriptedTransport(plan, clock)
+    with mock.patch.object(multiproc, "time", clock):
+        with MultiprocDtmRunner(plan, shards=2, transport=transport,
+                                spawn_workers=False,
+                                **runner_kwargs) as runner:
+            yield runner, transport.port, clock
+
+
+def geometric(crossing, tol=1e-6, r0=0.5, start=0.0005):
+    """``r(t)``: ``r0`` until *start*, then a log-line reaching *tol*
+    at *crossing* — the shape of a real solve (workers wake within an
+    idle nap; measured decay lines extrapolate back to 0.3–1)."""
+    rate = math.log(r0 / tol) / (crossing - start)
+    return lambda t: r0 * math.exp(-rate * max(0.0, t - start))
+
+
+class TestProbePacing:
+    TOL = 1e-6
+    IDLE = 1e-3  # the runner's default idle_sleep
+
+    def _solve(self, runner, port, residual_of, **kw):
+        port.residual_of = residual_of
+        first = len(port.served)
+        res = runner.solve(stopping=ResidualRule(tol=self.TOL), **kw)
+        return res, port.served[first:]
+
+    @pytest.mark.parametrize("crossing", [0.004, 0.006, 0.0085])
+    def test_geometric_decay_is_stopped_at_its_crossing(
+            self, poisson_plan, crossing):
+        with scripted_runner(poisson_plan) as (runner, port, _):
+            script = geometric(crossing, self.TOL)
+            cold, _ = self._solve(runner, port, script)
+            assert cold.converged and cold.stopped_by == "residual"
+            assert len(cold.errors) <= 3
+            for _ in range(3):
+                seeded, _ = self._solve(runner, port, script)
+                assert seeded.converged
+                assert len(seeded.errors) <= 2
+                assert crossing <= port.stops[-1][0] \
+                    <= crossing + self.IDLE
+            # the steady state: one probe, placed just past the crossing
+            assert len(seeded.errors) == 1
+
+    def test_rate_survives_a_change_of_tolerance(self, poisson_plan):
+        """The learned slope is the plan's: a tighter tolerance on the
+        next solve moves the first probe out along the same line."""
+        with scripted_runner(poisson_plan) as (runner, port, _):
+            script = geometric(0.006, 1e-6)
+            for _ in range(3):
+                self._solve(runner, port, script)
+            port.residual_of = script
+            res = runner.solve(stopping=ResidualRule(tol=1e-8))
+            assert res.converged and len(res.errors) <= 2
+            assert res.relative_residual <= 1e-8
+
+    @pytest.mark.parametrize("script", [
+        lambda t: 1e-3,  # stalled
+        lambda t: 1e-3 * math.exp(40.0 * t),  # rising
+    ], ids=["stalled", "rising"])
+    def test_no_decay_falls_back_to_the_ceiling_cadence(
+            self, poisson_plan, script):
+        with scripted_runner(poisson_plan) as (runner, port, clock):
+            res, served = self._solve(runner, port, script,
+                                      wall_budget=0.085)
+            assert not res.converged
+            naps = clock.naps[:-1]  # the last one is cut by the budget
+            assert all(nap <= PROBE_CEILING for nap in naps)
+            # from the first sample that failed to fall, never more
+            # often than doubling allows, and on to the ceiling
+            for prev, nap in zip(naps[1:], naps[2:]):
+                assert nap >= min(PROBE_CEILING, 2.0 * prev) - 1e-12
+            assert naps[-3:] == [PROBE_CEILING] * 3
+            assert len(served) - 1 <= 4 + 0.085 / PROBE_CEILING
+
+    def test_quiescence_rule_keeps_the_fixed_cadence(self, poisson_plan):
+        """Its metric is the wave change per sample interval: the
+        interval must not depend on any residual."""
+        with scripted_runner(poisson_plan) as (runner, port, clock):
+            port.residual_of = geometric(0.004)
+            for _ in range(2):  # a learned rate must not leak in either
+                runner.solve(stopping=ResidualRule(tol=self.TOL))
+            del clock.naps[:]
+            res = runner.solve(stopping=QuiescenceRule(threshold=1e-10),
+                               wall_budget=0.055)
+            assert not res.converged  # scripted waves never move
+            assert clock.naps[:5] == [PROBE_CEILING] * 5
+            # and a residual rule riding along does not unpin it
+            del clock.naps[:]
+            port.residual_of = lambda t: 1e-2
+            runner.solve(stopping=ResidualRule(tol=self.TOL)
+                         | QuiescenceRule(threshold=1e-10),
+                         wall_budget=0.035)
+            assert clock.naps[:3] == [PROBE_CEILING] * 3
+
+    def test_no_nap_outlives_the_wall_budget(self, poisson_plan):
+        """A budget shorter than the probe ceiling used to be slept
+        through: the first deadline check came after a full 10 ms."""
+        with scripted_runner(poisson_plan) as (runner, port, clock):
+            port.ack_delay = 3e-4
+            port.residual_of = geometric(0.5)
+            start = clock.now
+            res = runner.solve(stopping=ResidualRule(tol=self.TOL),
+                               wall_budget=0.002)
+            assert not res.converged and res.stopped_by is None
+            assert clock.now - start <= 0.002 + port.ack_delay + self.IDLE
+            # ... also when the learned rate asks for a long first nap
+            for _ in range(3):
+                self._solve(runner, port, geometric(0.008))
+            port.residual_of = geometric(0.5)
+            start = clock.now
+            res = runner.solve(stopping=ResidualRule(tol=self.TOL),
+                               wall_budget=0.002)
+            assert not res.converged
+            assert clock.now - start <= 0.002 + port.ack_delay + self.IDLE
+
+    def test_ack_wait_backs_off_from_microseconds(self, poisson_plan):
+        with scripted_runner(poisson_plan) as (runner, port, clock):
+            port.ack_delay = 4e-3
+            port.residual_of = geometric(0.004)
+            stopped = []
+            signal_stop = port.signal_stop
+            port.signal_stop = lambda epoch: (
+                signal_stop(epoch), stopped.append(len(clock.naps)))
+            runner.solve(stopping=ResidualRule(tol=self.TOL))
+            handshake = clock.naps[stopped[0]:]
+            assert handshake[:4] == [2e-5, 4e-5, 8e-5, 1.6e-4]
+            assert max(handshake) == self.IDLE
+            assert clock.now - port.stop_time <= port.ack_delay + self.IDLE
+
+    def test_slow_acks_past_the_budget_are_not_spun_on(
+            self, poisson_plan):
+        """Once the budget is spent it bounds no nap any more: the ack
+        wait must grow back to ``idle_sleep``, not pin at its first
+        step while a slow shard sweeps on."""
+        with scripted_runner(poisson_plan) as (runner, port, clock):
+            port.ack_delay = 0.05
+            port.residual_of = geometric(0.5)
+            res = runner.solve(stopping=ResidualRule(tol=self.TOL),
+                               wall_budget=0.002)
+            assert not res.converged
+            handshake = [nap for nap, t in zip(clock.naps, np.cumsum(
+                clock.naps)) if t > 0.002]
+            assert handshake[:3] == [2e-5, 4e-5, 8e-5]
+            assert handshake[-1] == self.IDLE
+            assert len(handshake) <= 8 + port.ack_delay / self.IDLE
+
+    def test_wrongly_seeded_rate_costs_a_bounded_number_of_probes(
+            self, poisson_plan):
+        """A host that got 5x slower between two solves: the third
+        sample of the slow solve measures its slope, so the seed is
+        paid for with two probes, not a geometric re-probe down to the
+        floor."""
+        with scripted_runner(poisson_plan) as (runner, port, _):
+            for _ in range(3):
+                self._solve(runner, port, geometric(0.004))
+            slow, _ = self._solve(runner, port, geometric(0.020))
+            assert slow.converged
+            assert len(slow.errors) <= 4
+            assert 0.020 <= port.stops[-1][0] <= 0.020 + 2 * self.IDLE
+
+    @given(crossings=st.lists(st.floats(0.0015, 0.06), min_size=2,
+                              max_size=4),
+           r0=st.floats(1e-3, 0.9),
+           wobble=st.floats(0.0, 0.6))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_stop_only_ever_follows_a_measured_sample(
+            self, poisson_plan, crossings, r0, wobble):
+        """Solves whose decay keeps changing under the pacer (so its
+        learned rate is wrong every time) and wobbles around its line:
+        a prediction may misplace a probe, never raise STOP."""
+        with scripted_runner(poisson_plan) as (runner, port, _):
+            for k, crossing in enumerate(crossings):
+                line = geometric(crossing, self.TOL, r0=r0)
+                res, served = self._solve(
+                    runner, port,
+                    lambda t: line(t) * (1.0 + wobble * math.sin(
+                        3e3 * t + k)))
+                t_stop, measured = port.stops[-1]
+                assert measured <= self.TOL
+                assert res.converged
+                assert res.relative_residual <= self.TOL
+                # re-verified on the quiesced state, after the stop
+                assert served[-1][0] >= t_stop
+
+    def test_probe_trace_and_histograms(self, poisson_plan):
+        with scripted_runner(poisson_plan, obs=True) as (runner, port, _):
+            script = geometric(0.006)
+            for _ in range(3):
+                res, _ = self._solve(runner, port, script, trace=True)
+            probes = [r for r in res.trace.records
+                      if r["kind"] == "probe"]
+            assert len(probes) == len(res.errors) == 1
+            (probe,) = probes
+            assert probe["residual"] == res.errors.values[0]
+            assert probe["crossing"] == pytest.approx(0.006, abs=5e-4)
+            assert 0.0 < probe["next_delay"] <= PROBE_CEILING
+            snap = runner.metrics_snapshot()
+            assert snap.value("repro_runner_stop_probes")["count"] == 3
+            overshoot = snap.value("repro_runner_stop_overshoot_seconds")
+            assert overshoot["count"] == 3
+            assert overshoot["sum"] < 3 * 2e-3
+
+
+class TestProbePacer:
+    """The schedule alone (no runner, no clock)."""
+
+    def test_cold_delays_grow_from_floor_to_ceiling(self):
+        pacer = _ProbePacer(1e-3)
+        pacer.start(None, fixed=False)  # nothing to extrapolate
+        delays = [pacer.next(0.0)[0]]
+        for _ in range(5):
+            delays.append(pacer.next(sum(delays))[0])
+        assert delays == [1e-3, 2e-3, 4e-3, 8e-3, 1e-2, 1e-2]
+
+    def test_line_through_one_sample(self):
+        pacer = _ProbePacer(1e-3)
+        pacer.start(1e-6, fixed=False)
+        delay, crossing = pacer.next(0.002, 1e-2)  # 2 decades in 2 ms
+        assert crossing == pytest.approx(0.006)
+        assert delay == pytest.approx(0.0045)  # half a decade past it
+        assert pacer.rate is None  # learned only by finished solves
+        pacer.finish()
+        assert pacer.rate == pytest.approx(math.log(100.0) / 0.002)
+
+    def test_sample_above_the_learned_line_is_a_late_start(self):
+        pacer = _ProbePacer(1e-3)
+        pacer.start(1e-6, fixed=False)
+        pacer.next(0.006, 1e-6)
+        pacer.finish()  # one decade per ms
+        pacer.start(1e-6, fixed=False)
+        assert pacer.next(0.0)[1] == pytest.approx(0.006)
+        # 4 ms in and only one decade down: three more, at the learned
+        # slope — not fifteen at this solve's chord
+        delay, crossing = pacer.next(0.004, 1e-3)
+        assert crossing == pytest.approx(0.007)
+        assert delay == pytest.approx(0.0035)
+
+    def test_third_sample_measures_the_slope(self):
+        pacer = _ProbePacer(1e-3)
+        pacer.start(1e-6, fixed=False)
+        pacer.next(0.006, 1e-6)
+        pacer.finish()  # one decade per ms
+        pacer.start(1e-6, fixed=False)
+        # twice read as a late start: four, then three ms to go
+        assert pacer.next(0.006, 1e-2)[1] == pytest.approx(0.010)
+        assert pacer.next(0.009, 1e-3)[1] == pytest.approx(0.012)
+        # ... but it is one decade down per 3 ms, again: from here on
+        # the solve's own two last samples say when
+        delay, crossing = pacer.next(0.012, 1e-4)
+        assert crossing == pytest.approx(0.018)
+        assert delay == pytest.approx(0.0075)  # half a decade past it
+
+    def test_residual_above_one_has_no_chord(self):
+        """Spawning workers: the first gathers see garbage above the
+        zero state's residual, falling or not."""
+        pacer = _ProbePacer(1e-3)
+        pacer.start(1e-6, fixed=False)
+        assert pacer.next(0.001, 1.5) == (1e-3, None)
+        assert pacer.next(0.002, 1.2) == (2e-3, None)
+        assert pacer.next(0.004, 1e-2)[1] == pytest.approx(0.012)
+
+    def test_delay_clamped_to_floor_and_ceiling(self):
+        pacer = _ProbePacer(1e-3)
+        pacer.start(1e-6, fixed=False)
+        assert pacer.next(0.001, 0.5)[0] == 1e-2  # crossing far away
+        assert pacer.next(0.0105, 1.1e-6)[0] == 1e-3  # crossing now
 
 
 # ----------------------------------------------------------------------
