@@ -51,9 +51,6 @@ from repro.obs import MetricRegistry  # noqa: E402
 DEFAULT_OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "BENCH_obs.json")
 
-QUICK_SWEEPS = 10
-QUICK_REPEATS = 3
-
 
 class _UnguardedFleet(FleetKernel):
     """The full-path sweep with the telemetry guard stripped out.
