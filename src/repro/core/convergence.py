@@ -36,6 +36,7 @@ A metric value *equal* to the tolerance counts as converged
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -69,14 +70,23 @@ def max_error(x, reference) -> float:
     return float(np.max(np.abs(x - reference)))
 
 
+def _norm2(v: np.ndarray) -> float:
+    """Euclidean norm by pairwise summation, off the BLAS pool.
+
+    A BLAS-backed norm or dot product wakes the library's helper
+    threads, which then spin on a core the shard workers need; a
+    stopping check must not cost the solve a core.
+    """
+    return math.sqrt(float(np.add.reduce(v * v)))
+
+
 def relative_residual(a, x, b) -> float:
     """``‖b − A x‖₂ / ‖b‖₂`` (reference-free convergence measure)."""
     x = np.asarray(x, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     r = b - (a.matvec(x) if hasattr(a, "matvec") else
              np.asarray(a, dtype=np.float64) @ x)
-    denom = float(np.linalg.norm(b)) or 1.0
-    return float(np.linalg.norm(r)) / denom
+    return _norm2(r) / (_norm2(b) or 1.0)
 
 
 @dataclass

@@ -196,6 +196,9 @@ class SplitResult:
     #: (recorded by :func:`split_graph`; powers :meth:`spread_sources`).
     source_fractions: dict[int, dict[int, float]] = field(
         default_factory=dict)
+    #: copies per global vertex: a constant of the split, filled by the
+    #: first :meth:`gather` and shared by :meth:`with_sources` variants
+    _copy_counts: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_parts(self) -> int:
@@ -259,24 +262,28 @@ class SplitResult:
         if mode not in ("average", "first"):
             raise ValidationError(f"unknown gather mode {mode!r}")
         n = self.graph.n
+        if self._copy_counts is None:
+            cnt = np.bincount(np.concatenate(
+                [sub.global_vertices for sub in self.subdomains]),
+                minlength=n).astype(np.float64)
+            if np.any(cnt == 0):
+                raise PartitionError("gather: some vertices have no copy")
+            self._copy_counts = cnt
         acc = np.zeros(n)
-        cnt = np.zeros(n)
+        seen = np.zeros(n, dtype=bool) if mode == "first" else None
         for sub, vec in zip(self.subdomains, local_values):
             vec = np.asarray(vec, dtype=np.float64)
             if vec.shape != (sub.n_local,):
                 raise ValidationError(
                     f"subdomain {sub.part} local vector has shape "
                     f"{vec.shape}, expected ({sub.n_local},)")
-            if mode == "average":
+            if seen is None:
                 np.add.at(acc, sub.global_vertices, vec)
-                np.add.at(cnt, sub.global_vertices, 1.0)
             else:
-                first = cnt[sub.global_vertices] == 0
+                first = ~seen[sub.global_vertices]
                 acc[sub.global_vertices[first]] = vec[first]
-                cnt[sub.global_vertices] = 1.0
-        if np.any(cnt == 0):
-            raise PartitionError("gather: some vertices have no copy")
-        return acc / cnt if mode == "average" else acc
+                seen[sub.global_vertices] = True
+        return acc if mode == "first" else acc / self._copy_counts
 
     def spread(self, x_global) -> list[np.ndarray]:
         """Restrict a global vector to each subdomain's local ordering."""
@@ -332,7 +339,8 @@ class SplitResult:
                            subdomains=subdomains,
                            twin_links=self.twin_links, copies=self.copies,
                            notes=self.notes,
-                           source_fractions=self.source_fractions)
+                           source_fractions=self.source_fractions,
+                           _copy_counts=self._copy_counts)
 
     def spread_sources(self, b) -> list[np.ndarray]:
         """Per-subdomain right-hand sides for a *new* global source *b*.

@@ -10,7 +10,7 @@ port and token.
 * **Hub.**  The coordinator side (:class:`_Hub`) owns the
   authoritative wave/x0/state/control mirrors, accepts worker
   connections, and carries what the paper assigns the coordinator:
-  control words, stopping probes, RHS swaps, state gathers.
+  control words, stop looks, RHS swaps, state gathers.
 
 * **Direct neighbor sockets.**  Every worker opens a listen socket and
   publishes its address in the HELLO frame; the hub rebroadcasts the
@@ -31,8 +31,8 @@ port and token.
   words) — the re-snapshot — and broadcasts a new peer directory
   generation so neighbors redial it.  A worker levelled while a stop
   is in flight sees that epoch already ended, publishes its snapshot
-  state and acks; the stopping decision is re-verified against the
-  gathered state, so recovery can cost extra rounds but never a wrong
+  state and acks; the stopping decision is only ever taken on the
+  gathered state, so recovery can cost extra looks but never a wrong
   answer.
 
 Latest-wins stays intact on both paths: each incoming slot has exactly
@@ -41,8 +41,8 @@ per-connection FIFO makes the newest frame win, with no queue growth.
 A sender switches between the direct and hub path only when a socket
 appears or dies, and any momentarily stale slot is overwritten by the
 very next post — the asynchronous relaxation tolerates it by
-construction (Avron et al. 2013), and the coordinator's residual
-re-verification would catch it regardless.
+construction (Avron et al. 2013), and the coordinator's residual,
+measured on the quiesced state, would catch it regardless.
 """
 
 from __future__ import annotations
@@ -55,14 +55,18 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ConfigurationError, ProtocolError, TransportError
+from ..errors import (
+    ConfigurationError,
+    ProtocolError,
+    TransportError,
+    ValidationError,
+)
 from ..plan.shard import ShardSpec
 from . import wire
 from .transport import (
     EPOCH,
     ERR,
     PER_SHARD,
-    PROBE,
     SHUTDOWN,
     STOP,
     CoordinatorPort,
@@ -70,7 +74,6 @@ from .transport import (
     WorkerPort,
     ack_cell,
     ctrl_size,
-    probe_cell,
     sweep_cell,
 )
 
@@ -110,7 +113,6 @@ class _Hub:
         n_slots: int,
         n_states: int,
         idle_sleep: float,
-        probe_every: int,
         liveness_timeout: float,
         obs_enabled: bool = False,
     ) -> None:
@@ -125,7 +127,6 @@ class _Hub:
         self.n_slots = int(n_slots)
         self.n_states = int(n_states)
         self.idle_sleep = float(idle_sleep)
-        self.probe_every = int(probe_every)
         self.liveness_timeout = float(liveness_timeout)
         self.payloads = [spec.to_payload() for spec in specs]
         self.slot_bounds = [
@@ -227,7 +228,6 @@ class _Hub:
                 "n_slots": self.n_slots,
                 "n_states": self.n_states,
                 "idle_sleep": self.idle_sleep,
-                "probe_every": self.probe_every,
                 "obs": self.obs_enabled,
             }
             with wlock:
@@ -253,8 +253,6 @@ class _Hub:
                 )
                 for word in (STOP, EPOCH, SHUTDOWN):
                     self._send_ctrl(conn, word, int(self.ctrl[word]))
-                cell = probe_cell(self.n_shards, shard)
-                self._send_ctrl(conn, PROBE, int(self.ctrl[cell]))
             listen = header.get("listen")
             if listen:
                 try:
@@ -348,7 +346,6 @@ class _Hub:
             self.states[state_lo:state_hi] = states
             self.waves[slot_lo:slot_hi] = waves
             self.ctrl[sweep_cell(shard)] = int(header["sweeps"])
-            self.ctrl[probe_cell(n, shard)] = 0
             if self._c_rx_states is not None:
                 self._c_rx_states.inc()
             obs = header.get("obs")
@@ -414,17 +411,6 @@ class _Hub:
                 try:
                     with wlock:
                         self._send_ctrl(conn, word, value)
-                except TransportError:
-                    pass
-
-    def request_probes(self) -> None:
-        with self.lock:
-            for shard in range(self.n_shards):
-                self.ctrl[probe_cell(self.n_shards, shard)] = 1
-            for _shard, (conn, wlock) in list(self._conns.items()):
-                try:
-                    with wlock:
-                        self._send_ctrl(conn, PROBE, 1)
                 except TransportError:
                     pass
 
@@ -522,9 +508,6 @@ class HubCoordinatorPort(CoordinatorPort):
 
     def error_detail(self) -> str:
         return self._hub.err_text
-
-    def request_probes(self) -> None:
-        self._hub.request_probes()
 
     def lost_workers(self) -> list:
         return sorted(self._hub.lost)
@@ -632,12 +615,17 @@ class MeshWorkerPort(WorkerPort):
                 )
             if ftype != wire.T_SPEC:
                 raise ProtocolError("expected SPEC frame after HELLO")
+            try:
+                self.spec = ShardSpec.from_payload(blob)
+                self.idle_sleep = float(header["idle_sleep"])
+            except (ValidationError, KeyError) as exc:
+                raise ProtocolError(
+                    "SPEC frame does not fit this worker's build "
+                    "(coordinator and workers must run the same "
+                    f"repro version): {exc}") from exc
         except (OSError, TransportError):
             self.close()  # a rejected handshake must not leak sockets
             raise
-        self.spec = ShardSpec.from_payload(blob)
-        self.idle_sleep = float(header["idle_sleep"])
-        self.probe_every = int(header["probe_every"])
         self.obs_enabled = bool(header.get("obs", False))
         spec = self.spec
         self._slot_lo = int(spec.slot_lo)
@@ -943,12 +931,6 @@ class MeshWorkerPort(WorkerPort):
             {"states": states, "waves": self._in_waves},
         )
 
-    def probe_requested(self) -> bool:
-        return bool(self._mirror[PROBE])
-
-    def clear_probe(self) -> None:
-        self._mirror[PROBE] = 0
-
     def ack(self, epoch: int) -> None:
         self._send_hub(
             wire.T_ACK,
@@ -1074,7 +1056,6 @@ class MeshTransport(Transport):
         n_slots: int,
         n_states: int,
         idle_sleep: float,
-        probe_every: int,
         obs_enabled: bool = False,
     ) -> HubCoordinatorPort:
         if self._hub is not None:
@@ -1087,7 +1068,6 @@ class MeshTransport(Transport):
             n_slots=n_slots,
             n_states=n_states,
             idle_sleep=idle_sleep,
-            probe_every=probe_every,
             liveness_timeout=self.liveness_timeout,
             obs_enabled=obs_enabled,
         )

@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import os
 import secrets
+import time
 import weakref
-from multiprocessing import shared_memory
+from multiprocessing import get_context, shared_memory
 
 import numpy as np
 
@@ -51,16 +52,15 @@ STOP = 0  # coordinator -> workers: the newest epoch that has ended
 EPOCH = 1  # coordinator -> workers: bumped to start an epoch
 SHUTDOWN = 2  # coordinator -> workers: exit the idle loop
 ERR = 3  # workers -> coordinator: 1 + index of a failed shard
-PER_SHARD = 4  # then: sweeps[n], acks[n], probe-request[n]
+PER_SHARD = 4  # then: sweeps[n], acks[n]
 
-#: worker-mirror word for a coordinator probe request (the mesh worker
-#: keeps a 4-word local mirror: STOP, EPOCH, SHUTDOWN, PROBE; the shm
-#: transport uses per-shard probe cells in the shared control block)
-PROBE = 3
+#: an idle shm worker re-reads its control words this often unasked
+#: (a coordinator that died posts no wake)
+_IDLE_PATIENCE = 0.25
 
 
 def ctrl_size(n_shards: int) -> int:
-    return PER_SHARD + 3 * n_shards
+    return PER_SHARD + 2 * n_shards
 
 
 def sweep_cell(i: int) -> int:
@@ -69,10 +69,6 @@ def sweep_cell(i: int) -> int:
 
 def ack_cell(n_shards: int, i: int) -> int:
     return PER_SHARD + n_shards + i
-
-
-def probe_cell(n_shards: int, i: int) -> int:
-    return PER_SHARD + 2 * n_shards + i
 
 
 class EdgeMailbox:
@@ -153,9 +149,6 @@ class CoordinatorPort:
     def error_detail(self) -> str:
         return ""
 
-    def request_probes(self) -> None:
-        raise NotImplementedError
-
     def lost_workers(self) -> list:
         """Shards whose connection dropped (mesh); always [] for shm."""
         return []
@@ -206,6 +199,10 @@ class WorkerPort:
     def current_epoch(self) -> int:
         raise NotImplementedError
 
+    def idle_wait(self, idle_sleep: float) -> None:
+        """Wait between two epochs: a nap, unless the fabric can wake."""
+        time.sleep(idle_sleep)
+
     def stop_requested(self, epoch: int) -> bool:
         """True once the coordinator has ended *epoch* (or a later one)."""
         raise NotImplementedError
@@ -225,12 +222,8 @@ class WorkerPort:
         raise NotImplementedError
 
     def publish_states(self, states: np.ndarray, sweeps: int) -> None:
-        raise NotImplementedError
-
-    def probe_requested(self) -> bool:
-        raise NotImplementedError
-
-    def clear_probe(self) -> None:
+        """Publish the shard's full state block: once per epoch, after
+        STOP and before the ack — the only time interiors are computed."""
         raise NotImplementedError
 
     def ack(self, epoch: int) -> None:
@@ -260,7 +253,6 @@ class Transport:
         n_slots: int,
         n_states: int,
         idle_sleep: float,
-        probe_every: int,
         obs_enabled: bool = False,
     ) -> CoordinatorPort:
         raise NotImplementedError
@@ -319,7 +311,7 @@ class ShmTransport(Transport):
         self._n_slots = 0
         self._n_states = 0
         self._idle_sleep = 0.001
-        self._probe_every = 8
+        self._wake: list = []
         self._finalizer = None
 
     def bind(
@@ -329,7 +321,6 @@ class ShmTransport(Transport):
         n_slots: int,
         n_states: int,
         idle_sleep: float,
-        probe_every: int,
         obs_enabled: bool = False,
     ) -> "ShmCoordinatorPort":
         if self._finalizer is not None:
@@ -338,7 +329,6 @@ class ShmTransport(Transport):
         self._n_slots = int(n_slots)
         self._n_states = int(n_states)
         self._idle_sleep = float(idle_sleep)
-        self._probe_every = int(probe_every)
         n_shards = len(self._specs)
         base = f"dtm{os.getpid():x}{secrets.token_hex(4)}"
         sizes = {
@@ -377,6 +367,9 @@ class ShmTransport(Transport):
         x0[:] = 0.0
         states[:] = 0.0
         ctrl[:] = 0
+        # posted with every EPOCH bump (see ShmWorkerPort.idle_wait)
+        self._wake = [get_context("spawn").Semaphore(0)
+                      for _ in range(n_shards)]
         return ShmCoordinatorPort(self, waves, x0, states, ctrl, n_shards)
 
     def worker_descriptor(self, index: int) -> tuple:
@@ -388,12 +381,17 @@ class ShmTransport(Transport):
             self._n_slots,
             self._n_states,
             self._idle_sleep,
-            self._probe_every,
+            self._wake[index],
         )
+
+    def wake_workers(self) -> None:
+        for wake in self._wake:
+            wake.release()
 
     def close(self) -> None:
         if self._finalizer is not None:
             self._finalizer()  # close+unlink, exactly once
+        self._wake = []  # the last reference unlinks a semaphore
 
 
 class ShmCoordinatorPort(CoordinatorPort):
@@ -417,12 +415,14 @@ class ShmCoordinatorPort(CoordinatorPort):
 
     def begin_epoch(self, epoch: int) -> None:
         self._ctrl[EPOCH] = int(epoch)
+        self._transport.wake_workers()
 
     def signal_stop(self, epoch: int) -> None:
         self._ctrl[STOP] = int(epoch)
 
     def shutdown(self) -> None:
         self._ctrl[SHUTDOWN] = 1
+        self._transport.wake_workers()
 
     def write_x0(self, x0: np.ndarray) -> None:
         self._x0[:] = x0
@@ -447,10 +447,6 @@ class ShmCoordinatorPort(CoordinatorPort):
     def failed_shard(self) -> int:
         return int(self._ctrl[ERR])
 
-    def request_probes(self) -> None:
-        for i in range(self._n_shards):
-            self._ctrl[probe_cell(self._n_shards, i)] = 1
-
     def close(self) -> None:
         self._transport.close()
 
@@ -464,10 +460,12 @@ class ShmWorkerPort(WorkerPort):
         shms: dict,
         n_slots: int,
         n_states: int,
+        wake,
     ) -> None:
         n_shards = spec.n_shards
         i = spec.index
         self._shms = shms
+        self._wake = wake
         self._waves = np.ndarray(
             (n_slots,), dtype=np.float64, buffer=shms["waves"].buf
         )
@@ -489,13 +487,23 @@ class ShmWorkerPort(WorkerPort):
         self._index = i
         self._sweep_cell = sweep_cell(i)
         self._ack_cell = ack_cell(n_shards, i)
-        self._probe_cell = probe_cell(n_shards, i)
 
     def shutdown_requested(self) -> bool:
         return bool(self._ctrl[SHUTDOWN])
 
     def current_epoch(self) -> int:
         return int(self._ctrl[EPOCH])
+
+    def idle_wait(self, idle_sleep: float) -> None:
+        """Block until the coordinator posts this shard's wake.
+
+        Not a poll: while the coordinator computes between two epochs,
+        a polling worker's wake-ups land on the core it is not on, and
+        both workers start the next epoch stacked there (PERFORMANCE.md,
+        "Stopping without a barrier").  A leftover wake costs one empty
+        pass of the idle loop.
+        """
+        self._wake.acquire(timeout=_IDLE_PATIENCE)
 
     def stop_requested(self, epoch: int) -> bool:
         return int(self._ctrl[STOP]) >= epoch
@@ -516,12 +524,6 @@ class ShmWorkerPort(WorkerPort):
 
     def publish_states(self, states: np.ndarray, sweeps: int) -> None:
         self._states[self._state_sl] = states
-
-    def probe_requested(self) -> bool:
-        return bool(self._ctrl[self._probe_cell])
-
-    def clear_probe(self) -> None:
-        self._ctrl[self._probe_cell] = 0
 
     def ack(self, epoch: int) -> None:
         self._ctrl[self._ack_cell] = int(epoch)
@@ -559,16 +561,16 @@ def resolve_transport(transport) -> Transport:
 def open_worker_port(descriptor) -> tuple:
     """Open a worker port from a picklable descriptor.
 
-    Returns ``(spec, port, idle_sleep, probe_every)`` — everything the
-    generic shard loop in :mod:`repro.runtime.multiproc` needs.
+    Returns ``(spec, port, idle_sleep)`` — everything the generic shard
+    loop in :mod:`repro.runtime.multiproc` needs.
     """
     kind = descriptor[0]
     if kind == "shm":
-        _, payload, names, n_slots, n_states, idle, probe = descriptor
+        _, payload, names, n_slots, n_states, idle, wake = descriptor
         spec = ShardSpec.from_payload(payload)
         shms = {key: _attach_shm(name) for key, name in names.items()}
-        port = ShmWorkerPort(spec, shms, n_slots, n_states)
-        return spec, port, idle, probe
+        port = ShmWorkerPort(spec, shms, n_slots, n_states, wake)
+        return spec, port, idle
     if kind == "mesh":
         from .mesh import MeshWorkerPort  # avoid an import cycle
 
@@ -576,7 +578,7 @@ def open_worker_port(descriptor) -> tuple:
         port = MeshWorkerPort(
             host, tcp_port, token, index, listen_port=listen
         )
-        return port.spec, port, port.idle_sleep, port.probe_every
+        return port.spec, port, port.idle_sleep
     raise ConfigurationError(f"unknown worker descriptor kind {kind!r}")
 
 
@@ -586,11 +588,9 @@ __all__ = [
     "SHUTDOWN",
     "ERR",
     "PER_SHARD",
-    "PROBE",
     "ctrl_size",
     "sweep_cell",
     "ack_cell",
-    "probe_cell",
     "EdgeMailbox",
     "CoordinatorPort",
     "WorkerPort",

@@ -14,13 +14,14 @@ kind                 meaning
 ``plan_load``        span: a plan was loaded from the disk store
 ``rhs_swap``         span: right-hand-side swap against kept factors
 ``solve``            span: the whole execute phase of one solve
-``round``            span: one multiproc stop-check round
-``probe``            event: one stop-rule evaluation of the multiproc
-                     coordinator — solve time ``t``, the ``residual``
-                     it measured, the ``next_delay`` the pacer chose
-                     and the predicted tolerance ``crossing``
-``stop_check``       event: the consistent re-measurement on the
-                     quiesced state that ends a round (with its metric)
+``probe``            event: one *look* of the multiproc coordinator —
+                     STOP, every ack, one measurement of the quiesced
+                     state: the ``epoch`` it ended, solve time ``t``,
+                     the ``residual`` it measured (``None`` when no
+                     residual rule sampled), the ``next_delay`` the
+                     pacer chose and the predicted tolerance
+                     ``crossing``.  The last ``probe`` of a solve is
+                     the measurement its result reports
 ``stop``             event: the stopping decision that ended the run
 ``sweeps``           event: per-shard sweep totals at a probe, with
                      the min/max spread (the staleness delta between

@@ -55,6 +55,7 @@ import numpy as np
 from ..core.fleet import FleetKernel
 from ..errors import PlanArtifactError
 from ..graph.electric import ElectricGraph
+from ..graph.evs import SplitResult
 from .plan import SolverPlan, compute_plan_hash
 
 #: bump on any incompatible layout/semantic change; load_plan refuses
@@ -100,6 +101,7 @@ _PLAN_FIELDS = (
 _DROPPED_CACHES = {
     ElectricGraph: ("_adjacency",),
     FleetKernel: ("_views",),
+    SplitResult: ("_copy_counts",),
 }
 
 

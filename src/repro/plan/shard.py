@@ -33,7 +33,7 @@ from ..errors import ConfigurationError, ValidationError
 
 #: payload format tag, checked on load so a stale worker binary fails
 #: loudly instead of misinterpreting the index tables
-PAYLOAD_SCHEMA = "repro-shard-payload/1"
+PAYLOAD_SCHEMA = "repro-shard-payload/2"
 
 
 def shard_bounds(weights: Sequence[float], n_shards: int

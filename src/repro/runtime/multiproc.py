@@ -19,13 +19,16 @@ barrier and no locks**:
   (:class:`~repro.plan.shard.MailboxSpec` channels), each a batch of
   latest-wins slots;
 * stopping is **reference-free**: the parent process acts as the
-  designated coordinator, gathering the published state buffer and
-  running a :class:`~repro.core.convergence.ResidualRule` /
-  ``QuiescenceRule`` monitor against wall-clock time — the plan's
-  dense reference factor is never touched
-  (``plan.reference_materialized`` stays ``False``).  *When* it looks
-  is paced by the measured residual decay (:class:`_ProbePacer`);
-  *whether* it stops is only ever decided on a measured sample.
+  designated coordinator and judges a
+  :class:`~repro.core.convergence.ResidualRule` / ``QuiescenceRule``
+  monitor on *looks* — STOP → ack → measure → done | resume — so the
+  plan's dense reference factor is never touched
+  (``plan.reference_materialized`` stays ``False``).  Between looks
+  the shards touch their ports only; a shard computes its full states
+  once per look, when STOP arrives.  *When* the coordinator looks is
+  paced by the measured residual decay (:class:`_ProbePacer`);
+  *whether* it stops is only ever decided on a measured, quiesced
+  sample.
 
 Numerical contract
 ------------------
@@ -35,19 +38,20 @@ Numerical contract
 the degenerate shard count runs the proven reference implementation.
 ``shards>1`` free-runs with real (hardware) delays, so trajectories
 are scheduling-dependent; the contract is convergence to the same
-tolerance, asserted by the runner itself: a residual stop is only
-reported ``converged`` after re-verification on a *consistent* final
-state (workers quiesce, publish, then the coordinator re-measures).
-This holds for every transport — see PERFORMANCE.md ("Transports").
+tolerance, asserted by the runner itself: every measurement is taken
+on a *quiesced* state (workers stop, publish, ack; then the coordinator
+gathers and measures), and a solve is reported ``converged`` only if
+its last such measurement met the rule.  This holds for every
+transport — see PERFORMANCE.md ("Transports").
 
 Memory-ordering note: on shm, workers and coordinator exchange float64
 waves and int64 control words through aligned shared-memory cells with
 single-writer discipline; on the cache-coherent platforms CPython
 supports this yields latest-wins visibility without locks (torn
 8-byte reads do not occur on aligned cells).  On sockets, frames are
-applied whole under the GIL.  Residual probes may observe a *mix* of
-sweep generations — harmless for monitoring, which is why the final
-convergence check re-runs on quiesced state.
+applied whole under the GIL.  The coordinator reads states and waves
+only between the acks of one epoch and the start of the next, when no
+shard writes.
 """
 
 from __future__ import annotations
@@ -104,15 +108,16 @@ __all__ = [
 # ----------------------------------------------------------------------
 # worker process
 # ----------------------------------------------------------------------
-def _run_worker(spec: ShardSpec, port, idle_sleep: float,
-                probe_every: int) -> None:
+def _run_worker(spec: ShardSpec, port, idle_sleep: float) -> None:
     """The transport-agnostic shard loop.
 
-    Protocol: idle-poll the port for an epoch bump; on one, reload the
-    zero-wave states, then free-run sweeps until the coordinator ends
-    *that* epoch (the STOP word names the epoch it ends, so neither a
-    leftover STOP nor one that overtook the bump can be misread);
-    publish final states and ack the epoch; repeat until shutdown.
+    Protocol: wait on the port for an epoch bump; on one, reload the
+    zero-wave states, then free-run sweeps **on the ports alone** until
+    the coordinator ends *that* epoch (the STOP word names the epoch it
+    ends, so neither a leftover STOP nor one that overtook the bump can
+    be misread); compute and publish the full states — the only time an
+    epoch touches the interiors — and ack the epoch; repeat until
+    shutdown.
     """
     kern = spec.kernel
     total_sweeps = 0
@@ -122,15 +127,10 @@ def _run_worker(spec: ShardSpec, port, idle_sleep: float,
             return
         epoch = port.current_epoch()
         if epoch == last_epoch:
-            time.sleep(idle_sleep)
+            port.idle_wait(idle_sleep)
             continue
         last_epoch = epoch
         kern.load_x0(port.read_x0())
-        # publish the zero-sweep state so early coordinator probes see
-        # x0-consistent values instead of stale zeros
-        port.publish_states(kern.full_states(port.wave_snapshot()),
-                            total_sweeps)
-        since_probe = 0
         last_a: Optional[np.ndarray] = None
         while not port.stop_requested(epoch):
             if port.shutdown_requested():
@@ -144,25 +144,15 @@ def _run_worker(spec: ShardSpec, port, idle_sleep: float,
                 # information means a resolve would emit the identical
                 # waves — nap instead of burning the timeslice, so a
                 # busy sibling shard gets the core
-                if port.probe_requested():
-                    port.publish_states(kern.full_states(a),
-                                        total_sweeps)
-                    port.clear_probe()
                 time.sleep(idle_sleep)
                 continue
             out = kern.sweep(a)
             last_a = a
             port.post_waves(out)
             total_sweeps += 1
-            since_probe += 1
             port.record_sweeps(total_sweeps)
-            if port.probe_requested() or since_probe >= probe_every:
-                port.publish_states(
-                    kern.full_states(port.wave_snapshot()),
-                    total_sweeps)
-                port.clear_probe()
-                since_probe = 0
-        # quiesced: publish one final consistent state, then ack
+        # quiesced: publish the one state this epoch is judged on, then
+        # ack (also when STOP overtook the bump: zero sweeps, one publish)
         port.publish_states(kern.full_states(port.wave_snapshot()),
                             total_sweeps)
         port.ack(epoch)
@@ -178,7 +168,7 @@ def _worker_main(descriptor, faults=None) -> None:
     sends an error frame) before exiting, so the coordinator fails
     fast instead of hanging on acks.
     """
-    spec, port, idle_sleep, probe_every = open_worker_port(descriptor)
+    spec, port, idle_sleep = open_worker_port(descriptor)
     if port.obs_enabled or obs_env_enabled():
         # each worker keeps a private registry; socket ports piggyback
         # its snapshots on state/heartbeat frames for the coordinator
@@ -189,7 +179,7 @@ def _worker_main(descriptor, faults=None) -> None:
 
         port = apply_faults(port, faults)
     try:
-        _run_worker(spec, port, idle_sleep, probe_every)
+        _run_worker(spec, port, idle_sleep)
     except Exception:  # pragma: no cover - exercised via error tests
         try:
             port.mark_error(traceback.format_exc(limit=4))
@@ -204,7 +194,7 @@ def _worker_main(descriptor, faults=None) -> None:
 # ----------------------------------------------------------------------
 # coordinator
 # ----------------------------------------------------------------------
-#: longest coordinator nap between two stop probes (wall seconds): the
+#: longest coordinator nap before a look (wall seconds): the
 #: health-check cadence, and the fixed cadence of quiescence solves
 PROBE_CEILING = 0.01
 
@@ -212,10 +202,14 @@ PROBE_CEILING = 0.01
 #: ``idle_sleep``): workers ack within one sweep, ~0.1 ms on small shards
 _ACK_NAP = 2e-5
 
-#: how far past the predicted crossing a probe is aimed, in nats of
-#: residual decay (half a decade).  An early probe costs a whole extra
-#: look, a late one only its lateness, so the aim errs late.
+#: how far past the predicted crossing a look is aimed, in nats of
+#: residual decay (half a decade).  An early look costs a whole extra
+#: stop/resume, a late one only its lateness, so the aim errs late.
 _AIM_PAST = 0.5 * math.log(10.0)
+
+#: first look of a solve seeded by three finished ones, where looks are
+#: dear; every other aim, and every nap, stops at the ceiling
+_REACH = 3.0 * PROBE_CEILING
 
 
 def _first(node, kind, children: str):
@@ -252,6 +246,15 @@ class _ProbePacer:
     samples, so a wrong seed is paid for with two probes, not with a
     re-probe at every step down to the floor.
 
+    Where a look is dear — 8–10 ms at nx=240, as long as the solve
+    sweeps; 2 ms at nx=100 — one aimed at the crossing meets ``tol`` or
+    misses it by a hair with the host's mood, and a miss is a second
+    look.  So the pacer keeps the median cost of the last looks, and a
+    seeded solve's first look moves from its aim to :data:`_REACH`, a
+    fixed wall time, as that cost goes from half to three quarters of
+    a ceiling.  The cost does not depend on when the pacer looked:
+    nothing feeds back (PERFORMANCE.md, "Stopping without a barrier").
+
     The pacer never decides *whether* to stop: that takes a measured
     ``residual <= tol`` from the monitor.  Whenever there is nothing to
     extrapolate (no residual rule, no slope yet, a residual that is not
@@ -263,6 +266,7 @@ class _ProbePacer:
     def __init__(self, floor: float) -> None:
         self.floor = min(float(floor), PROBE_CEILING)
         self._chords: deque = deque(maxlen=5)
+        self._costs: deque = deque(maxlen=5)
         self.start(None, False)
 
     @property
@@ -287,14 +291,17 @@ class _ProbePacer:
         if self._chord is not None:
             self._chords.append(self._chord)
 
-    def next(self, t: float, residual: Optional[float] = None) -> tuple:
+    def next(self, t: float, residual: Optional[float] = None,
+             cost: Optional[float] = None) -> tuple:
         """``(delay, crossing)`` at solve time *t*.
 
-        *residual* is what a probe at *t* just measured (``None`` when
-        it measured none, or at the start of a round); *crossing* is
-        the solve time at which the fitted line meets the tolerance
-        (``None`` without a fit).
+        *residual* is what a look at *t* just measured (``None`` when
+        it measured none, or at the start of a solve), *cost* its
+        seconds from STOP to measured; *crossing* is the solve time at
+        which the fitted line meets the tolerance (``None`` without).
         """
+        if cost is not None:
+            self._costs.append(cost)
         if residual is not None and residual > 0.0:
             log_r = math.log(residual)
             t_a, log_a = self._anchor
@@ -317,6 +324,11 @@ class _ProbePacer:
         crossing = t_a + (log_a - self._log_tol) / self._slope
         self._delay = min(PROBE_CEILING, max(
             self.floor, crossing + _AIM_PAST / self._slope - t))
+        if t == 0.0 and len(self._chords) >= 3 and self._costs:
+            # a seeded solve's first look; look cost ½ → ¾ ceiling
+            dear = 4.0 * statistics.median(self._costs) / PROBE_CEILING
+            self._delay += (_REACH - self._delay) * min(
+                1.0, max(0.0, dear - 2.0))
         return self._delay, crossing
 
 
@@ -333,12 +345,9 @@ class MultiprocDtmRunner:
         Worker process count.  ``1`` executes the event-driven fleet
         simulator in-process (bitwise-identical to ``DtmSimulator``
         with ``use_fleet=True``); ``>1`` runs free-running workers.
-    probe_every:
-        Worker-side fallback cadence (in sweeps) for refreshing the
-        shared state buffer; coordinator probe requests override it.
     idle_sleep:
         Worker nap while it has nothing to do, and the shortest nap
-        the coordinator takes between two stop probes (the longest is
+        the coordinator takes before a look (the longest is
         the module constant :data:`PROBE_CEILING`; everything between
         is paced by the measured residual decay, see
         :class:`_ProbePacer` and PERFORMANCE.md "Stopping without a
@@ -386,7 +395,7 @@ class MultiprocDtmRunner:
     one back-substitution per subdomain plus one transport publish.
     """
 
-    def __init__(self, plan, shards: int = 2, *, probe_every: int = 8,
+    def __init__(self, plan, shards: int = 2, *,
                  idle_sleep: float = 0.001,
                  mp_context: str = "spawn",
                  ack_timeout: float = 30.0,
@@ -403,13 +412,10 @@ class MultiprocDtmRunner:
                 f"{plan.mode!r}")
         if shards < 1:
             raise ConfigurationError("shards must be >= 1")
-        if probe_every < 1:
-            raise ConfigurationError("probe_every must be >= 1")
         if idle_sleep <= 0:
             raise ConfigurationError("idle_sleep must be positive")
         self.plan = plan
         self.shards = int(shards)
-        self.probe_every = int(probe_every)
         self.idle_sleep = float(idle_sleep)
         self._pacer = _ProbePacer(self.idle_sleep)
         self.ack_timeout = float(ack_timeout)
@@ -479,8 +485,7 @@ class MultiprocDtmRunner:
                 "workers themselves")
         self._port = self.transport.bind(
             self.specs, n_slots=self._n_slots, n_states=self._n_states,
-            idle_sleep=self.idle_sleep, probe_every=self.probe_every,
-            obs_enabled=self.obs.enabled)
+            idle_sleep=self.idle_sleep, obs_enabled=self.obs.enabled)
         if self.obs.enabled:
             self._port.install_obs(self.obs)
         if spawn_workers:
@@ -573,9 +578,9 @@ class MultiprocDtmRunner:
         registered again — the hub's levelling snapshot already
         re-seeded it from the coordinator's mirrors.  While a shard is
         recovering, :meth:`_wait_acks` forgives its ack and the gather
-        uses its last published state; the stopping decision is still
-        re-verified on the gathered state, so a loss can cost extra
-        rounds, never a wrong answer.
+        uses its last published state; the stopping decision is taken
+        on that gathered state, so a loss can cost extra looks, never
+        a wrong answer.
         """
         now = time.perf_counter()
         connected = self._port.connected_shards()
@@ -622,9 +627,9 @@ class MultiprocDtmRunner:
         while pending:
             self._check_workers()
             # shards mid-recovery cannot ack: their last published
-            # states serve the gather, and the stopping decision is
-            # re-verified against it (a shard levelled while this stop
-            # is in flight sees the epoch already ended and acks)
+            # states serve the gather the stopping decision is taken
+            # on (a shard levelled while this stop is in flight sees
+            # the epoch already ended and acks)
             acks = self._port.acks()
             done = {i for i in pending
                     if int(acks[i]) >= epoch or i in self._recovering}
@@ -643,18 +648,18 @@ class MultiprocDtmRunner:
             nap = min(2.0 * nap, self.idle_sleep)
 
     # -- coordinator-side measurement -----------------------------------
-    def _gather(self) -> np.ndarray:
-        return gather_shard_states(self.plan.split,
-                                   self._port.read_states(),
+    def _gather(self, states: np.ndarray) -> np.ndarray:
+        return gather_shard_states(self.plan.split, states,
                                    self._state_off)
 
-    def _wave_fixed_point_delta(self) -> float:
+    def _wave_fixed_point_delta(self, states: np.ndarray,
+                                waves: np.ndarray) -> float:
         """Max wave change one more lockstep sweep would produce.
 
-        Computed on the *quiesced* state from data the coordinator
-        already has: the published port potentials (``states``) and
-        the wave vector give every slot's outgoing wave ``b = 2u − a``,
-        and the routing permutation says which slot it would overwrite.
+        Computed on the *quiesced* state from what the look already
+        read: the published port potentials (*states*) and the wave
+        vector give every slot's outgoing wave ``b = 2u − a``, and
+        the routing permutation says which slot it would overwrite.
         Genuine quiescence (a wave fixed point) has delta ≈ 0; a
         scheduling stall (workers preempted, waves merely *unchanged*,
         not converged) has a large delta — the check that keeps a
@@ -663,8 +668,6 @@ class MultiprocDtmRunner:
         fleet = self.plan.fleet_template
         if self._n_slots == 0:
             return 0.0
-        waves = self._port.read_waves()
-        states = self._port.read_states()
         u = states[self._port_rows]
         out = 2.0 * u[fleet.slot_port_global] - waves
         return float(np.max(np.abs(
@@ -701,7 +704,7 @@ class MultiprocDtmRunner:
 
     def solve(self, b=None, *, tol: Optional[float] = 1e-8,
               stopping=None, warm_start: bool = False,
-              wall_budget: float = 60.0, max_rounds: int = 4,
+              wall_budget: float = 60.0,
               t_max: float = 5000.0,
               sample_interval: Optional[float] = None,
               max_events: Optional[int] = None,
@@ -715,12 +718,12 @@ class MultiprocDtmRunner:
         explicit reference-needing rule is allowed there — the
         simulator path can afford the oracle).  With ``shards>1`` the
         run is wall-clock bounded by ``wall_budget`` seconds and
-        reference-needing rules are rejected.  A residual or
-        quiescence stop is re-verified on the quiesced final state
-        (residual: the rule's tolerance on a consistent gather;
-        quiescence: the wave fixed-point delta, so a scheduling stall
-        is not mistaken for convergence); a premature trigger resumes
-        sweeping, up to *max_rounds* times.
+        reference-needing rules are rejected.  The rule is judged on
+        *looks*: the shards are stopped, publish, ack, and the
+        coordinator measures that quiesced state once; a look that
+        does not end the solve resumes the shards on their live waves
+        (a quiescence stop also needs the wave fixed-point delta to
+        agree, so a scheduling stall is not mistaken for convergence).
         """
         if self._closed:
             raise MultiprocError("runner is closed")
@@ -739,8 +742,6 @@ class MultiprocDtmRunner:
                 "the solve with wall_budget")
         if wall_budget <= 0:
             raise ConfigurationError("wall_budget must be positive")
-        if max_rounds < 1:
-            raise ConfigurationError("max_rounds must be >= 1")
 
         plan = self.plan
         b_vec = plan.base_b if b is None else _as_rhs(b, plan.n)
@@ -774,94 +775,91 @@ class MultiprocDtmRunner:
         t0 = time.perf_counter()
         base_sweeps = self._port.sweep_counts()
         deadline = t0 + wall_budget
-        waves_fn = self._port.read_waves
         # a warm start does not begin at the zero state the learned
         # decay line starts from: pace it cold and learn nothing from it
         pacer = _ProbePacer(self.idle_sleep) if warm else self._pacer
         pacer.start(res_tol, fixed=quiet_thr is not None)
-        n_probes = 0
-        event = None
-        verified = True
-        final_rr = np.inf
-        series_parts = []
-        x = None
-        for _ in range(max_rounds):
+
+        def watch():
             _, monitor, _ = begin_monitor(
                 rule, tol=tol, system=(plan.a_mat, b_vec))
             res_monitor = _first(monitor, ResidualMonitor, "children")
-            residuals = None if res_monitor is None else res_monitor.series
-            n_seen = 0
+            return monitor, (None if res_monitor is None
+                             else res_monitor.series)
+
+        monitor, residuals = watch()
+        series_parts = [monitor.series]
+        n_looks = 0
+        delay, crossing = pacer.next(0.0)
+        while True:
+            # one look: let the shards run on their ports for the paced
+            # delay, quiesce them, and judge the one state they publish
             self._epoch += 1
             epoch = self._epoch
             self._port.begin_epoch(epoch)
-            if tr is not None:
-                tr.event("round", epoch=epoch)
-            delay, crossing = pacer.next(time.perf_counter() - t0)
-            while True:
-                self._port.request_probes()
-                time.sleep(max(0.0, min(
-                    delay, deadline - time.perf_counter())))
-                self._check_workers()
-                t = time.perf_counter() - t0
-                probe = StateProbe(self._gather, waves_fn)
-                event = monitor.update(t, probe)
-                n_probes += 1
-                residual = None
-                if residuals is not None and len(residuals) > n_seen:
-                    n_seen = len(residuals)
-                    residual = float(residuals.final)
-                # the prediction only places the next look; stopping
-                # takes the monitor's verdict on a measured sample
-                delay, crossing = pacer.next(t, residual)
-                if tr is not None:
-                    tr.event("probe", t=t, residual=residual,
-                             next_delay=delay, crossing=crossing)
-                if event is not None or time.perf_counter() >= deadline:
-                    break
+            left = min(delay, deadline - time.perf_counter())
+            while left > 0.0:  # a ceiling at a time, a health check between
+                time.sleep(min(left, PROBE_CEILING))
+                left -= PROBE_CEILING
+                if left > 0.0:
+                    self._check_workers()
+            stopped = time.perf_counter()
             self._port.signal_stop(epoch)
-            if event is not None and event.rule == "residual" \
-                    and crossing is not None:
-                self._h_overshoot.observe(max(
-                    0.0, time.perf_counter() - t0 - crossing))
             self._wait_acks(epoch, deadline)
-            # consistent post-quiescence measurement
             t = time.perf_counter() - t0
-            x = self._gather()
-            final_rr = relative_residual(plan.a_mat, x, b_vec)
+            n_looks += 1
+            states = self._port.read_states()
+            probe = StateProbe(lambda: self._gather(states),
+                               self._port.read_waves)
+            n_seen = 0 if residuals is None else len(residuals)
+            event = monitor.update(t, probe)
+            out_of_budget = time.perf_counter() >= deadline
+            if event is None and out_of_budget:
+                # rules that sample sparsely (ResidualRule.every) must
+                # still judge the state the solve ends on
+                event = monitor.finalize(t, probe)
+            residual = float(residuals.final) \
+                if residuals is not None and len(residuals) > n_seen \
+                else None
+            # the prediction only places the next look; stopping takes
+            # the monitor's verdict on this measured, quiesced sample
+            delay, crossing = pacer.next(
+                t, residual, time.perf_counter() - stopped)
             if tr is not None:
-                tr.event("stop_check", epoch=epoch,
-                         residual=float(final_rr))
-            if event is None:
-                event = monitor.finalize(
-                    t, StateProbe(lambda: x, waves_fn))
-            series_parts.append(monitor.series)
-            if event is None:  # budget exhausted without a stop
+                tr.event("probe", epoch=epoch, t=t, residual=residual,
+                         next_delay=delay, crossing=crossing)
+            if event is not None and event.rule == "quiescence" \
+                    and quiet_thr is not None \
+                    and self._wave_fixed_point_delta(
+                        states, probe.waves) > quiet_thr:
+                # a scheduling stall (waves unchanged because workers
+                # were preempted), not a fixed point: look on with a
+                # fresh monitor, its latch and streak forgotten
+                event = None
+                monitor, residuals = watch()
+                series_parts.append(monitor.series)
+            if event is not None or out_of_budget:
                 break
-            # re-verify convergence claims on the quiesced state: a
-            # residual stop may have fired on a torn probe, and a
-            # quiescence stop may have sampled a scheduling stall
-            # (waves unchanged because workers were preempted, not
-            # because they converged)
-            verified = True
-            if event.rule == "residual" and res_tol is not None:
-                verified = final_rr <= res_tol
-            elif event.rule == "quiescence" and quiet_thr is not None:
-                verified = self._wave_fixed_point_delta() <= quiet_thr
-            if verified or time.perf_counter() >= deadline:
-                break
-            event = None  # premature: resume sweeping on live state
+            # above tol: the next begin_epoch resumes the shards on
+            # their untouched live waves
+        x = probe.x
+        final_rr = residual if residual is not None \
+            else relative_residual(plan.a_mat, x, b_vec)
+        if event is not None and event.rule == "residual" \
+                and crossing is not None:
+            self._h_overshoot.observe(max(0.0, t - crossing))
 
         wall = time.perf_counter() - t0
         pacer.finish()
         self._last_waves = self._port.read_waves()
         self.n_solves += 1
         self._c_solves.inc()
-        self._h_probes.observe(n_probes)
+        self._h_probes.observe(n_looks)
         self._sync_sweep_counters()
         self._active_trace = None
         served = plan.record_solve()
         reports = self.shard_reports(base_sweeps)
-        converged = event is not None and event.converged and verified
+        converged = event is not None and event.converged
         if tr is not None:
             tr.event("stop",
                      rule=event.rule if event is not None else None,

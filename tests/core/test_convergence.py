@@ -47,6 +47,63 @@ def test_relative_residual_zero_rhs():
     assert relative_residual(a, np.zeros(2), np.zeros(2)) == 0.0
 
 
+def _laplacian_1d(n):
+    i = np.arange(n)
+    return CsrMatrix.from_coo(
+        np.concatenate([i, i[1:], i[:-1]]),
+        np.concatenate([i, i[:-1], i[1:]]),
+        np.concatenate([np.full(n, 2.5), np.full(2 * (n - 1), -1.0)]),
+        (n, n))
+
+
+def test_relative_residual_stays_off_the_blas_pool(monkeypatch):
+    """Every coordinator look calls this while the shard workers need
+    both cores: ``np.linalg.norm`` / ``np.dot`` would wake the BLAS
+    helper threads, which then spin on one of them."""
+    def blas(*args, **kwargs):
+        raise AssertionError("a stopping check reached BLAS")
+
+    monkeypatch.setattr(np.linalg, "norm", blas)
+    monkeypatch.setattr(np, "dot", blas)
+    a = _laplacian_1d(50)
+    x = np.linspace(0.0, 1.0, 50)
+    assert relative_residual(a, x, a.matvec(x)) == 0.0
+    assert relative_residual(a, np.zeros(50), np.ones(50)) \
+        == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n", [3, 1000, 57600])
+def test_relative_residual_agrees_with_the_blas_formula(n):
+    rng = np.random.default_rng(n)
+    a = _laplacian_1d(n)
+    for scale in (1.0, 1e-9, 1e7):
+        x = rng.standard_normal(n)
+        b = scale * rng.standard_normal(n)
+        blas = np.linalg.norm(b - a.matvec(x)) / np.linalg.norm(b)
+        assert relative_residual(a, x, b) == pytest.approx(blas, rel=1e-14)
+
+
+def test_relative_residual_zero_rhs_and_inclusive_stop_on_sparse():
+    from repro.core.convergence import (
+        ResidualRule,
+        SolveContext,
+        StateProbe,
+    )
+
+    a = _laplacian_1d(4)
+    x = np.array([1.0, 0.0, 0.0, 0.0])
+    # ‖b‖ = 0: the denominator is 1, the measure is ‖A x‖ itself
+    assert relative_residual(a, x, np.zeros(4)) \
+        == pytest.approx(np.sqrt(2.5 ** 2 + 1.0))
+    # a residual exactly at the tolerance counts as converged
+    b = np.ones(4)
+    at_tol = relative_residual(a, x, b)
+    monitor = ResidualRule(tol=at_tol).begin(SolveContext(a=a, b=b))
+    event = monitor.update(0.0, StateProbe(lambda: x))
+    assert event is not None and event.converged
+    assert event.metric == at_tol
+
+
 def test_tracker_records_and_converges():
     ref = np.array([1.0, 1.0])
     tr = ConvergenceTracker(reference=ref, tol=0.1)

@@ -181,6 +181,31 @@ class TestGridSplit:
         x = np.arange(float(g.n))
         assert np.allclose(res.gather(res.spread(x), mode="first"), x)
 
+    def test_gather_counts_copies_once_and_stays_bitwise(self):
+        """The copy count is a constant of the split: computed by the
+        first gather, shared with ``with_sources`` variants, and the
+        assembled vector is bit for bit what counting per call gave."""
+        g, res = self.make(9, 3)
+        rng = np.random.default_rng(1)
+        locals_ = [rng.standard_normal(s.n_local) for s in res.subdomains]
+        acc, cnt = np.zeros(g.n), np.zeros(g.n)
+        for sub, vec in zip(res.subdomains, locals_):
+            np.add.at(acc, sub.global_vertices, vec)
+            np.add.at(cnt, sub.global_vertices, 1.0)
+        first = res.gather(locals_)
+        counts = res._copy_counts
+        assert np.array_equal(first, acc / cnt)
+        assert np.array_equal(res.gather(locals_), first)
+        assert res._copy_counts is counts
+        assert res.with_sources(np.ones(g.n))._copy_counts is counts
+        # mode="first": the first copy's value, in part order
+        picked = res.gather(locals_, mode="first")
+        for v in res.split_vertices:
+            q = min(res.copies[v])
+            sub = res.subdomains[q]
+            assert picked[v] == locals_[q][
+                list(sub.global_vertices).index(v)]
+
     def test_gather_validation(self):
         g, res = self.make(9, 2)
         with pytest.raises(ValidationError):

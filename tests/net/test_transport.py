@@ -20,18 +20,25 @@ Covers the tentpole contract:
 """
 
 import faulthandler
+import os
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.api import ResidualRule, solve_dtm
 from repro.core.convergence import QuiescenceRule, relative_residual
-from repro.errors import ConfigurationError, TransportError
+from repro.errors import ConfigurationError, ProtocolError, TransportError
 from repro.net import mesh, wire
 from repro.net.mesh import MeshTransport, MeshWorkerPort
-from repro.net.transport import ShmTransport, resolve_transport
+from repro.net import transport as transport_mod
+from repro.net.transport import (
+    ShmTransport,
+    open_worker_port,
+    resolve_transport,
+)
 from repro.net.worker import run_worker
 from repro.plan import build_plan
 from repro.runtime.multiproc import MultiprocDtmRunner
@@ -85,17 +92,94 @@ class TestResolution:
         specs = extract_shards(plan, 2)
         for transport in (ShmTransport(), MeshTransport()):
             port = transport.bind(specs, n_slots=8, n_states=8,
-                                  idle_sleep=0.001, probe_every=8)
+                                  idle_sleep=0.001)
             try:
                 with pytest.raises(ConfigurationError):
                     transport.bind(specs, n_slots=8, n_states=8,
-                                   idle_sleep=0.001, probe_every=8)
+                                   idle_sleep=0.001)
             finally:
                 port.close()
 
     def test_descriptor_requires_bind(self):
         with pytest.raises(ConfigurationError):
             MeshTransport().worker_descriptor(0)
+
+
+class TestShmIdleWait:
+    """Between two epochs an shm worker blocks on its wake semaphore.
+    It used to sleep-poll EPOCH, and each of those wake-ups — while the
+    coordinator computed the next right-hand-side swap on one core —
+    was placed on the other: a third of nx=240's epochs began with both
+    workers on one core, sharing it until the scheduler's next balance
+    tick."""
+
+    @pytest.fixture
+    def ports(self, plan):
+        """``(coordinator port, worker port of shard 0)`` in-process."""
+        with MultiprocDtmRunner(plan, shards=2,
+                                spawn_workers=False) as runner:
+            _, worker, _ = open_worker_port(
+                runner.transport.worker_descriptor(0))
+            try:
+                yield runner._port, worker
+            finally:
+                worker.close()
+
+    @staticmethod
+    def _wait_in_thread(worker):
+        woke = threading.Event()
+        threading.Thread(
+            target=lambda: (worker.idle_wait(1e-3), woke.set()),
+            daemon=True).start()
+        return woke
+
+    def test_blocks_until_the_epoch_is_posted(self, ports):
+        coordinator, worker = ports
+        woke = self._wait_in_thread(worker)
+        assert not woke.wait(0.05)  # fifty idle_sleeps: not a poll
+        coordinator.begin_epoch(1)
+        assert woke.wait(5.0)
+        assert worker.current_epoch() == 1
+
+    def test_shutdown_wakes_it_too(self, ports):
+        coordinator, worker = ports
+        woke = self._wait_in_thread(worker)
+        assert not woke.wait(0.05)
+        coordinator.shutdown()
+        assert woke.wait(5.0)
+        assert worker.shutdown_requested()
+
+    def test_every_epoch_posts_one_wake_per_shard(self, ports):
+        """A worker that entered an epoch unasked (it was still busy
+        when the wake came) finds the wake later: one empty pass of
+        the idle loop, then it blocks again."""
+        coordinator, worker = ports
+        coordinator.begin_epoch(1)
+        coordinator.begin_epoch(2)
+        start = time.perf_counter()
+        worker.idle_wait(1e-3)
+        worker.idle_wait(1e-3)
+        assert time.perf_counter() - start < 0.05
+        assert not self._wait_in_thread(worker).wait(0.05)
+        coordinator.shutdown()
+
+    def test_a_silent_coordinator_is_waited_for_with_patience(
+            self, ports, monkeypatch):
+        """... so a worker whose coordinator died re-reads the control
+        words now and then, as the polling loop did."""
+        _, worker = ports
+        monkeypatch.setattr(transport_mod, "_IDLE_PATIENCE", 0.02)
+        start = time.perf_counter()
+        worker.idle_wait(1e-3)
+        assert 0.02 <= time.perf_counter() - start < 1.0
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                        reason="named segments are not listed here")
+    def test_close_leaves_no_semaphore_behind(self, plan):
+        before = set(os.listdir("/dev/shm"))
+        with MultiprocDtmRunner(plan, shards=2, spawn_workers=False):
+            assert set(os.listdir("/dev/shm")) - before
+        assert set(os.listdir("/dev/shm")) == before
 
 
 class TestTcpSolve:
@@ -256,6 +340,28 @@ class TestHandshake:
             with pytest.raises(TransportError):
                 MeshWorkerPort(transport.host, transport.port,
                                transport.token, 99)
+
+    def test_another_build_parts_at_spec_by_name(self, plan, monkeypatch):
+        """A coordinator and a worker of different builds (here: the
+        payload schema from before the probe channel went) part at the
+        SPEC frame with a ``ProtocolError`` naming both schemas — not
+        with a ``KeyError`` on a header field one of them stopped
+        sending (``probe_every``)."""
+        from repro.plan import shard
+
+        transport = MeshTransport()
+        with monkeypatch.context() as old_build:
+            old_build.setattr(shard, "PAYLOAD_SCHEMA",
+                              "repro-shard-payload/1")
+            runner = MultiprocDtmRunner(plan, shards=2,
+                                        transport=transport,
+                                        spawn_workers=False)
+        with runner:
+            with pytest.raises(ProtocolError,
+                               match="repro-shard-payload/1.*"
+                                     "repro-shard-payload/2"):
+                MeshWorkerPort(transport.host, transport.port,
+                               transport.token, 0)
 
     def test_peer_bad_token_rejected(self, plan):
         """A dialler without the shared token never gets to write a

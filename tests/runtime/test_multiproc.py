@@ -16,18 +16,22 @@ Covers the numerical contract end to end:
   stopping-rule invariants of ``tests/test_stopping_integration.py``;
 * the stop protocol — ``_run_worker`` against a scripted in-memory
   port: a STOP that overtook the epoch bump ends that epoch, a STOP
-  left over from the previous epoch does not;
-* probe pacing — the coordinator against a scripted port and a fake
-  clock: a geometric residual is stopped at its crossing in a probe or
-  two, a stalled one falls back to the ceiling cadence, a quiescence
-  solve keeps the fixed cadence, no nap outlives the wall budget, and
-  STOP is only ever raised on a measured ``residual <= tol``;
+  left over from the previous epoch does not, and the interiors are
+  computed and published exactly once per epoch, between STOP and ack;
+* look pacing — the coordinator against a scripted port and a fake
+  clock: a look is STOP → ack → one measurement of the quiesced state
+  → done | resume under the next epoch; a geometric residual is
+  stopped at its crossing in a look or two, a stalled one falls back
+  to the ceiling cadence, a quiescence solve keeps the fixed cadence,
+  no nap outlives the ceiling or the wall budget, and a solve reports
+  ``converged`` only if its last look measured ``residual <= tol``;
 * the serving layer — plan store keying, warm runners, the serve loop.
 """
 
 import faulthandler
 import math
 import threading
+import time
 from contextlib import contextmanager
 from unittest import mock
 
@@ -40,6 +44,7 @@ from repro.api import QuiescenceRule, ReferenceRule, ResidualRule, solve_dtm
 from repro.core.convergence import StateProbe, begin_monitor, relative_residual
 from repro.core.fleet import ShardKernel, extract_shard_kernel
 from repro.errors import ConfigurationError, MultiprocError, ValidationError
+from repro.linalg.sparse import CsrMatrix
 from repro.plan import build_plan
 from repro.plan.session import SolverSession
 from repro.plan.shard import (
@@ -51,6 +56,7 @@ from repro.plan.shard import (
 from repro.net.transport import CoordinatorPort, Transport, WorkerPort
 from repro.runtime import multiproc
 from repro.runtime.multiproc import (
+    _REACH,
     PROBE_CEILING,
     EdgeMailbox,
     MultiprocDtmRunner,
@@ -331,23 +337,29 @@ class TestMailboxProperty:
 # the stop protocol, against a scripted port (no process, no clock)
 # ----------------------------------------------------------------------
 class ScriptedPort(WorkerPort):
-    """In-memory worker port presenting fixed EPOCH/STOP control words.
+    """In-memory worker port presenting scripted EPOCH/STOP words.
 
-    ``stop_after`` sweeps, STOP is raised to the live epoch; the first
-    ack ends the script by requesting shutdown.
+    ``stop_after`` sweeps of an epoch, STOP is raised to it; an ack —
+    or, with ``idle_waits``, that many idle waits after it — starts
+    the next epoch until ``epochs`` have been served, the last one ends
+    the script by requesting shutdown.  ``log`` keeps the order of
+    everything the loop did.
     """
 
-    def __init__(self, spec, x0, *, epoch, stop, stop_after=None):
+    def __init__(self, spec, x0, *, epoch, stop, stop_after=None,
+                 epochs=1, idle_waits=0):
         self.epoch = epoch
         self.stop = stop
         self.stop_after = stop_after
+        self.idle_waits = idle_waits
+        self.last_epoch = epoch + epochs - 1
         self.x0 = x0[spec.state_lo:spec.state_hi]
         self.waves = np.zeros(spec.slot_hi - spec.slot_lo)
         self.loop_local = spec.loopback.dest_slots - spec.slot_lo
         self.loop_pos = spec.loopback.emit_pos
         self.sweeps = 0
-        self.acks = []
-        self.published = []
+        self.epoch_start = 0
+        self.log = []
         self.shutdown = False
 
     def shutdown_requested(self):
@@ -373,21 +385,33 @@ class ScriptedPort(WorkerPort):
 
     def record_sweeps(self, total):
         self.sweeps = total
-        if self.stop_after is not None and total >= self.stop_after:
+        self.log.append(("sweep", total))
+        if self.stop_after is not None \
+                and total - self.epoch_start >= self.stop_after:
             self.stop = self.epoch
 
     def publish_states(self, states, sweeps):
-        self.published.append(sweeps)
-
-    def probe_requested(self):
-        return False
-
-    def clear_probe(self):
-        pass
+        self.log.append(("publish", sweeps))
 
     def ack(self, epoch):
-        self.acks.append(epoch)
-        self.shutdown = True
+        self.log.append(("ack", epoch))
+        if not self.idle_waits:
+            self._move_on()
+
+    def idle_wait(self, idle_sleep):
+        self.log.append(("idle", idle_sleep))
+        if len(self.events("idle")) % self.idle_waits == 0:
+            self._move_on()
+
+    def _move_on(self):
+        if self.epoch >= self.last_epoch:
+            self.shutdown = True
+        else:
+            self.epoch += 1
+            self.epoch_start = self.sweeps
+
+    def events(self, kind):
+        return [value for k, value in self.log if k == kind]
 
 
 class TestStopProtocol:
@@ -395,39 +419,70 @@ class TestStopProtocol:
         spec = extract_shards(poisson_plan, 2)[0]
         x0 = np.concatenate([loc.x0 for loc in poisson_plan.base_locals])
         port = ScriptedPort(spec, x0, **script)
-        worker = threading.Thread(
-            target=_run_worker, args=(spec, port, 1e-4, 8), daemon=True)
-        worker.start()
-        worker.join(timeout=10.0)
-        hung = worker.is_alive()
-        port.shutdown = True  # release a spinning loop either way
-        worker.join(timeout=10.0)
+        with mock.patch.object(
+                spec.kernel, "full_states",
+                wraps=spec.kernel.full_states) as full_states:
+            worker = threading.Thread(
+                target=_run_worker, args=(spec, port, 1e-4), daemon=True)
+            worker.start()
+            worker.join(timeout=10.0)
+            hung = worker.is_alive()
+            port.shutdown = True  # release a spinning loop either way
+            worker.join(timeout=10.0)
         assert not hung, "worker never acknowledged the epoch"
+        port.n_full_states = full_states.call_count
         return port
 
     def test_stop_raised_before_the_worker_saw_the_epoch(
             self, poisson_plan):
-        """Same RHS twice: stale states satisfy the rule at the first
-        poll, so STOP(N) can overtake a descheduled worker's view of
-        EPOCH=N.  It must end epoch N — zero sweeps, one ack — not be
-        waited out as a leftover while the coordinator waits for the
-        ack (the re-verification turns it into one extra round)."""
+        """A look aimed at (or cut by the budget to) almost nothing:
+        STOP(N) can overtake a descheduled worker's view of EPOCH=N.
+        It must end epoch N — zero sweeps, one publish, one ack — not
+        be waited out as a leftover while the coordinator waits for
+        the ack."""
         port = self._drive(poisson_plan, epoch=3, stop=3)
-        assert port.acks == [3]
-        assert port.sweeps == 0
-        assert port.published  # x0-consistent state before the ack
+        assert port.log == [("publish", 0), ("ack", 3)]
+        assert port.n_full_states == 1
 
     def test_leftover_stop_does_not_end_the_next_epoch(
             self, poisson_plan):
         """STOP still names epoch N-1 when N starts (begin_epoch no
         longer clears it): the worker sweeps until STOP reaches N."""
         port = self._drive(poisson_plan, epoch=3, stop=2, stop_after=5)
-        assert port.acks == [3]
+        assert port.events("ack") == [3]
         assert port.sweeps == 5
+
+    def test_interiors_are_computed_once_per_epoch(self, poisson_plan):
+        """The loop touches ports only: however long an epoch sweeps,
+        ``full_states`` runs (and is published) exactly once — after
+        STOP, before the ack — and never between two sweeps."""
+        port = self._drive(poisson_plan, epoch=1, stop=0, stop_after=40,
+                           epochs=3)
+        assert port.sweeps == 120
+        assert port.n_full_states == 3
+        assert port.events("publish") == [40, 80, 120]
+        assert port.events("ack") == [1, 2, 3]
+        for i, (kind, _) in enumerate(port.log):
+            if kind == "publish":
+                assert port.log[i + 1][0] == "ack"
+
+    def test_between_epochs_the_loop_waits_on_its_port(self, poisson_plan):
+        """How an idle shard waits is the fabric's business — shm
+        blocks on a wake semaphore, the default is a poll nap — so the
+        loop asks the port, and re-reads EPOCH and SHUTDOWN after every
+        return: a wait that returns early (a leftover wake, the
+        blocking port's patience) is an empty pass, not an epoch."""
+        port = self._drive(poisson_plan, epoch=1, stop=0, stop_after=4,
+                           epochs=2, idle_waits=3)
+        assert port.events("idle") == [1e-4] * 6
+        assert port.events("ack") == [1, 2]
+        assert port.sweeps == 8 and port.n_full_states == 2
+        assert [kind for kind, _ in port.log[-4:]] \
+            == ["ack", "idle", "idle", "idle"]
 
 
 # ----------------------------------------------------------------------
-# probe pacing, against a scripted coordinator port and a fake clock
+# look pacing, against a scripted coordinator port and a fake clock
 # ----------------------------------------------------------------------
 class FakeClock:
     """``time`` stand-in for the runner: only naps move the clock."""
@@ -446,11 +501,12 @@ class FakeClock:
 
 
 class ScriptedCoordinatorPort(CoordinatorPort):
-    """Workers replaced by a script: the published states have relative
-    residual ``residual_of(seconds since the right-hand side landed)``,
-    and every shard acks ``ack_delay`` seconds after STOP names the
-    epoch.  Records what the last gather measured whenever STOP is
-    raised."""
+    """Workers replaced by a script: ``residual_of(seconds since the
+    right-hand side landed)`` is the relative residual of what the
+    shards hold, they keep sweeping until they ack, ``ack_delay``
+    seconds after STOP names the epoch, and then hold still until the
+    next epoch begins.  Reading states outside that quiesced window is
+    an error: a look must measure what the shards hold at the look."""
 
     def __init__(self, plan, clock, n_shards):
         self.plan = plan
@@ -459,10 +515,14 @@ class ScriptedCoordinatorPort(CoordinatorPort):
         self.residual_of = None
         self.ack_delay = 0.0
         self.t0 = clock.now
+        self.epoch = 0
         self.stop = 0
         self.stop_time = 0.0
-        self.served = []  # (solve time, residual) per read_states
-        self.stops = []  # (solve time, last residual served)
+        self.epochs = []  # every begin_epoch
+        self.stops = []  # (epoch, solve time) per signal_stop
+        self.served = []  # (solve time held, residual) per read_states
+        self.wave_writes = 0
+        self.wave_level = 0.0
         n = plan.n
         self.x_star = np.linalg.solve(plan.a_mat.to_dense(), plan.base_b)
         e = np.random.default_rng(0).standard_normal(n)
@@ -471,12 +531,14 @@ class ScriptedCoordinatorPort(CoordinatorPort):
         self.n_slots = plan.fleet_template.n_slots_total
 
     def begin_epoch(self, epoch):
-        pass
+        self.epoch = epoch
+        self.epochs.append(epoch)
 
     def signal_stop(self, epoch):
+        assert epoch == self.epoch, "STOP names the epoch it ends"
         self.stop = epoch
         self.stop_time = self.clock.now
-        self.stops.append((self.clock.now - self.t0, self.served[-1][1]))
+        self.stops.append((epoch, self.clock.now - self.t0))
 
     def shutdown(self):
         pass
@@ -485,13 +547,18 @@ class ScriptedCoordinatorPort(CoordinatorPort):
         self.t0 = self.clock.now
 
     def write_waves(self, waves):
-        pass
+        self.wave_writes += 1
 
     def read_waves(self):
-        return np.zeros(self.n_slots)
+        return np.full(self.n_slots, self.wave_level)
+
+    def _quiesced(self):
+        return self.stop == self.epoch \
+            and self.clock.now >= self.stop_time + self.ack_delay
 
     def read_states(self):
-        t = self.clock.now - self.t0
+        assert self._quiesced(), "states read while the shards run"
+        t = self.stop_time + self.ack_delay - self.t0
         r = float(self.residual_of(t))
         self.served.append((t, r))
         return np.concatenate(
@@ -501,14 +568,11 @@ class ScriptedCoordinatorPort(CoordinatorPort):
         return np.zeros(self.n_shards, dtype=np.int64)
 
     def acks(self):
-        acked = self.clock.now >= self.stop_time + self.ack_delay
-        return np.full(self.n_shards, self.stop if acked else 0)
+        return np.full(self.n_shards,
+                       self.stop if self._quiesced() else 0)
 
     def failed_shard(self):
         return 0
-
-    def request_probes(self):
-        pass
 
     def close(self):
         pass
@@ -573,14 +637,14 @@ class TestProbePacing:
                 seeded, _ = self._solve(runner, port, script)
                 assert seeded.converged
                 assert len(seeded.errors) <= 2
-                assert crossing <= port.stops[-1][0] \
+                assert crossing <= port.stops[-1][1] \
                     <= crossing + self.IDLE
-            # the steady state: one probe, placed just past the crossing
+            # the steady state: one look, placed just past the crossing
             assert len(seeded.errors) == 1
 
     def test_rate_survives_a_change_of_tolerance(self, poisson_plan):
         """The learned slope is the plan's: a tighter tolerance on the
-        next solve moves the first probe out along the same line."""
+        next solve moves the first look out along the same line."""
         with scripted_runner(poisson_plan) as (runner, port, _):
             script = geometric(0.006, 1e-6)
             for _ in range(3):
@@ -589,6 +653,44 @@ class TestProbePacing:
             res = runner.solve(stopping=ResidualRule(tol=1e-8))
             assert res.converged and len(res.errors) <= 2
             assert res.relative_residual <= 1e-8
+
+    def test_a_look_is_one_quiesced_measurement(self, poisson_plan):
+        """Every look — the ones that resume and the one that ends the
+        solve, converged or out of budget — reads the states once and
+        multiplies by the matrix once: nothing is measured twice."""
+        with scripted_runner(poisson_plan) as (runner, port, _), \
+                mock.patch.object(
+                    CsrMatrix, "matvec", autospec=True,
+                    side_effect=CsrMatrix.matvec) as matvec:
+            for script, budget in ((geometric(0.02), 60.0),  # cold
+                                   (geometric(0.02), 60.0),  # seeded
+                                   (lambda t: 1e-3, 0.025)):  # no stop
+                del port.stops[:]
+                matvec.reset_mock()
+                res, served = self._solve(runner, port, script,
+                                          wall_budget=budget)
+                assert res.converged == (budget == 60.0)
+                assert len(res.errors) >= 2
+                assert len(port.stops) == len(served) == len(res.errors)
+                assert matvec.call_count == len(res.errors)
+                assert res.relative_residual == res.errors.values[-1] \
+                    == pytest.approx(served[-1][1], rel=1e-6)
+
+    def test_a_look_above_tol_resumes_on_untouched_waves(
+            self, poisson_plan):
+        """done | resume: each look is its own epoch, STOP names it,
+        and the only thing between two looks of a solve is the next
+        ``begin_epoch`` — the live waves are not rewritten."""
+        with scripted_runner(poisson_plan) as (runner, port, _):
+            first_epoch = runner._epoch + 1
+            res, served = self._solve(runner, port, geometric(0.03))
+            n = len(served)
+            assert res.converged and n >= 3
+            assert port.epochs == list(range(first_epoch, first_epoch + n))
+            assert [epoch for epoch, _ in port.stops] == port.epochs
+            assert port.wave_writes == 1  # the solve's own reset
+            assert all(r > self.TOL for _, r in served[:-1])
+            assert served[-1][1] <= self.TOL
 
     @pytest.mark.parametrize("script", [
         lambda t: 1e-3,  # stalled
@@ -607,7 +709,7 @@ class TestProbePacing:
             for prev, nap in zip(naps[1:], naps[2:]):
                 assert nap >= min(PROBE_CEILING, 2.0 * prev) - 1e-12
             assert naps[-3:] == [PROBE_CEILING] * 3
-            assert len(served) - 1 <= 4 + 0.085 / PROBE_CEILING
+            assert len(served) <= 4 + 0.085 / PROBE_CEILING
 
     def test_quiescence_rule_keeps_the_fixed_cadence(self, poisson_plan):
         """Its metric is the wave change per sample interval: the
@@ -629,9 +731,31 @@ class TestProbePacing:
                          wall_budget=0.035)
             assert clock.naps[:3] == [PROBE_CEILING] * 3
 
-    def test_no_nap_outlives_the_wall_budget(self, poisson_plan):
-        """A budget shorter than the probe ceiling used to be slept
-        through: the first deadline check came after a full 10 ms."""
+    def test_a_scheduling_stall_is_not_quiescence(self, poisson_plan):
+        """Waves that merely stopped changing (workers preempted) fire
+        the rule's patience, but one more sweep would still move them:
+        the fixed-point delta on the quiesced state says so, and the
+        solve looks on — with a fresh monitor — instead of stopping."""
+        with scripted_runner(poisson_plan) as (runner, port, _):
+            port.residual_of = lambda t: 1e-2
+            port.wave_level = 1.0  # active, then unchanged for good
+            res = runner.solve(
+                stopping=QuiescenceRule(threshold=1e-10, patience=2),
+                wall_budget=0.095)
+            assert not res.converged and res.stopped_by is None
+            # patience is met at every third look; each time a monitor
+            # is dropped, its first look only snapshots
+            assert len(port.stops) >= 9
+            assert len(res.errors) == len(port.stops) \
+                - math.ceil(len(port.stops) / 3)
+            assert res.relative_residual == pytest.approx(1e-2, rel=1e-6)
+
+    def test_no_nap_outlives_the_ceiling_or_the_wall_budget(
+            self, poisson_plan):
+        """A budget shorter than the ceiling used to be slept through;
+        and a look aimed past the ceiling is a measured hazard, not a
+        formality: the first chord of a fresh mesh runner absorbs its
+        workers' boot time, and following it gave a 10 s first solve."""
         with scripted_runner(poisson_plan) as (runner, port, clock):
             port.ack_delay = 3e-4
             port.residual_of = geometric(0.5)
@@ -649,6 +773,41 @@ class TestProbePacing:
                                wall_budget=0.002)
             assert not res.converged
             assert clock.now - start <= 0.002 + port.ack_delay + self.IDLE
+            # ... and a slow line (booting workers: 2 s to the crossing)
+            # is looked at every ceiling, never slept towards
+            del clock.naps[:]
+            res, _ = self._solve(runner, port, geometric(2.0, start=1.5),
+                                 wall_budget=60.0)
+            assert res.converged
+            assert max(clock.naps) <= PROBE_CEILING
+
+    def test_dear_looks_are_taken_once_at_the_reach(
+            self, poisson_plan):
+        """A seeded solve whose looks are dear (12 ms here, 8–10 at
+        nx=240) looks once, at a fixed wall time three ceilings out —
+        napped a ceiling at a time with a health check in between —
+        and a crossing that wanders a quarter either way (a shard that
+        lost its core for a while) moves neither the look nor their
+        number.  Only a rate learned from three finished solves
+        reaches past the ceiling."""
+        with scripted_runner(poisson_plan) as (runner, port, clock):
+            port.ack_delay = 0.012
+            for _ in range(3):
+                self._solve(runner, port, geometric(0.010))
+            assert max(t for _, t in port.stops) <= PROBE_CEILING
+            checks = []
+            with mock.patch.object(
+                    runner, "_check_workers",
+                    side_effect=lambda: checks.append(len(clock.naps))):
+                for crossing in (0.010, 0.0125, 0.0075):
+                    del clock.naps[:], checks[:]
+                    res, served = self._solve(runner, port,
+                                              geometric(crossing))
+                    assert res.converged and len(served) == 1
+                    assert port.stops[-1][1] == pytest.approx(_REACH)
+                    assert clock.naps[:3] == pytest.approx(
+                        [PROBE_CEILING] * 3)
+                    assert {1, 2} <= set(checks)  # between the naps
 
     def test_ack_wait_backs_off_from_microseconds(self, poisson_plan):
         with scripted_runner(poisson_plan) as (runner, port, clock):
@@ -672,20 +831,22 @@ class TestProbePacing:
         with scripted_runner(poisson_plan) as (runner, port, clock):
             port.ack_delay = 0.05
             port.residual_of = geometric(0.5)
+            # (the budget cuts the first nap short: STOP is raised at
+            # the very moment it runs out)
             res = runner.solve(stopping=ResidualRule(tol=self.TOL),
-                               wall_budget=0.002)
+                               wall_budget=5e-4)
             assert not res.converged
             handshake = [nap for nap, t in zip(clock.naps, np.cumsum(
-                clock.naps)) if t > 0.002]
+                clock.naps)) if t > 5e-4]
             assert handshake[:3] == [2e-5, 4e-5, 8e-5]
             assert handshake[-1] == self.IDLE
             assert len(handshake) <= 8 + port.ack_delay / self.IDLE
 
-    def test_wrongly_seeded_rate_costs_a_bounded_number_of_probes(
+    def test_wrongly_seeded_rate_costs_a_bounded_number_of_looks(
             self, poisson_plan):
         """A host that got 5x slower between two solves: the third
         sample of the slow solve measures its slope, so the seed is
-        paid for with two probes, not a geometric re-probe down to the
+        paid for with two looks, not a geometric re-look down to the
         floor."""
         with scripted_runner(poisson_plan) as (runner, port, _):
             for _ in range(3):
@@ -693,32 +854,40 @@ class TestProbePacing:
             slow, _ = self._solve(runner, port, geometric(0.020))
             assert slow.converged
             assert len(slow.errors) <= 4
-            assert 0.020 <= port.stops[-1][0] <= 0.020 + 2 * self.IDLE
+            assert 0.020 <= port.stops[-1][1] <= 0.020 + 2 * self.IDLE
 
     @given(crossings=st.lists(st.floats(0.0015, 0.06), min_size=2,
                               max_size=4),
            r0=st.floats(1e-3, 0.9),
-           wobble=st.floats(0.0, 0.6))
+           wobble=st.floats(0.0, 0.6),
+           budget=st.sampled_from([60.0, 60.0, 0.02]))
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_stop_only_ever_follows_a_measured_sample(
-            self, poisson_plan, crossings, r0, wobble):
+    def test_converged_means_the_last_quiesced_measurement_met_tol(
+            self, poisson_plan, crossings, r0, wobble, budget):
         """Solves whose decay keeps changing under the pacer (so its
         learned rate is wrong every time) and wobbles around its line:
-        a prediction may misplace a probe, never raise STOP."""
+        a prediction may misplace a look, never decide one.  What the
+        solve reports is what its last look measured on the quiesced
+        shards — converged exactly when that was within tolerance."""
         with scripted_runner(poisson_plan) as (runner, port, _):
             for k, crossing in enumerate(crossings):
                 line = geometric(crossing, self.TOL, r0=r0)
                 res, served = self._solve(
                     runner, port,
                     lambda t: line(t) * (1.0 + wobble * math.sin(
-                        3e3 * t + k)))
-                t_stop, measured = port.stops[-1]
-                assert measured <= self.TOL
-                assert res.converged
-                assert res.relative_residual <= self.TOL
-                # re-verified on the quiesced state, after the stop
-                assert served[-1][0] >= t_stop
+                        3e3 * t + k)),
+                    wall_budget=budget)
+                t_held, held = served[-1]
+                measured = res.errors.values[-1]
+                assert measured == pytest.approx(held, rel=1e-6)
+                assert res.converged == (measured <= self.TOL)
+                assert res.relative_residual == measured
+                assert np.all(res.errors.values[:-1] > self.TOL)
+                # measured on what the shards held after the last STOP
+                assert t_held >= port.stops[-1][1]
+                if budget == 60.0:
+                    assert res.converged
 
     def test_probe_trace_and_histograms(self, poisson_plan):
         with scripted_runner(poisson_plan, obs=True) as (runner, port, _):
@@ -729,6 +898,7 @@ class TestProbePacing:
                       if r["kind"] == "probe"]
             assert len(probes) == len(res.errors) == 1
             (probe,) = probes
+            assert probe["epoch"] == port.epochs[-1]
             assert probe["residual"] == res.errors.values[0]
             assert probe["crossing"] == pytest.approx(0.006, abs=5e-4)
             assert 0.0 < probe["next_delay"] <= PROBE_CEILING
@@ -802,6 +972,38 @@ class TestProbePacer:
         pacer.start(1e-6, fixed=False)
         assert pacer.next(0.001, 0.5)[0] == 1e-2  # crossing far away
         assert pacer.next(0.0105, 1.1e-6)[0] == 1e-3  # crossing now
+
+    @pytest.mark.parametrize("cost, first", [
+        (None, 0.0065),  # no look timed yet: the line's aim
+        (0.002, 0.0065),  # nx=100 on shm
+        (0.005, 0.0065),  # half a ceiling (the mesh at nx=100: 3–5 ms)
+        (0.00625, 0.01825),  # half way from there ...
+        (0.0075, _REACH),  # ... to three quarters of a ceiling
+        (0.012, _REACH),  # nx=240: 8–10 ms
+    ])
+    def test_dear_looks_move_the_first_seeded_look_to_the_reach(
+            self, cost, first):
+        pacer = _ProbePacer(1e-3)
+        for _ in range(3):  # one decade per ms
+            pacer.start(1e-6, fixed=False)
+            pacer.next(0.006, 1e-6, cost)
+            pacer.finish()
+        pacer.start(1e-6, fixed=False)
+        delay, crossing = pacer.next(0.0)
+        assert crossing == pytest.approx(0.006)
+        assert delay == pytest.approx(first)
+        # the solve's own samples aim at the line, under the ceiling
+        assert pacer.next(0.002, 1e-1, cost)[0] == pytest.approx(0.0055)
+
+    def test_the_reach_needs_a_rate_learned_from_three_solves(self):
+        pacer = _ProbePacer(1e-3)
+        delays = []
+        for _ in range(4):  # six decades in 15 ms, looks of 12 ms
+            pacer.start(1e-6, fixed=False)
+            delays.append(pacer.next(0.0)[0])
+            pacer.next(0.015, 1e-6, 0.012)
+            pacer.finish()
+        assert delays == [1e-3, PROBE_CEILING, PROBE_CEILING, _REACH]
 
 
 # ----------------------------------------------------------------------
@@ -909,6 +1111,39 @@ class TestMultiprocSolve:
         with pytest.raises(MultiprocError):
             r.solve()
         r.close()  # idempotent
+
+
+class TestLookSoak:
+    """Time-boxed soak of the look protocol on real workers."""
+
+    SOLVES = 100
+    BOX = 120.0  # seconds; ~2 s on shm and ~5 s on mesh on a quiet host
+
+    @pytest.mark.parametrize("transport", ["shm", "mesh"])
+    def test_every_rhs_twice_in_a_row(self, poisson_plan, transport):
+        """The same right-hand side twice is the sequence that hung
+        PR 13's stop protocol, and the second of a pair is where a look
+        that measured stale states would report a solve it never ran.
+        No ack may time out (that raises) and no solve may end
+        unconverged or wrong."""
+        rng = np.random.default_rng(17)
+        plan = poisson_plan
+        started = time.monotonic()
+        served = 0
+        with MultiprocDtmRunner(plan, shards=2, transport=transport,
+                                ack_timeout=10.0) as r:
+            for _ in range(self.SOLVES // 2):
+                b = rng.standard_normal(plan.n)
+                for _ in range(2):
+                    res = r.solve(b, stopping=ResidualRule(tol=1e-6),
+                                  wall_budget=20.0)
+                    assert res.converged and res.stopped_by == "residual"
+                    assert relative_residual(plan.a_mat, res.x, b) <= 1e-6
+                    assert all(rep.sweeps > 0
+                               for rep in res.shard_reports)
+                    served += 1
+                assert time.monotonic() - started < self.BOX
+        assert served >= self.SOLVES
 
 
 # ----------------------------------------------------------------------
