@@ -27,6 +27,7 @@ Quickstart::
     print(result.x, result.rms_error)
 """
 
+from ._lazy import lazy_exports
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -48,14 +49,28 @@ __all__ = [
     "__version__",
 ]
 
-
-def __getattr__(name):
-    """Lazily expose the high-level API to keep import time low."""
-    if name.startswith("_"):
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    import importlib
-
-    _api = importlib.import_module(".api", __name__)
-    if hasattr(_api, name):
-        return getattr(_api, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+#: the high-level API resolves on first use; it is not part of
+#: ``__all__`` (``from repro import *`` stays as cheap as ``import repro``)
+_, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "api": (
+            "SolveResult",
+            "SolverPlan",
+            "SolverSession",
+            "VtmSession",
+            "prepare_split",
+            "get_plan",
+            "solve_dtm",
+            "solve_vtm_system",
+            "DtmClient",
+            "connect_dtm",
+            "StoppingRule",
+            "ReferenceRule",
+            "ResidualRule",
+            "QuiescenceRule",
+            "HorizonRule",
+            "AnyOf",
+        ),
+    },
+)

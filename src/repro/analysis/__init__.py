@@ -1,25 +1,29 @@
 """Convergence-theory verification and reporting utilities."""
 
-from .laplace import (
-    ConvergenceCertificate,
-    TwoDomainLaplace,
-    port_operator,
-    port_source,
-    two_domain_model,
-    verify_theorem_6_1,
-)
-from .reporting import ExperimentRecord, ascii_curve, format_series, format_table
-from .spectral import (
-    SpectralReport,
-    impedance_sweep_spectral,
-    observed_contraction_rate,
-    wave_spectral_report,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ConvergenceCertificate", "TwoDomainLaplace", "port_operator",
-    "port_source", "two_domain_model", "verify_theorem_6_1",
-    "ExperimentRecord", "ascii_curve", "format_series", "format_table",
-    "SpectralReport", "impedance_sweep_spectral",
-    "observed_contraction_rate", "wave_spectral_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "laplace": (
+            "ConvergenceCertificate",
+            "TwoDomainLaplace",
+            "port_operator",
+            "port_source",
+            "two_domain_model",
+            "verify_theorem_6_1",
+        ),
+        "reporting": (
+            "ExperimentRecord",
+            "ascii_curve",
+            "format_series",
+            "format_table",
+        ),
+        "spectral": (
+            "SpectralReport",
+            "impedance_sweep_spectral",
+            "observed_contraction_rate",
+            "wave_spectral_report",
+        ),
+    },
+)

@@ -1,62 +1,57 @@
 """DTM core: DTLs, impedances, local systems, kernels, VTM, hybrids."""
 
-from .convergence import (
-    AnyOf,
-    ConvergenceTracker,
-    HorizonRule,
-    QuiescenceRule,
-    ReferenceRule,
-    ResidualRule,
-    SolveContext,
-    StateProbe,
-    StopEvent,
-    StoppingRule,
-    as_stopping_rule,
-    max_error,
-    relative_residual,
-    rms_error,
-)
-from .dtl import (
-    DtlEndpoint,
-    Dtlp,
-    DtlpNetwork,
-    build_dtlp_network,
-    delay_equation_residual,
-    outgoing_wave,
-    port_current,
-    reflected_wave,
-)
-from .impedance import (
-    DiagonalMeanImpedance,
-    FixedImpedance,
-    GeometricMeanImpedance,
-    ImpedanceStrategy,
-    PerVertexImpedance,
-    as_impedance_strategy,
-)
-from .fleet import FleetKernel, FleetKernelView, build_fleet
-from .kernel import DtmKernel, WaveMessage, build_kernels, gather_global_state
-from .local import (
-    LocalSystem,
-    build_all_local_systems,
-    build_local_system,
-    validate_local_system,
-)
-from .vtm import VtmResult, VtmSolver, solve_vtm
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AnyOf", "ConvergenceTracker", "HorizonRule", "QuiescenceRule",
-    "ReferenceRule", "ResidualRule", "SolveContext", "StateProbe",
-    "StopEvent", "StoppingRule", "as_stopping_rule",
-    "max_error", "relative_residual", "rms_error",
-    "DtlEndpoint", "Dtlp", "DtlpNetwork", "build_dtlp_network",
-    "delay_equation_residual", "outgoing_wave", "port_current",
-    "reflected_wave",
-    "DiagonalMeanImpedance", "FixedImpedance", "GeometricMeanImpedance",
-    "ImpedanceStrategy", "PerVertexImpedance", "as_impedance_strategy",
-    "FleetKernel", "FleetKernelView", "build_fleet",
-    "DtmKernel", "WaveMessage", "build_kernels", "gather_global_state",
-    "LocalSystem", "build_all_local_systems", "build_local_system",
-    "validate_local_system",
-    "VtmResult", "VtmSolver", "solve_vtm",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "convergence": (
+            "AnyOf",
+            "ConvergenceTracker",
+            "HorizonRule",
+            "QuiescenceRule",
+            "ReferenceRule",
+            "ResidualRule",
+            "SolveContext",
+            "StateProbe",
+            "StopEvent",
+            "StoppingRule",
+            "as_stopping_rule",
+            "max_error",
+            "relative_residual",
+            "rms_error",
+        ),
+        "dtl": (
+            "DtlEndpoint",
+            "Dtlp",
+            "DtlpNetwork",
+            "build_dtlp_network",
+            "delay_equation_residual",
+            "outgoing_wave",
+            "port_current",
+            "reflected_wave",
+        ),
+        "impedance": (
+            "DiagonalMeanImpedance",
+            "FixedImpedance",
+            "GeometricMeanImpedance",
+            "ImpedanceStrategy",
+            "PerVertexImpedance",
+            "as_impedance_strategy",
+        ),
+        "fleet": ("FleetKernel", "FleetKernelView", "build_fleet"),
+        "kernel": (
+            "DtmKernel",
+            "WaveMessage",
+            "build_kernels",
+            "gather_global_state",
+        ),
+        "local": (
+            "LocalSystem",
+            "build_all_local_systems",
+            "build_local_system",
+            "validate_local_system",
+        ),
+        "vtm": ("VtmResult", "VtmSolver", "solve_vtm"),
+    },
+)

@@ -1,29 +1,27 @@
 """Electric graphs, partitions and Electric Vertex Splitting (paper §3-§4)."""
 
-from .electric import ElectricGraph
-from .evs import (
-    DominancePreservingSplit,
-    EqualSplit,
-    ExplicitSplit,
-    SplitResult,
-    SplitStrategy,
-    split_graph,
-    twin_pairs,
-)
-from .partition import Partition, Subdomain, TwinLink
-from .partitioners import (
-    edge_cut_weight,
-    greedy_grow_partition,
-    grid_block_partition,
-    multilevel_partition,
-    vertex_cover_separator,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ElectricGraph",
-    "DominancePreservingSplit", "EqualSplit", "ExplicitSplit",
-    "SplitResult", "SplitStrategy", "split_graph", "twin_pairs",
-    "Partition", "Subdomain", "TwinLink",
-    "edge_cut_weight", "greedy_grow_partition", "grid_block_partition",
-    "multilevel_partition", "vertex_cover_separator",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "electric": ("ElectricGraph",),
+        "evs": (
+            "DominancePreservingSplit",
+            "EqualSplit",
+            "ExplicitSplit",
+            "SplitResult",
+            "SplitStrategy",
+            "split_graph",
+            "twin_pairs",
+        ),
+        "partition": ("Partition", "Subdomain", "TwinLink"),
+        "partitioners": (
+            "edge_cut_weight",
+            "greedy_grow_partition",
+            "grid_block_partition",
+            "multilevel_partition",
+            "vertex_cover_separator",
+        ),
+    },
+)

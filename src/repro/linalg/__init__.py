@@ -1,47 +1,47 @@
 """Linear-algebra substrate: sparse storage, factorizations, solvers."""
 
-from .cholesky import SpdFactor, SymFactor, factor_spd, factor_symmetric, try_factor_spd
-from .dense import (
-    cholesky_factor,
-    cholesky_solve,
-    invert_lower,
-    ldlt_factor,
-    ldlt_solve,
-    solve_lower,
-    solve_upper,
-    spd_inverse,
-)
-from .iterative import (
-    IterativeResult,
-    conjugate_gradient,
-    direct_reference_solution,
-    gauss_seidel,
-    jacobi,
-    sor,
-)
-from .ordering import bandwidth, minimum_degree, reverse_cuthill_mckee
-from .sparse import CsrMatrix, forbid_densify, laplacian_like
-from .sparse_cholesky import SparseSpdFactor, factor_sparse_spd
-from .spd import (
-    DefinitenessReport,
-    assert_snnd,
-    assert_spd,
-    definiteness_report,
-    is_diagonally_dominant,
-    is_snnd,
-    is_spd,
-    min_eigenvalue,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SpdFactor", "SymFactor", "factor_spd", "factor_symmetric", "try_factor_spd",
-    "cholesky_factor", "cholesky_solve", "invert_lower", "ldlt_factor",
-    "ldlt_solve", "solve_lower", "solve_upper", "spd_inverse",
-    "IterativeResult", "conjugate_gradient", "direct_reference_solution",
-    "gauss_seidel", "jacobi", "sor",
-    "bandwidth", "minimum_degree", "reverse_cuthill_mckee",
-    "CsrMatrix", "forbid_densify", "laplacian_like",
-    "SparseSpdFactor", "factor_sparse_spd",
-    "DefinitenessReport", "assert_snnd", "assert_spd", "definiteness_report",
-    "is_diagonally_dominant", "is_snnd", "is_spd", "min_eigenvalue",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cholesky": (
+            "SpdFactor",
+            "SymFactor",
+            "factor_spd",
+            "factor_symmetric",
+            "try_factor_spd",
+        ),
+        "dense": (
+            "cholesky_factor",
+            "cholesky_solve",
+            "invert_lower",
+            "ldlt_factor",
+            "ldlt_solve",
+            "solve_lower",
+            "solve_upper",
+            "spd_inverse",
+        ),
+        "iterative": (
+            "IterativeResult",
+            "conjugate_gradient",
+            "direct_reference_solution",
+            "gauss_seidel",
+            "jacobi",
+            "sor",
+        ),
+        "ordering": ("bandwidth", "minimum_degree", "reverse_cuthill_mckee"),
+        "sparse": ("CsrMatrix", "forbid_densify", "laplacian_like"),
+        "sparse_cholesky": ("SparseSpdFactor", "factor_sparse_spd"),
+        "spd": (
+            "DefinitenessReport",
+            "assert_snnd",
+            "assert_spd",
+            "definiteness_report",
+            "is_diagonally_dominant",
+            "is_snnd",
+            "is_spd",
+            "min_eigenvalue",
+        ),
+    },
+)

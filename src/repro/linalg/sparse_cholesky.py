@@ -32,6 +32,7 @@ is what keeps pool-built plans bitwise-equal to serially built ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib.util import find_spec
 from typing import Optional
 
 import numpy as np
@@ -41,13 +42,11 @@ from ..utils.validation import require
 from .ordering import minimum_degree, reverse_cuthill_mckee
 from .sparse import CsrMatrix
 
-try:  # scipy is an optional backend, never a hard dependency
-    from scipy.sparse import csc_matrix as _scipy_csc
-    from scipy.sparse.linalg import splu as _scipy_splu
-
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - exercised on scipy-free hosts
-    _HAVE_SCIPY = False
+#: scipy is an optional backend (the ``sparse`` extra), never a hard
+#: dependency, and it is imported where a SuperLU handle is built
+#: (:func:`_splu_symmetric`), not here: a process that only sweeps —
+#: every shard worker — never pays the import (0.25–0.35 s)
+_HAVE_SCIPY = find_spec("scipy") is not None
 
 #: orderings accepted by :func:`factor_sparse_spd`
 _ORDERINGS = ("amd", "rcm", "natural")
@@ -190,8 +189,11 @@ def _splu_symmetric(n, data, indices, indptr):
     reordering in play.  By symmetry the CSR arrays are also the CSC
     arrays, so no transpose/conversion pass is needed.
     """
-    a = _scipy_csc((data, indices, indptr), shape=(n, n))
-    return _scipy_splu(
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
+    a = csc_matrix((data, indices, indptr), shape=(n, n))
+    return splu(
         a,
         permc_spec="NATURAL",
         diag_pivot_thresh=0.0,

@@ -17,38 +17,20 @@ Two halves, mirroring the runtime/serving split:
   ``stats`` / ``shutdown`` over a JSON+binary wire protocol).
 """
 
-from .faults import FaultPlan, ShardFaults
-from .mesh import MeshTransport
-from .transport import (
-    EdgeMailbox,
-    ShmTransport,
-    Transport,
-    resolve_transport,
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "faults": ("FaultPlan", "ShardFaults"),
+        "mesh": ("MeshTransport",),
+        "transport": (
+            "EdgeMailbox",
+            "ShmTransport",
+            "Transport",
+            "resolve_transport",
+        ),
+        "client": ("DtmClient",),
+        "frontend": ("DtmTcpFrontend",),
+    },
 )
-
-__all__ = [
-    "DtmClient",
-    "DtmTcpFrontend",
-    "EdgeMailbox",
-    "FaultPlan",
-    "MeshTransport",
-    "ShardFaults",
-    "ShmTransport",
-    "Transport",
-    "resolve_transport",
-]
-
-
-def __getattr__(name: str):
-    # the front-end half imports the runtime (which imports the
-    # transport half of this package); resolving it lazily keeps
-    # `repro.runtime` -> `repro.net.transport` cycle-free
-    if name == "DtmClient":
-        from .client import DtmClient
-
-        return DtmClient
-    if name == "DtmTcpFrontend":
-        from .frontend import DtmTcpFrontend
-
-        return DtmTcpFrontend
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -50,6 +50,11 @@ from . import wire
 #: plan kwargs arriving as JSON lists that the planner wants as tuples
 _TUPLE_KWARGS = ("grid_shape", "parts_shape")
 
+#: how long :meth:`DtmTcpFrontend.close` waits for its woken accept
+#: thread to end (it has nothing left to do; the bound is for a host
+#: too loaded to schedule it)
+_ACCEPT_JOIN_S = 2.0
+
 
 def _plan_kwargs(spec: dict) -> dict:
     """Normalize JSON plan kwargs (lists back to tuples)."""
@@ -380,12 +385,27 @@ class DtmTcpFrontend:
         self.server.close()
 
     def close(self) -> None:
-        """Stop the listener (existing connections finish naturally)."""
+        """Stop the listener (existing connections finish naturally).
+
+        Closing a listening socket does not wake a thread blocked in
+        ``accept()`` on it (Linux): the thread would live on, the
+        kernel socket would go on queueing clients of a "closed" front
+        end, and the thread would pin front end, server, store and
+        plans for good.  ``shutdown`` does wake it, so the accept loop
+        has ended — and the address refuses — when this returns.
+        """
         self._closing.set()
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # closed before, or a platform whose close() wakes
         try:
             self._listener.close()
         except OSError:  # pragma: no cover - best-effort
             pass
+        thread = self._thread
+        if thread is not None and thread is not threading.current_thread():
+            thread.join(_ACCEPT_JOIN_S)
 
     def __enter__(self) -> "DtmTcpFrontend":
         return self.start()

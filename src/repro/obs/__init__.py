@@ -6,41 +6,28 @@ per-solve timeline vocabulary and :mod:`repro.obs.export` for the
 text exposition format.
 """
 
-from .export import render_prometheus
-from .registry import (
-    DEFAULT_BUCKETS,
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    MetricsSnapshot,
-    NullRegistry,
-    component_registry,
-    default_registry,
-    merge_snapshots,
-    obs_env_enabled,
-    resolve_obs,
-    set_default_registry,
-)
-from .trace import SolveTrace, resolve_trace
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_BUCKETS",
-    "NULL_REGISTRY",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricRegistry",
-    "MetricsSnapshot",
-    "NullRegistry",
-    "SolveTrace",
-    "component_registry",
-    "default_registry",
-    "merge_snapshots",
-    "obs_env_enabled",
-    "render_prometheus",
-    "resolve_obs",
-    "resolve_trace",
-    "set_default_registry",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "export": ("render_prometheus",),
+        "registry": (
+            "DEFAULT_BUCKETS",
+            "NULL_REGISTRY",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricRegistry",
+            "MetricsSnapshot",
+            "NullRegistry",
+            "component_registry",
+            "default_registry",
+            "merge_snapshots",
+            "obs_env_enabled",
+            "resolve_obs",
+            "set_default_registry",
+        ),
+        "trace": ("SolveTrace", "resolve_trace"),
+    },
+)

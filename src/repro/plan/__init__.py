@@ -20,20 +20,27 @@ splits the pipeline accordingly:
 build-or-fetch a plan and run a one-shot session.
 """
 
-from .artifact import (
-    load_plan, plan_from_bytes, plan_nbytes, plan_to_bytes, save_plan,
-)
-from .cache import PlanCache, default_plan_cache
-from .diskstore import DiskPlanStore
-from .plan import (
-    SolverPlan, build_plan, compute_plan_hash, get_plan, plan_key,
-)
-from .session import SolverSession, VtmSession
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SolverPlan", "SolverSession", "VtmSession",
-    "PlanCache", "default_plan_cache", "DiskPlanStore",
-    "build_plan", "get_plan", "plan_key", "compute_plan_hash",
-    "save_plan", "load_plan", "plan_to_bytes", "plan_from_bytes",
-    "plan_nbytes",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "artifact": (
+            "load_plan",
+            "plan_from_bytes",
+            "plan_nbytes",
+            "plan_to_bytes",
+            "save_plan",
+        ),
+        "cache": ("PlanCache", "default_plan_cache"),
+        "diskstore": ("DiskPlanStore",),
+        "plan": (
+            "SolverPlan",
+            "build_plan",
+            "compute_plan_hash",
+            "get_plan",
+            "plan_key",
+        ),
+        "session": ("SolverSession", "VtmSession"),
+    },
+)

@@ -266,6 +266,7 @@ def _write_artifact(plan: SolverPlan, out) -> dict:
         pos = record["offset"] + record["nbytes"]
     out.write(b"\0" * (header["pickle"]["offset"] - pos))
     out.write(blob)
+    plan._artifact_nbytes = _payload_nbytes(header)
     return header
 
 
@@ -301,15 +302,31 @@ def plan_to_bytes(plan: SolverPlan) -> bytes:
     return sink.getvalue()
 
 
+def _payload_nbytes(header: dict) -> int:
+    """Segment bytes plus pickle bytes, off an artifact header."""
+    return int(header["pickle"]["nbytes"]) + sum(
+        int(rec["nbytes"]) for rec in header["segments"]
+    )
+
+
 def plan_nbytes(plan: SolverPlan) -> int:
     """Exact artifact payload size of *plan* in bytes.
 
     Segment bytes plus pickle bytes — the number the byte-budget LRU
     tiers (:class:`~repro.runtime.server.PlanStore` ``max_bytes=``,
     :class:`~repro.plan.diskstore.DiskPlanStore`) account with.
+
+    A plan that was saved or loaded already has the count — it is in
+    the header that was written or parsed — so weighing it packs
+    nothing: a disk hit must not pickle the plan and read every mapped
+    segment to return one integer.  Any other plan is packed once.
     """
-    segments, blob = _pack(plan)
-    return sum(int(arr.nbytes) for arr in segments) + len(blob)
+    nbytes = getattr(plan, "_artifact_nbytes", None)
+    if nbytes is None:
+        segments, blob = _pack(plan)
+        nbytes = sum(int(arr.nbytes) for arr in segments) + len(blob)
+        plan._artifact_nbytes = nbytes
+    return nbytes
 
 
 # ----------------------------------------------------------------------
@@ -412,7 +429,9 @@ def _unpack(header: dict, buf, data_start: int) -> SolverPlan:
         raise PlanArtifactError(
             f"artifact is missing plan fields {missing!r}"
         )
-    return SolverPlan(**state)
+    plan = SolverPlan(**state)
+    plan._artifact_nbytes = _payload_nbytes(header)
+    return plan
 
 
 def plan_from_bytes(data: bytes) -> SolverPlan:

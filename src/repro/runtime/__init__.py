@@ -11,31 +11,29 @@ runners over a shared :class:`PlanStore` (optionally LRU-bounded via
 :class:`repro.net.DtmTcpFrontend`.
 """
 
-from .asyncio_backend import AsyncioDtmRunner, AsyncRunResult, solve_dtm_asyncio
-from .multiproc import EdgeMailbox, MultiprocDtmRunner, solve_dtm_multiproc
-from .pool import map_ordered, resolve_workers
-from .server import (
-    DtmServer,
-    PlanStore,
-    ServeRequest,
-    ServeResponse,
-    ServerStats,
-    plan_hash,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AsyncioDtmRunner",
-    "AsyncRunResult",
-    "solve_dtm_asyncio",
-    "EdgeMailbox",
-    "MultiprocDtmRunner",
-    "solve_dtm_multiproc",
-    "map_ordered",
-    "resolve_workers",
-    "DtmServer",
-    "PlanStore",
-    "ServeRequest",
-    "ServeResponse",
-    "ServerStats",
-    "plan_hash",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "asyncio_backend": (
+            "AsyncioDtmRunner",
+            "AsyncRunResult",
+            "solve_dtm_asyncio",
+        ),
+        "multiproc": (
+            "EdgeMailbox",
+            "MultiprocDtmRunner",
+            "solve_dtm_multiproc",
+        ),
+        "pool": ("map_ordered", "resolve_workers"),
+        "server": (
+            "DtmServer",
+            "PlanStore",
+            "ServeRequest",
+            "ServeResponse",
+            "ServerStats",
+            "plan_hash",
+        ),
+    },
+)

@@ -1,29 +1,32 @@
 """Discrete-event simulator of heterogeneous parallel machines."""
 
-from .engine import Engine
-from .events import Event, EventQueue
-from .executor import DtmRunResult, DtmSimulator, solve_dtm_simulated
-from .network import (
-    ConstantDelay,
-    DelayModel,
-    JitteredDelay,
-    Topology,
-    complete_topology,
-    custom_topology,
-    mesh_topology,
-    paper_fig11_topology,
-    paper_fig13_topology,
-    uniform_topology,
-)
-from .processor import ComputeModel, Processor
-from .trace import ErrorObserver, MessageLog, MessageRecord, PortProbe, SolveLog
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Engine", "Event", "EventQueue",
-    "DtmRunResult", "DtmSimulator", "solve_dtm_simulated",
-    "ConstantDelay", "DelayModel", "JitteredDelay", "Topology",
-    "custom_topology", "mesh_topology", "paper_fig11_topology",
-    "paper_fig13_topology", "complete_topology", "uniform_topology",
-    "ComputeModel", "Processor",
-    "ErrorObserver", "MessageLog", "MessageRecord", "PortProbe", "SolveLog",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "engine": ("Engine",),
+        "events": ("Event", "EventQueue"),
+        "executor": ("DtmRunResult", "DtmSimulator", "solve_dtm_simulated"),
+        "network": (
+            "ConstantDelay",
+            "DelayModel",
+            "JitteredDelay",
+            "Topology",
+            "complete_topology",
+            "custom_topology",
+            "mesh_topology",
+            "paper_fig11_topology",
+            "paper_fig13_topology",
+            "uniform_topology",
+        ),
+        "processor": ("ComputeModel", "Processor"),
+        "trace": (
+            "ErrorObserver",
+            "MessageLog",
+            "MessageRecord",
+            "PortProbe",
+            "SolveLog",
+        ),
+    },
+)

@@ -1,17 +1,17 @@
 """Domain-decomposition baselines: Schwarz methods and Schur complement."""
 
-from .base import BaselineResult, BlockStructure, build_block_structure
-from .block_gs import solve_block_gauss_seidel
-from .block_jacobi import (
-    AsyncBlockJacobiSimulator,
-    BlockJacobiKernel,
-    solve_block_jacobi,
-)
-from .schur import SchurResult, solve_schur
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BaselineResult", "BlockStructure", "build_block_structure",
-    "solve_block_gauss_seidel",
-    "AsyncBlockJacobiSimulator", "BlockJacobiKernel", "solve_block_jacobi",
-    "SchurResult", "solve_schur",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "base": ("BaselineResult", "BlockStructure", "build_block_structure"),
+        "block_gs": ("solve_block_gauss_seidel",),
+        "block_jacobi": (
+            "AsyncBlockJacobiSimulator",
+            "BlockJacobiKernel",
+            "solve_block_jacobi",
+        ),
+        "schur": ("SchurResult", "solve_schur"),
+    },
+)

@@ -1,30 +1,21 @@
 """Shared utilities: RNG coercion, validation helpers, time series."""
 
-from .rng import as_generator, derive_seed, spawn
-from .timeseries import TimeSeries, merge_series
-from .validation import (
-    as_float_vector,
-    as_square_matrix,
-    check_disjoint,
-    check_symmetric,
-    require,
-    require_index_array,
-    require_positive,
-    unique_everseen,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "as_generator",
-    "derive_seed",
-    "spawn",
-    "TimeSeries",
-    "merge_series",
-    "as_float_vector",
-    "as_square_matrix",
-    "check_disjoint",
-    "check_symmetric",
-    "require",
-    "require_index_array",
-    "require_positive",
-    "unique_everseen",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "rng": ("as_generator", "derive_seed", "spawn"),
+        "timeseries": ("TimeSeries", "merge_series"),
+        "validation": (
+            "as_float_vector",
+            "as_square_matrix",
+            "check_disjoint",
+            "check_symmetric",
+            "require",
+            "require_index_array",
+            "require_positive",
+            "unique_everseen",
+        ),
+    },
+)

@@ -7,6 +7,10 @@ as error responses and the connection keeps serving.
 """
 
 import faulthandler
+import gc
+import socket
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from repro.api import ResidualRule, connect_dtm
 from repro.core.convergence import relative_residual
 from repro.errors import ConfigurationError, RemoteError
 from repro.net import DtmClient, DtmTcpFrontend
-from repro.plan import build_plan
+from repro.plan import SolverPlan, build_plan
 from repro.plan.artifact import artifact_plan_hash
 from repro.runtime import DtmServer
 from repro.runtime.server import plan_hash
@@ -230,6 +234,67 @@ class TestShutdown:
         server.close()
 
 
+def _accept_threads():
+    return [t for t in threading.enumerate() if t.name == "dtm-frontend"]
+
+
+def _live_plans():
+    gc.collect()
+    return sum(isinstance(o, SolverPlan) for o in gc.get_objects())
+
+
+class TestClose:
+    """ROADMAP 5d: closing a listening socket does not wake a thread
+    blocked in ``accept()`` on it, so a "closed" front end kept its
+    thread, its kernel socket (clients were queued, not refused) and —
+    through the thread — server, store and plans, once per restart."""
+
+    def test_close_ends_the_accept_thread_and_frees_the_server(self):
+        before = len(_accept_threads())
+        server = DtmServer(shards=1)
+        frontend = DtmTcpFrontend(server).start()
+        address = frontend.address
+        assert len(_accept_threads()) == before + 1
+        with DtmClient(address) as client:
+            assert client.ping()
+        ref = weakref.ref(server)
+        frontend.close()
+        server.close()
+        assert len(_accept_threads()) == before
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=5.0)
+        frontend.close()  # closing twice is fine
+        del server, frontend
+        gc.collect()
+        assert ref() is None
+
+    def test_in_place_restarts_take_their_plans_along(self, tmp_path):
+        """Eight stacks, one after the other, over one ``plan_dir``
+        (what ``cold_restart`` does): each loads the plan from disk,
+        and each must take it along when it goes."""
+        before = len(_accept_threads())
+        graph = grid2d_poisson(8)
+        b = np.ones(graph.n)
+        plan_id = None
+        counts = []
+        for restart in range(8):
+            with DtmServer(shards=1, plan_dir=tmp_path) as server:
+                with DtmTcpFrontend(server) as frontend:
+                    with DtmClient(frontend.address) as client:
+                        if plan_id is None:
+                            plan_id = client.register(
+                                graph, n_subdomains=2, seed=7)
+                        res = client.solve(plan_id, b, tol=1e-6)
+                        assert res.converged
+                # the first stack built its plan (the process-wide plan
+                # cache keeps that one); every later one loaded its own
+                assert server.store.n_disk_loads == (restart > 0)
+            del server, frontend, client, res
+            counts.append(_live_plans())
+        assert counts[1:] == counts[:1] * 7, counts
+        assert len(_accept_threads()) == before
+
+
 class TestClientDeadline:
     """ISSUE 8 regression: a coordinator that dies mid-solve must not
     hang the client forever — the configurable deadline surfaces it as
@@ -238,9 +303,6 @@ class TestClientDeadline:
     @pytest.fixture()
     def silent_server(self):
         """Accepts connections, then never responds (a dead solve)."""
-        import socket
-        import threading
-
         listener = socket.socket()
         listener.bind(("127.0.0.1", 0))
         listener.listen(4)
@@ -259,10 +321,12 @@ class TestClientDeadline:
         try:
             yield listener.getsockname()
         finally:
+            listener.shutdown(socket.SHUT_RDWR)  # close() wakes no accept()
             listener.close()
             for conn in held:
                 conn.close()
             t.join(timeout=5.0)
+            assert not t.is_alive()
 
     def test_client_timeout_raises_remote_error(self, silent_server):
         client = DtmClient(silent_server, timeout=0.5)

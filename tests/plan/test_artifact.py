@@ -20,6 +20,7 @@ import pytest
 from repro.errors import PlanArtifactError
 from repro.plan import (
     PlanCache,
+    artifact,
     build_plan,
     compute_plan_hash,
     get_plan,
@@ -180,6 +181,29 @@ class TestRoundTrip:
         overhead = os.path.getsize(path) - nbytes
         n_segments = len(peek_header(path)["segments"])
         assert overhead <= 256 * n_segments + 4096
+
+
+    @pytest.mark.parametrize("numerics", ["dense", "sparse"])
+    def test_plan_nbytes_comes_off_the_header_when_there_is_one(
+            self, graph, numerics, tmp_path):
+        """The count a saved or loaded plan carries (segment table +
+        blob length) is the count packing the plan gave."""
+        plan = build_plan(graph, n_subdomains=N_PARTS, numerics=numerics)
+        segments, blob = artifact._pack(plan)
+        sizes = [arr.nbytes for arr in segments]
+        expected = len(blob) + sum(sizes)
+        path = tmp_path / "p.plan"
+        save_plan(plan, path)
+        assert plan_nbytes(plan) == expected
+        for mmap in (True, False):
+            loaded = load_plan(path, mmap=mmap)
+            assert plan_nbytes(loaded) == expected
+            # packed again, a loaded plan has the same segments; its
+            # blob is a few bytes longer (strings that were one object
+            # in the built plan come back as equal ones, and pickle
+            # memoizes by identity), so the header's count is the one
+            assert [a.nbytes for a in artifact._pack(loaded)[0]] == sizes
+        assert plan_nbytes(plan_from_bytes(plan_to_bytes(plan))) == expected
 
 
 class TestCorruptArtifacts:

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.convergence import relative_residual
 from repro.errors import ConfigurationError
-from repro.plan import build_plan, plan_nbytes
+from repro.plan import artifact, build_plan, plan_nbytes
 from repro.runtime.server import (
     DtmServer,
     PlanStore,
@@ -258,6 +258,28 @@ class TestPlanDirTier:
         assert key in fresh  # admitted into the memory tier
         fresh.get(key)  # second get is a memory hit
         assert fresh.stats()["n_disk_loads"] == 1
+
+    def test_a_disk_hit_weighs_the_plan_without_packing_it(
+            self, tmp_path, monkeypatch):
+        """``get`` used to pickle the loaded plan and read every mapped
+        segment to learn one integer the artifact header already had;
+        ``put`` packed twice (once to save, once to weigh)."""
+        packs = []
+        pack = artifact._pack
+        monkeypatch.setattr(
+            artifact, "_pack",
+            lambda plan: packs.append(plan) or pack(plan))
+        plan = build_plan(grid2d_poisson(9), n_subdomains=2, seed=0)
+        plan_dir = str(tmp_path / "plans")
+        store = PlanStore(plan_dir=plan_dir)
+        key = store.put(plan)
+        assert len(packs) == 1  # the save; its header weighs the plan
+        fresh = PlanStore(plan_dir=plan_dir)
+        loaded = fresh.get(key)
+        assert loaded.n == plan.n and len(packs) == 1
+        segments, blob = pack(plan)
+        assert fresh.total_bytes == store.total_bytes == len(blob) + sum(
+            arr.nbytes for arr in segments)
 
     def test_disk_stats_are_nested(self, plans, tmp_path):
         store = PlanStore(plan_dir=str(tmp_path / "plans"))
