@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Post-pytest leak check for the multiproc/net/chaos CI jobs: fails
 # when a dtm-shard-* worker process or a /dev/shm segment created
-# during the job survived it.
+# during the job survived it (a runner's waves/x0/states/ctrl segments
+# and its per-shard dtm*-specN payload segments alike).
 #
 # Usage: check_leaks.sh SHM_BEFORE
 #   SHM_BEFORE — sorted `ls -A /dev/shm` taken before the tests ran

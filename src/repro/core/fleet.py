@@ -45,6 +45,7 @@ import numpy as np
 from ..errors import ValidationError
 from .kernel import WaveMessage
 from .local import LocalSystem
+from .shard_kernel import ShardKernel, _ShardGroup
 
 
 def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -641,190 +642,58 @@ def build_fleet(split, network, locals_: Sequence[LocalSystem], *,
 # ======================================================================
 # per-shard repack: the multiprocess runtime's compute payload
 # ======================================================================
-class _ShardGroup:
-    """Members of one shard sharing a ``(n_local, n_ports, n_slots)``
-    shape, batched like the fleet's :class:`_ShapeGroup`.
+def pack_shard_kernel(parts: np.ndarray,
+                      locals_: Sequence[LocalSystem]) -> ShardKernel:
+    """Stack the local systems of contiguous *parts* into a shard kernel.
 
-    ``u0``/``x0`` are *not* stacked at build time: they depend on the
-    right-hand side, which the worker loads from shared memory at each
-    solve epoch (:meth:`ShardKernel.load_x0`).
+    Same-shape batching as :meth:`FleetKernel._build_groups`, with
+    ``n_local`` added to the key (the ``X3`` full-state stacks need
+    it); per-member results are batch-composition independent (module
+    docstring), and the lockstep bitwise test in
+    ``tests/runtime/test_multiproc.py`` pins the two groupings to each
+    other — if one changes, that test is the tripwire.
     """
+    parts = np.asarray(parts, dtype=np.int64)
+    if len(locals_) != parts.size:
+        raise ValidationError(
+            f"{parts.size} parts but {len(locals_)} local systems")
 
-    __slots__ = ("n", "r", "s", "members", "W3", "X3", "slot_idx",
-                 "port_idx", "state_idx", "u0", "x0")
+    def offsets(counts) -> np.ndarray:
+        return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
 
-    def __init__(self, n: int, r: int, s: int, members: np.ndarray,
-                 W3: np.ndarray, X3: np.ndarray, slot_idx: np.ndarray,
-                 port_idx: np.ndarray, state_idx: np.ndarray) -> None:
-        self.n = n
-        self.r = r
-        self.s = s
-        self.members = members        # member positions within the shard
-        self.W3 = W3                  # (g, r, s) port wave responses
-        self.X3 = X3                  # (g, n, s) full-state responses
-        self.slot_idx = slot_idx      # (g, s) shard-local slot index
-        self.port_idx = port_idx      # (g, r) shard-local port index
-        self.state_idx = state_idx    # (g, n) shard-local state row
-        self.u0: Optional[np.ndarray] = None   # (g, r), per-epoch
-        self.x0: Optional[np.ndarray] = None   # (g, n), per-epoch
+    slot_off = offsets([loc.n_slots for loc in locals_])
+    port_off = offsets([loc.n_ports for loc in locals_])
+    state_off = offsets([loc.n_local for loc in locals_])
 
+    def index_rows(off: np.ndarray, members, width: int) -> np.ndarray:
+        if not width:
+            return np.zeros((len(members), 0), dtype=np.int64)
+        return np.stack([np.arange(off[i], off[i + 1])
+                         for i in members]).astype(np.int64)
 
-class ShardKernel:
-    """Struct-of-arrays repack of one *contiguous* group of subdomains.
+    #: shard-local port index each owned slot's wave acts on
+    slot_port = np.concatenate(
+        [loc.slot_ports + port_off[i]
+         for i, loc in enumerate(locals_)]) if slot_off[-1] else \
+        np.zeros(0, dtype=np.int64)
 
-    The picklable compute payload a multiprocess worker executes: the
-    wave-response stacks and index tables of its subdomains, shard-local
-    (zero-based) addressing, and *no* retained factors — right-hand-side
-    swaps happen in the coordinator process against the plan's factored
-    locals, and the resulting zero-wave states arrive through shared
-    memory (:meth:`load_x0`).
-
-    Bitwise contract: :meth:`sweep` computes exactly what
-    :meth:`FleetKernel.solve_all` + :meth:`FleetKernel.emit_all` compute
-    for these subdomains — same-shape batched GEMM results are
-    independent of batch composition (see the module docstring), so
-    regrouping a fleet into shards changes nothing per subdomain.  The
-    test-suite asserts that lockstep shard sweeps reproduce the fleet
-    sweep bit for bit.
-    """
-
-    def __init__(self, parts: np.ndarray,
-                 locals_: Sequence[LocalSystem]) -> None:
-        parts = np.asarray(parts, dtype=np.int64)
-        if parts.size == 0:
-            raise ValidationError("a shard needs at least one subdomain")
-        if parts.size > 1 and np.any(np.diff(parts) != 1):
-            raise ValidationError("shard parts must be contiguous")
-        if len(locals_) != parts.size:
-            raise ValidationError(
-                f"{parts.size} parts but {len(locals_)} local systems")
-        self.parts = parts
-        m = parts.size
-        slot_counts = np.asarray([loc.n_slots for loc in locals_],
-                                 dtype=np.int64)
-        port_counts = np.asarray([loc.n_ports for loc in locals_],
-                                 dtype=np.int64)
-        state_counts = np.asarray([loc.n_local for loc in locals_],
-                                  dtype=np.int64)
-        self.slot_off = np.concatenate(
-            [[0], np.cumsum(slot_counts)]).astype(np.int64)
-        self.port_off = np.concatenate(
-            [[0], np.cumsum(port_counts)]).astype(np.int64)
-        self.state_off = np.concatenate(
-            [[0], np.cumsum(state_counts)]).astype(np.int64)
-        self.n_slots = int(self.slot_off[-1])
-        self.n_ports = int(self.port_off[-1])
-        self.n_states = int(self.state_off[-1])
-
-        #: shard-local port index each owned slot's wave acts on
-        self.slot_port = np.concatenate(
-            [loc.slot_ports + self.port_off[i]
-             for i, loc in enumerate(locals_)]) if self.n_slots else \
-            np.zeros(0, dtype=np.int64)
-
-        # same-shape batching as FleetKernel._build_groups, with
-        # n_local added to the key (the X3 full-state stacks need it);
-        # per-member results are batch-composition independent (module
-        # docstring), and the lockstep bitwise test in
-        # tests/runtime/test_multiproc.py pins the two groupings to
-        # each other — if one changes, that test is the tripwire
-        by_shape: dict[tuple[int, int, int], list[int]] = {}
-        for i, loc in enumerate(locals_):
-            key = (loc.n_local, loc.n_ports, loc.n_slots)
-            by_shape.setdefault(key, []).append(i)
-        self.groups: list[_ShardGroup] = []
-        for (n, r, s), members in sorted(by_shape.items()):
-            mem = np.asarray(members, dtype=np.int64)
-            g = len(members)
-            W3 = np.stack([locals_[i].W for i in members]) if r else \
-                np.zeros((g, 0, s))
-            X3 = np.stack([locals_[i].X for i in members]) if n else \
-                np.zeros((g, 0, s))
-            slot_idx = np.stack(
-                [np.arange(self.slot_off[i], self.slot_off[i + 1])
-                 for i in members]).astype(np.int64) if s else \
-                np.zeros((g, 0), dtype=np.int64)
-            port_idx = np.stack(
-                [np.arange(self.port_off[i], self.port_off[i + 1])
-                 for i in members]).astype(np.int64) if r else \
-                np.zeros((g, 0), dtype=np.int64)
-            state_idx = np.stack(
-                [np.arange(self.state_off[i], self.state_off[i + 1])
-                 for i in members]).astype(np.int64) if n else \
-                np.zeros((g, 0), dtype=np.int64)
-            self.groups.append(_ShardGroup(n, r, s, mem, W3, X3,
-                                           slot_idx, port_idx, state_idx))
-        self._u = np.zeros(self.n_ports)
-        self._loaded = False
-
-    @property
-    def n_parts(self) -> int:
-        return int(self.parts.size)
-
-    def load_x0(self, x0_flat: np.ndarray) -> None:
-        """Stack the per-epoch zero-wave states from a flat state block.
-
-        *x0_flat* is this shard's slice of the global zero-wave state
-        buffer, in the shard's (ports-first per subdomain) row layout —
-        exactly what the coordinator's per-subdomain back-substitutions
-        produce on a right-hand-side swap.
-        """
-        x0_flat = np.asarray(x0_flat, dtype=np.float64)
-        if x0_flat.shape != (self.n_states,):
-            raise ValidationError(
-                f"x0 block must have shape ({self.n_states},), got "
-                f"{x0_flat.shape}")
-        for g in self.groups:
-            g.x0 = x0_flat[g.state_idx]
-            g.u0 = g.x0[:, :g.r]
-        self._loaded = True
-
-    def _require_loaded(self) -> None:
-        if not self._loaded:
-            raise ValidationError(
-                "ShardKernel.load_x0 must run before sweeping (the "
-                "zero-wave states are per-epoch shared-memory state)")
-
-    def sweep(self, waves: np.ndarray) -> np.ndarray:
-        """One resolve+emit over the shard: incoming waves → outgoing.
-
-        *waves* is the shard's owned slice of the global wave vector
-        (one latest-wins snapshot); the return value is the outgoing
-        wave ``b = 2u − a`` of every owned slot, in slot order —
-        bitwise-identical to the fleet's ``solve_all``/``emit_all`` on
-        these subdomains.
-        """
-        self._require_loaded()
-        for g in self.groups:
-            if g.r == 0:
-                continue
-            if g.s == 0:
-                self._u[g.port_idx] = g.u0
-            else:
-                wv = waves[g.slot_idx]
-                self._u[g.port_idx] = g.u0 + np.matmul(
-                    g.W3, wv[:, :, None])[:, :, 0]
-        return 2.0 * self._u[self.slot_port] - waves
-
-    def full_states(self, waves: np.ndarray) -> np.ndarray:
-        """Flat ``[u; y]`` state block of every member for *waves*.
-
-        The shard-local analogue of per-subdomain ``full_state`` calls,
-        written into one contiguous vector in member order — the layout
-        the coordinator's gather expects.
-        """
-        self._require_loaded()
-        out = np.empty(self.n_states)
-        for g in self.groups:
-            if g.n == 0:
-                continue
-            if g.s == 0:
-                out[g.state_idx] = g.x0
-            else:
-                wv = waves[g.slot_idx]
-                out[g.state_idx] = g.x0 + np.matmul(
-                    g.X3, wv[:, :, None])[:, :, 0]
-        return out
+    by_shape: dict[tuple[int, int, int], list[int]] = {}
+    for i, loc in enumerate(locals_):
+        key = (loc.n_local, loc.n_ports, loc.n_slots)
+        by_shape.setdefault(key, []).append(i)
+    groups = []
+    for (n, r, s), members in sorted(by_shape.items()):
+        g = len(members)
+        W3 = np.stack([locals_[i].W for i in members]) if r else \
+            np.zeros((g, 0, s))
+        X3 = np.stack([locals_[i].X for i in members]) if n else \
+            np.zeros((g, 0, s))
+        groups.append(_ShardGroup(
+            n, r, s, np.asarray(members, dtype=np.int64), W3, X3,
+            index_rows(slot_off, members, s),
+            index_rows(port_off, members, r),
+            index_rows(state_off, members, n)))
+    return ShardKernel(parts, slot_port, groups)
 
 
 def extract_shard_kernel(fleet: FleetKernel, lo: int, hi: int
@@ -834,4 +703,4 @@ def extract_shard_kernel(fleet: FleetKernel, lo: int, hi: int
         raise ValidationError(
             f"shard range [{lo}, {hi}) out of [0, {fleet.n_parts})")
     parts = np.arange(lo, hi, dtype=np.int64)
-    return ShardKernel(parts, [fleet.locals[q] for q in parts])
+    return pack_shard_kernel(parts, [fleet.locals[q] for q in parts])

@@ -87,6 +87,9 @@ LIVENESS_TIMEOUT = 5.0
 #: stays visibly alive between epochs
 HEARTBEAT_EVERY = 0.2
 
+#: how long ``_Hub.close`` waits for its accept thread to end
+_ACCEPT_JOIN_S = 2.0
+
 
 class _Hub:
     """Coordinator-side switchboard of the socket fabric.
@@ -128,7 +131,9 @@ class _Hub:
         self.n_states = int(n_states)
         self.idle_sleep = float(idle_sleep)
         self.liveness_timeout = float(liveness_timeout)
-        self.payloads = [spec.to_payload() for spec in specs]
+        #: each shard's SPEC blob, encoded once: a worker that joins,
+        #: rejoins or is respawned gets the whole shard again
+        self.payloads = [spec.encode_payload() for spec in specs]
         self.slot_bounds = [
             (int(spec.slot_lo), int(spec.slot_hi)) for spec in specs
         ]
@@ -152,13 +157,14 @@ class _Hub:
         listener.bind((host, port))
         listener.listen(self.n_shards + 2)
         self._listener = listener
+        self._accept: Optional[threading.Thread] = None
         self.address = listener.getsockname()
 
     def start(self) -> None:
-        accept = threading.Thread(
+        self._accept = threading.Thread(
             target=self._accept_loop, name="dtm-net-accept", daemon=True
         )
-        accept.start()
+        self._accept.start()
 
     # -- connection lifecycle ------------------------------------------
     def _accept_loop(self) -> None:
@@ -449,11 +455,25 @@ class _Hub:
                     pass
 
     def close(self) -> None:
+        """Stop accepting, then drop every worker connection.
+
+        Closing a listening socket does not wake a thread blocked in
+        ``accept()`` on it (Linux): the accept thread and the kernel
+        socket — still queueing dialers of a "closed" hub — would
+        outlive every closed mesh runner.  ``shutdown`` does wake it.
+        """
         self.closing = True
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # closed before, or a platform whose close() wakes
         try:
             self._listener.close()
         except OSError:  # pragma: no cover - best-effort
             pass
+        accept = self._accept
+        if accept is not None and accept is not threading.current_thread():
+            accept.join(_ACCEPT_JOIN_S)
         with self.lock:
             conns = list(self._conns.values())
             self._conns.clear()
@@ -842,10 +862,17 @@ class MeshWorkerPort(WorkerPort):
 
         The worker loop, heartbeats and (under fault injection) a
         delay-flusher thread may all emit hub frames; a lock keeps the
-        frames whole on the wire.
+        frames whole on the wire.  A write that fails means the
+        coordinator is gone (a closed runner hangs up right after its
+        SHUTDOWN broadcast, and the loop may be mid-ack): it releases
+        the worker loop exactly as the reader's EOF does, whichever of
+        the two threads notices first.
         """
-        with self._sock_wlock:
-            wire.send_message(self._sock, ftype, header, arrays)
+        try:
+            with self._sock_wlock:
+                wire.send_message(self._sock, ftype, header, arrays)
+        except TransportError:
+            self._mirror[SHUTDOWN] = 1
 
     def _send_wave_frame(self, dst, slots, values) -> None:
         """One wave frame: direct peer socket, else through the hub."""
@@ -938,13 +965,10 @@ class MeshWorkerPort(WorkerPort):
         )
 
     def mark_error(self, detail: str = "") -> None:
-        try:
-            self._send_hub(
-                wire.T_ERR,
-                {"shard": self.shard, "error": detail},
-            )
-        except TransportError:  # pragma: no cover - socket already gone
-            pass
+        self._send_hub(
+            wire.T_ERR,
+            {"shard": self.shard, "error": detail},
+        )
 
     # -- fault injection hooks (driven by repro.net.faults) --------------
     def install_frame_faults(self, injector) -> None:
@@ -993,10 +1017,7 @@ class MeshWorkerPort(WorkerPort):
         header = {"shard": self.shard, "sweeps": self._sweeps}
         if self._obs is not None:
             header["obs"] = self._obs.snapshot().to_jsonable()
-        try:
-            self._send_hub(wire.T_HEARTBEAT, header)
-        except TransportError:
-            pass  # the hub reader thread raises SHUTDOWN for the loop
+        self._send_hub(wire.T_HEARTBEAT, header)
 
     def close(self) -> None:
         self._closing = True

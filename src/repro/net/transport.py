@@ -36,6 +36,7 @@ import os
 import secrets
 import time
 import weakref
+from functools import partial
 from multiprocessing import get_context, shared_memory
 
 import numpy as np
@@ -258,7 +259,7 @@ class Transport:
         raise NotImplementedError
 
     def worker_descriptor(self, index: int) -> tuple:
-        """Picklable handle a worker process opens its port from."""
+        """Small handle a worker process opens its port from."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -304,15 +305,25 @@ class ShmTransport(Transport):
     name = "shm"
 
     def __init__(self) -> None:
-        self._specs: list = []
         self._segments: list = []
+        self._base = ""
         self._names: dict = {}
-        self._shm: dict = {}
+        self._sizes: dict = {}
         self._n_slots = 0
         self._n_states = 0
         self._idle_sleep = 0.001
         self._wake: list = []
         self._finalizer = None
+
+    def _create(self, key: str, size: int) -> memoryview:
+        """A zeroed coordinator-owned segment's buffer, by *key*."""
+        shm = shared_memory.SharedMemory(
+            create=True, size=size, name=f"{self._base}-{key}"
+        )
+        self._segments.append(shm)  # the finalizer's list: unlinked
+        self._names[key] = shm.name
+        self._sizes[key] = size
+        return shm.buf
 
     def bind(
         self,
@@ -325,59 +336,57 @@ class ShmTransport(Transport):
     ) -> "ShmCoordinatorPort":
         if self._finalizer is not None:
             raise ConfigurationError("ShmTransport is already bound")
-        self._specs = list(specs)
         self._n_slots = int(n_slots)
         self._n_states = int(n_states)
         self._idle_sleep = float(idle_sleep)
-        n_shards = len(self._specs)
-        base = f"dtm{os.getpid():x}{secrets.token_hex(4)}"
-        sizes = {
-            "waves": max(self._n_slots, 1) * 8,
-            "x0": max(self._n_states, 1) * 8,
-            "states": max(self._n_states, 1) * 8,
-            "ctrl": ctrl_size(n_shards) * 8,
-        }
-        for key, size in sizes.items():
-            shm = shared_memory.SharedMemory(
-                create=True, size=size, name=f"{base}-{key}"
-            )
-            self._shm[key] = shm
-            self._names[key] = shm.name
-            self._segments.append(shm)
+        n_shards = len(specs)
+        self._base = f"dtm{os.getpid():x}{secrets.token_hex(4)}"
         self._finalizer = weakref.finalize(
             self, _cleanup_segments, self._segments
         )
         waves = np.ndarray(
-            (self._n_slots,), dtype=np.float64, buffer=self._shm["waves"].buf
+            (self._n_slots,),
+            dtype=np.float64,
+            buffer=self._create("waves", max(self._n_slots, 1) * 8),
         )
         x0 = np.ndarray(
-            (self._n_states,), dtype=np.float64, buffer=self._shm["x0"].buf
+            (self._n_states,),
+            dtype=np.float64,
+            buffer=self._create("x0", max(self._n_states, 1) * 8),
         )
         states = np.ndarray(
             (self._n_states,),
             dtype=np.float64,
-            buffer=self._shm["states"].buf,
+            buffer=self._create("states", max(self._n_states, 1) * 8),
         )
         ctrl = np.ndarray(
             (ctrl_size(n_shards),),
             dtype=np.int64,
-            buffer=self._shm["ctrl"].buf,
+            buffer=self._create("ctrl", ctrl_size(n_shards) * 8),
         )
-        waves[:] = 0.0
-        x0[:] = 0.0
-        states[:] = 0.0
-        ctrl[:] = 0
+        # each shard's payload, encoded straight into a segment of its
+        # own: written here once, mapped by its worker for life, and
+        # written by nobody after this loop (the worker's views of it
+        # are read-only)
+        for spec in specs:
+            spec.encode_payload(partial(self._create, f"spec{spec.index}"))
         # posted with every EPOCH bump (see ShmWorkerPort.idle_wait)
-        self._wake = [get_context("spawn").Semaphore(0)
-                      for _ in range(n_shards)]
+        self._wake = [
+            get_context("spawn").Semaphore(0) for _ in range(n_shards)
+        ]
         return ShmCoordinatorPort(self, waves, x0, states, ctrl, n_shards)
 
     def worker_descriptor(self, index: int) -> tuple:
-        spec = self._specs[index]
+        """Names and sizes only: the shard itself stays in its segment,
+        so a spawn pipe carries under a kilobyte per worker."""
+        names = {
+            key: self._names[key] for key in ("waves", "x0", "states", "ctrl")
+        }
+        names["spec"] = self._names[f"spec{index}"]
         return (
             "shm",
-            spec.to_payload(),
-            dict(self._names),
+            names,
+            self._sizes[f"spec{index}"],
             self._n_slots,
             self._n_states,
             self._idle_sleep,
@@ -532,6 +541,9 @@ class ShmWorkerPort(WorkerPort):
         self._ctrl[ERR] = self._index + 1
 
     def close(self) -> None:
+        # (the mailbox tables are views of the spec segment)
+        self._loopback = None
+        self._outboxes = []
         for shm in self._shms.values():
             try:
                 shm.close()
@@ -559,16 +571,17 @@ def resolve_transport(transport) -> Transport:
 
 
 def open_worker_port(descriptor) -> tuple:
-    """Open a worker port from a picklable descriptor.
+    """Open a worker port from a transport's worker descriptor.
 
     Returns ``(spec, port, idle_sleep)`` — everything the generic shard
     loop in :mod:`repro.runtime.multiproc` needs.
     """
     kind = descriptor[0]
     if kind == "shm":
-        _, payload, names, n_slots, n_states, idle, wake = descriptor
-        spec = ShardSpec.from_payload(payload)
+        _, names, spec_size, n_slots, n_states, idle, wake = descriptor
         shms = {key: _attach_shm(name) for key, name in names.items()}
+        # (a segment may be rounded up to whole pages: slice it)
+        spec = ShardSpec.from_payload(shms["spec"].buf[:spec_size])
         port = ShmWorkerPort(spec, shms, n_slots, n_states, wake)
         return spec, port, idle
     if kind == "mesh":

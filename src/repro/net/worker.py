@@ -33,7 +33,7 @@ import sys
 import time
 
 from ..errors import TransportError
-from ..runtime.multiproc import _worker_main
+from ..runtime.shard_worker import _worker_main
 
 #: connect retry ceiling between attempts, seconds
 MAX_BACKOFF = 10.0

@@ -2,7 +2,8 @@
 
 Covers the tentpole contract:
 
-* resolution and lifecycle of :class:`MeshTransport`;
+* resolution and lifecycle of :class:`MeshTransport` — a closed hub
+  leaves no accept thread and no listening socket behind;
 * 4-shard mesh runs converging to the same reference-free tolerances
   as the shm fabric, with warm starts and RHS swaps on a persistent
   pool;
@@ -88,6 +89,31 @@ class TestResolution:
             MultiprocDtmRunner(
                 plan, shards=2, transport="mesh", spawn_workers=False,
                 faults=FaultPlan({0: ShardFaults(kill_at_sweep=5)}))
+
+
+class TestHubClose:
+    def test_closed_runners_leave_no_accept_thread_or_listener(self, plan):
+        """Closing a listening socket does not wake a thread blocked
+        in ``accept()`` on it: every closed mesh runner used to leave
+        its ``dtm-net-accept`` thread and a kernel socket that went on
+        queueing dialers of the "closed" address."""
+
+        def accept_threads():
+            return sum(t.name == "dtm-net-accept"
+                       for t in threading.enumerate())
+
+        before = accept_threads()
+        addresses = []
+        for _ in range(3):
+            transport = MeshTransport()
+            with MultiprocDtmRunner(plan, shards=2, transport=transport,
+                                    spawn_workers=False):
+                assert accept_threads() == before + 1
+                addresses.append((transport.host, transport.port))
+        assert accept_threads() == before
+        for address in addresses:
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(address, timeout=5.0).close()
 
 
 class TestMeshSolve:

@@ -16,11 +16,17 @@ Covers the tentpole contract:
   joined from threads instead of remote hosts;
 * handshake hardening (hub bad token, unknown shard index, peer bad
   token);
+* the shm shard hand-off — counted, not clocked: a worker descriptor
+  is names and sizes, the worker's stacks are read-only views of a
+  segment the coordinator wrote once, the coordinator keeps no copy of
+  them, and no segment outlives its runner or its transport;
 * the ``api.solve_dtm(transport=...)`` threading.
 """
 
 import faulthandler
+import gc
 import os
+import pickle
 import socket
 import threading
 import time
@@ -103,6 +109,107 @@ class TestResolution:
     def test_descriptor_requires_bind(self):
         with pytest.raises(ConfigurationError):
             MeshTransport().worker_descriptor(0)
+
+
+def shm_listing():
+    return sorted(os.listdir("/dev/shm"))
+
+
+def ndarray_bytes(root) -> int:
+    """Total ``nbytes`` of the ndarrays reachable from *root* through
+    containers and ``repro`` objects."""
+    seen, total, stack = set(), 0, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            total += obj.nbytes
+        elif isinstance(obj, (list, tuple, dict)) \
+                or type(obj).__module__.startswith("repro."):
+            stack.extend(gc.get_referents(obj))
+    return total
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                    reason="needs a listable /dev/shm")
+class TestShmHandOff:
+    """The spawn pipe carries names; the shard stays in its segment."""
+
+    @pytest.fixture(scope="class")
+    def plan100(self):
+        """The benchmark's ``cold_restart`` system: 3.7 MB per shard."""
+        return build_plan(grid2d_poisson(100), n_subdomains=16,
+                          grid_shape=[100, 100], parts_shape=[4, 4])
+
+    def test_descriptor_is_names_and_sizes(self, plan100):
+        with MultiprocDtmRunner(plan100, shards=2,
+                                spawn_workers=False) as runner:
+            for i in range(2):
+                *plain, wake = runner.transport.worker_descriptor(i)
+                for member in plain:
+                    if isinstance(member, (bytes, bytearray, memoryview,
+                                           np.ndarray)):
+                        assert memoryview(member).nbytes <= 1024
+                assert len(pickle.dumps(plain)) < 1024
+                assert type(wake).__name__ == "Semaphore"
+
+    def test_worker_stacks_are_read_only_views(self, plan100):
+        with MultiprocDtmRunner(plan100, shards=2,
+                                spawn_workers=False) as runner:
+            spec, worker, _ = open_worker_port(
+                runner.transport.worker_descriptor(1))
+            try:
+                arrays = [spec.parts, spec.kernel.slot_port]
+                for group in spec.kernel.groups:
+                    arrays += [group.members, group.W3, group.X3,
+                               group.slot_idx, group.port_idx,
+                               group.state_idx]
+                assert sum(a.nbytes for a in arrays) > 3_000_000
+                for arr in arrays:
+                    assert arr.flags.writeable is False
+                    assert arr.flags.owndata is False
+            finally:
+                del spec, arrays, group, arr
+                worker.close()
+
+    def test_the_coordinator_holds_the_stacks_once(self, plan100):
+        """7.4 MB of stacks at the parent; now index tables only — and
+        the mesh hub's SPEC blobs are the one copy there, not a second
+        one beside the specs."""
+        with MultiprocDtmRunner(plan100, shards=2,
+                                spawn_workers=False) as runner:
+            assert all(spec.kernel is None for spec in runner.specs)
+            assert ndarray_bytes(runner.specs) < 1_000_000
+        with MultiprocDtmRunner(plan100, shards=2, transport="mesh",
+                                spawn_workers=False) as runner:
+            assert ndarray_bytes(runner.specs) < 1_000_000
+            hub = runner.transport._hub
+            assert sum(len(p) for p in hub.payloads) > 7_000_000
+
+    def test_no_segment_outlives_the_runner(self, plan):
+        before = shm_listing()
+        with MultiprocDtmRunner(plan, shards=2) as runner:
+            created = set(shm_listing()) - set(before)
+            assert sum("-spec" in name for name in created) == 2
+            assert runner.solve(stopping=ResidualRule(tol=TOL)).converged
+        assert shm_listing() == before
+
+    def test_a_dropped_transport_unlinks_its_segments(self, plan):
+        """The finalizer path: no ``close()``, the spec segments go
+        with the others."""
+        from repro.plan.shard import extract_shards
+
+        before = shm_listing()
+        transport = ShmTransport()
+        port = transport.bind(extract_shards(plan, 2), n_slots=8,
+                              n_states=8, idle_sleep=0.001)
+        created = set(shm_listing()) - set(before)
+        assert sum("-spec" in name for name in created) == 2
+        del port, transport
+        gc.collect()
+        assert shm_listing() == before
 
 
 class TestShmIdleWait:
@@ -342,11 +449,10 @@ class TestHandshake:
                                transport.token, 99)
 
     def test_another_build_parts_at_spec_by_name(self, plan, monkeypatch):
-        """A coordinator and a worker of different builds (here: the
-        payload schema from before the probe channel went) part at the
-        SPEC frame with a ``ProtocolError`` naming both schemas — not
-        with a ``KeyError`` on a header field one of them stopped
-        sending (``probe_every``)."""
+        """A coordinator and a worker of different builds (here: a
+        payload schema other than this build's) part at the SPEC frame
+        with a ``ProtocolError`` naming both schemas — not with a
+        ``KeyError`` on a header field one of them stopped sending."""
         from repro.plan import shard
 
         transport = MeshTransport()
@@ -359,7 +465,7 @@ class TestHandshake:
         with runner:
             with pytest.raises(ProtocolError,
                                match="repro-shard-payload/1.*"
-                                     "repro-shard-payload/2"):
+                                     "repro-shard-payload/3"):
                 MeshWorkerPort(transport.host, transport.port,
                                transport.token, 0)
 

@@ -42,7 +42,7 @@ from hypothesis import strategies as st
 
 from repro.api import QuiescenceRule, ReferenceRule, ResidualRule, solve_dtm
 from repro.core.convergence import StateProbe, begin_monitor, relative_residual
-from repro.core.fleet import ShardKernel, extract_shard_kernel
+from repro.core.fleet import extract_shard_kernel, pack_shard_kernel
 from repro.errors import ConfigurationError, MultiprocError, ValidationError
 from repro.linalg.sparse import CsrMatrix
 from repro.plan import build_plan
@@ -61,8 +61,8 @@ from repro.runtime.multiproc import (
     EdgeMailbox,
     MultiprocDtmRunner,
     _ProbePacer,
-    _run_worker,
 )
+from repro.runtime.shard_worker import _run_worker
 from repro.runtime.server import DtmServer, PlanStore, ServeRequest, plan_hash
 from repro.workloads.circuits import resistor_grid
 from repro.workloads.poisson import grid2d_poisson
@@ -162,22 +162,6 @@ class TestShardExtraction:
             np.sort(dest),
             np.arange(poisson_plan.fleet_template.n_slots_total))
 
-    def test_payload_roundtrip(self, poisson_plan):
-        spec = extract_shards(poisson_plan, 2)[1]
-        clone = ShardSpec.from_payload(spec.to_payload())
-        assert clone.index == spec.index
-        assert np.array_equal(clone.parts, spec.parts)
-        assert clone.slot_lo == spec.slot_lo
-        assert np.array_equal(clone.loopback.dest_slots,
-                              spec.loopback.dest_slots)
-
-    def test_payload_schema_checked(self, poisson_plan):
-        import pickle
-
-        bad = pickle.dumps(("something-else/9", None))
-        with pytest.raises(ValidationError):
-            ShardSpec.from_payload(bad)
-
     def test_vtm_plan_rejected(self):
         plan = build_plan(grid2d_poisson(6), mode="vtm", n_subdomains=4)
         with pytest.raises(ConfigurationError):
@@ -193,7 +177,7 @@ class TestShardKernel:
     def test_rejects_non_contiguous_parts(self, poisson_plan):
         locs = poisson_plan.base_locals
         with pytest.raises(ValidationError):
-            ShardKernel(np.array([0, 2]), [locs[0], locs[2]])
+            pack_shard_kernel(np.array([0, 2]), [locs[0], locs[2]])
 
     def test_rejects_bad_x0_shape(self, poisson_plan):
         kern = extract_shard_kernel(poisson_plan.fleet_template, 0, 2)

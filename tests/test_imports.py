@@ -44,8 +44,7 @@ def run_fresh(code: str) -> str:
 @pytest.mark.parametrize(
     "module",
     [
-        # what a spawned worker imports to unpickle `_worker_main`
-        "repro.runtime.multiproc",
+        "repro.runtime.multiproc",  # the coordinator
         "repro.net.worker",  # the remote mesh worker's entry point
         "repro.net.client",
     ],
@@ -57,6 +56,35 @@ def test_boot_path_leaves_scipy_and_asyncio_out(module):
         import {module}
         heavy = sorted({{"scipy", "asyncio"}} & set(sys.modules))
         assert not heavy, heavy
+        """
+    )
+
+
+def test_worker_entry_imports_what_the_sweep_loop_runs():
+    """What a spawned shard imports to unpickle ``_worker_main``:
+    numpy, the shard kernel and the shm ports — no session, simulator,
+    factorization or graph code, and no metric registry until a worker
+    is asked to count."""
+    run_fresh(
+        """
+        import sys
+        import repro.runtime.shard_worker
+        loaded = sorted(m for m in sys.modules if m.startswith("repro"))
+        assert loaded == [
+            "repro",
+            "repro._lazy",
+            "repro.core",
+            "repro.core.shard_kernel",
+            "repro.errors",
+            "repro.net",
+            "repro.net.transport",
+            "repro.plan",
+            "repro.plan.shard",
+            "repro.runtime",
+            "repro.runtime.shard_worker",
+        ], loaded
+        roots = {m.partition(".")[0] for m in sys.modules}
+        assert not roots & {"scipy", "asyncio"}, roots
         """
     )
 
