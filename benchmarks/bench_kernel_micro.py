@@ -3,7 +3,8 @@
 Times one synchronous wave-relaxation sweep over a regularly
 partitioned 2-D Poisson problem two ways:
 
-* **per_kernel** — the pre-fleet path: one ``DtmKernel.solve()`` per
+* **per_kernel** — the literal Table 1 loop, kept as the test-suite's
+  oracle in ``tests/per_kernel.py``: one ``DtmKernel.solve()`` per
   subdomain producing ``WaveMessage`` objects, delivered one
   ``receive()`` at a time;
 * **fleet** — the struct-of-arrays path: ``solve_all`` →
@@ -29,12 +30,13 @@ import time
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(_ROOT, "src"))
+sys.path.insert(0, os.path.join(_ROOT, "tests"))
 
+from per_kernel import build_kernels, per_kernel_sweep  # noqa: E402
 from repro.core.dtl import build_dtlp_network  # noqa: E402
 from repro.core.fleet import build_fleet  # noqa: E402
-from repro.core.kernel import build_kernels  # noqa: E402
 from repro.core.local import build_all_local_systems  # noqa: E402
 from repro.graph.evs import DominancePreservingSplit, split_graph  # noqa: E402
 from repro.graph.partitioners import grid_block_partition  # noqa: E402
@@ -59,14 +61,6 @@ def build_problem(n_parts: int, grid: int):
     net = build_dtlp_network(split, 1.0, 1.0)
     locals_ = build_all_local_systems(split, net)
     return split, net, locals_
-
-
-def _per_kernel_sweep(kernels) -> None:
-    messages = []
-    for k in kernels:
-        messages.extend(k.solve())
-    for m in messages:
-        kernels[m.dest_part].receive(m.dest_slot, m.value)
 
 
 def _fleet_sweep(fleet) -> None:
@@ -96,7 +90,7 @@ def bench_case(n_parts: int, *, grid: int = 64, sweeps: int = 20,
     kernels = build_kernels(split, net, locals_)
     for _ in range(3):
         _fleet_sweep(fleet)
-        _per_kernel_sweep(kernels)
+        per_kernel_sweep(kernels)
     ref = np.concatenate([k.waves for k in kernels])
     if not np.array_equal(fleet.waves, ref):
         raise AssertionError(
@@ -106,9 +100,9 @@ def bench_case(n_parts: int, *, grid: int = 64, sweeps: int = 20,
     fleet = build_fleet(split, net, locals_)
     kernels = build_kernels(split, net, locals_)
     _fleet_sweep(fleet)
-    _per_kernel_sweep(kernels)
+    per_kernel_sweep(kernels)
     t_fleet = _time_sweeps(lambda: _fleet_sweep(fleet), sweeps, repeats)
-    t_kernel = _time_sweeps(lambda: _per_kernel_sweep(kernels), sweeps,
+    t_kernel = _time_sweeps(lambda: per_kernel_sweep(kernels), sweeps,
                             repeats)
     return {
         "n_parts": n_parts,

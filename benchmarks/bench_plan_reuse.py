@@ -108,8 +108,8 @@ def bench_case(n_parts: int, *, grid: int = 32, repeats: int = 3,
 
     # -- end-to-end (simulation included; common work dominates) -------
     t_solve_full = _best(
-        lambda: solve_dtm(g, use_cache=False, use_fleet=True,
-                          **pk, **_session_kwargs(), **_RUN), 1)
+        lambda: solve_dtm(g, use_cache=False, **pk, **_session_kwargs(),
+                          **_RUN), 1)
     session = plan.session(**_session_kwargs())
     t_solve_cached = _best(lambda: session.solve(**_RUN), 1)
     sim_run_s = t_solve_cached  # ≈ pure run: setup is microseconds here
@@ -131,8 +131,8 @@ def bench_case(n_parts: int, *, grid: int = 32, repeats: int = 3,
                 f"(P={n_parts})")
     t0 = time.perf_counter()
     for k in range(rhs_columns):
-        solve_dtm(g, B[:, k], use_cache=False, use_fleet=True,
-                  **pk, **_session_kwargs(), **_RUN)
+        solve_dtm(g, B[:, k], use_cache=False, **pk, **_session_kwargs(),
+                  **_RUN)
     t_full_block = time.perf_counter() - t0
 
     return {

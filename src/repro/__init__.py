@@ -11,7 +11,8 @@ substrate it rests on:
   solvers and sync/async hybrids;
 * :mod:`repro.sim` — a discrete-event simulator of heterogeneous
   parallel machines (the paper's MATLAB/SIMULINK toolbox substitute);
-* :mod:`repro.runtime` — a real asyncio execution backend;
+* :mod:`repro.runtime` — the real multiprocess execution backend
+  (shared-memory or socket-mesh shards) and the plan-store server;
 * :mod:`repro.solvers` — domain-decomposition baselines;
 * :mod:`repro.workloads` — problem generators incl. the paper's examples;
 * :mod:`repro.analysis` — convergence-theory verification and reporting;

@@ -84,14 +84,14 @@ def prepare_split(a, b, n_subdomains: int, *, seed: int = 0,
 def _reject_plan_conflicts(plan, a, **named) -> None:
     """Refuse plan-selecting arguments alongside an explicit plan.
 
-    Every lower layer (DtmSimulator, VtmSolver, AsyncioDtmRunner)
-    raises on this conflict; the top-level wrappers must too — silently
-    solving with the plan's baked-in configuration instead of the
-    requested one would return a valid-looking result for the wrong
-    setup.  Arguments explicitly passed at their default values are
-    fine.  The system *a* itself is checked against the plan's matrix
-    fingerprint: a mismatched matrix would otherwise be solved as the
-    plan's system while reporting clean diagnostics against it.
+    The simulator layers (DtmSimulator, VtmSolver) raise on this
+    conflict; the top-level wrappers must too — silently solving with
+    the plan's baked-in configuration instead of the requested one
+    would return a valid-looking result for the wrong setup.
+    Arguments explicitly passed at their default values are fine.  The
+    system *a* itself is checked against the plan's matrix fingerprint:
+    a mismatched matrix would otherwise be solved as the plan's system
+    while reporting clean diagnostics against it.
     """
     conflicts = [k for k, (value, default) in named.items()
                  if value is not default and value != default]
@@ -125,7 +125,6 @@ def solve_dtm(a, b=None, *, n_subdomains: int = 4,
               seed: int = 0,
               grid_shape: Optional[tuple[int, int]] = None,
               parts_shape: Optional[tuple[int, int]] = None,
-              use_fleet: bool = True,
               plan: Optional[SolverPlan] = None,
               use_cache: bool = True,
               backend: str = "sim",
@@ -141,10 +140,7 @@ def solve_dtm(a, b=None, *, n_subdomains: int = 4,
     :class:`ElectricGraph`, whose sources an explicit *b* overrides),
     the number of subdomains, the machine *topology* (default: a fully
     connected machine with delays in [10, 100]), the impedance spec,
-    and the simulation horizon/tolerance.  ``use_fleet`` selects the
-    struct-of-arrays :class:`~repro.core.fleet.FleetKernel` hot path
-    (default; the per-kernel object path produces the identical
-    trajectory, see PERFORMANCE.md).
+    and the simulation horizon/tolerance.
 
     Planning (partition, EVS, factorizations, fleet packing) is cached
     in-process and keyed on every plan-affecting input, so repeated
@@ -238,10 +234,6 @@ def solve_dtm(a, b=None, *, n_subdomains: int = 4,
             build_workers=(plan_kwargs.get("build_workers"), None),
             plan_dir=(plan_kwargs.get("plan_dir"), None))
     if backend == "multiproc":
-        if not use_fleet:
-            raise ConfigurationError(
-                "the multiproc backend always runs the fleet packing; "
-                "use_fleet=False only applies to backend='sim'")
         if sim_kwargs:
             raise ConfigurationError(
                 "simulator options "
@@ -260,8 +252,7 @@ def solve_dtm(a, b=None, *, n_subdomains: int = 4,
                 wall_budget=wall_budget, trace=trace,
                 sample_interval=run_kwargs.get("sample_interval"),
                 max_events=run_kwargs.get("max_events"))
-    session = SolverSession(plan, use_fleet=use_fleet, obs=obs,
-                            **sim_kwargs)
+    session = SolverSession(plan, obs=obs, **sim_kwargs)
     return session.solve(b_vec, t_max=t_max, tol=tol, stopping=stopping,
                          trace=trace, **run_kwargs)
 

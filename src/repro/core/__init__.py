@@ -1,4 +1,4 @@
-"""DTM core: DTLs, impedances, local systems, kernels, VTM, hybrids."""
+"""DTM core: DTLs, impedances, local systems, the fleet kernel, VTM."""
 
 from .._lazy import lazy_exports
 
@@ -40,12 +40,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "as_impedance_strategy",
         ),
         "fleet": ("FleetKernel", "FleetKernelView", "build_fleet"),
-        "kernel": (
-            "DtmKernel",
-            "WaveMessage",
-            "build_kernels",
-            "gather_global_state",
-        ),
         "local": (
             "LocalSystem",
             "build_all_local_systems",

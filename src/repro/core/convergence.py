@@ -2,14 +2,14 @@
 
 The paper reports RMS error against the direct solution (Figs 8, 9, 12,
 14).  :class:`ConvergenceTracker` bundles the reference solution, the
-metric and the tolerance/horizon stopping logic shared by the VTM loop,
-the discrete-event simulator and the asyncio runtime.
+metric and the tolerance/horizon stopping logic shared by the VTM loop
+and the discrete-event simulator.
 
 Production solves cannot afford a direct reference solution just to
 know when to stop, so this module also defines the **stopping-rule
 subsystem**: small immutable :class:`StoppingRule` specs that every
-execution layer (``VtmSolver``, ``DtmSimulator``, ``AsyncioDtmRunner``,
-``SolverSession``) accepts via a ``stopping=`` parameter.
+execution layer (``VtmSolver``, ``DtmSimulator``, ``SolverSession``,
+``MultiprocDtmRunner``) accepts via a ``stopping=`` parameter.
 
 * :class:`ReferenceRule` — the paper's oracle criterion (RMS/max error
   against the direct solution); the default everywhere, so existing

@@ -26,14 +26,16 @@ padding to a common shape is deliberately avoided: padded GEMMs are
 grouping changes), whereas same-shape batched GEMM, GEMM with one
 column, and GEMV agree bit for bit on the BLAS builds numpy ships
 (this is an empirical property, not an API guarantee — the test-suite
-and the micro-benchmark's equivalence guard assert it on every
-platform they run on).  The per-``DtmKernel`` execution path and the
-fleet path therefore produce *identical* wave trajectories.
+and the micro-benchmark's equivalence guard assert it against the
+per-subdomain oracle in ``tests/per_kernel.py`` on every platform they
+run on).  The fleet is therefore the only execution path: batching
+changes no bit of the wave trajectory.
 
-:class:`FleetKernelView` is a thin per-subdomain compatibility view
-over fleet slices: it exposes the :class:`~repro.core.kernel.DtmKernel`
-API (``waves``/``u_ports`` are numpy views into the fleet arrays) so
-existing executors, observers and tests keep working unchanged.
+:class:`FleetKernelView` is a thin per-subdomain view over fleet
+slices: ``waves``/``u_ports`` are numpy views into the fleet arrays,
+and :meth:`FleetKernelView.solve` resolves one subdomain and returns
+its emitted waves as arrays — the protocol the simulator's processors,
+observers and probes drive.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import ValidationError
-from .kernel import WaveMessage
 from .local import LocalSystem
 from .shard_kernel import ShardKernel, _ShardGroup
 
@@ -107,7 +108,6 @@ class FleetKernel:
         if send_threshold < 0:
             raise ValidationError("send_threshold must be >= 0")
         self.locals = list(locals_)
-        self.routes = [list(r) for r in routes]
         self.send_threshold = float(send_threshold)
         P = len(self.locals)
         self.n_parts = P
@@ -116,7 +116,7 @@ class FleetKernel:
                                  dtype=np.int64)
         port_counts = np.asarray([loc.n_ports for loc in self.locals],
                                  dtype=np.int64)
-        for loc, rts in zip(self.locals, self.routes):
+        for loc, rts in zip(self.locals, routes):
             if loc.n_slots != len(rts):
                 raise ValidationError(
                     f"part {loc.part} has {loc.n_slots} slots but "
@@ -148,14 +148,12 @@ class FleetKernel:
         dest_part = np.zeros(S, dtype=np.int64)
         dest_local = np.zeros(S, dtype=np.int64)
         dtlp = np.zeros(S, dtype=np.int64)
-        delay = np.zeros(S)
-        for q, rts in enumerate(self.routes):
+        for q, rts in enumerate(routes):
             o = int(self.slot_offsets[q])
-            for l, (dp, ds, di, dl) in enumerate(rts):
+            for l, (dp, ds, di, _delay) in enumerate(rts):
                 dest_part[o + l] = dp
                 dest_local[o + l] = ds
                 dtlp[o + l] = di
-                delay[o + l] = dl
         if np.any(dest_part >= P) or np.any(dest_part < 0):
             raise ValidationError("route destination part out of range")
         self.route_dest_part = dest_part
@@ -166,9 +164,8 @@ class FleetKernel:
                         | (dest_local >= slot_counts[dest_part])):
             raise ValidationError("route destination slot out of range")
         self.route_dtlp = dtlp
-        self.route_delay = delay
 
-        # mutable state (zero initial boundary conditions, as DtmKernel)
+        # mutable state: zero initial boundary conditions, u(0) = ω(0) = 0
         self.waves = np.zeros(S)
         self.u = np.zeros(R)
         self.last_sent = np.full(S, np.nan)
@@ -243,7 +240,7 @@ class FleetKernel:
         """Resolve every (or the masked subset of) subdomain at once.
 
         One un-padded batched mat-vec per shape group — bitwise
-        identical to calling ``DtmKernel.solve`` on each subdomain.
+        identical to one GEMV per subdomain (module docstring).
         """
         if active_mask is None:
             for g in self.groups:
@@ -279,7 +276,7 @@ class FleetKernel:
             self._c_solves.inc(int(parts.size))
 
     def _solve_part(self, q: int) -> None:
-        """Single-subdomain resolve (executor path; GEMV on slices)."""
+        """Single-subdomain resolve (simulator path; GEMV on slices)."""
         loc = self.locals[q]
         p0, p1 = self.port_offsets[q], self.port_offsets[q + 1]
         if loc.n_slots == 0:
@@ -301,7 +298,7 @@ class FleetKernel:
 
         Returns ``(kept_slot_idx, values)`` where suppression by
         ``send_threshold`` may drop entries; ``last_sent`` is updated
-        for the kept ones (exactly the per-kernel bookkeeping).
+        for the kept ones (per slot, as Table 1 step 3.2 reads).
         """
         out = 2.0 * self.u[self.slot_port_global[slot_idx]] \
             - self.waves[slot_idx]
@@ -365,8 +362,7 @@ class FleetKernel:
     def receive_one(self, slot_global: int, value: float) -> None:
         """Deliver a single wave by global slot (scalar fast path).
 
-        The one place the per-arrival bookkeeping lives; the view and
-        cluster receive paths both delegate here.
+        The per-arrival bookkeeping of the cluster kernel's receive path.
         """
         self.waves[slot_global] = value
         part = self.slot_part[slot_global]
@@ -443,8 +439,8 @@ class FleetKernel:
         if reset:
             self.reset_state()
 
-    def fork(self, locals_: Optional[Sequence[LocalSystem]] = None, *,
-             send_threshold: Optional[float] = None) -> "FleetKernel":
+    def fork(self, *, send_threshold: Optional[float] = None
+             ) -> "FleetKernel":
         """Structural copy sharing every immutable packed array.
 
         The routing permutation, offsets, slot tables and the groups'
@@ -455,13 +451,7 @@ class FleetKernel:
         each session its own runnable fleet without re-packing.
         """
         new = object.__new__(FleetKernel)
-        new.locals = list(locals_) if locals_ is not None else \
-            [loc.fork() for loc in self.locals]
-        if len(new.locals) != self.n_parts:
-            raise ValidationError(
-                f"fork needs {self.n_parts} local systems, got "
-                f"{len(new.locals)}")
-        new.routes = self.routes
+        new.locals = [loc.fork() for loc in self.locals]
         st = self.send_threshold if send_threshold is None \
             else float(send_threshold)
         if st < 0:
@@ -479,7 +469,6 @@ class FleetKernel:
         new.route_dest_slot_local = self.route_dest_slot_local
         new.route_dest_slot_global = self.route_dest_slot_global
         new.route_dtlp = self.route_dtlp
-        new.route_delay = self.route_delay
         new.waves = np.zeros(self.n_slots_total)
         new.u = np.zeros(self.n_ports_total)
         new.last_sent = np.full(self.n_slots_total, np.nan)
@@ -498,36 +487,35 @@ class FleetKernel:
         return new
 
     # ------------------------------------------------------------------
-    # compatibility views
+    # per-subdomain views
     # ------------------------------------------------------------------
     def views(self) -> "list[FleetKernelView]":
-        """Per-subdomain DtmKernel-compatible views (cached)."""
+        """One :class:`FleetKernelView` per subdomain (cached)."""
         if self._views is None:
             self._views = [FleetKernelView(self, q)
                            for q in range(self.n_parts)]
         return self._views
 
-    def sim_kernels(self) -> "list[FleetSimKernel]":
-        """Processor-facing kernels whose ``solve()`` returns arrays."""
-        return [FleetSimKernel(self, q) for q in range(self.n_parts)]
-
 
 class FleetKernelView:
-    """One subdomain of a :class:`FleetKernel`, DtmKernel-compatible.
+    """One subdomain of a :class:`FleetKernel`.
 
-    ``waves``, ``u_ports`` and ``last_sent`` are numpy *views* into the
-    fleet's flat arrays: mutating them mutates fleet state and vice
-    versa.  Counters read/write the fleet's per-part counter arrays.
+    ``waves`` and ``u_ports`` are numpy *views* into the fleet's flat
+    arrays: mutating them mutates fleet state and vice versa.  Counters
+    read/write the fleet's per-part counter arrays.
+    A simulated processor drives it through ``solve`` / ``dirty``
+    (arrivals land in batches through :meth:`FleetKernel.receive_batch`,
+    never one ``receive`` per wave); ``solve`` returns the raw emission
+    arrays the simulator's router understands, so the hot path never
+    allocates a message object.
     """
 
-    __slots__ = ("fleet", "part", "local", "routes", "_s0", "_s1",
-                 "_p0", "_p1")
+    __slots__ = ("fleet", "part", "local", "_s0", "_s1", "_p0", "_p1")
 
     def __init__(self, fleet: FleetKernel, part: int) -> None:
         self.fleet = fleet
         self.part = part
         self.local = fleet.locals[part]
-        self.routes = fleet.routes[part]
         self._s0 = int(fleet.slot_offsets[part])
         self._s1 = int(fleet.slot_offsets[part + 1])
         self._p0 = int(fleet.port_offsets[part])
@@ -541,14 +529,6 @@ class FleetKernelView:
     @property
     def u_ports(self) -> np.ndarray:
         return self.fleet.u[self._p0:self._p1]
-
-    @property
-    def last_sent(self) -> np.ndarray:
-        return self.fleet.last_sent[self._s0:self._s1]
-
-    @property
-    def send_threshold(self) -> float:
-        return self.fleet.send_threshold
 
     @property
     def dirty(self) -> bool:
@@ -566,31 +546,12 @@ class FleetKernelView:
     def n_received(self) -> int:
         return int(self.fleet.n_received[self.part])
 
-    # -- DtmKernel protocol ----------------------------------------------
-    def receive(self, slot: int, value: float) -> None:
-        """Store the wave received on *slot* (latest-wins semantics)."""
-        if not 0 <= slot < self.local.n_slots:
-            raise ValidationError(
-                f"part {self.part}: slot {slot} out of range "
-                f"[0, {self.local.n_slots})")
-        self.fleet.receive_one(self._s0 + slot, value)
-
-    def solve_emit(self) -> tuple[np.ndarray, np.ndarray]:
-        """Resolve and emit as arrays: ``(emission_slot_global, values)``."""
+    # -- Table 1 steps 3.1-3.2 --------------------------------------------
+    def solve(self) -> tuple[np.ndarray, np.ndarray]:
+        """Resolve and emit: ``(emission_slot_global, values)``."""
         fleet = self.fleet
         fleet._solve_part(self.part)
         return fleet.emit_slots(fleet.part_slots(self.part))
-
-    def solve(self) -> list[WaveMessage]:
-        """Resolve and emit :class:`WaveMessage` objects (compat path)."""
-        fleet = self.fleet
-        idx, values = self.solve_emit()
-        return [WaveMessage(dest_part=int(fleet.route_dest_part[i]),
-                            dest_slot=int(fleet.route_dest_slot_local[i]),
-                            value=float(v),
-                            dtlp_index=int(fleet.route_dtlp[i]),
-                            src_part=self.part)
-                for i, v in zip(idx, values)]
 
     # -- state inspection -------------------------------------------------
     def full_state(self) -> np.ndarray:
@@ -605,35 +566,12 @@ class FleetKernelView:
         """Latest inflow currents ω_j(t) (per port, summed over DTLs)."""
         return self.local.port_currents(self.waves, self.u_ports)
 
-    def boundary_change(self) -> float:
-        """Max distance of the outgoing waves from what was last sent."""
-        if self.local.n_slots == 0:
-            return 0.0
-        out = self.local.outgoing_waves(self.waves, self.u_ports)
-        prev = np.where(np.isfinite(self.last_sent), self.last_sent, 0.0)
-        return float(np.max(np.abs(out - prev)))
-
-
-class FleetSimKernel(FleetKernelView):
-    """Processor-facing view: ``solve()`` returns raw emission arrays.
-
-    Handed to :class:`repro.sim.processor.Processor` by the fleet-mode
-    simulator so the hot path never allocates message objects; the
-    simulator's router understands the ``(slot_idx, values)`` form.
-    """
-
-    __slots__ = ()
-
-    def solve(self) -> tuple[np.ndarray, np.ndarray]:  # type: ignore[override]
-        return self.solve_emit()
-
 
 def build_fleet(split, network, locals_: Sequence[LocalSystem], *,
                 send_threshold: float = 0.0) -> FleetKernel:
     """Pack a split's local systems into one :class:`FleetKernel`.
 
-    The analogue of :func:`repro.core.kernel.build_kernels` for the
-    struct-of-arrays path; *network* supplies the routing tables.
+    *network* supplies the routing tables.
     """
     routes = [network.routes_from(sub.part) for sub in split.subdomains]
     return FleetKernel(locals_, routes, send_threshold=send_threshold)

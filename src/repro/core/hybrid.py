@@ -31,7 +31,6 @@ from .convergence import begin_monitor, primary_tol
 from .dtl import build_dtlp_network
 from .fleet import FleetKernel, build_fleet
 from .impedance import as_impedance_strategy
-from .kernel import WaveMessage
 from .local import build_all_local_systems
 
 
@@ -42,7 +41,9 @@ class ClusterKernel:
     one ``solve()`` runs *local_sweeps* synchronous rounds among its
     members — each round a masked :meth:`FleetKernel.solve_all` plus a
     routed emit whose intra-cluster portion is delivered in one batch —
-    and returns only the waves that leave the cluster.
+    and returns only the waves that leave the cluster, as
+    ``(emission_slot_global, values)`` arrays like a
+    :class:`~repro.core.fleet.FleetKernelView`.
     """
 
     def __init__(self, fleet: FleetKernel, cluster_id: int,
@@ -101,7 +102,7 @@ class ClusterKernel:
         self.n_received += 1
         self.dirty = True
 
-    def solve(self) -> list[WaveMessage]:
+    def solve(self) -> tuple[np.ndarray, np.ndarray]:
         fleet = self.fleet
         # latest outbound value per external emission slot wins across
         # re-sweeps (each slot routes to a unique destination)
@@ -117,15 +118,10 @@ class ClusterKernel:
                 out_latest[int(g)] = float(v)
         self.dirty = False
         self.n_solves += 1
-        return [WaveMessage(
-            dest_part=int(fleet.route_dest_part[g]),
-            dest_slot=int(fleet.route_dest_slot_local[g]),
-            value=v, dtlp_index=int(fleet.route_dtlp[g]),
-            src_part=int(fleet.slot_part[g]))
-            for g, v in out_latest.items()]
-
-    def full_state(self):  # pragma: no cover - parity with DtmKernel
-        raise NotImplementedError("query member kernels directly")
+        return (np.fromiter(out_latest.keys(), dtype=np.int64,
+                            count=len(out_latest)),
+                np.fromiter(out_latest.values(), dtype=np.float64,
+                            count=len(out_latest)))
 
 
 class ClusteredDtmSimulator:
@@ -193,16 +189,19 @@ class ClusteredDtmSimulator:
                       min_solve_interval=self.min_solve_interval)
             for cid, ck in enumerate(self.cluster_kernels)]
 
-    def _route(self, src_cluster: int, messages, t_ready: float) -> None:
-        for msg in messages:
-            dest_cluster = self.cluster_of[msg.dest_part]
+    def _route(self, src_cluster: int, emitted, t_ready: float) -> None:
+        idx, values = emitted
+        fleet = self.fleet
+        for g, value in zip(idx.tolist(), values.tolist()):
+            dest_part = int(fleet.route_dest_part[g])
+            dest_cluster = self.cluster_of[dest_part]
             latency = self.topology.sample_delay(src_cluster, dest_cluster)
             ext_slot = self.cluster_kernels[dest_cluster].ext_slot_of(
-                msg.dest_part, msg.dest_slot)
+                dest_part, int(fleet.route_dest_slot_local[g]))
             self._n_messages += 1
             self.engine.schedule_at(
                 t_ready + latency,
-                self.processors[dest_cluster].deliver, ext_slot, msg.value)
+                self.processors[dest_cluster].deliver, ext_slot, value)
 
     def swap_rhs(self, b, *, waves=None) -> None:
         """Re-target the hybrid at a new right-hand side and reset.
@@ -307,24 +306,17 @@ class PeriodicResyncDtmSimulator(DtmSimulator):
         self.engine.schedule_at(self.resync_period, self._resync)
 
     def _resync(self) -> None:
-        """Global exchange: everyone's current waves delivered together."""
+        """Global exchange: everyone's current waves delivered together.
+
+        The whole fleet solves once and every emitted wave is scheduled
+        as a batchable message entry.
+        """
         self.n_resyncs += 1
         t_arrive = self.engine.now + self.resync_latency
-        if self.fleet is not None:
-            # borrow the packed routing table: solve the whole fleet and
-            # schedule every emitted wave as a batchable message entry
-            fleet = self.fleet
-            fleet.solve_all()
-            dest, values = fleet.emit_all()
-            self._n_messages += dest.size
-            for i in range(dest.size):
-                self.engine.schedule_message(t_arrive, int(dest[i]),
-                                             float(values[i]))
-        else:
-            for kernel in self.kernels:
-                for msg in kernel.solve():
-                    self._n_messages += 1
-                    self.engine.schedule_at(
-                        t_arrive, self.processors[msg.dest_part].deliver,
-                        msg.dest_slot, msg.value)
+        self.fleet.solve_all()
+        dest, values = self.fleet.emit_all()
+        self._n_messages += dest.size
+        for i in range(dest.size):
+            self.engine.schedule_message(t_arrive, int(dest[i]),
+                                         float(values[i]))
         self.engine.schedule_after(self.resync_period, self._resync)

@@ -61,7 +61,7 @@ from .plan import SolverPlan, compute_plan_hash
 #: bump on any incompatible layout/semantic change; load_plan refuses
 #: other versions (artifacts are a disposable cache — rebuild, never
 #: migrate)
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 FORMAT_NAME = "repro-plan-artifact"
 

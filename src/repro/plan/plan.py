@@ -310,15 +310,13 @@ class SolverPlan:
         return getattr(self, "_counter_root", self)
 
     # -- forks ----------------------------------------------------------
-    def fork_locals(self) -> list[LocalSystem]:
-        """Session-private locals: shared factors/X, own ``x0``."""
-        return [loc.fork() for loc in self.base_locals]
+    def fork_fleet(self, *, send_threshold: float = 0.0) -> FleetKernel:
+        """Session-private runnable fleet over the shared packed arrays.
 
-    def fork_fleet(self, locals_: Optional[Sequence[LocalSystem]] = None,
-                   *, send_threshold: float = 0.0) -> FleetKernel:
-        """Session-private runnable fleet over the shared packed arrays."""
-        return self.fleet_template.fork(locals_,
-                                        send_threshold=send_threshold)
+        Its locals are forks of ``base_locals`` (shared factors/``X``,
+        own ``x0``).
+        """
+        return self.fleet_template.fork(send_threshold=send_threshold)
 
     def session(self, **opts):
         """A new session over this plan (DTM or VTM per ``mode``)."""

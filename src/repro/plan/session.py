@@ -1,6 +1,6 @@
 """Sessions: the mutable execute side of the plan/session split.
 
-A session owns forked locals and a forked fleet over a shared
+A session owns a forked fleet (and through it forked locals) over a shared
 :class:`~repro.plan.plan.SolverPlan` and exposes the repeated-solve
 API the transient-analysis use case needs:
 
@@ -36,7 +36,6 @@ from ..core.convergence import (
     relative_residual,
     rms_error,
 )
-from ..core.kernel import build_kernels
 from ..errors import ConfigurationError, ValidationError
 from ..graph.evs import SplitResult
 from ..obs import resolve_obs, resolve_trace
@@ -106,21 +105,17 @@ def _as_rhs_block(B, n: int) -> np.ndarray:
 
 
 class _SessionBase:
-    """Shared per-session state: forked locals/fleet, RHS tracking."""
+    """Shared per-session state: forked fleet/locals, RHS tracking."""
 
     def __init__(self, plan, *, send_threshold: float = 0.0,
-                 use_fleet: bool = True, obs=None) -> None:
+                 obs=None) -> None:
         self.plan = plan
-        self.use_fleet = bool(use_fleet)
-        self.send_threshold = float(send_threshold)
-        self.locals = plan.fork_locals()
-        self.fleet = plan.fork_fleet(self.locals,
-                                     send_threshold=send_threshold) \
-            if self.use_fleet else None
+        self.fleet = plan.fork_fleet(send_threshold=send_threshold)
+        self.locals = self.fleet.locals
         # telemetry is opt-in (obs=True / a registry / REPRO_OBS=1);
         # disabled sessions keep the fleet's hot path uninstrumented
         self.obs = resolve_obs(obs)
-        if self.obs.enabled and self.fleet is not None:
+        if self.obs.enabled:
             self.fleet.install_obs(self.obs)
         # forked locals encode the rhs the plan was BUILT with, which on
         # a with_base_rhs view differs from plan.base_b — track the
@@ -147,19 +142,9 @@ class _SessionBase:
         rhs_list = None
         if x0_list is None:
             rhs_list = self.plan.spread_sources(b_vec)
-            if self.fleet is not None:
-                self.fleet.swap_rhs(rhs_list, reset=False)
-            else:
-                for loc, rhs in zip(self.locals, rhs_list):
-                    if loc.n_local:
-                        loc.set_rhs(rhs)
+            self.fleet.swap_rhs(rhs_list, reset=False)
         else:
-            if self.fleet is not None:
-                self.fleet.swap_rhs(x0_list=x0_list, reset=False)
-            else:
-                for loc, x0 in zip(self.locals, x0_list):
-                    if loc.n_local:
-                        loc.set_x0(x0)
+            self.fleet.swap_rhs(x0_list=x0_list, reset=False)
         self._current_b = b_vec
         self._current_b_key = key
         self._current_split = self.plan.split.with_sources(b_vec, rhs_list)
@@ -224,15 +209,14 @@ class SolverSession(_SessionBase):
     """
 
     def __init__(self, plan, *, send_threshold: float = 0.0,
-                 use_fleet: bool = True, compute=None,
+                 compute=None,
                  min_solve_interval: Optional[float] = None,
                  log_messages: bool = False,
                  probe_ports=None, obs=None) -> None:
         if plan.mode != "dtm":
             raise ConfigurationError(
                 f"SolverSession needs a dtm-mode plan, got {plan.mode!r}")
-        super().__init__(plan, send_threshold=send_threshold,
-                         use_fleet=use_fleet, obs=obs)
+        super().__init__(plan, send_threshold=send_threshold, obs=obs)
         self._sim_opts = dict(compute=compute,
                               min_solve_interval=min_solve_interval,
                               log_messages=log_messages,
@@ -240,32 +224,15 @@ class SolverSession(_SessionBase):
 
     # ------------------------------------------------------------------
     def _make_sim(self, warm_waves: Optional[np.ndarray]) -> DtmSimulator:
-        if self.use_fleet:
-            self.fleet.reset_state(warm_waves)
-            sim = DtmSimulator(plan=self.plan, fleet=self.fleet,
-                               use_fleet=True, **self._sim_opts)
-        else:
-            kernels = build_kernels(self.plan.split, self.plan.network,
-                                    self.locals,
-                                    send_threshold=self.send_threshold)
-            if warm_waves is not None:
-                offsets = self.plan.fleet_template.slot_offsets
-                for q, k in enumerate(kernels):
-                    k.waves[:] = warm_waves[offsets[q]:offsets[q + 1]]
-            sim = DtmSimulator(plan=self.plan, use_fleet=False,
-                               kernels=kernels, **self._sim_opts)
+        self.fleet.reset_state(warm_waves)
+        sim = DtmSimulator(plan=self.plan, fleet=self.fleet,
+                           **self._sim_opts)
         # the plan's split carries the BUILD rhs; point the simulator at
         # the session's current one (mirrors DtmSimulator.swap_rhs), so
         # reference-free stopping rules monitor ‖b_now − A x‖, not the
         # residual of whatever rhs the plan was built with
         sim.split = self._current_split
         return sim
-
-    def _gather_waves(self, sim: DtmSimulator) -> np.ndarray:
-        if sim.fleet is not None:
-            return sim.fleet.waves
-        return np.concatenate([k.waves for k in sim.kernels]) \
-            if sim.kernels else np.zeros(0)
 
     def solve(self, b=None, *, t_max: float = 5000.0,
               tol: Optional[float] = 1e-8,
@@ -315,7 +282,7 @@ class SolverSession(_SessionBase):
                           reference=reference,
                           sample_interval=sample_interval,
                           max_events=max_events)
-        served = self._finish(self._gather_waves(sim))
+        served = self._finish(self.fleet.waves)
         return SolveResult(
             x=res.x,
             rms_error=(rms_error(res.x, reference)
@@ -337,8 +304,7 @@ class VtmSession(_SessionBase):
         if plan.mode != "vtm":
             raise ConfigurationError(
                 f"VtmSession needs a vtm-mode plan, got {plan.mode!r}")
-        super().__init__(plan, send_threshold=send_threshold,
-                         use_fleet=True)
+        super().__init__(plan, send_threshold=send_threshold)
 
     def solve(self, b=None, *, tol: float = 1e-8,
               max_iterations: int = 10_000,

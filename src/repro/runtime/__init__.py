@@ -1,8 +1,7 @@
-"""Real execution backends: asyncio tasks and multiprocess shards.
+"""Real execution: multiprocess shards and the plan-store server.
 
 The simulator (:mod:`repro.sim`) models DTM's asynchrony in virtual
-time; these backends run it for real — :class:`AsyncioDtmRunner` with
-one cooperative task per subdomain, :class:`MultiprocDtmRunner` with
+time; this package runs it for real — :class:`MultiprocDtmRunner` with
 one OS process per shard over a pluggable transport
 (:mod:`repro.net.transport`: shared memory on one machine, the socket
 mesh across address spaces/machines), and :class:`DtmServer` serving warm sharded
@@ -16,11 +15,6 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "asyncio_backend": (
-            "AsyncioDtmRunner",
-            "AsyncRunResult",
-            "solve_dtm_asyncio",
-        ),
         "multiproc": (
             "EdgeMailbox",
             "MultiprocDtmRunner",

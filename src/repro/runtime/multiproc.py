@@ -34,8 +34,8 @@ Numerical contract
 ------------------
 ``shards=1`` executes the event-driven fleet simulator path through a
 :class:`~repro.plan.session.SolverSession` and is therefore
-**bitwise-identical** to ``DtmSimulator`` with ``use_fleet=True`` —
-the degenerate shard count runs the proven reference implementation.
+**bitwise-identical** to ``DtmSimulator`` — the degenerate shard
+count runs the proven reference implementation.
 ``shards>1`` free-runs with real (hardware) delays, so trajectories
 are scheduling-dependent; the contract is convergence to the same
 tolerance, asserted by the runner itself: every measurement is taken
@@ -251,8 +251,8 @@ class MultiprocDtmRunner:
         runner adds only the shard cut and the worker pool.
     shards:
         Worker process count.  ``1`` executes the event-driven fleet
-        simulator in-process (bitwise-identical to ``DtmSimulator``
-        with ``use_fleet=True``); ``>1`` runs free-running workers.
+        simulator in-process (bitwise-identical to ``DtmSimulator``);
+        ``>1`` runs free-running workers.
     idle_sleep:
         Worker nap while it has nothing to do, and the shortest nap
         the coordinator takes before a look (the longest is

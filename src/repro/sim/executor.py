@@ -31,7 +31,6 @@ from ..core.convergence import (
 from ..core.dtl import DtlpNetwork, build_dtlp_network
 from ..core.fleet import build_fleet
 from ..core.impedance import as_impedance_strategy
-from ..core.kernel import build_kernels
 from ..core.local import build_all_local_systems
 from ..errors import ConfigurationError
 from ..graph.evs import SplitResult
@@ -98,12 +97,6 @@ class DtmSimulator:
         (0 = always send, the paper's behaviour).
     log_messages:
         Keep a full message log (Table 1 compliance evidence).
-    use_fleet:
-        Run on the struct-of-arrays :class:`~repro.core.fleet.FleetKernel`
-        with tuple heap entries and batched simultaneous deliveries
-        (default).  ``False`` keeps the per-:class:`DtmKernel` object
-        path; both produce bitwise-identical trajectories (asserted by
-        the test-suite), so this is purely a performance switch.
     plan:
         A prebuilt :class:`~repro.plan.SolverPlan`: the electric graph,
         partition, EVS split, DTLP network and factored local systems
@@ -115,9 +108,13 @@ class DtmSimulator:
         With *plan*: a session-owned :class:`FleetKernel` fork whose
         right-hand side is already set (see
         :meth:`FleetKernel.swap_rhs`); omitted, a fresh fork is taken.
-    kernels:
-        With *plan* and ``use_fleet=False``: session-owned
-        :class:`DtmKernel` objects to drive instead of fresh ones.
+
+    Every subdomain runs on one struct-of-arrays
+    :class:`~repro.core.fleet.FleetKernel`: waves travel as raw heap
+    entries and simultaneous deliveries land in one batched scatter.
+    The trajectory is bitwise the one a per-subdomain, per-message
+    executor plays (asserted against the oracle in
+    ``tests/per_kernel.py``).
     """
 
     def __init__(self, split: Optional[SplitResult] = None,
@@ -130,10 +127,8 @@ class DtmSimulator:
                  allow_indefinite: bool = False,
                  log_messages: bool = False,
                  probe_ports: Optional[Sequence[tuple[int, int]]] = None,
-                 use_fleet: bool = True,
                  plan=None,
-                 fleet=None,
-                 kernels=None
+                 fleet=None
                  ) -> None:
         if plan is not None:
             if split is not None or topology is not None \
@@ -143,21 +138,14 @@ class DtmSimulator:
                     "split/topology/impedance/placement/allow_indefinite "
                     "are properties of the plan; do not pass them "
                     "alongside plan=")
-            if fleet is not None and not use_fleet:
-                raise ConfigurationError(
-                    "fleet= requires use_fleet=True")
-            if kernels is not None and use_fleet:
-                raise ConfigurationError(
-                    "kernels= requires use_fleet=False")
             split = plan.split
             topology = plan.topology
             placement = plan.placement
         else:
-            if fleet is not None or kernels is not None:
+            if fleet is not None:
                 raise ConfigurationError(
-                    "fleet=/kernels= carry prebuilt plan state and "
-                    "require plan=; without one they would be silently "
-                    "ignored")
+                    "fleet= carries prebuilt plan state and requires "
+                    "plan=; without one it would be silently ignored")
             if split is None or topology is None:
                 raise ConfigurationError(
                     "DtmSimulator needs either (split, topology) or a "
@@ -179,53 +167,24 @@ class DtmSimulator:
 
         if plan is not None:
             self.network = plan.network
-            if use_fleet:
-                self.fleet = fleet if fleet is not None else \
-                    plan.fleet_template.fork(send_threshold=send_threshold)
-                self.locals = self.fleet.locals
-                self.kernels = self.fleet.views()
-                proc_kernels = self.fleet.sim_kernels()
-                route = self._route_fleet
-            else:
-                self.fleet = None
-                self.locals = [loc.fork() for loc in plan.base_locals] \
-                    if kernels is None else [k.local for k in kernels]
-                self.kernels = kernels if kernels is not None else \
-                    build_kernels(split, self.network, self.locals,
-                                  send_threshold=send_threshold)
-                if kernels:
-                    # keep reset()/swap_rhs() rebuilds faithful to the
-                    # threshold baked into the supplied kernels
-                    send_threshold = kernels[0].send_threshold
-                proc_kernels = self.kernels
-                route = self._route
+            self.fleet = fleet if fleet is not None else \
+                plan.fork_fleet(send_threshold=send_threshold)
         else:
             z_list = as_impedance_strategy(impedance).assign(split)
             self.network: DtlpNetwork = build_dtlp_network(
                 split, z_list,
                 lambda qa, qb: topology.nominal_delay(self.placement[qa],
                                                       self.placement[qb]))
-            self.locals = build_all_local_systems(
-                split, self.network, allow_indefinite=allow_indefinite)
-            if use_fleet:
-                self.fleet = build_fleet(split, self.network, self.locals,
-                                         send_threshold=send_threshold)
-                self.kernels = self.fleet.views()
-                proc_kernels = self.fleet.sim_kernels()
-                route = self._route_fleet
-            else:
-                self.fleet = None
-                self.kernels = build_kernels(split, self.network,
-                                             self.locals,
-                                             send_threshold=send_threshold)
-                proc_kernels = self.kernels
-                route = self._route
+            self.fleet = build_fleet(
+                split, self.network,
+                build_all_local_systems(split, self.network,
+                                        allow_indefinite=allow_indefinite),
+                send_threshold=send_threshold)
+        self.locals = self.fleet.locals
+        self.kernels = self.fleet.views()
 
-        self.send_threshold = float(send_threshold)
         self._log_messages = bool(log_messages)
         self._probe_targets = probe_ports
-        self._proc_kernels = proc_kernels
-        self._route_fn = route
         self._compute = compute
 
         if min_solve_interval is None:
@@ -238,8 +197,7 @@ class DtmSimulator:
     def _wire_engine(self) -> None:
         """Fresh engine, observers and processors over the kernels."""
         self.engine = Engine()
-        if self.fleet is not None:
-            self.engine.set_message_sink(self._deliver_batch)
+        self.engine.set_message_sink(self._deliver_batch)
         self.message_log = MessageLog() if self._log_messages else None
         self.solve_log = SolveLog() if self._log_messages else None
         self.port_probe = PortProbe(self.split, self._probe_targets) \
@@ -253,9 +211,9 @@ class DtmSimulator:
 
         self.processors: list[Processor] = []
         self._n_messages = 0
-        for q, kernel in enumerate(self._proc_kernels):
+        for q, kernel in enumerate(self.kernels):
             self.processors.append(Processor(
-                self.engine, self.placement[q], kernel, self._route_fn,
+                self.engine, self.placement[q], kernel, self._route,
                 compute=self._compute,
                 min_solve_interval=self.min_solve_interval,
                 solve_hook=solve_hook if hooks else None))
@@ -268,37 +226,20 @@ class DtmSimulator:
         wired; the factored locals, routing tables and topology are
         untouched.
         """
-        if self.fleet is not None:
-            self.fleet.reset_state(waves)
-        else:
-            self.kernels = build_kernels(
-                self.split, self.network, self.locals,
-                send_threshold=self.send_threshold)
-            if waves is not None:
-                offset = 0
-                for k in self.kernels:
-                    s = k.local.n_slots
-                    k.waves[:] = waves[offset:offset + s]
-                    offset += s
-            self._proc_kernels = self.kernels
+        self.fleet.reset_state(waves)
         self._wire_engine()
 
     def swap_rhs(self, b, *, waves=None) -> None:
         """Point the simulator at a new right-hand side and reset.
 
         One back-substitution per subdomain against the retained
-        factors (no re-factorization) plus a ``u0`` re-pack on the
-        fleet path.  ``self.split`` is re-dressed with *b*, so a
-        subsequent :meth:`run` without an explicit ``reference=``
-        tracks convergence against the *new* system's solution.
+        factors (no re-factorization) plus a ``u0`` re-pack.
+        ``self.split`` is re-dressed with *b*, so a subsequent
+        :meth:`run` without an explicit ``reference=`` tracks
+        convergence against the *new* system's solution.
         """
         rhs_list = self.split.spread_sources(b)
-        if self.fleet is not None:
-            self.fleet.swap_rhs(rhs_list, reset=False)
-        else:
-            for loc, rhs in zip(self.locals, rhs_list):
-                if loc.n_local:
-                    loc.set_rhs(rhs)
+        self.fleet.swap_rhs(rhs_list, reset=False)
         self.split = self.split.with_sources(b, rhs_list)
         self.reset(waves=waves)
 
@@ -309,25 +250,8 @@ class DtmSimulator:
             out.extend([d.delay_ab, d.delay_ba])
         return [x for x in out if x > 0]
 
-    def _route(self, src_part_proc: int, messages, t_ready: float) -> None:
-        """Send the solve's outgoing waves through the network."""
-        for msg in messages:
-            dst_proc = self.placement[msg.dest_part]
-            latency = self.topology.sample_delay(src_part_proc, dst_proc)
-            t_arrive = t_ready + latency
-            self._n_messages += 1
-            if self.message_log is not None:
-                self.message_log.record(MessageRecord(
-                    t_send=t_ready, t_arrive=t_arrive,
-                    src_proc=src_part_proc, dst_proc=dst_proc,
-                    dtlp_index=msg.dtlp_index, value=msg.value))
-            self.engine.schedule_at(
-                t_arrive, self.processors[msg.dest_part].deliver,
-                msg.dest_slot, msg.value)
-
-    def _route_fleet(self, src_part_proc: int, emitted,
-                     t_ready: float) -> None:
-        """Fleet-mode router: *emitted* is ``(emission_slots, values)``.
+    def _route(self, src_part_proc: int, emitted, t_ready: float) -> None:
+        """Send one solve's waves: *emitted* is ``(emission_slots, values)``.
 
         Each wave becomes one raw message heap entry addressed by
         *global* destination slot; delivery happens in simultaneous
@@ -373,10 +297,7 @@ class DtmSimulator:
 
     def _current_waves(self) -> np.ndarray:
         """Snapshot of the global wave vector (for quiescence rules)."""
-        if self.fleet is not None:
-            return self.fleet.waves.copy()
-        return np.concatenate([k.waves for k in self.kernels]) \
-            if self.kernels else np.zeros(0)
+        return self.fleet.waves.copy()
 
     def run(self, t_max: float, *, tol: Optional[float] = None,
             reference: Optional[np.ndarray] = None,

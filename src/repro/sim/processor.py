@@ -24,7 +24,7 @@ from ..errors import ValidationError
 from ..utils.validation import require
 from .engine import Engine
 
-SendFn = Callable[[int, list, float], None]
+SendFn = Callable[[int, object, float], None]
 SolveHook = Callable[[int, float, object], None]
 
 
@@ -59,10 +59,11 @@ class Processor:
     proc_id:
         Identity in the topology.
     kernel:
-        Any object with ``receive(slot, value)``, ``solve() -> messages``
-        and a ``dirty`` flag (DTM kernels, block-Jacobi kernels, ...).
+        Any object with ``receive(slot, value)``, ``solve()`` and a
+        ``dirty`` flag (fleet views, cluster kernels, block-Jacobi
+        kernels); whatever ``solve()`` returns is handed to *send*.
     send:
-        ``send(proc_id, messages, t_ready)`` — the executor's router;
+        ``send(proc_id, emitted, t_ready)`` — the executor's router;
         invoked when the solve's results are ready to leave the NIC.
     compute:
         Latency model for one local solve.

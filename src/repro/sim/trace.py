@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from ..core.convergence import RuleMonitor, StateProbe
-from ..core.kernel import DtmKernel
 from ..errors import ValidationError
 from ..utils.timeseries import TimeSeries
 from .engine import Engine
@@ -33,7 +32,7 @@ class ErrorObserver:
     early.
     """
 
-    def __init__(self, engine: Engine, split, kernels: Sequence[DtmKernel],
+    def __init__(self, engine: Engine, split, kernels: Sequence,
                  tracker, interval: float, *,
                  stop_on_converged: bool = True,
                  detect_quiescence: bool = True,

@@ -36,15 +36,13 @@ class BjMessage:
     dest_slot: int
     value: float
     src_part: int
-    dtlp_index: int = -1  # interface parity with WaveMessage
 
 
 class BlockJacobiKernel:
     """Per-subdomain block-relaxation state machine.
 
-    Mirrors :class:`~repro.core.kernel.DtmKernel`'s protocol (receive /
-    solve / dirty) so the same :class:`~repro.sim.processor.Processor`
-    drives it.
+    Speaks the :class:`~repro.sim.processor.Processor` protocol
+    (receive / solve / dirty), so the same processor model drives it.
     """
 
     def __init__(self, structure: BlockStructure, part: int,

@@ -3,22 +3,26 @@
 The fleet kernel's whole contract is that the struct-of-arrays sweep is
 a pure reformulation: grouping subdomains by block shape and batching
 the mat-vecs must not change a single bit of the wave trajectory
-relative to driving one :class:`DtmKernel` per subdomain.  These tests
-assert exactly that, on a seeded multilevel split (separator crossings
-give ports carrying several DTLs), for
+relative to driving one :class:`DtmKernel` per subdomain (the test-only
+oracle in ``tests/per_kernel.py``).  These tests assert exactly that,
+on a seeded multilevel split (separator crossings give ports carrying
+several DTLs), for
 
 * the synchronous VTM schedule (fleet sweeps vs hand-rolled per-kernel
   sweeps), with and without ``send_threshold`` suppression;
-* the asynchronous simulated schedule (``DtmSimulator(use_fleet=True)``
-  vs ``use_fleet=False``) on a heterogeneous constant-delay machine.
+* the asynchronous simulated schedule (``DtmSimulator`` vs the
+  per-message ``PerKernelSimulator``) on a heterogeneous constant-delay
+  machine.
 """
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+from per_kernel import PerKernelSimulator, build_kernels, per_kernel_sweep
 
 from repro.core.dtl import build_dtlp_network
 from repro.core.fleet import FleetKernel, build_fleet
-from repro.core.kernel import build_kernels
 from repro.core.local import build_all_local_systems
 from repro.core.vtm import VtmSolver
 from repro.errors import ValidationError
@@ -26,6 +30,7 @@ from repro.graph.evs import DominancePreservingSplit, split_graph
 from repro.graph.partitioners import grid_block_partition
 from repro.sim.executor import DtmSimulator
 from repro.sim.network import complete_topology
+from repro.sim.processor import ComputeModel
 from repro.workloads.poisson import grid2d_random
 
 
@@ -55,15 +60,6 @@ def _build_pair(split, send_threshold=0.0):
     return fleet, kernels
 
 
-def _per_kernel_sweep(kernels):
-    """The pre-fleet VtmSolver.sweep: all solve, then all deliver."""
-    messages = []
-    for k in kernels:
-        messages.extend(k.solve())
-    for m in messages:
-        kernels[m.dest_part].receive(m.dest_slot, m.value)
-
-
 def _kernel_waves(kernels):
     return np.concatenate([k.waves for k in kernels])
 
@@ -76,7 +72,7 @@ def test_sync_trajectories_bitwise_identical(multilevel_split,
         fleet.solve_all()
         dest, values = fleet.emit_all()
         fleet.receive_batch(dest, values)
-        _per_kernel_sweep(kernels)
+        per_kernel_sweep(kernels)
         assert np.array_equal(fleet.waves, _kernel_waves(kernels)), \
             f"wave trajectories diverged at sweep {sweep}"
         assert np.array_equal(
@@ -97,7 +93,7 @@ def test_vtm_solver_matches_per_kernel_reference(multilevel_split):
     _, kernels = _build_pair(multilevel_split)
     for _ in range(25):
         solver.sweep()
-        _per_kernel_sweep(kernels)
+        per_kernel_sweep(kernels)
     assert np.array_equal(solver.get_waves(), _kernel_waves(kernels))
     states_fleet = [k.full_state() for k in solver.kernels]
     states_ref = [k.full_state() for k in kernels]
@@ -111,14 +107,11 @@ def test_simulated_trajectories_bitwise_identical(multilevel_split,
     split = multilevel_split
     topo = complete_topology(split.n_parts, delay_low=10.0,
                              delay_high=100.0, seed=11)
-    runs = {}
-    for use_fleet in (True, False):
-        sim = DtmSimulator(split, topo, use_fleet=use_fleet,
-                           send_threshold=send_threshold)
-        res = sim.run(t_max=900.0)
-        runs[use_fleet] = (sim, res)
-    sim_f, res_f = runs[True]
-    sim_k, res_k = runs[False]
+    runs = []
+    for cls in (DtmSimulator, PerKernelSimulator):
+        sim = cls(split, topo, send_threshold=send_threshold)
+        runs.append((sim, sim.run(t_max=900.0)))
+    (sim_f, res_f), (sim_k, res_k) = runs
     assert np.array_equal(res_f.x, res_k.x)
     assert np.array_equal(res_f.errors.values, res_k.errors.values)
     assert np.array_equal(res_f.errors.times, res_k.errors.times)
@@ -131,6 +124,52 @@ def test_simulated_trajectories_bitwise_identical(multilevel_split,
         assert np.array_equal(vf.u_ports, kk.u_ports)
         assert vf.n_solves == kk.n_solves
         assert vf.n_received == kk.n_received
+
+
+def _assert_same_run(res_f, res_k):
+    assert np.array_equal(res_f.x, res_k.x)
+    assert np.array_equal(res_f.errors.values, res_k.errors.values)
+    assert np.array_equal(res_f.errors.times, res_k.errors.times)
+    assert (res_f.t_end, res_f.n_solves, res_f.n_messages,
+            res_f.n_events) == (res_k.t_end, res_k.n_solves,
+                                res_k.n_messages, res_k.n_events)
+
+
+@given(grid=st.integers(6, 10), px=st.integers(2, 3), py=st.integers(1, 3),
+       seed=st.integers(0, 10_000),
+       send_threshold=st.sampled_from([0.0, 1e-6]),
+       base=st.sampled_from([0.0, 0.5, 4.0]))
+@settings(max_examples=12, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+def test_simulator_matches_per_message_oracle(grid, px, py, seed,
+                                              send_threshold, base):
+    """Batched delivery ≡ one callback per wave, cold and warm.
+
+    Generated grids, partitions, delays, thresholds and compute models;
+    the message logs (every send time, arrival time, link and value)
+    must agree, and so must a second run warm-started from the first
+    run's final waves against a swapped right-hand side.  No shrink
+    phase: every example is a full pair of simulations.
+    """
+    g = grid2d_random(grid, seed=seed)
+    split = split_graph(g, grid_block_partition(grid, grid, px, py),
+                        strategy=DominancePreservingSplit())
+    topo = complete_topology(split.n_parts, delay_low=5.0,
+                             delay_high=60.0, seed=seed)
+    sims = [cls(split, topo, send_threshold=send_threshold,
+                compute=ComputeModel(base=base, per_slot=0.1),
+                log_messages=True)
+            for cls in (DtmSimulator, PerKernelSimulator)]
+    cold = [sim.run(t_max=400.0) for sim in sims]
+    _assert_same_run(*cold)
+    logs = [[(m.t_send, m.t_arrive, m.src_proc, m.dst_proc, m.dtlp_index,
+              m.value) for m in sim.message_log.records] for sim in sims]
+    assert logs[0] == logs[1]
+    waves = sims[0].fleet.waves.copy()
+    b2 = np.cos(np.arange(g.n, dtype=np.float64) + seed)
+    for sim in sims:
+        sim.swap_rhs(b2, waves=waves)
+    _assert_same_run(*[sim.run(t_max=200.0) for sim in sims])
 
 
 # ----------------------------------------------------------------------
@@ -186,26 +225,17 @@ def test_emit_all_masked_matches_per_part_emissions(multilevel_split):
     assert values.tolist() == exp_vals
 
 
-def test_view_receive_validates_slot(multilevel_split):
-    fleet, _ = _build_pair(multilevel_split)
-    view = fleet.views()[0]
-    with pytest.raises(ValidationError):
-        view.receive(view.local.n_slots, 1.0)
-    with pytest.raises(ValidationError):
-        view.receive(-1, 1.0)
-
-
 def test_view_solve_messages_match_dtmkernel(multilevel_split):
     fleet, kernels = _build_pair(multilevel_split)
-    view = fleet.views()[4]
-    ref = kernels[4]
-    msgs_f = view.solve()
-    msgs_k = ref.solve()
-    assert len(msgs_f) == len(msgs_k)
-    for a, b in zip(msgs_f, msgs_k):
-        assert (a.dest_part, a.dest_slot, a.dtlp_index, a.src_part) == \
-            (b.dest_part, b.dest_slot, b.dtlp_index, b.src_part)
-        assert a.value == b.value
+    idx, values = fleet.views()[4].solve()
+    msgs = kernels[4].solve()
+    assert len(idx) == len(msgs)
+    for g, v, m in zip(idx, values, msgs):
+        assert (int(fleet.route_dest_part[g]),
+                int(fleet.route_dest_slot_local[g]),
+                int(fleet.route_dtlp[g]), int(fleet.slot_part[g])) == \
+            (m.dest_part, m.dest_slot, m.dtlp_index, m.src_part)
+        assert v == m.value
 
 
 def test_routing_permutation_is_an_involution(multilevel_split):

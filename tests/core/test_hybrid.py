@@ -65,9 +65,11 @@ def test_cluster_kernel_external_slots(grid_setup):
     for part, slot in ck.ext_in:
         assert part in (0, 1)
         assert 0 <= slot < sim.kernels[part].local.n_slots
-    # messages produced leave the cluster only
-    msgs = ck.solve()
-    assert all(sim.cluster_of[m.dest_part] == 1 for m in msgs)
+    # waves produced leave the cluster only
+    idx, values = ck.solve()
+    assert idx.size and idx.size == values.size
+    dest_parts = sim.fleet.route_dest_part[idx]
+    assert all(sim.cluster_of[q] == 1 for q in dest_parts)
 
 
 def test_clustered_validation(grid_setup):

@@ -1,10 +1,14 @@
-"""Tests for the DTM kernel state machine (Table 1 steps 3-3.3)."""
+"""Tests for the per-subdomain oracle kernel (Table 1 steps 3-3.3).
+
+:class:`per_kernel.DtmKernel` is what the fleet kernel is checked
+against bit for bit, so its own Table 1 semantics are pinned here.
+"""
 
 import numpy as np
 import pytest
+from per_kernel import DtmKernel, build_kernels, gather_global_state
 
 from repro.core.dtl import build_dtlp_network
-from repro.core.kernel import DtmKernel, build_kernels, gather_global_state
 from repro.core.local import build_all_local_systems
 from repro.errors import ValidationError
 from repro.workloads.paper import example_5_1_impedances, paper_split

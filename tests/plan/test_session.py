@@ -90,15 +90,20 @@ def test_dtm_session_matches_full_replan_bitwise():
     assert _results_bitwise_equal(res, res2)
 
 
-def test_use_fleet_false_path_matches_fleet_path():
+def test_session_matches_per_kernel_oracle():
+    from per_kernel import PerKernelSimulator
+
     g = WORKLOADS["poisson"]()
     plan = build_plan(g, n_subdomains=4, seed=0)
     b2 = np.sin(np.arange(g.n, dtype=np.float64))
     kw = dict(t_max=2000.0, tol=1e-5)
-    res_fleet = plan.session(use_fleet=True).solve(b2, **kw)
-    res_plain = plan.session(use_fleet=False).solve(b2, **kw)
-    assert np.array_equal(res_fleet.x, res_plain.x)
-    assert res_fleet.sim_time == res_plain.sim_time
+    res = plan.session().solve(b2, **kw)
+    oracle = PerKernelSimulator(plan=plan)
+    oracle.swap_rhs(b2)
+    ref = oracle.run(reference=plan.reference(b2), **kw)
+    assert np.array_equal(res.x, ref.x)
+    assert res.sim_time == ref.t_end
+    assert res.iterations == ref.n_solves
 
 
 # ----------------------------------------------------------------------

@@ -44,6 +44,8 @@ from repro.api import QuiescenceRule, ReferenceRule, ResidualRule, solve_dtm
 from repro.core.convergence import StateProbe, begin_monitor, relative_residual
 from repro.core.fleet import extract_shard_kernel, pack_shard_kernel
 from repro.errors import ConfigurationError, MultiprocError, ValidationError
+from repro.graph.evs import DominancePreservingSplit, split_graph
+from repro.graph.partitioners import grid_block_partition
 from repro.linalg.sparse import CsrMatrix
 from repro.plan import build_plan
 from repro.plan.session import SolverSession
@@ -64,8 +66,15 @@ from repro.runtime.multiproc import (
 )
 from repro.runtime.shard_worker import _run_worker
 from repro.runtime.server import DtmServer, PlanStore, ServeRequest, plan_hash
+from repro.sim.network import custom_topology, mesh_topology
 from repro.workloads.circuits import resistor_grid
-from repro.workloads.poisson import grid2d_poisson
+from repro.workloads.paper import (
+    example_5_1_delays,
+    example_5_1_impedances,
+    paper_split,
+    paper_system_3_2,
+)
+from repro.workloads.poisson import grid2d_poisson, grid2d_random
 
 # a CI hang in this file should dump stacks, not eat the runner cap
 faulthandler.enable()
@@ -1095,6 +1104,82 @@ class TestMultiprocSolve:
         with pytest.raises(MultiprocError):
             r.solve()
         r.close()  # idempotent
+
+
+# ----------------------------------------------------------------------
+# the paper's systems on real workers
+# ----------------------------------------------------------------------
+class TestPaperSystems:
+    """Example 5.1 (system (3.2), two subdomains, asymmetric delays) and
+    an EVS-split random grid, run by free workers to the exact answer."""
+
+    @pytest.fixture(scope="class")
+    def paper_plan(self):
+        return build_plan(split=paper_split(),
+                          topology=custom_topology(example_5_1_delays()),
+                          impedance=example_5_1_impedances())
+
+    @pytest.fixture(scope="class")
+    def exact(self):
+        return paper_system_3_2().exact_solution()
+
+    def test_converges_to_exact_solution(self, paper_plan, exact):
+        with MultiprocDtmRunner(paper_plan, shards=2) as r:
+            res = r.solve(stopping=ResidualRule(tol=1e-10),
+                          wall_budget=60.0)
+        assert res.converged
+        assert np.allclose(res.x, exact, atol=1e-7)
+        assert all(rep.subdomain_solves > 0 for rep in res.shard_reports)
+
+    def test_runs_are_nondeterministic_but_converge(self, paper_plan,
+                                                    exact):
+        """Different schedules, same destination (Theorem 6.1)."""
+        runs = []
+        for _ in range(2):
+            with MultiprocDtmRunner(paper_plan, shards=2) as r:
+                runs.append(r.solve(stopping=ResidualRule(tol=1e-9),
+                                    wall_budget=60.0))
+        for res in runs:
+            assert res.converged
+            assert np.max(np.abs(res.x - exact)) < 1e-6
+        # sweep counts typically differ between runs; don't assert them
+
+    def test_quiescence_stops_traffic(self, paper_plan, exact):
+        with MultiprocDtmRunner(paper_plan, shards=2) as r:
+            res = r.solve(stopping=QuiescenceRule(threshold=1e-10),
+                          wall_budget=60.0)
+        assert res.converged and res.stopped_by == "quiescence"
+        assert np.max(np.abs(res.x - exact)) < 1e-6
+
+    def test_validation(self, paper_plan):
+        with pytest.raises(ConfigurationError):
+            MultiprocDtmRunner(paper_plan, shards=0)
+        with pytest.raises(ConfigurationError):
+            MultiprocDtmRunner(paper_plan, shards=2, idle_sleep=0.0)
+        with pytest.raises(ConfigurationError):
+            MultiprocDtmRunner(paper_plan, shards=3)
+
+    @pytest.mark.parametrize("transport", ["shm", "mesh"])
+    def test_four_subdomain_mesh(self, transport):
+        g = grid2d_random(7, seed=5)
+        split = split_graph(g, grid_block_partition(7, 7, 2, 2),
+                            strategy=DominancePreservingSplit())
+        topo = mesh_topology(2, 2, delay_low=5, delay_high=20, seed=1)
+        plan = build_plan(split=split, topology=topo, impedance=1.0)
+        with MultiprocDtmRunner(plan, shards=2, transport=transport) as r:
+            res = r.solve(stopping=ResidualRule(tol=1e-8),
+                          wall_budget=60.0)
+        assert res.converged
+        assert np.max(np.abs(res.x - direct_solution(plan))) < 1e-5
+
+    def test_runner_from_plan_leaves_template_untouched(self, paper_plan,
+                                                        exact):
+        with MultiprocDtmRunner(paper_plan, shards=2) as r:
+            res = r.solve(stopping=ResidualRule(tol=1e-8),
+                          wall_budget=60.0)
+        assert np.allclose(res.x, exact, atol=1e-5)
+        # the workers ran on their own copies of the plan's fleet
+        assert np.all(paper_plan.fleet_template.waves == 0.0)
 
 
 class TestLookSoak:

@@ -260,8 +260,5 @@ def test_swap_rhs_default_reference_tracks_new_system(paper_setup):
 
 def test_prebuilt_state_requires_plan(paper_setup):
     split, topo, _ = paper_setup
-    from repro.core.fleet import build_fleet  # noqa: F401 - clarity
     with pytest.raises(ConfigurationError):
         DtmSimulator(split, topo, fleet=object())
-    with pytest.raises(ConfigurationError):
-        DtmSimulator(split, topo, kernels=[])

@@ -70,6 +70,27 @@ def test_lazy_attribute_error():
         repro.no_such_function
 
 
+def test_removed_engines_and_knob_stay_removed():
+    """The per-kernel path and the asyncio runner left ``src/``.
+
+    ``use_fleet`` is no longer a parameter anywhere (the fleet is the
+    only execution path), and the deleted public names do not resolve.
+    """
+    import repro.core
+    import repro.runtime
+
+    g = grid2d_random(6, seed=0)
+    with pytest.raises(TypeError, match="use_fleet"):
+        solve_dtm(g, use_fleet=False, t_max=100.0, tol=None)
+    with pytest.raises(ConfigurationError, match="use_fleet"):
+        solve_dtm(g, use_fleet=True, backend="multiproc")
+    for pkg, name in [(repro.core, "DtmKernel"),
+                      (repro.core, "build_kernels"),
+                      (repro.runtime, "AsyncioDtmRunner")]:
+        with pytest.raises(AttributeError):
+            getattr(pkg, name)
+
+
 # ----------------------------------------------------------------------
 # plan pipeline: rhs override, cache reuse, seed-path equivalence
 # ----------------------------------------------------------------------
@@ -116,8 +137,9 @@ class TestSeedPathEquivalence:
     @staticmethod
     def _seed_solve_dtm(a, b=None, *, n_subdomains=4, topology=None,
                         impedance=1.0, t_max=5000.0, tol=1e-8, seed=0,
-                        use_fleet=True):
-        """The pre-plan solve_dtm pipeline, verbatim."""
+                        simulator=None):
+        """The pre-plan solve_dtm pipeline, verbatim (*simulator*
+        defaults to :class:`DtmSimulator`)."""
         from repro.core.convergence import relative_residual, rms_error
         from repro.graph.electric import ElectricGraph
         from repro.linalg.iterative import direct_reference_solution
@@ -131,8 +153,8 @@ class TestSeedPathEquivalence:
         if topology is None:
             topology = complete_topology(split.n_parts, delay_low=10.0,
                                          delay_high=100.0, seed=seed)
-        sim = DtmSimulator(split, topology, impedance=impedance,
-                           use_fleet=use_fleet)
+        sim = (simulator or DtmSimulator)(split, topology,
+                                          impedance=impedance)
         res = sim.run(t_max, tol=tol)
         a_mat, b_vec = split.graph.to_system()
         ref = direct_reference_solution(a_mat, b_vec)
@@ -170,11 +192,12 @@ class TestSeedPathEquivalence:
         self._assert_equivalent(new, old)
 
     def test_per_kernel_path(self):
+        from per_kernel import PerKernelSimulator
+
         g = grid2d_random(7, seed=9)
-        kw = dict(n_subdomains=4, t_max=2000.0, tol=1e-5, seed=9,
-                  use_fleet=False)
+        kw = dict(n_subdomains=4, t_max=2000.0, tol=1e-5, seed=9)
         new = solve_dtm(g, use_cache=False, **kw)
-        old = self._seed_solve_dtm(g, **kw)
+        old = self._seed_solve_dtm(g, simulator=PerKernelSimulator, **kw)
         self._assert_equivalent(new, old)
 
     def test_vtm_system(self):
