@@ -197,7 +197,8 @@ def bench_warm_restart(nx: int = RESTART_NX) -> dict:
         server2.store.get(plan_id)
         warm_ready_s = time.perf_counter() - t0
         x_warm = server2.solve(plan_id, b, **guard).x
-        n_disk_loads = server2.store.stats()["n_disk_loads"]
+        n_disk_loads = int(server2.store.metrics_snapshot().total(
+            "repro_plan_store_disk_loads_total"))
         server2.close()
     finally:
         shutil.rmtree(plan_dir, ignore_errors=True)

@@ -13,7 +13,8 @@ sharded runners over a content-addressed plan store) wrapped by a
   back-substitution per subdomain plus the truly parallel run;
 * bad requests (unknown plan id here) come back as error responses —
   the serve loop and the connection survive them;
-* ``stats`` and ``shutdown`` complete the protocol.
+* ``metrics`` (the server's merged counters) and ``shutdown``
+  complete the protocol.
 
 Run:  PYTHONPATH=src python examples/remote_client.py
 """
@@ -64,11 +65,13 @@ def main() -> None:
             except RemoteError as exc:
                 print(f"  bad request -> {exc} (connection survives)")
 
-            stats = client.stats()
+            snap = client.metrics()
+            solves = int(snap.total("repro_server_solves_total"))
+            errors = int(snap.total("repro_server_errors_total"))
+            plans = int(snap.total("repro_plan_store_plans"))
             print(
-                f"served {stats['server']['n_solves']} solves, "
-                f"{stats['server']['n_errors']} errors, "
-                f"{stats['store']['n_plans']} plan(s) resident"
+                f"served {solves} solves, {errors} errors, "
+                f"{plans} plan(s) resident"
             )
             client.shutdown()
     print("server shut down")

@@ -56,11 +56,14 @@ def main() -> None:
                 f"({res.iterations} subdomain solves)"
             )
 
-        stats = server.stats.snapshot()
+        snap = server.metrics_snapshot()
+        solves = int(snap.total("repro_server_solves_total"))
+        warm = int(snap.total("repro_server_warm_hits_total"))
+        hist = snap.value("repro_server_solve_seconds", plan=plan_id)
+        seconds = hist["sum"]
         print(
-            f"served {stats['n_solves']} solves, "
-            f"{stats['n_warm_hits']} on a warm pool, "
-            f"{stats['total_solve_seconds']:.2f} s total"
+            f"served {solves} solves, {warm} on a warm pool, "
+            f"{seconds:.2f} s total"
         )
 
 

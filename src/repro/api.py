@@ -299,6 +299,6 @@ def connect_dtm(address, *, token: Optional[str] = None,
     address of a :class:`repro.net.DtmTcpFrontend`.  Returns a
     :class:`~repro.net.client.DtmClient` (also usable as a context
     manager) with ``register`` / ``solve`` / ``solve_many`` /
-    ``stats`` / ``shutdown``.  See ``examples/remote_client.py``.
+    ``metrics`` / ``shutdown``.  See ``examples/remote_client.py``.
     """
     return DtmClient(address, token=token, timeout=timeout)

@@ -106,18 +106,11 @@ class ConvergenceTracker:
         :mod:`repro.linalg.iterative`.
     metric:
         ``rms`` (default) or ``max``, applied against *reference*.
-    horizon:
-        Optional time budget (must be positive when given, validated
-        like ``tol``); :meth:`exhausted` reports when a sample time has
-        reached it, and a tracker-driven
-        :class:`~repro.sim.trace.ErrorObserver` stops the engine there.
-        (:class:`HorizonRule` is the stopping-rule counterpart.)
     """
 
     reference: Optional[np.ndarray] = None
     tol: Optional[float] = None
     metric: str = "rms"
-    horizon: Optional[float] = None
     series: TimeSeries = field(default_factory=lambda: TimeSeries("error"))
     _metric_fn: Callable = field(init=False, repr=False)
 
@@ -132,8 +125,6 @@ class ConvergenceTracker:
             self.reference = np.asarray(self.reference, dtype=np.float64)
         if self.tol is not None and self.tol <= 0:
             raise ValidationError("tol must be positive when given")
-        if self.horizon is not None and self.horizon <= 0:
-            raise ValidationError("horizon must be positive when given")
 
     def record(self, t: float, x) -> float:
         """Record the error of state *x* at time *t*; returns the error."""
@@ -161,10 +152,6 @@ class ConvergenceTracker:
         if len(self.series) == 0:
             return np.inf
         return float(self.series.final)
-
-    def exhausted(self, t: float) -> bool:
-        """True once *t* has reached the tracker's time horizon."""
-        return self.horizon is not None and float(t) >= self.horizon
 
     def time_to_tol(self, tol: Optional[float] = None) -> Optional[float]:
         """First recorded time at which the error was at or below *tol*."""

@@ -295,12 +295,6 @@ class DtmClient:
 
         return plan_from_bytes(blob)
 
-    def stats(self) -> dict:
-        """Server + plan-store counters, as one dict."""
-        obj, _, _ = self._request({"op": "stats"})
-        self._require_ok(obj)
-        return {"server": obj.get("stats"), "store": obj.get("store")}
-
     def metrics(self, *, as_text: bool = False):
         """The server's merged fleet-wide metrics snapshot.
 

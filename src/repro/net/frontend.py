@@ -3,7 +3,7 @@
 Frames the server's existing in-process request loop
 (:meth:`DtmServer.serve`) over the wire protocol of
 :mod:`repro.net.wire`: each client connection is pumped through one
-``serve()`` call, with non-solve operations (``register``, ``stats``,
+``serve()`` call, with non-solve operations (``register``, ``metrics``,
 ``ping``, ``shutdown``) answered inline between solve requests.  The
 hardened serve loop does the heavy lifting — a malformed or
 unknown-plan request comes back as an error response and the
@@ -18,8 +18,9 @@ Operations (JSON header + named float64/int64 arrays per message):
     ``plan_id``, array ``b``, ``tol``, optional stopping-rule spec
     (see :func:`repro.net.wire.stopping_from_spec`), ``warm_start``,
     ``tag`` → result scalars + array ``x``.
-``stats``
-    Server counters + plan-store stats.
+``metrics``
+    The server's merged metric snapshot
+    (:meth:`DtmServer.metrics_snapshot`) + its Prometheus text.
 ``push_plan``
     A serialized plan artifact (:func:`repro.plan.plan_to_bytes`) in
     the frame blob → ``{"plan_id": ...}``; the server admits it like
@@ -146,15 +147,6 @@ class _Connection:
                 self._handle_push_plan(obj, blob)
             elif op == "fetch_plan":
                 self._handle_fetch_plan(obj)
-            elif op == "stats":
-                self._reply(
-                    {
-                        "ok": True,
-                        "op": "stats",
-                        "stats": self.server.stats.snapshot(),
-                        "store": self.server.store.stats(),
-                    },
-                )
             elif op == "metrics":
                 self._handle_metrics()
             elif op == "ping":

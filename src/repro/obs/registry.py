@@ -21,10 +21,12 @@ telemetry has to satisfy three constraints at once:
   being off is one attribute test (gated at ≤2% of a kernel-micro
   sweep by ``benchmarks/bench_obs.py``).
 
-Components that must always count (the ``stats()`` compatibility
-views of the plan cache, disk store and server) own a private
-always-enabled registry instead of the process default; the gate only
-governs the *hot-path* instruments and the process-wide default.
+The serving components (plan cache, disk store, plan store, server)
+must always count, so that the ``metrics`` wire op answers on any
+server: each owns a private always-enabled registry instead of the
+process default, and the registry is the only place their counters
+can be read.  The gate only governs the *hot-path* instruments and
+the process-wide default.
 """
 
 from __future__ import annotations
@@ -201,7 +203,7 @@ class MetricsSnapshot:
     def __init__(self, metrics: Optional[dict] = None) -> None:
         self.metrics = metrics or {}
 
-    # -- access helpers (tests, stats() views) -------------------------
+    # -- access helpers -------------------------------------------------
     def value(self, name: str, **labels):
         """The sample of one series, or ``None`` when absent."""
         met = self.metrics.get(name)
@@ -492,9 +494,10 @@ def resolve_obs(obs):
 
 
 def component_registry(obs):
-    """An always-enabled registry for components whose ``stats()``
-    views must keep counting regardless of the observability gate:
-    the resolved ``obs=`` registry when it is enabled, else a fresh
+    """An always-enabled registry for the serving components, whose
+    counters must keep counting regardless of the observability gate
+    so that the ``metrics`` wire op answers on any server: the
+    resolved ``obs=`` registry when it is enabled, else a fresh
     private :class:`MetricRegistry` (never the null one)."""
     reg = resolve_obs(obs)
     return reg if reg.enabled else MetricRegistry()

@@ -9,10 +9,10 @@ layers:
 ===================  ==================================================
 kind                 meaning
 ===================  ==================================================
-``plan_lookup``      span: cache/store lookup for a plan key
-``plan_build``       span: a plan was built from scratch
-``plan_load``        span: a plan was loaded from the disk store
-``rhs_swap``         span: right-hand-side swap against kept factors
+``plan_lookup``      event: whether the plan came from a cache or
+                     store (``reused``)
+``rhs_swap``         span (event on multiproc): right-hand-side swap
+                     against kept factors
 ``solve``            span: the whole execute phase of one solve
 ``probe``            event: one *look* of the multiproc coordinator —
                      STOP, every ack, one measurement of the quiesced
@@ -23,12 +23,8 @@ kind                 meaning
                      ``crossing``.  The last ``probe`` of a solve is
                      the measurement its result reports
 ``stop``             event: the stopping decision that ended the run
-``sweeps``           event: per-shard sweep totals at a probe, with
-                     the min/max spread (the staleness delta between
-                     the fastest and slowest shard)
-``recovery``         span: one worker-failure recovery episode
-``wave_emit`` /      events: wave traffic milestones (coarse; the
-``wave_recv``        per-frame firehose stays in the metric counters)
+``recovery``         event: a shard worker was lost and its recovery
+                     began (``shard``)
 ===================  ==================================================
 
 Timestamps are seconds relative to the trace's start (monotonic

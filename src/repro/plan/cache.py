@@ -26,13 +26,12 @@ class PlanCache:
     misses on the *same* key single-flight on a per-key build lock:
     one caller runs the (expensive) build and every racer blocks,
     then reuses the freshly cached plan instead of duplicating the
-    work (counted in ``n_coalesced``).
+    work (counted in ``repro_plan_cache_coalesced_total``).
 
-    Hit/miss/coalesce counting routes through a metric registry (see
-    :mod:`repro.obs`): pass ``obs=`` to share one, or leave it unset
-    for a private always-on registry — ``stats()`` and the ``hits`` /
-    ``misses`` / ``n_coalesced`` attributes keep their historical
-    meaning either way.
+    Hits, misses and coalesced builds are counted on a metric registry
+    (see :mod:`repro.obs`) and read with :meth:`metrics_snapshot`:
+    pass ``obs=`` to share one, or leave it unset for a private
+    always-on registry.
     """
 
     def __init__(self, maxsize: int = 32, *, obs=None) -> None:
@@ -54,18 +53,6 @@ class PlanCache:
             "concurrent builds coalesced onto one flight")
         self._g_entries = self.obs.gauge(
             "repro_plan_cache_entries", "cached plans")
-
-    @property
-    def hits(self) -> int:
-        return int(self._c_hits.value)
-
-    @property
-    def misses(self) -> int:
-        return int(self._c_misses.value)
-
-    @property
-    def n_coalesced(self) -> int:
-        return int(self._c_coalesced.value)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -95,8 +82,9 @@ class PlanCache:
         Returns ``(plan, cache_hit)``.  Concurrent misses on one key
         coalesce: the first caller builds under a per-key lock, the
         rest wait and return the cached plan (``cache_hit=True``,
-        ``n_coalesced`` bumped).  A failed build releases the key so
-        the next caller retries instead of caching the failure.
+        ``repro_plan_cache_coalesced_total`` bumped).  A failed build
+        releases the key so the next caller retries instead of caching
+        the failure.
         """
         plan = self.get(key)
         if plan is not None:
@@ -130,13 +118,6 @@ class PlanCache:
         with self._lock:
             self._entries.clear()
             self._g_entries.set(0)
-
-    def stats(self) -> dict:
-        """The historical key schema, read off the registry."""
-        with self._lock:
-            return {"entries": len(self._entries), "hits": self.hits,
-                    "misses": self.misses, "maxsize": self.maxsize,
-                    "n_coalesced": self.n_coalesced}
 
     def metrics_snapshot(self):
         """Mergeable snapshot of this cache's instruments."""

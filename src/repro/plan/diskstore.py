@@ -72,8 +72,6 @@ class DiskPlanStore:
         self.max_bytes = None if max_bytes is None else int(max_bytes)
         os.makedirs(self.directory, exist_ok=True)
         self._thread_lock = threading.Lock()
-        # stats() routes through a metric registry (repro.obs); the
-        # attribute names below stay as read-only compatibility views
         self.obs = component_registry(obs)
         self._c_hits = self.obs.counter(
             "repro_disk_store_hits_total", "disk artifacts found")
@@ -90,26 +88,6 @@ class DiskPlanStore:
         self._h_load = self.obs.histogram(
             "repro_disk_store_load_seconds",
             "artifact load (mmap open + header parse) latency")
-
-    @property
-    def n_hits(self) -> int:
-        return int(self._c_hits.value)
-
-    @property
-    def n_misses(self) -> int:
-        return int(self._c_misses.value)
-
-    @property
-    def n_stores(self) -> int:
-        return int(self._c_stores.value)
-
-    @property
-    def n_evicted(self) -> int:
-        return int(self._c_evicted.value)
-
-    @property
-    def n_corrupt(self) -> int:
-        return int(self._c_corrupt.value)
 
     # -- paths / locking ------------------------------------------------
     def path_for(self, plan_hash: str) -> str:
@@ -163,19 +141,6 @@ class DiskPlanStore:
 
     def total_bytes(self) -> int:
         return sum(nbytes for _, _, nbytes in self._entries())
-
-    def stats(self) -> dict:
-        entries = self._entries()
-        return {
-            "n_artifacts": len(entries),
-            "total_bytes": sum(n for _, _, n in entries),
-            "max_bytes": self.max_bytes,
-            "n_hits": self.n_hits,
-            "n_misses": self.n_misses,
-            "n_stores": self.n_stores,
-            "n_evicted": self.n_evicted,
-            "n_corrupt": self.n_corrupt,
-        }
 
     # -- store ----------------------------------------------------------
     def put(self, plan: SolverPlan) -> str:

@@ -26,7 +26,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "PlanStore",
             "ServeRequest",
             "ServeResponse",
-            "ServerStats",
             "plan_hash",
         ),
     },

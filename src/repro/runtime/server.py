@@ -94,8 +94,6 @@ class PlanStore:
             raise ConfigurationError("max_bytes must be >= 1 (or None)")
         self.max_plans = None if max_plans is None else int(max_plans)
         self.max_bytes = None if max_bytes is None else int(max_bytes)
-        # stats() routes through a metric registry (repro.obs); the
-        # n_evicted/n_disk_loads/total_bytes names stay as views
         self.obs = component_registry(obs)
         if plan_dir is None or isinstance(plan_dir, DiskPlanStore):
             self.disk = plan_dir
@@ -115,14 +113,6 @@ class PlanStore:
         self._nbytes: dict[str, int] = {}
         self._lock = threading.Lock()
         self._listeners: list = []
-
-    @property
-    def n_evicted(self) -> int:
-        return int(self._c_evicted.value)
-
-    @property
-    def n_disk_loads(self) -> int:
-        return int(self._c_disk_loads.value)
 
     @property
     def total_bytes(self) -> int:
@@ -210,21 +200,6 @@ class PlanStore:
         with self._lock:
             return list(self._plans)
 
-    def stats(self) -> dict:
-        """The historical key schema, read off the registry."""
-        with self._lock:
-            out = {
-                "n_plans": len(self._plans),
-                "max_plans": self.max_plans,
-                "n_evicted": self.n_evicted,
-                "total_bytes": self.total_bytes,
-                "max_bytes": self.max_bytes,
-                "n_disk_loads": self.n_disk_loads,
-            }
-        if self.disk is not None:
-            out["disk"] = self.disk.stats()
-        return out
-
     def metrics_snapshot(self) -> MetricsSnapshot:
         """Mergeable snapshot of the store (and its disk tier)."""
         with self._lock:
@@ -268,102 +243,6 @@ class ServeResponse:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-
-class ServerStats:
-    """Aggregate serving counters (what a dashboard would scrape).
-
-    Backed by a metric registry (:mod:`repro.obs`): the historical
-    attribute names are read-only views, :meth:`snapshot` keeps its
-    key schema, and per-plan solve wall times land in a
-    ``repro_server_solve_seconds{plan=...}`` histogram whose per-plan
-    observation counts double as the ``per_plan_solves`` view.
-    """
-
-    def __init__(self, obs=None) -> None:
-        self.obs = component_registry(obs)
-        self._g_registered = self.obs.gauge(
-            "repro_server_registered_plans", "plans registered")
-        self._c_solves = self.obs.counter(
-            "repro_server_solves_total", "solve requests served")
-        self._c_warm = self.obs.counter(
-            "repro_server_warm_hits_total",
-            "solves dispatched to an already-warm runner")
-        self._c_errors = self.obs.counter(
-            "repro_server_errors_total", "failed serve requests")
-        self._c_evicted = self.obs.counter(
-            "repro_server_evictions_total",
-            "warm runners retired by plan eviction")
-        self._solve_hists: dict = {}
-        self._hist_lock = threading.Lock()
-
-    # -- recording (the server calls these under its stats lock) -------
-    def set_registered(self, n: int) -> None:
-        self._g_registered.set(n)
-
-    def record_warm_hit(self) -> None:
-        self._c_warm.inc()
-
-    def record_error(self) -> None:
-        self._c_errors.inc()
-
-    def record_evicted(self) -> None:
-        self._c_evicted.inc()
-
-    def record_solve(self, plan_id, wall_seconds: float) -> None:
-        hist = self._solve_hists.get(plan_id)
-        if hist is None:
-            with self._hist_lock:
-                hist = self._solve_hists.get(plan_id)
-                if hist is None:
-                    hist = self.obs.histogram(
-                        "repro_server_solve_seconds",
-                        "per-plan solve wall time",
-                        plan=str(plan_id))
-                    self._solve_hists[plan_id] = hist
-        hist.observe(wall_seconds)
-        self._c_solves.inc()
-
-    # -- compatibility views --------------------------------------------
-    @property
-    def n_registered(self) -> int:
-        return int(self._g_registered.value)
-
-    @property
-    def n_solves(self) -> int:
-        return int(self._c_solves.value)
-
-    @property
-    def n_warm_hits(self) -> int:
-        return int(self._c_warm.value)
-
-    @property
-    def n_errors(self) -> int:
-        return int(self._c_errors.value)
-
-    @property
-    def n_evicted(self) -> int:
-        return int(self._c_evicted.value)
-
-    @property
-    def total_solve_seconds(self) -> float:
-        return sum(h.sum for h in self._solve_hists.values())
-
-    @property
-    def per_plan_solves(self) -> dict:
-        return {pid: int(h.count)
-                for pid, h in self._solve_hists.items()}
-
-    def snapshot(self) -> dict:
-        return {
-            "n_registered": self.n_registered,
-            "n_solves": self.n_solves,
-            "n_warm_hits": self.n_warm_hits,
-            "n_errors": self.n_errors,
-            "n_evicted": self.n_evicted,
-            "total_solve_seconds": self.total_solve_seconds,
-            "per_plan_solves": self.per_plan_solves,
-        }
 
 
 class DtmServer:
@@ -424,12 +303,17 @@ class DtmServer:
         self._runners: dict[str, MultiprocDtmRunner] = {}
         self._lock = threading.Lock()
         self._solve_locks: dict = {}
-        #: guards the counters and the serve-loop sequence number —
-        #: the TCP front end drives serve() from one thread per
-        #: connection, so accounting must not race
-        self._stats_lock = threading.Lock()
-        self.stats = ServerStats(obs=self.obs)
+        #: guards the serve-loop sequence number — the TCP front end
+        #: drives serve() from one thread per connection
+        self._seq_lock = threading.Lock()
         self._seq = 0
+        self._c_solves = self.obs.counter(
+            "repro_server_solves_total", "solve requests served")
+        self._c_warm = self.obs.counter(
+            "repro_server_warm_hits_total",
+            "solves dispatched to an already-warm runner")
+        self._c_errors = self.obs.counter(
+            "repro_server_errors_total", "failed serve requests")
         self._closed = False
 
     # -- registration ---------------------------------------------------
@@ -454,10 +338,7 @@ class DtmServer:
         elif plan.mode != "dtm":
             raise ConfigurationError(
                 f"DtmServer serves dtm-mode plans, got {plan.mode!r}")
-        key = self.store.put(plan)
-        with self._stats_lock:
-            self.stats.set_registered(len(self.store))
-        return key
+        return self.store.put(plan)
 
     def _on_evict(self, key: str, plan: SolverPlan) -> None:
         """Eviction listener: retire the evicted plan's warm runner.
@@ -475,9 +356,6 @@ class DtmServer:
             # the lock entry goes with the plan (recreated on a
             # re-register), so a bounded store bounds this dict too
             self._solve_locks.pop(key, None)
-        with self._stats_lock:
-            self.stats.record_evicted()
-            self.stats.set_registered(len(self.store))
 
     # -- dispatch -------------------------------------------------------
     def _solve_lock(self, plan_id) -> threading.Lock:
@@ -500,7 +378,7 @@ class DtmServer:
         with self._lock:
             runner = self._runners.get(plan_id)
             if runner is not None:
-                self.stats.record_warm_hit()
+                self._c_warm.inc()
                 return runner
             plan = self.store.get(plan_id)
             runner = MultiprocDtmRunner(plan, shards=self.shards,
@@ -521,9 +399,10 @@ class DtmServer:
         t0 = time.perf_counter()
         with self._solve_lock(plan_id):
             result = self.runner(plan_id).solve(b, **solve_kwargs)
-        wall = time.perf_counter() - t0
-        with self._stats_lock:
-            self.stats.record_solve(plan_id, wall)
+        self.obs.histogram(
+            "repro_server_solve_seconds", "per-plan solve wall time",
+            plan=plan_id).observe(time.perf_counter() - t0)
+        self._c_solves.inc()
         return result
 
     def serve(self, requests: Iterable[ServeRequest]
@@ -542,7 +421,7 @@ class DtmServer:
             t0 = time.perf_counter()
             plan_id = getattr(req, "plan_id", None)
             tag = getattr(req, "tag", None)
-            with self._stats_lock:
+            with self._seq_lock:
                 self._seq += 1
                 seq = self._seq
             try:
@@ -551,8 +430,7 @@ class DtmServer:
                     stopping=req.stopping,
                     warm_start=req.warm_start)
             except Exception as exc:
-                with self._stats_lock:
-                    self.stats.record_error()
+                self._c_errors.inc()
                 yield ServeResponse(
                     plan_id=plan_id, result=None, seq=seq,
                     wall_seconds=time.perf_counter() - t0, tag=tag,
@@ -621,6 +499,5 @@ __all__ = [
     "PlanStore",
     "ServeRequest",
     "ServeResponse",
-    "ServerStats",
     "plan_hash",
 ]

@@ -142,9 +142,3 @@ class Processor:
         if self.kernel.dirty:
             # arrivals raced in between scheduling and starting
             self._consider_solve()
-
-    def stats(self) -> dict[str, float]:
-        return {
-            "n_solves": float(self.n_solves),
-            "n_messages_in": float(self.n_messages_in),
-        }

@@ -24,17 +24,14 @@ class ErrorObserver:
     """Samples the globally gathered solution on a fixed time grid.
 
     The gather needs one full-state reconstruction per subdomain, so it
-    runs at observer cadence, not per event.  The fourth argument is
-    either a :class:`ConvergenceTracker` (the paper's reference-based
-    error trace) or a :class:`~repro.core.convergence.RuleMonitor`
-    (any stopping rule, including reference-free ones); when the
-    tracker converges or the monitor fires, the engine is stopped
+    runs at observer cadence, not per event, and only on samples where
+    the stopping rule's :class:`~repro.core.convergence.RuleMonitor`
+    asks for the state.  When the monitor fires, the engine is stopped
     early.
     """
 
     def __init__(self, engine: Engine, split, kernels: Sequence,
-                 tracker, interval: float, *,
-                 stop_on_converged: bool = True,
+                 monitor: RuleMonitor, interval: float, *,
                  detect_quiescence: bool = True,
                  waves_fn=None) -> None:
         if interval <= 0:
@@ -42,14 +39,8 @@ class ErrorObserver:
         self.engine = engine
         self.split = split
         self.kernels = kernels
-        if isinstance(tracker, RuleMonitor):
-            self.monitor: RuleMonitor | None = tracker
-            self.tracker = getattr(tracker, "tracker", None)
-        else:
-            self.monitor = None
-            self.tracker = tracker
+        self.monitor = monitor
         self.interval = float(interval)
-        self.stop_on_converged = stop_on_converged
         self.detect_quiescence = detect_quiescence
         self.stopped_quiescent = False
         self._waves_fn = waves_fn
@@ -64,17 +55,8 @@ class ErrorObserver:
         """Lazy state view for rule monitors at the current instant."""
         return StateProbe(self.current_solution, self._waves_fn)
 
-    def _stop_wanted(self) -> bool:
-        """Sample once; True when the rule/tracker says to stop."""
-        if self.monitor is not None:
-            event = self.monitor.update(self.engine.now, self.probe())
-            return event is not None
-        self.tracker.record(self.engine.now, self.current_solution())
-        return self.tracker.converged \
-            or self.tracker.exhausted(self.engine.now)
-
     def _sample(self) -> None:
-        if self._stop_wanted() and self.stop_on_converged:
+        if self.monitor.update(self.engine.now, self.probe()) is not None:
             self.engine.stop()
             return
         if self.detect_quiescence and self.engine.idle:

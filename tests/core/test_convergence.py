@@ -146,17 +146,6 @@ def test_tracker_exactly_tol_converges():
     assert tr.time_to_tol() == 3.0
 
 
-def test_tracker_horizon_validated_like_tol():
-    with pytest.raises(ValidationError):
-        ConvergenceTracker(reference=np.zeros(1), horizon=0.0)
-    with pytest.raises(ValidationError):
-        ConvergenceTracker(reference=np.zeros(1), horizon=-5.0)
-    tr = ConvergenceTracker(reference=np.zeros(1), horizon=10.0)
-    assert not tr.exhausted(9.9)
-    assert tr.exhausted(10.0)
-    assert not ConvergenceTracker(reference=np.zeros(1)).exhausted(1e9)
-
-
 def test_first_time_below_inclusive():
     from repro.utils.timeseries import TimeSeries
 

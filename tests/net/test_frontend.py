@@ -98,11 +98,11 @@ class TestRoundTrip:
         with pytest.raises(ConfigurationError):
             client.solve_many(plan_id, np.zeros(5))
 
-    def test_stats(self, service):
+    def test_metrics(self, service):
         _, _, client, _ = service
-        stats = client.stats()
-        assert stats["server"]["n_solves"] >= 1
-        assert stats["store"]["n_plans"] >= 1
+        snap = client.metrics()
+        assert snap.total("repro_server_solves_total") >= 1
+        assert snap.value("repro_plan_store_plans") >= 1
 
 
 class TestHardenedLoopOverTcp:
@@ -135,6 +135,15 @@ class TestHardenedLoopOverTcp:
         assert not obj["ok"]
         assert "unknown op" in obj["error"]
         assert client.ping()  # connection still alive
+
+    def test_stats_op_is_gone(self, service, graph):
+        # the counters moved to the ``metrics`` op; ``stats`` is an
+        # unknown op like any other, and the connection lives on
+        _, _, client, plan_id = service
+        obj, _, _ = client._request({"op": "stats"})
+        assert not obj["ok"]
+        assert obj["error"] == "ProtocolError: unknown op 'stats'"
+        assert client.solve(plan_id, np.ones(graph.n), tol=1e-6).converged
 
     def test_register_error_is_reported(self, service):
         _, _, client, _ = service
@@ -288,7 +297,8 @@ class TestClose:
                         assert res.converged
                 # the first stack built its plan (the process-wide plan
                 # cache keeps that one); every later one loaded its own
-                assert server.store.n_disk_loads == (restart > 0)
+                assert server.store.metrics_snapshot().total(
+                    "repro_plan_store_disk_loads_total") == (restart > 0)
             del server, frontend, client, res
             counts.append(_live_plans())
         assert counts[1:] == counts[:1] * 7, counts

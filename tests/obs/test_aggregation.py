@@ -122,8 +122,8 @@ class TestServedMetrics:
         snap = client.metrics()
         assert isinstance(snap, MetricsSnapshot)
         assert snap.total("repro_server_solves_total") >= 1.0
-        # the per-plan latency histogram: count doubles as the
-        # per-plan solve counter of the old stats() schema
+        # the per-plan latency histogram: its count is the number of
+        # solves served for that plan
         hist = snap.value("repro_server_solve_seconds", plan=plan_id)
         assert hist["count"] >= 1
         assert hist["sum"] > 0.0
@@ -143,18 +143,18 @@ class TestServedMetrics:
         assert 'le="+Inf"' in text
         assert "repro_server_solves_total" in text
 
-    def test_stats_views_agree_with_registry(self, service):
-        # the historical stats() dicts are now views over the same
-        # registry the metrics endpoint serves
+    def test_wire_snapshot_agrees_with_in_process_one(self, service):
+        # the metrics op serves exactly the counts the server reads
+        # off its own registries
         server, client, _ = service
         snap = client.metrics()
-        stats = server.stats.snapshot()
-        assert stats["n_solves"] == snap.total(
-            "repro_server_solves_total")
-        assert stats["n_errors"] == snap.total(
-            "repro_server_errors_total")
-        store = server.store.stats()
-        assert store["n_plans"] == snap.value("repro_plan_store_plans")
+        local = server.metrics_snapshot()
+        for name in ("repro_server_solves_total",
+                     "repro_server_errors_total",
+                     "repro_server_warm_hits_total",
+                     "repro_plan_store_plans"):
+            assert snap.total(name) == local.total(name), name
+        assert snap.value("repro_plan_store_plans") == len(server.store)
 
 
 class TestServerWithoutWorkers:

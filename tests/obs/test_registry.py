@@ -264,7 +264,7 @@ class TestGates:
 
     def test_component_registry_never_null(self):
         reg = component_registry(None)
-        assert reg.enabled  # stats() views must always count
+        assert reg.enabled  # serving counters must always count
         assert isinstance(reg, MetricRegistry)
         mine = MetricRegistry()
         assert component_registry(mine) is mine

@@ -271,13 +271,15 @@ class TestDiskPlanStore:
         loaded = store.get(h)
         assert np.array_equal(_solve(dense_plan, graph.sources).x,
                               _solve(loaded, graph.sources).x)
-        assert store.stats()["n_hits"] == 1
-        assert store.stats()["n_stores"] == 1
+        snap = store.obs.snapshot()
+        assert snap.total("repro_disk_store_hits_total") == 1
+        assert snap.total("repro_disk_store_stores_total") == 1
 
     def test_get_unknown_is_a_miss(self, tmp_path):
         store = DiskPlanStore(tmp_path / "plans")
         assert store.get("0" * 16) is None
-        assert store.stats()["n_misses"] == 1
+        assert store.obs.snapshot().total(
+            "repro_disk_store_misses_total") == 1
 
     def test_put_bytes_validates_and_get_bytes_round_trips(
             self, dense_plan, tmp_path):
@@ -298,7 +300,8 @@ class TestDiskPlanStore:
             fh.write(b"NOTAPLAN")
         assert store.get(h) is None
         assert h not in store  # the bad file was deleted
-        assert store.stats()["n_corrupt"] == 1
+        assert store.obs.snapshot().total(
+            "repro_disk_store_corrupt_total") == 1
 
     def test_byte_budget_evicts_oldest(self, graph, dense_plan,
                                        tmp_path):
@@ -316,7 +319,8 @@ class TestDiskPlanStore:
         assert h2 != h1
         assert h2 in store
         assert h1 not in store  # oldest evicted to fit the budget
-        assert store.stats()["n_evicted"] >= 1
+        assert store.obs.snapshot().total(
+            "repro_disk_store_evictions_total") >= 1
 
     def test_discard_and_clear(self, dense_plan, sparse_plans, tmp_path):
         store = DiskPlanStore(tmp_path / "plans")
@@ -393,8 +397,13 @@ class TestSingleFlight:
         plans = {id(plan) for plan, _ in results}
         assert len(plans) == 1  # everyone got the same object
         assert sum(1 for _, hit in results if not hit) == 1
-        assert cache.n_coalesced >= 1
-        assert cache.stats()["n_coalesced"] == cache.n_coalesced
+        snap = cache.metrics_snapshot()
+        coalesced = snap.total("repro_plan_cache_coalesced_total")
+        assert coalesced >= 1
+        # every racer but the builder either waited on the flight or
+        # arrived after it and hit
+        assert coalesced + snap.total("repro_plan_cache_hits_total") \
+            == len(threads) - 1
 
     def test_failed_build_releases_the_key(self, graph):
         cache = PlanCache()

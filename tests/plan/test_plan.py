@@ -110,8 +110,10 @@ class TestPlanCache:
         assert p2 is p1 and p2.from_cache
         p3 = get_plan(graph, n_subdomains=2, seed=1, cache=cache)
         assert p3 is not p1
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["misses"] == 2
+        snap = cache.metrics_snapshot()
+        assert snap.total("repro_plan_cache_hits_total") == 1
+        assert snap.total("repro_plan_cache_misses_total") == 2
+        assert snap.value("repro_plan_cache_entries") == 2
 
     def test_lru_eviction(self, graph):
         cache = PlanCache(maxsize=1)

@@ -1257,7 +1257,7 @@ class TestServer:
             assert key1 == plan_hash(poisson_plan)
             assert len(store) == 1
 
-    def test_solve_and_stats(self, poisson_plan):
+    def test_solve_and_metrics(self, poisson_plan):
         with DtmServer(shards=2) as server:
             key = server.register(plan=poisson_plan)
             rng = np.random.default_rng(3)
@@ -1265,10 +1265,12 @@ class TestServer:
             res1 = server.solve(key, b, stopping=ResidualRule(tol=1e-7))
             res2 = server.solve(key, stopping=ResidualRule(tol=1e-7))
             assert res1.converged and res2.converged
-            snap = server.stats.snapshot()
-            assert snap["n_solves"] == 2
-            assert snap["n_warm_hits"] == 1  # second solve reused pool
-            assert snap["per_plan_solves"][key] == 2
+            snap = server.metrics_snapshot()
+            assert snap.total("repro_server_solves_total") == 2
+            # second solve reused pool
+            assert snap.total("repro_server_warm_hits_total") == 1
+            assert snap.value("repro_server_solve_seconds",
+                              plan=key)["count"] == 2
 
     def test_serve_loop(self, poisson_plan):
         with DtmServer(shards=2) as server:

@@ -26,6 +26,11 @@ from repro.runtime.server import (
 from repro.workloads.poisson import grid2d_poisson
 
 
+def _total(component, name: str) -> float:
+    """One counter or gauge read off *component*'s metric snapshot."""
+    return component.metrics_snapshot().total(name)
+
+
 @pytest.fixture(scope="module")
 def plans():
     """Three small, distinct plans."""
@@ -39,15 +44,15 @@ class TestPlanStoreLru:
         for plan in plans:
             store.put(plan)
         assert len(store) == 3
-        assert store.n_evicted == 0
-        assert store.stats()["max_plans"] is None
+        assert _total(store, "repro_plan_store_evictions_total") == 0
+        assert store.max_plans is None
 
     def test_evicts_least_recently_used(self, plans):
         store = PlanStore(max_plans=2)
         keys = [store.put(plan) for plan in plans[:2]]
         store.put(plans[2])  # evicts plans[0]
         assert len(store) == 2
-        assert store.n_evicted == 1
+        assert _total(store, "repro_plan_store_evictions_total") == 1
         assert keys[0] not in store
         assert keys[1] in store
         with pytest.raises(KeyError):
@@ -76,7 +81,7 @@ class TestPlanStoreLru:
         k0 = store.put(plans[0])
         store.put(plans[1])
         assert seen == [k0]
-        assert store.stats()["n_evicted"] == 1
+        assert _total(store, "repro_plan_store_evictions_total") == 1
 
     def test_bad_bound_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -95,8 +100,9 @@ class TestServerEviction:
             # plans[0] fell out of the LRU; its pool went with it
             assert runner0._closed
             assert k0 not in server.store
-            assert server.stats.n_evicted == 1
-            assert server.stats.n_registered == 1
+            snap = server.metrics_snapshot()
+            assert snap.total("repro_plan_store_evictions_total") == 1
+            assert snap.value("repro_plan_store_plans") == 1
             assert server.solve(k1, tol=1e-7).converged
             with pytest.raises(KeyError):
                 server.solve(k0, tol=1e-7)
@@ -111,7 +117,7 @@ class TestServerEviction:
             server.register(plan=plans[0])
             server.register(plan=plans[1])
             assert len(store) == 1
-            assert store.n_evicted == 1
+            assert _total(store, "repro_plan_store_evictions_total") == 1
 
 
 class TestConcurrency:
@@ -143,15 +149,20 @@ class TestConcurrency:
             x_ref = np.linalg.solve(a_dense, bs[j])
             assert np.max(np.abs(res.x - x_ref)) < 1e-5
 
-    def test_closed_server_stops_listening_to_shared_store(self, plans):
+    def test_closed_server_stops_listening_to_shared_store(
+            self, plans, monkeypatch):
+        evicted = []
+        monkeypatch.setattr(DtmServer, "_on_evict",
+                            lambda self, key, plan: evicted.append(key))
         store = PlanStore(max_plans=1)
         server = DtmServer(shards=1, store=store)
         server.register(plan=plans[0])
         server.close()
-        # evictions after close must not mutate the dead server
+        # evictions after close must not reach the dead server
         store.put(plans[1])
         store.put(plans[2])
-        assert server.stats.n_evicted == 0
+        assert _total(store, "repro_plan_store_evictions_total") == 2
+        assert evicted == []
 
 
 class TestHardenedServe:
@@ -181,8 +192,11 @@ class TestHardenedServe:
         assert "KeyError" in bad_id.error
         assert not bad_b.ok
         assert "ValidationError" in bad_b.error
-        assert server.stats.n_errors == 2
-        assert server.stats.n_solves == 2
+        snap = server.metrics_snapshot()
+        assert snap.total("repro_server_errors_total") == 2
+        assert snap.total("repro_server_solves_total") == 2
+        assert snap.value("repro_server_solve_seconds",
+                          plan=key)["count"] == 2
 
     def test_malformed_request_object(self, plans):
         with DtmServer(shards=1) as server:
@@ -193,12 +207,15 @@ class TestHardenedServe:
         assert responses[0].result is None
         assert "AttributeError" in responses[0].error
 
-    def test_stats_snapshot_has_new_counters(self, plans):
+    def test_metrics_snapshot_has_serving_counters(self, plans):
         with DtmServer(shards=1) as server:
             server.register(plan=plans[0])
-            snap = server.stats.snapshot()
-        assert snap["n_errors"] == 0
-        assert snap["n_evicted"] == 0
+            snap = server.metrics_snapshot()
+        # present (not merely absent-reads-as-zero) before any solve
+        assert snap.value("repro_server_errors_total") == 0
+        assert snap.value("repro_server_solves_total") == 0
+        assert snap.value("repro_plan_store_evictions_total") == 0
+        assert snap.value("repro_plan_store_plans") == 1
 
     def test_plan_hash_stable(self, plans):
         assert plan_hash(plans[0]) == plan_hash(plans[0])
@@ -215,16 +232,16 @@ class TestPlanStoreBytes:
         k1 = store.put(plans[1])
         assert k0 not in store
         assert k1 in store
-        assert store.n_evicted == 1
+        assert _total(store, "repro_plan_store_evictions_total") == 1
 
-    def test_byte_accounting_in_stats(self, plans):
+    def test_byte_accounting_in_metrics(self, plans):
         store = PlanStore(max_bytes=10 * plan_nbytes(plans[0]))
         store.put(plans[0])
-        stats = store.stats()
-        assert stats["total_bytes"] == plan_nbytes(plans[0])
-        assert stats["max_bytes"] == 10 * plan_nbytes(plans[0])
+        assert _total(store, "repro_plan_store_bytes") == \
+            plan_nbytes(plans[0])
+        assert store.max_bytes == 10 * plan_nbytes(plans[0])
         store.put(plans[1])
-        assert store.stats()["total_bytes"] == \
+        assert _total(store, "repro_plan_store_bytes") == \
             plan_nbytes(plans[0]) + plan_nbytes(plans[1])
 
     def test_eviction_releases_bytes(self, plans):
@@ -233,8 +250,8 @@ class TestPlanStoreBytes:
         store.put(plans[0])
         store.put(plans[1])
         store.put(plans[2])  # overflows: LRU falls out
-        assert store.stats()["total_bytes"] <= budget
-        assert store.n_evicted >= 1
+        assert _total(store, "repro_plan_store_bytes") <= budget
+        assert _total(store, "repro_plan_store_evictions_total") >= 1
 
     def test_bad_byte_bound_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -254,10 +271,10 @@ class TestPlanDirTier:
         assert len(fresh) == 0  # nothing in memory yet
         loaded = fresh.get(key)
         assert loaded.n == plans[0].n
-        assert fresh.stats()["n_disk_loads"] == 1
+        assert _total(fresh, "repro_plan_store_disk_loads_total") == 1
         assert key in fresh  # admitted into the memory tier
         fresh.get(key)  # second get is a memory hit
-        assert fresh.stats()["n_disk_loads"] == 1
+        assert _total(fresh, "repro_plan_store_disk_loads_total") == 1
 
     def test_a_disk_hit_weighs_the_plan_without_packing_it(
             self, tmp_path, monkeypatch):
@@ -281,12 +298,12 @@ class TestPlanDirTier:
         assert fresh.total_bytes == store.total_bytes == len(blob) + sum(
             arr.nbytes for arr in segments)
 
-    def test_disk_stats_are_nested(self, plans, tmp_path):
+    def test_disk_tier_counts_in_the_store_snapshot(self, plans,
+                                                   tmp_path):
         store = PlanStore(plan_dir=str(tmp_path / "plans"))
         store.put(plans[0])
-        stats = store.stats()
-        assert stats["disk"]["n_stores"] == 1
-        assert stats["disk"]["total_bytes"] > 0
+        assert _total(store, "repro_disk_store_stores_total") == 1
+        assert store.disk.total_bytes() > 0
 
 
 class TestWarmRestart:
@@ -307,7 +324,8 @@ class TestWarmRestart:
             res = server2.solve(key, b, tol=1e-7)
             assert res.converged
             assert np.array_equal(res.x, x_before)
-            assert server2.store.stats()["n_disk_loads"] == 1
+            assert _total(server2.store,
+                          "repro_plan_store_disk_loads_total") == 1
 
     def test_unknown_plan_still_raises_after_restart(self, plans,
                                                      tmp_path):

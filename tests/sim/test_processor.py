@@ -148,10 +148,10 @@ def test_solve_hook_invoked():
     assert hooked == [(4, 1.5)]
 
 
-def test_stats():
+def test_counters():
     eng = Engine()
     k = FakeKernel()
     p = Processor(eng, 0, k, lambda *a: None)
     p.start()
     eng.run()
-    assert p.stats() == {"n_solves": 1.0, "n_messages_in": 0.0}
+    assert (p.n_solves, p.n_messages_in) == (1, 0)

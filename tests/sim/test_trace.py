@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.convergence import ConvergenceTracker
+from repro.core.convergence import HorizonRule, ReferenceRule, SolveContext
 from repro.errors import ValidationError
 from repro.sim.engine import Engine
 from repro.sim.trace import (
@@ -125,21 +125,24 @@ class _StubKernel:
         return self._v
 
 
+def _monitor(rule, reference):
+    return rule.begin(SolveContext(reference=reference))
+
+
 def test_error_observer_requires_positive_interval():
     split = paper_split()
     eng = Engine()
-    tracker = ConvergenceTracker(reference=np.zeros(4))
+    monitor = _monitor(ReferenceRule(), np.zeros(4))
     with pytest.raises(ValidationError):
-        ErrorObserver(eng, split, [], tracker, interval=0.0)
+        ErrorObserver(eng, split, [], monitor, interval=0.0)
 
 
 def test_error_observer_samples_and_stops_on_tol():
     split = paper_split()
     eng = Engine()
-    exact = np.zeros(4)
-    tracker = ConvergenceTracker(reference=exact, tol=1e-3)
+    monitor = _monitor(ReferenceRule(tol=1e-3), np.zeros(4))
     kernels = [_StubKernel(np.zeros(3)), _StubKernel(np.zeros(3))]
-    obs = ErrorObserver(eng, split, kernels, tracker, interval=1.0,
+    obs = ErrorObserver(eng, split, kernels, monitor, interval=1.0,
                         detect_quiescence=False)
     obs.install()
     # keep the engine busy with unrelated events
@@ -147,35 +150,38 @@ def test_error_observer_samples_and_stops_on_tol():
         eng.schedule_at(float(t), lambda: None)
     eng.run(until=100.0)
     # exact state from the start: converges at the first sample
-    assert tracker.converged
+    assert monitor.fired is not None and monitor.fired.converged
+    assert len(monitor.series) == 1
     assert eng.now == 0.0
 
 
 def test_error_observer_quiescence_stop():
     split = paper_split()
     eng = Engine()
-    tracker = ConvergenceTracker(reference=np.ones(4))
+    monitor = _monitor(ReferenceRule(), np.ones(4))
     kernels = [_StubKernel(np.zeros(3)), _StubKernel(np.zeros(3))]
-    obs = ErrorObserver(eng, split, kernels, tracker, interval=1.0)
+    obs = ErrorObserver(eng, split, kernels, monitor, interval=1.0)
     obs.install()
     eng.run(until=50.0)
     assert obs.stopped_quiescent
+    assert monitor.fired is None
     assert eng.now < 50.0
 
 
-def test_error_observer_honors_tracker_horizon():
-    # ConvergenceTracker.horizon is the tracker-path time budget: the
-    # observer stops the engine once a sample reaches it
+def test_error_observer_honors_horizon_rule():
+    # a HorizonRule is the time budget: the observer stops the engine
+    # at the first sample that reaches it, without certifying anything
     split = paper_split()
     eng = Engine()
-    tracker = ConvergenceTracker(reference=np.ones(4), tol=1e-12,
-                                 horizon=5.0)
+    monitor = _monitor(ReferenceRule(tol=1e-12) | HorizonRule(t_max=5.0),
+                       np.ones(4))
     kernels = [_StubKernel(np.zeros(3)), _StubKernel(np.zeros(3))]
-    obs = ErrorObserver(eng, split, kernels, tracker, interval=1.0,
+    obs = ErrorObserver(eng, split, kernels, monitor, interval=1.0,
                         detect_quiescence=False)
     obs.install()
     for t in range(60):
         eng.schedule_at(float(t), lambda: None)
     eng.run(until=50.0)
-    assert not tracker.converged
+    assert monitor.fired.rule == "horizon"
+    assert not monitor.fired.converged
     assert eng.now == 5.0
