@@ -61,7 +61,7 @@ __all__ = [
 #: below the in-process cache (both leave every result bit unchanged,
 #: so they are deliberately not part of the key)
 _PLAN_KEYS = ("placement", "allow_indefinite", "numerics",
-              "sparse_ordering", "build_workers", "plan_dir")
+              "build_workers", "plan_dir")
 #: keyword arguments forwarded to SolveResult-producing run calls
 #: (``stopping`` is an explicit parameter of the wrappers, not a
 #: pass-through, so it cannot collide here)
@@ -229,8 +229,6 @@ def solve_dtm(a, b=None, *, n_subdomains: int = 4,
             allow_indefinite=(plan_kwargs.get("allow_indefinite", False),
                               False),
             numerics=(plan_kwargs.get("numerics", "auto"), "auto"),
-            sparse_ordering=(plan_kwargs.get("sparse_ordering", "amd"),
-                             "amd"),
             build_workers=(plan_kwargs.get("build_workers"), None),
             plan_dir=(plan_kwargs.get("plan_dir"), None))
     if backend == "multiproc":

@@ -234,8 +234,7 @@ class LocalSystem:
 def build_local_system(sub: Subdomain,
                        attachments: Sequence[tuple[int, int, float]],
                        *, allow_indefinite: bool = False,
-                       numerics: str = "dense",
-                       sparse_ordering: str = "amd") -> LocalSystem:
+                       numerics: str = "dense") -> LocalSystem:
     """Assemble and factor the local system (5.9) for one subdomain.
 
     Parameters
@@ -255,9 +254,6 @@ def build_local_system(sub: Subdomain,
         densifying), or ``"auto"`` (see :func:`resolve_numerics`).
         Sparse and dense factors agree to solver precision (~1e-14
         relative), not bitwise.
-    sparse_ordering:
-        Fill-reducing ordering for the sparse path (``"amd"``,
-        ``"rcm"``, ``"natural"``); ignored when dense is used.
     """
     n = sub.n_local
     for _idx, port, z in attachments:
@@ -292,7 +288,7 @@ def build_local_system(sub: Subdomain,
                 np.bincount(slot_ports, weights=slot_inv_z, minlength=n))
         try:
             factor = factor_sparse_spd(
-                k_sp, ordering=sparse_ordering, check_symmetry=False,
+                k_sp, check_symmetry=False,
                 allow_indefinite=allow_indefinite)
         except NotSpdError:
             raise NotSpdError(
@@ -349,17 +345,15 @@ def build_local_system(sub: Subdomain,
 
 def _build_local_job(job) -> LocalSystem:
     """Pool-target wrapper (module-level so it pickles under spawn)."""
-    sub, attachments, allow_indefinite, numerics, sparse_ordering = job
+    sub, attachments, allow_indefinite, numerics = job
     return build_local_system(sub, attachments,
                               allow_indefinite=allow_indefinite,
-                              numerics=numerics,
-                              sparse_ordering=sparse_ordering)
+                              numerics=numerics)
 
 
 def build_all_local_systems(split, network, *,
                             allow_indefinite: bool = False,
                             numerics: str = "dense",
-                            sparse_ordering: str = "amd",
                             workers: Optional[int] = None
                             ) -> list[LocalSystem]:
     """Build the factored local system of every subdomain of a split.
@@ -373,7 +367,7 @@ def build_all_local_systems(split, network, *,
     accumulation-order change — each subdomain is independent).
     """
     jobs = [(sub, network.attachments[sub.part], allow_indefinite,
-             numerics, sparse_ordering) for sub in split.subdomains]
+             numerics) for sub in split.subdomains]
     if workers is None or workers == 1 or len(jobs) <= 1:
         return [_build_local_job(job) for job in jobs]
     # late import: repro.runtime imports the plan layer, which imports

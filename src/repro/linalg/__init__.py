@@ -30,7 +30,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "jacobi",
             "sor",
         ),
-        "ordering": ("bandwidth", "minimum_degree", "reverse_cuthill_mckee"),
         "sparse": ("CsrMatrix", "forbid_densify", "laplacian_like"),
         "sparse_cholesky": ("SparseSpdFactor", "factor_sparse_spd"),
         "spd": (

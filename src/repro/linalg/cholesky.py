@@ -6,10 +6,9 @@ constant, so it is factored exactly once and every subsequent solve is a
 pair of triangular substitutions — or, on the hot path, a single GEMV
 against the cached explicit inverse (:meth:`SpdFactor.inverse`).
 
-For sparse inputs :func:`factor_spd` optionally applies a fill-reducing
-ordering from :mod:`repro.linalg.ordering` before densifying; subdomain
-systems in this package are small (tens to hundreds of unknowns), so a
-dense factor with a good ordering is both simple and fast.
+A :class:`CsrMatrix` input is densified in natural order: the sparse
+path that never densifies is
+:func:`~repro.linalg.sparse_cholesky.factor_sparse_spd`.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .dense import (
     ldlt_factor,
     ldlt_solve,
 )
-from .ordering import reverse_cuthill_mckee
 from .sparse import CsrMatrix
 
 
@@ -39,20 +37,11 @@ class SpdFactor:
     Attributes
     ----------
     L:
-        Lower Cholesky factor (in permuted order when ``perm`` is set).
-    perm:
-        Symmetric permutation applied before factorization, or ``None``.
+        Lower Cholesky factor.
     """
 
     L: np.ndarray
-    perm: Optional[np.ndarray] = None
     _inv: Optional[np.ndarray] = field(default=None, repr=False)
-    _iperm: Optional[np.ndarray] = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.perm is not None:
-            self._iperm = np.empty_like(self.perm)
-            self._iperm[self.perm] = np.arange(self.perm.size)
 
     @property
     def n(self) -> int:
@@ -61,16 +50,10 @@ class SpdFactor:
 
     def solve(self, b) -> np.ndarray:
         """Solve ``A x = b`` via forward/backward substitution."""
-        rhs = np.asarray(b, dtype=np.float64)
-        if self.perm is not None:
-            rhs = rhs[self.perm] if rhs.ndim == 1 else rhs[self.perm, :]
-        x = cholesky_solve(self.L, rhs)
-        if self.perm is not None:
-            x = x[self._iperm] if x.ndim == 1 else x[self._iperm, :]
-        return x
+        return cholesky_solve(self.L, np.asarray(b, dtype=np.float64))
 
     def inverse(self) -> np.ndarray:
-        """Explicit inverse in the *original* ordering (cached).
+        """Explicit inverse (cached).
 
         The DTM hot loop prefers ``Ainv @ rhs`` (one BLAS call) over a
         pair of interpreted triangular sweeps; for the small, well
@@ -78,10 +61,7 @@ class SpdFactor:
         """
         if self._inv is None:
             Linv = invert_lower(self.L)
-            inv = Linv.T @ Linv
-            if self.perm is not None:
-                inv = inv[np.ix_(self._iperm, self._iperm)]
-            self._inv = inv
+            self._inv = Linv.T @ Linv
         return self._inv
 
     def logdet(self) -> float:
@@ -111,46 +91,26 @@ class SymFactor:
         return pos, self.d.size - pos - neg, neg
 
 
-def factor_spd(a, *, ordering: str = "none",
-               check_symmetry: bool = True,
+def factor_spd(a, *, check_symmetry: bool = True,
                overwrite_a: bool = False) -> SpdFactor:
     """Factor a dense array or :class:`CsrMatrix` known to be SPD.
 
     Parameters
     ----------
-    ordering:
-        ``"none"`` or ``"rcm"`` (reverse Cuthill–McKee, reduces dense
-        bandwidth before factorization — useful when densifying sparse
-        subdomain matrices).
     overwrite_a:
         For a dense float64 input: factor in place, destroying *a*'s
         contents, instead of taking a defensive copy first.
     """
     if isinstance(a, CsrMatrix):
-        perm = None
-        if ordering == "rcm":
-            perm = reverse_cuthill_mckee(a)
-            dense = a.permuted(perm).to_dense()
-        elif ordering == "none":
-            dense = a.to_dense()
-        else:
-            raise ValueError(f"unknown ordering {ordering!r}")
+        dense = a.to_dense()
         if check_symmetry:
             check_symmetric(dense, "a")
-        # dense is a fresh scratch either way: factor it in place
-        return SpdFactor(cholesky_factor(dense, overwrite=True), perm=perm)
+        # dense is a fresh scratch: factor it in place
+        return SpdFactor(cholesky_factor(dense, overwrite=True))
     dense = as_square_matrix(a, "a")
     if check_symmetry:
         check_symmetric(dense, "a")
-    if ordering not in ("none", "rcm"):
-        raise ValueError(f"unknown ordering {ordering!r}")
-    perm = None
-    if ordering == "rcm":
-        perm = reverse_cuthill_mckee(CsrMatrix.from_dense(dense))
-        dense = dense[np.ix_(perm, perm)]
-        overwrite_a = True  # the permuted gather is already a fresh copy
-    return SpdFactor(cholesky_factor(dense, overwrite=overwrite_a),
-                     perm=perm)
+    return SpdFactor(cholesky_factor(dense, overwrite=overwrite_a))
 
 
 def factor_symmetric(a) -> SymFactor:

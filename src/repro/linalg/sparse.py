@@ -4,7 +4,8 @@ The library's contribution (DTM) needs a sparse-matrix layer for the
 electric graph, the EVS subsystem extraction and the reference iterative
 solvers.  Rather than depending on :mod:`scipy.sparse` for core paths, we
 implement the operations we need on plain numpy arrays; scipy is used
-only as an oracle in the test-suite and as an optional backend.
+as an oracle in the test-suite and for the one sparse factorization
+(:mod:`repro.linalg.sparse_cholesky`).
 
 Layout is standard CSR: ``data``/``indices`` hold the nonzeros row by
 row, ``indptr[i]:indptr[i+1]`` delimits row *i*.  Column indices within a

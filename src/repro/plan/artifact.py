@@ -18,8 +18,8 @@ File layout (little-endian, version :data:`FORMAT_VERSION`)::
 
 Every ``float64``/``int64`` array that matters — the packed fleet
 template, slot-routing tables, per-subdomain ``x0``/``X`` response
-blocks, dense factors and sparse LDL^T factors (CSR triples plus
-ordering permutations), subdomain matrices — is externalized into an
+blocks, dense factors, the CSR triples and pivots of sparse LDL^T
+factors, subdomain matrices — is externalized into an
 aligned raw segment and recorded in the header with its dtype, shape
 and memory order.  The remaining object structure (dataclasses, lists,
 tuples, the plan key) goes into a small pickle whose array leaves are
@@ -61,7 +61,7 @@ from .plan import SolverPlan, compute_plan_hash
 #: bump on any incompatible layout/semantic change; load_plan refuses
 #: other versions (artifacts are a disposable cache — rebuild, never
 #: migrate)
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 FORMAT_NAME = "repro-plan-artifact"
 
@@ -93,7 +93,6 @@ _PLAN_FIELDS = (
     "build_seconds",
     "key",
     "numerics",
-    "sparse_ordering",
     "locals_b",
 )
 

@@ -128,16 +128,16 @@ def _impedance_token(impedance) -> tuple:
 def plan_key(graph: ElectricGraph, *, mode: str, n_subdomains: int,
              seed: int, grid_shape, parts_shape, topology, impedance,
              placement, allow_indefinite: bool,
-             numerics: str = "auto", sparse_ordering: str = "amd",
+             numerics: str = "auto",
              split: Optional[SplitResult] = None) -> tuple:
     """Hashable identity of a plan build — every plan-affecting input.
 
-    ``numerics`` and ``sparse_ordering`` are key material: they select
-    the local factorization backend, whose solves differ at the
-    last-bits level, so plans built with different knobs must never
-    alias in the cache (and ``plan_hash`` — a hash over this key —
-    distinguishes them too).  ``build_workers`` is deliberately *not*
-    key material: a pooled build is bitwise-identical to a serial one.
+    ``numerics`` is key material: it selects the local factorization
+    backend, whose solves differ at the last-bits level, so plans
+    built with different settings must never alias in the cache (and
+    ``plan_hash`` — a hash over this key — distinguishes them too).
+    ``build_workers`` is deliberately *not* key material: a pooled
+    build is bitwise-identical to a serial one.
     """
     split_token = ("split", id(split)) if split is not None else (
         "auto-split", int(n_subdomains),
@@ -149,7 +149,7 @@ def plan_key(graph: ElectricGraph, *, mode: str, n_subdomains: int,
             _topology_token(topology), _impedance_token(impedance),
             tuple(int(p) for p in placement) if placement else None,
             bool(allow_indefinite),
-            ("numerics", str(numerics), str(sparse_ordering)))
+            ("numerics", str(numerics)))
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +238,6 @@ class SolverPlan:
     #: requested local-factorization knob ("dense" | "sparse" | "auto");
     #: per-subdomain resolution is visible on the base locals' factors
     numerics: str = "auto"
-    sparse_ordering: str = "amd"
     #: the right-hand side the *base locals* were factored against —
     #: differs from ``base_b`` only on :meth:`with_base_rhs` views.
     locals_b: Optional[np.ndarray] = field(default=None, repr=False)
@@ -298,7 +297,6 @@ class SolverPlan:
             a_mat=self.a_mat, base_b=b,
             build_seconds=self.build_seconds, key=self.key,
             numerics=self.numerics,
-            sparse_ordering=self.sparse_ordering,
             locals_b=self.forked_locals_rhs,
             from_cache=self.from_cache,
             _ref_factor=self._ref_factor, _ref_cache=self._ref_cache,
@@ -440,7 +438,6 @@ def build_plan(a=None, b=None, *, mode: str = "dtm",
                placement: Optional[Sequence[int]] = None,
                allow_indefinite: bool = False,
                numerics: str = "auto",
-               sparse_ordering: str = "amd",
                build_workers: Optional[int] = None,
                split: Optional[SplitResult] = None,
                key: Optional[tuple] = None) -> SolverPlan:
@@ -482,8 +479,7 @@ def build_plan(a=None, b=None, *, mode: str = "dtm",
                        parts_shape=parts_shape, topology=topology,
                        impedance=impedance, placement=placement,
                        allow_indefinite=allow_indefinite,
-                       numerics=numerics,
-                       sparse_ordering=sparse_ordering, split=split)
+                       numerics=numerics, split=split)
 
     if mode == "dtm":
         if topology is None:
@@ -509,8 +505,7 @@ def build_plan(a=None, b=None, *, mode: str = "dtm",
     network = build_dtlp_network(split, z_list, delay_spec)
     base_locals = build_all_local_systems(
         split, network, allow_indefinite=allow_indefinite,
-        numerics=numerics, sparse_ordering=sparse_ordering,
-        workers=build_workers)
+        numerics=numerics, workers=build_workers)
     fleet_template = build_fleet(split, network, base_locals)
 
     a_mat, base_b = graph.to_system()
@@ -524,7 +519,7 @@ def build_plan(a=None, b=None, *, mode: str = "dtm",
         base_locals=base_locals, fleet_template=fleet_template,
         a_mat=a_mat, base_b=base_b,
         build_seconds=time.perf_counter() - t0, key=key,
-        numerics=numerics, sparse_ordering=sparse_ordering)
+        numerics=numerics)
 
 
 def get_plan(a=None, b=None, *, cache: Optional[PlanCache] = None,
@@ -569,7 +564,6 @@ def get_plan(a=None, b=None, *, cache: Optional[PlanCache] = None,
         placement=kwargs.get("placement"),
         allow_indefinite=kwargs.get("allow_indefinite", False),
         numerics=kwargs.get("numerics", "auto"),
-        sparse_ordering=kwargs.get("sparse_ordering", "amd"),
         split=split)
 
     def _build_or_load() -> SolverPlan:

@@ -13,7 +13,7 @@ function of its item computed with the same interpreter and libraries
 as the coordinator — so a pooled build is bitwise-identical to a
 serial one, which the plan tests assert.  Items and results must
 pickle (``LocalSystem`` and the sparse/dense factor objects do; the
-scipy engine's SuperLU handle is a drop-on-pickle cache).
+sparse factor's SuperLU handle is a drop-on-pickle cache).
 """
 
 from __future__ import annotations

@@ -90,17 +90,6 @@ def test_sparse_locals_match_dense(maker):
         validate_local_system(ls, sub)
 
 
-@pytest.mark.parametrize("ordering", ["amd", "rcm", "natural"])
-def test_sparse_orderings_equivalent(ordering):
-    split, net = _split_poisson(nx=12)
-    dense = build_all_local_systems(split, net, numerics="dense")
-    sparse = build_all_local_systems(split, net, numerics="sparse",
-                                     sparse_ordering=ordering)
-    for ld, ls in zip(dense, sparse):
-        assert _max_rel(ld.x0, ls.x0) <= 1e-10
-        assert _max_rel(ld.X, ls.X) <= 1e-10
-
-
 def test_dense_knob_bitwise_identical_to_default():
     # numerics="dense" IS the historical path: not approximately equal,
     # bitwise equal

@@ -10,7 +10,7 @@ from repro.linalg.cholesky import (
     factor_symmetric,
     try_factor_spd,
 )
-from repro.linalg.sparse import CsrMatrix, laplacian_like
+from repro.linalg.sparse import laplacian_like
 
 
 def random_spd(rng, n):
@@ -49,27 +49,12 @@ def test_factor_spd_matrix_rhs():
     assert np.allclose(factor_spd(a).solve(B), np.linalg.solve(a, B), atol=1e-8)
 
 
-def test_factor_spd_sparse_with_rcm():
+def test_factor_spd_sparse_input():
     m = grid_spd(5)
     rng = np.random.default_rng(2)
     b = rng.standard_normal(25)
-    for ordering in ("none", "rcm"):
-        f = factor_spd(m, ordering=ordering)
-        assert np.allclose(m.matvec(f.solve(b)), b, atol=1e-9)
-
-
-def test_factor_spd_dense_with_rcm():
-    a = grid_spd(4).to_dense()
-    b = np.arange(16, dtype=float)
-    f = factor_spd(a, ordering="rcm")
-    assert np.allclose(a @ f.solve(b), b, atol=1e-9)
-
-
-def test_factor_spd_unknown_ordering():
-    with pytest.raises(ValueError):
-        factor_spd(np.eye(3), ordering="amd-magic")
-    with pytest.raises(ValueError):
-        factor_spd(CsrMatrix.identity(3), ordering="amd-magic")
+    f = factor_spd(m)
+    assert np.allclose(m.matvec(f.solve(b)), b, atol=1e-9)
 
 
 def test_factor_spd_rejects_asymmetric():
@@ -92,10 +77,19 @@ def test_inverse_cached_and_correct():
     assert np.allclose(inv1, np.linalg.inv(a), atol=1e-7)
 
 
-def test_inverse_with_permutation_in_original_order():
+def test_inverse_of_sparse_input_matches_numpy():
     m = grid_spd(4)
-    f = factor_spd(m, ordering="rcm")
+    f = factor_spd(m)
     assert np.allclose(f.inverse(), np.linalg.inv(m.to_dense()), atol=1e-7)
+
+
+def test_spd_factor_direct_construction():
+    a = grid_spd(3).to_dense()
+    from repro.linalg.dense import cholesky_factor
+
+    f = SpdFactor(cholesky_factor(a))
+    b = np.arange(9.0)
+    assert np.allclose(a @ f.solve(b), b, atol=1e-9)
 
 
 def test_logdet():
@@ -103,17 +97,6 @@ def test_logdet():
     a = random_spd(rng, 8)
     f = factor_spd(a)
     assert f.logdet() == pytest.approx(np.linalg.slogdet(a)[1], rel=1e-8)
-
-
-def test_spd_factor_direct_construction_with_perm():
-    a = grid_spd(3)
-    perm = np.random.default_rng(5).permutation(9)
-    from repro.linalg.dense import cholesky_factor
-
-    L = cholesky_factor(a.permuted(perm).to_dense())
-    f = SpdFactor(L, perm=perm)
-    b = np.arange(9.0)
-    assert np.allclose(a.matvec(f.solve(b)), b, atol=1e-9)
 
 
 def test_factor_symmetric_indefinite():

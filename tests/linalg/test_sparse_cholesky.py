@@ -1,16 +1,15 @@
-"""Sparse LDLᵀ factorization: both engines against the dense oracle."""
+"""Sparse LDLᵀ factorization (SuperLU) against the dense oracle."""
 
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, NotSpdError, SingularMatrixError
+from repro.errors import NotSpdError, SingularMatrixError, ValidationError
 from repro.linalg import CsrMatrix, SparseSpdFactor, factor_sparse_spd
+from repro.linalg.sparse import laplacian_like
 from repro.linalg.cholesky import factor_spd
-
-ENGINES = ("scipy", "python")
-ORDERINGS = ("amd", "rcm", "natural")
+from repro.workloads.poisson import grid2d_poisson
 
 
 def random_spd_csr(n, seed, extra_edges=4, boost=1.0):
@@ -34,14 +33,12 @@ def random_spd_csr(n, seed, extra_edges=4, boost=1.0):
     return CsrMatrix.from_dense(m.to_dense() + np.diag(diag))
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("n", [1, 7, 30, 120])
-def test_solve_matches_dense_oracle(engine, n):
+def test_solve_matches_dense_oracle(n):
     a = random_spd_csr(n, seed=n)
     dense = a.to_dense()
     oracle = factor_spd(dense)
-    f = factor_sparse_spd(a, backend=engine)
-    assert f.engine == engine
+    f = factor_sparse_spd(a)
     rng = np.random.default_rng(1)
     b = rng.standard_normal(n)
     x = f.solve(b)
@@ -49,24 +46,27 @@ def test_solve_matches_dense_oracle(engine, n):
         1.0, np.max(np.abs(x)))
     # the factorization really solved the original system
     assert np.max(np.abs(dense @ x - b)) <= 1e-8
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("ordering", ORDERINGS)
-def test_orderings_all_give_the_same_solution(engine, ordering):
-    a = random_spd_csr(40, seed=3)
-    f = factor_sparse_spd(a, backend=engine, ordering=ordering)
-    b = np.arange(40, dtype=np.float64)
-    x = f.solve(b)
-    assert np.max(np.abs(a.to_dense() @ x - b)) <= 1e-8
     assert f.is_spd
-    assert f.inertia() == (40, 0, 0)
+    assert f.inertia() == (n, 0, 0)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_block_solve_bitwise_equals_per_column(engine):
+def test_ordering_cuts_fill_on_poisson_block():
+    # the minimum-degree ordering SuperLU applies must keep paying for
+    # itself: a banded natural-order factor of a 40x40 grid fills far
+    # more than the ordered one
+    from scipy.sparse.linalg import splu
+
+    a, _b = grid2d_poisson(40).to_system()
+    f = factor_sparse_spd(a)
+    natural = splu(a.to_scipy().tocsc(), permc_spec="NATURAL",
+                   diag_pivot_thresh=0.0,
+                   options=dict(Equil=False, SymmetricMode=True))
+    assert f._lu.L.nnz < natural.L.nnz / 2
+
+
+def test_block_solve_bitwise_equals_per_column():
     a = random_spd_csr(25, seed=9)
-    f = factor_sparse_spd(a, backend=engine)
+    f = factor_sparse_spd(a)
     rng = np.random.default_rng(2)
     B = rng.standard_normal((25, 6))
     X = f.solve(B)
@@ -75,36 +75,22 @@ def test_block_solve_bitwise_equals_per_column(engine):
         assert np.array_equal(X[:, j], f.solve(B[:, j]))
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_logdet_matches_dense(engine):
+def test_logdet_matches_dense():
     a = random_spd_csr(30, seed=5)
-    f = factor_sparse_spd(a, backend=engine)
+    f = factor_sparse_spd(a)
     _sign, expected = np.linalg.slogdet(a.to_dense())
     assert abs(f.logdet() - expected) <= 1e-8 * max(1.0, abs(expected))
 
 
-def test_engines_agree_bitwise_on_rhs_permutation_discipline():
-    # both engines factor the SAME permuted matrix, so their solutions
-    # agree to roundoff (not bitwise — different elimination kernels)
-    a = random_spd_csr(50, seed=11)
-    fs = factor_sparse_spd(a, backend="scipy")
-    fp = factor_sparse_spd(a, backend="python")
-    assert np.array_equal(fs.perm, fp.perm)
-    b = np.linspace(-1, 1, 50)
-    assert np.max(np.abs(fs.solve(b) - fp.solve(b))) <= 1e-10
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_not_spd_raises(engine):
+def test_not_spd_raises():
     dense = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
     with pytest.raises(NotSpdError):
-        factor_sparse_spd(CsrMatrix.from_dense(dense), backend=engine)
+        factor_sparse_spd(CsrMatrix.from_dense(dense))
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_allow_indefinite_keeps_factor(engine):
+def test_allow_indefinite_keeps_factor():
     dense = np.array([[1.0, 2.0], [2.0, 1.0]])
-    f = factor_sparse_spd(CsrMatrix.from_dense(dense), backend=engine,
+    f = factor_sparse_spd(CsrMatrix.from_dense(dense),
                           allow_indefinite=True)
     assert not f.is_spd
     assert f.inertia() == (1, 0, 1)
@@ -113,11 +99,15 @@ def test_allow_indefinite_keeps_factor(engine):
     assert np.max(np.abs(dense @ f.solve(b) - b)) <= 1e-12
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_singular_raises(engine):
-    dense = np.array([[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(SingularMatrixError):
-        factor_sparse_spd(CsrMatrix.from_dense(dense), backend=engine,
+@pytest.mark.parametrize("dense, match", [
+    ([[1.0, 1.0], [1.0, 1.0]], "singular"),
+    # nonsingular, but a zero diagonal pivot: SuperLU would have to
+    # leave the diagonal, which symmetric LDL^T cannot
+    ([[0.0, 1.0], [1.0, 0.0]], "zero pivot on the diagonal of row"),
+], ids=["singular", "zero-diagonal"])
+def test_singular_raises(dense, match):
+    with pytest.raises(SingularMatrixError, match=match):
+        factor_sparse_spd(CsrMatrix.from_dense(np.array(dense)),
                           allow_indefinite=True)
 
 
@@ -127,23 +117,14 @@ def test_asymmetric_rejected_unless_unchecked():
         factor_sparse_spd(CsrMatrix.from_dense(dense))
 
 
-def test_bad_knobs_raise_configuration_error():
-    a = random_spd_csr(5, seed=0)
-    with pytest.raises(ConfigurationError):
-        factor_sparse_spd(a, ordering="colamd")
-    with pytest.raises(ConfigurationError):
-        factor_sparse_spd(a, backend="mkl")
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_pickle_roundtrip_solves_bitwise(engine):
+def test_pickle_roundtrip_solves_bitwise():
     a = random_spd_csr(35, seed=13)
-    f = factor_sparse_spd(a, backend=engine)
+    f = factor_sparse_spd(a)
     b = np.sin(np.arange(35, dtype=np.float64))
     x = f.solve(b)
     f2 = pickle.loads(pickle.dumps(f))
     assert isinstance(f2, SparseSpdFactor)
-    assert f2.engine == engine
+    assert f2._lu is None
     # identical matrix + identical library ⇒ identical bits, the
     # property the pooled plan build relies on
     assert np.array_equal(f2.solve(b), x)
@@ -153,3 +134,144 @@ def test_dense_input_accepted_for_parity():
     dense = np.array([[4.0, 1.0], [1.0, 3.0]])
     f = factor_sparse_spd(dense)
     assert np.max(np.abs(dense @ f.solve(np.ones(2)) - 1.0)) <= 1e-12
+
+
+def test_rectangular_rejected():
+    with pytest.raises(ValidationError, match="square"):
+        factor_sparse_spd(CsrMatrix.from_dense(np.ones((2, 3))))
+
+
+# ----------------------------------------------------------------------
+# graph shapes the ordering must handle: SuperLU's minimum degree is the
+# only ordering, so every structure that stresses an ordering (hubs,
+# scrambled bands, several components, no edges at all) is factored
+# through it and checked against the dense oracle
+# ----------------------------------------------------------------------
+def _graph_spd(n, edges, boost=0.5):
+    rows = [i for i, _ in edges]
+    cols = [j for _, j in edges]
+    return laplacian_like(rows, cols, [1.0] * len(edges), n,
+                          diagonal_boost=boost)
+
+
+def _path(n=40):
+    return _graph_spd(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _shuffled_path(n=40):
+    lab = np.random.default_rng(3).permutation(n)
+    return _graph_spd(n, [(int(lab[i]), int(lab[i + 1]))
+                          for i in range(n - 1)])
+
+
+def _arrow_hub_first(n=30):
+    # natural order eliminates the hub first and fills the whole matrix
+    return _graph_spd(n, [(0, i) for i in range(1, n)])
+
+
+def _star_hub_last(n=30):
+    return _graph_spd(n, [(i, n - 1) for i in range(n - 1)])
+
+
+def _poisson_grid():
+    a, _b = grid2d_poisson(12).to_system()
+    return a
+
+
+def _disconnected():
+    # two paths and an isolated vertex
+    edges = [(i, i + 1) for i in range(9)]
+    edges += [(i, i + 1) for i in range(10, 19)]
+    return _graph_spd(21, edges)
+
+
+def _diagonal(n=17):
+    return CsrMatrix.from_dense(np.diag(np.linspace(0.5, 3.0, n)))
+
+
+def _random_graph():
+    return random_spd_csr(60, seed=21)
+
+
+FAMILIES = {
+    "path": _path,
+    "shuffled-path": _shuffled_path,
+    "arrow-hub-first": _arrow_hub_first,
+    "star-hub-last": _star_hub_last,
+    "poisson-grid": _poisson_grid,
+    "disconnected": _disconnected,
+    "diagonal": _diagonal,
+    "random-graph": _random_graph,
+}
+family = pytest.mark.parametrize("make", list(FAMILIES.values()),
+                                 ids=list(FAMILIES))
+
+
+def _rhs(n, k=None):
+    rng = np.random.default_rng(n)
+    return rng.standard_normal(n if k is None else (n, k))
+
+
+@family
+def test_family_solves_like_dense_oracle(make):
+    a = make()
+    dense = a.to_dense()
+    f = factor_sparse_spd(a)
+    b = _rhs(a.nrows)
+    x = f.solve(b)
+    assert np.max(np.abs(x - factor_spd(dense).solve(b))) <= 1e-10 * max(
+        1.0, np.max(np.abs(x)))
+    assert np.max(np.abs(dense @ x - b)) <= 1e-8
+    assert f.inertia() == (a.nrows, 0, 0)
+
+
+@family
+def test_family_pivots_stay_on_diagonal(make):
+    # symmetric ordering, unit L, pivots on diag(U): the LDL^T reading
+    # of the SuperLU factor that `d`, `inertia` and `logdet` rest on
+    a = make()
+    f = factor_sparse_spd(a)
+    n = a.nrows
+    assert np.array_equal(f._lu.perm_r, f._lu.perm_c)
+    assert np.array_equal(np.sort(f._lu.perm_c), np.arange(n))
+    assert np.array_equal(f._lu.L.diagonal(), np.ones(n))
+    assert np.array_equal(f.d, f._lu.U.diagonal())
+    _sign, expected = np.linalg.slogdet(a.to_dense())
+    assert abs(f.logdet() - expected) <= 1e-8 * max(1.0, abs(expected))
+
+
+@family
+def test_family_answer_does_not_depend_on_input_order(make):
+    # the successor of the old every-ordering-agrees check: scrambling
+    # the unknowns before factoring changes SuperLU's elimination order
+    # but not the solution
+    a = make()
+    n = a.nrows
+    perm = np.random.default_rng(7).permutation(n)
+    b = _rhs(n)
+    x = factor_sparse_spd(a).solve(b)
+    xp = factor_sparse_spd(a.permuted(perm)).solve(b[perm])
+    assert np.max(np.abs(xp - x[perm])) <= 1e-10 * max(
+        1.0, np.max(np.abs(x)))
+
+
+@family
+def test_family_block_solve_bitwise_equals_per_column(make):
+    a = make()
+    f = factor_sparse_spd(a)
+    B = _rhs(a.nrows, 4)
+    X = f.solve(B)
+    for j in range(4):
+        assert np.array_equal(X[:, j], f.solve(B[:, j]))
+
+
+@family
+def test_family_pickle_roundtrip_solves_bitwise(make):
+    a = make()
+    f = factor_sparse_spd(a, check_symmetry=False)
+    b = _rhs(a.nrows)
+    x = f.solve(b)
+    f2 = pickle.loads(pickle.dumps(f))
+    assert f2._lu is None
+    assert np.array_equal(f2.solve(b), x)
+    assert np.array_equal(f2.d, f.d)

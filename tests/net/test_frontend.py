@@ -247,6 +247,11 @@ def _accept_threads():
     return [t for t in threading.enumerate() if t.name == "dtm-frontend"]
 
 
+def _conn_threads():
+    return [t for t in threading.enumerate()
+            if t.name == "dtm-frontend-conn"]
+
+
 def _live_plans():
     gc.collect()
     return sum(isinstance(o, SolverPlan) for o in gc.get_objects())
@@ -282,6 +287,7 @@ class TestClose:
         (what ``cold_restart`` does): each loads the plan from disk,
         and each must take it along when it goes."""
         before = len(_accept_threads())
+        handlers_before = set(_conn_threads())
         graph = grid2d_poisson(8)
         b = np.ones(graph.n)
         plan_id = None
@@ -300,6 +306,13 @@ class TestClose:
                 assert server.store.metrics_snapshot().total(
                     "repro_plan_store_disk_loads_total") == (restart > 0)
             del server, frontend, client, res
+            # a connection's handler thread (which holds the front end,
+            # and through it server, store and plan) ends on its own
+            # once the client has hung up: wait for that instead of
+            # racing it
+            for t in set(_conn_threads()) - handlers_before:
+                t.join(5.0)
+                assert not t.is_alive()
             counts.append(_live_plans())
         assert counts[1:] == counts[:1] * 7, counts
         assert len(_accept_threads()) == before

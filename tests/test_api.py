@@ -91,6 +91,35 @@ def test_removed_engines_and_knob_stay_removed():
             getattr(pkg, name)
 
 
+def test_removed_factorization_knobs_stay_removed():
+    """SuperLU is the one sparse factorization and its only ordering.
+
+    ``sparse_ordering`` fails like any unknown keyword, the engine and
+    ordering arguments of the factor functions are gone, and so are the
+    pure-python ordering helpers.
+    """
+    import repro.linalg
+    from repro.linalg import factor_sparse_spd, factor_spd
+    from repro.plan import build_plan
+
+    g = grid2d_random(6, seed=0)
+    with pytest.raises(TypeError, match="sparse_ordering"):
+        solve_dtm(g, sparse_ordering="amd", t_max=100.0, tol=None)
+    with pytest.raises(TypeError, match="sparse_ordering"):
+        build_plan(g, numerics="sparse", sparse_ordering="amd")
+    a = np.eye(3)
+    with pytest.raises(TypeError, match="backend"):
+        factor_sparse_spd(a, backend="python")
+    with pytest.raises(TypeError, match="ordering"):
+        factor_sparse_spd(a, ordering="amd")
+    with pytest.raises(TypeError, match="ordering"):
+        factor_spd(a, ordering="rcm")
+    assert not hasattr(factor_sparse_spd(a), "engine")
+    for name in ("minimum_degree", "reverse_cuthill_mckee", "bandwidth"):
+        with pytest.raises(AttributeError):
+            getattr(repro.linalg, name)
+
+
 # ----------------------------------------------------------------------
 # plan pipeline: rhs override, cache reuse, seed-path equivalence
 # ----------------------------------------------------------------------

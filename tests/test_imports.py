@@ -124,29 +124,6 @@ def test_submodules_resolve_as_attributes():
     )
 
 
-def test_without_scipy_the_python_engine_builds_a_plan():
-    run_fresh(
-        """
-        import sys
-        sys.modules["scipy"] = None  # `import scipy` raises ImportError
-        import numpy as np
-        from repro.linalg import factor_sparse_spd
-        from repro.plan import build_plan
-        from repro.workloads import grid2d_poisson
-
-        graph = grid2d_poisson(8)
-        a, b = graph.to_system()
-        assert factor_sparse_spd(a).engine == "python"
-        plan = build_plan(graph, n_subdomains=4, seed=0, numerics="sparse")
-        engines = {loc.factor.engine for loc in plan.base_locals}
-        assert engines == {"python"}, engines
-        res = plan.session().solve(b, t_max=20000.0, tol=1e-8)
-        assert res.converged
-        assert np.allclose(res.x, np.linalg.solve(a.to_dense(), b), atol=1e-6)
-        """
-    )
-
-
 def test_no_import_moves_into_a_warm_solve():
     """Lazy exports must not turn into imports on the clock: whatever
     a solve needs is loaded by the end of the first one."""
