@@ -15,6 +15,7 @@ from repro.core.impedance import GeometricMeanImpedance
 from repro.graph import DominancePreservingSplit, multilevel_partition, \
     split_graph
 from repro.linalg import conjugate_gradient
+from repro.plan import build_plan
 from repro.sim import DtmSimulator, custom_topology
 from repro.workloads import resistor_grid
 
@@ -39,9 +40,9 @@ print(f"slowest link: 400 ms, fastest: 9 ms "
 a, b = graph.to_system()
 reference = conjugate_gradient(a, b, tol=1e-12).x
 
-sim = DtmSimulator(split, machine,
-                   impedance=GeometricMeanImpedance(2.0),
-                   min_solve_interval=2.0, log_messages=True)
+plan = build_plan(split=split, topology=machine,
+                  impedance=GeometricMeanImpedance(2.0))
+sim = DtmSimulator(plan, min_solve_interval=2.0, log_messages=True)
 result = sim.run(t_max=6000.0, tol=1e-7, reference=reference)
 
 print(f"\nconverged: {result.converged} "

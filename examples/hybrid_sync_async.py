@@ -5,7 +5,8 @@ Compares three execution disciplines on one n=289 workload:
 
 1. plain asynchronous DTM on 16 heterogeneous processors;
 2. global-async-local-sync: 4 multicore nodes, each running its 4
-   subdomains synchronously (zero intra-node delay), nodes async;
+   subdomains synchronously (zero intra-node delay), nodes async — a
+   plan whose placement puts four subdomains on each node;
 3. async-sync-async: plain DTM plus a global re-synchronisation every
    500 ms (cost: the slowest link's delay).
 
@@ -18,6 +19,7 @@ from repro.core.hybrid import ClusteredDtmSimulator, \
 from repro.core.impedance import GeometricMeanImpedance
 from repro.experiments.common import paper_split_for, run_paper_dtm
 from repro.linalg import conjugate_gradient
+from repro.plan import build_plan
 from repro.sim import mesh_topology, paper_fig11_topology
 
 split = paper_split_for(289, 16, seed=11)
@@ -32,17 +34,18 @@ plain = run_paper_dtm(split, machine16, t_max=T_MAX, tol=TOL,
 
 machine4 = mesh_topology(2, 2, delay_low=10, delay_high=99, seed=11,
                          integer_delays=True, name="4-node")
-clusters = [[0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]]
-clustered = ClusteredDtmSimulator(split, machine4, clusters,
-                                  impedance=impedance, local_sweeps=3,
-                                  min_solve_interval=5.0
-                                  ).run(T_MAX, tol=TOL, reference=reference)
+# subdomain q (4x4 blocks, row-major) -> the node owning its 2x2 corner
+nodes = [0, 0, 1, 1, 0, 0, 1, 1, 2, 2, 3, 3, 2, 2, 3, 3]
+clustered = ClusteredDtmSimulator(
+    build_plan(split=split, topology=machine4, impedance=impedance,
+               placement=nodes),
+    local_sweeps=3, min_solve_interval=5.0,
+).run(T_MAX, tol=TOL, reference=reference)
 
-resync = PeriodicResyncDtmSimulator(split, machine16, resync_period=500.0,
-                                    impedance=impedance,
-                                    min_solve_interval=5.0
-                                    ).run(T_MAX, tol=TOL,
-                                          reference=reference)
+resync = PeriodicResyncDtmSimulator(
+    build_plan(split=split, topology=machine16, impedance=impedance),
+    resync_period=500.0, min_solve_interval=5.0,
+).run(T_MAX, tol=TOL, reference=reference)
 
 
 def row(name, res):

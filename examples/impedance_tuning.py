@@ -14,6 +14,7 @@ Run:  python examples/impedance_tuning.py
 import numpy as np
 
 from repro.analysis import format_table, wave_spectral_report
+from repro.plan import build_plan
 from repro.sim import DtmSimulator, custom_topology
 from repro.workloads import (
     IMPEDANCE_V2,
@@ -29,7 +30,8 @@ alphas = np.geomspace(0.05, 50.0, 11)
 rows = []
 for alpha in alphas:
     impedance = {1: IMPEDANCE_V2 * alpha, 2: IMPEDANCE_V3 * alpha}
-    sim = DtmSimulator(split, machine, impedance=impedance)
+    sim = DtmSimulator(build_plan(split=split, topology=machine,
+                                  impedance=impedance))
     res = sim.run(t_max=100.0)
     rho = wave_spectral_report(split, impedance).spectral_radius
     rows.append((f"{alpha:.3g}", f"{res.final_error:.3e}", f"{rho:.4f}"))

@@ -13,6 +13,7 @@ from repro.core.impedance import GeometricMeanImpedance
 from repro.graph import DominancePreservingSplit, grid_block_partition, \
     split_graph
 from repro.linalg import conjugate_gradient
+from repro.plan import build_plan
 from repro.sim import DtmSimulator, paper_fig11_topology
 from repro.workloads import grid2d_random
 
@@ -39,8 +40,9 @@ print(f"Machine: {machine.name}, delays {stats['min']:.0f}..."
 a, b = graph.to_system()
 reference = conjugate_gradient(a, b, tol=1e-12).x
 
-sim = DtmSimulator(split, machine, impedance=GeometricMeanImpedance(2.0),
-                   min_solve_interval=5.0)
+plan = build_plan(split=split, topology=machine,
+                  impedance=GeometricMeanImpedance(2.0))
+sim = DtmSimulator(plan, min_solve_interval=5.0)
 result = sim.run(t_max=8000.0, tol=1e-6, reference=reference)
 
 print(f"\nafter {result.t_end:.0f} simulated ms:")

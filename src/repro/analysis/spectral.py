@@ -14,6 +14,7 @@ import numpy as np
 
 from ..core.vtm import VtmSolver
 from ..graph.evs import SplitResult
+from ..plan import build_plan
 from ..utils.timeseries import TimeSeries
 
 
@@ -41,7 +42,8 @@ class SpectralReport:
 
 def wave_spectral_report(split: SplitResult, impedance=1.0) -> SpectralReport:
     """Materialise S by probing and report its spectrum."""
-    solver = VtmSolver(split, impedance)
+    solver = VtmSolver(build_plan(split=split, impedance=impedance,
+                                  mode="vtm"))
     if solver.n_waves == 0:
         return SpectralReport(0.0, np.zeros(0, dtype=complex), 0)
     S, _ = solver.wave_operator()

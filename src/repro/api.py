@@ -84,10 +84,11 @@ def prepare_split(a, b, n_subdomains: int, *, seed: int = 0,
 def _reject_plan_conflicts(plan, a, **named) -> None:
     """Refuse plan-selecting arguments alongside an explicit plan.
 
-    The simulator layers (DtmSimulator, VtmSolver) raise on this
-    conflict; the top-level wrappers must too — silently solving with
-    the plan's baked-in configuration instead of the requested one
-    would return a valid-looking result for the wrong setup.
+    The engines (DtmSimulator, VtmSolver) take nothing but a plan, so
+    the conflict can only arise in these top-level wrappers, which
+    accept both — silently solving with the plan's baked-in
+    configuration instead of the requested one would return a
+    valid-looking result for the wrong setup.
     Arguments explicitly passed at their default values are fine.  The
     system *a* itself is checked against the plan's matrix fingerprint:
     a mismatched matrix would otherwise be solved as the plan's system

@@ -46,6 +46,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "build_local_system",
             "validate_local_system",
         ),
-        "vtm": ("VtmResult", "VtmSolver", "solve_vtm"),
+        "vtm": ("VtmResult", "VtmSolver"),
     },
 )

@@ -607,17 +607,12 @@ class AnyOfMonitor(RuleMonitor):
         return self.fired
 
 
-def reuse_system(plan, graph) -> Optional[tuple]:
-    """``system=`` argument for :func:`begin_monitor`, plan-aware.
+def reuse_system(plan, graph) -> tuple:
+    """``system=`` argument for :func:`begin_monitor` from a plan.
 
-    When *plan* (anything exposing an assembled ``a_mat``) is present,
-    pair its cached matrix with *graph*'s current sources so
-    ``needs_system`` rules don't re-assemble the CSR on every solve;
-    without a plan, return ``None`` and let :func:`begin_monitor` fall
-    back to ``graph.to_system()``.
+    Pairs the plan's assembled ``a_mat`` with *graph*'s current sources
+    so ``needs_system`` rules don't re-assemble the CSR on every solve.
     """
-    if plan is None:
-        return None
     return plan.a_mat, np.asarray(graph.sources, dtype=np.float64)
 
 

@@ -11,6 +11,11 @@ map in wave space is *affine*,
 so VTM doubles as the analysis vehicle: :meth:`VtmSolver.wave_operator`
 materialises S by probing, and its spectral radius is the synchronous
 convergence rate (used by the Fig 9 / ablation benches).
+
+VTM is DTM's construction with every delay set to one, so it runs on a
+vtm-mode :class:`~repro.plan.SolverPlan` —
+``build_plan(split=split, impedance=z, mode="vtm")`` — which owns the
+DTLP network and the factored local systems.
 """
 
 from __future__ import annotations
@@ -21,13 +26,9 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConvergenceError, ValidationError
-from ..graph.evs import SplitResult
 from ..utils.timeseries import TimeSeries
 from .convergence import StateProbe, begin_monitor, reuse_system
-from .dtl import DtlpNetwork, build_dtlp_network
-from .fleet import FleetKernel, FleetKernelView, build_fleet
-from .impedance import as_impedance_strategy
-from .local import build_all_local_systems
+from .fleet import FleetKernel, FleetKernelView
 
 
 @dataclass
@@ -36,7 +37,10 @@ class VtmResult:
 
     x: np.ndarray
     iterations: int
-    error_history: np.ndarray
+    #: the stopping rule's metric trace, timed by sweep index — rules
+    #: that sample sparsely (``ResidualRule(every=k)``) do not record
+    #: every sweep
+    errors: TimeSeries
     converged: bool
     spectral_radius: Optional[float] = None
     #: name of the stopping rule that ended the run (None = iteration
@@ -44,73 +48,37 @@ class VtmResult:
     stopped_by: Optional[str] = None
     #: the firing rule's final metric value
     stop_metric: Optional[float] = None
-    #: sweep index of each ``error_history`` entry — rules that sample
-    #: sparsely (``ResidualRule(every=k)``) do not record every sweep,
-    #: so positional indices are NOT iteration numbers; default matches
-    #: the dense legacy trace
-    error_iterations: Optional[np.ndarray] = None
-
-    def error_times(self) -> np.ndarray:
-        """Sweep indices aligned with ``error_history``."""
-        if self.error_iterations is not None:
-            return np.asarray(self.error_iterations, dtype=np.float64)
-        return np.arange(len(self.error_history), dtype=np.float64)
 
     @property
     def final_error(self) -> float:
-        return float(self.error_history[-1]) if self.error_history.size \
-            else np.inf
+        return float(self.errors.final) if len(self.errors) else np.inf
 
 
 class VtmSolver:
-    """Synchronous wave iteration over an EVS split.
+    """Synchronous wave iteration over a vtm-mode plan.
 
     Parameters
     ----------
-    split:
-        EVS result (subdomains + twin links).
-    impedance:
-        Scalar, per-vertex mapping, or
-        :class:`~repro.core.impedance.ImpedanceStrategy`.
     plan:
-        A prebuilt vtm-mode :class:`~repro.plan.SolverPlan`: network and
-        factored locals are reused instead of rebuilt (*split* and
-        *impedance* must then be left at their defaults).
+        A vtm-mode :class:`~repro.plan.SolverPlan`
+        (``build_plan(split=, impedance=, mode="vtm")``): its network
+        and factored locals are driven here.
     fleet:
-        With *plan*: a session-owned fleet fork to drive (its right-hand
+        A session-owned fleet fork of *plan* to drive (its right-hand
         side may already be swapped); omitted, a fresh fork is taken.
     """
 
-    def __init__(self, split: Optional[SplitResult] = None, impedance=1.0,
-                 *, allow_indefinite: bool = False, plan=None,
-                 fleet: Optional[FleetKernel] = None) -> None:
-        if plan is not None:
-            if split is not None or impedance != 1.0 or allow_indefinite:
-                raise ValidationError(
-                    "split/impedance/allow_indefinite are plan "
-                    "properties; do not pass them alongside plan=")
-            if plan.mode != "vtm":
-                raise ValidationError(
-                    f"VtmSolver needs a vtm-mode plan, got {plan.mode!r}")
-            self.plan = plan
-            self.split = plan.split
-            self.network = plan.network
-            self.fleet = fleet if fleet is not None else plan.fork_fleet()
-            self.locals = self.fleet.locals
-            self.kernels: list[FleetKernelView] = self.fleet.views()
-            return
-        if split is None:
-            raise ValidationError("VtmSolver needs a split or a plan")
-        self.plan = None
-        self.split = split
-        strategy = as_impedance_strategy(impedance)
-        z_list = strategy.assign(split)
-        self.network: DtlpNetwork = build_dtlp_network(split, z_list, 1.0)
-        self.locals = build_all_local_systems(
-            split, self.network, allow_indefinite=allow_indefinite)
-        #: struct-of-arrays hot path; ``kernels`` are per-part views
-        self.fleet: FleetKernel = build_fleet(split, self.network,
-                                              self.locals)
+    def __init__(self, plan, *, fleet: Optional[FleetKernel] = None
+                 ) -> None:
+        if plan.mode != "vtm":
+            raise ValidationError(
+                f"VtmSolver needs a vtm-mode plan, got {plan.mode!r}")
+        self.plan = plan
+        self.split = plan.split
+        self.network = plan.network
+        self.fleet = fleet if fleet is not None else plan.fork_fleet()
+        self.locals = self.fleet.locals
+        #: per-part views over the struct-of-arrays hot path
         self.kernels: list[FleetKernelView] = self.fleet.views()
 
     # ------------------------------------------------------------------
@@ -211,38 +179,26 @@ class VtmSolver:
         The default rule is the paper's reference-based criterion at
         *tol* (``reference`` then defaults to the direct solution).
         Reference-free rules — ``ResidualRule``, ``QuiescenceRule`` —
-        never compute a reference; the returned ``error_history`` is
-        then the rule's own metric trace (relative residual or
-        wave-update delta).
+        never compute a reference; the returned ``errors`` trace is
+        then the rule's own metric (relative residual or wave-update
+        delta).
         """
         rule, monitor, _ = begin_monitor(
             stopping, tol=tol, graph=self.split.graph,
             system=reuse_system(self.plan, self.split.graph),
             reference=reference)
-        history = TimeSeries("vtm_error")
-
-        def sample(t: float, *, final: bool = False):
-            n0 = len(monitor.series)
-            if final:
-                ev = monitor.finalize(t, self._probe())
-            else:
-                ev = monitor.update(t, self._probe())
-            if len(monitor.series) > n0:
-                history.append(t, float(monitor.series.final))
-            return ev
-
         it = 0
-        event = sample(0.0)
+        event = monitor.update(0.0, self._probe())
         while it < max_iterations and event is None:
             self.sweep()
             it += 1
             if record_history or it == max_iterations:
-                event = sample(float(it))
+                event = monitor.update(float(it), self._probe())
         if event is None:
             # force one last check at the stop sweep: a sparsely
             # sampling rule (ResidualRule every=k) may not have looked
             # at the final state yet
-            event = sample(float(it), final=True)
+            event = monitor.finalize(float(it), self._probe())
         converged = event is not None and event.converged
         if not converged and raise_on_fail:
             raise ConvergenceError(
@@ -250,19 +206,10 @@ class VtmSolver:
                 f"iterations ({monitor.series.name} "
                 f"{monitor.metric:.3e})")
         return VtmResult(x=self.current_solution(), iterations=it,
-                         error_history=history.values,
-                         error_iterations=history.times,
-                         converged=converged,
+                         errors=monitor.series, converged=converged,
                          stopped_by=event.rule if event else None,
                          stop_metric=(event.metric if event
                                       else (monitor.metric
                                             if len(monitor.series)
                                             else None)))
 
-
-def solve_vtm(split: SplitResult, impedance=1.0, *, tol: float = 1e-8,
-              max_iterations: int = 10_000,
-              reference: Optional[np.ndarray] = None) -> VtmResult:
-    """One-shot VTM convenience wrapper."""
-    return VtmSolver(split, impedance).run(
-        tol=tol, max_iterations=max_iterations, reference=reference)

@@ -28,6 +28,7 @@ from ..graph.evs import (
 )
 from ..graph.partitioners import grid_block_partition
 from ..linalg.iterative import direct_reference_solution
+from ..plan import build_plan
 from ..sim.network import paper_fig11_topology
 from ..solvers.block_jacobi import (
     AsyncBlockJacobiSimulator,
@@ -37,6 +38,13 @@ from ..solvers.block_gs import solve_block_gauss_seidel
 from ..solvers.schur import solve_schur
 from ..workloads.poisson import grid2d_random
 from .common import DEFAULT_SEED, run_paper_dtm
+
+
+def _vtm(split) -> VtmSolver:
+    """VTM on *split* with the experiments' α = 2 impedance."""
+    return VtmSolver(build_plan(split=split,
+                                impedance=GeometricMeanImpedance(2.0),
+                                mode="vtm"))
 
 
 def _grid_setup(side=17, blocks=4, seed=DEFAULT_SEED):
@@ -113,7 +121,7 @@ def run_ablation_split(*, seed: int = DEFAULT_SEED) -> ExperimentRecord:
         split = split_graph(graph, partition, strategy=strat)
         split.assert_exact()
         rep = split.definiteness()
-        vtm = VtmSolver(split, GeometricMeanImpedance(2.0))
+        vtm = _vtm(split)
         rho = vtm.spectral_radius()
         res = vtm.run(tol=1e-8, max_iterations=3000)
         rows.append((name, rep.n_spd, rep.satisfies_theorem, rho,
@@ -151,7 +159,7 @@ def run_ablation_twin(*, seed: int = DEFAULT_SEED) -> ExperimentRecord:
                             strategy=DominancePreservingSplit(),
                             twin_topology=topo_name)
         split.assert_exact()
-        vtm = VtmSolver(split, GeometricMeanImpedance(2.0))
+        vtm = _vtm(split)
         rho = vtm.spectral_radius()
         res = vtm.run(tol=1e-8, max_iterations=4000)
         rows.append((topo_name, len(split.twin_links), rho,
@@ -191,8 +199,8 @@ def run_vtm_vs_dtm(*, t_max: float = 6000.0,
     mean_delay = topo.delay_stats()["mean"]
     dtm = run_paper_dtm(split, topo, t_max=t_max, tol=1e-6,
                         reference=reference)
-    vtm = VtmSolver(split, GeometricMeanImpedance(2.0)).run(
-        tol=1e-6, max_iterations=5000, reference=reference)
+    vtm = _vtm(split).run(tol=1e-6, max_iterations=5000,
+                          reference=reference)
     dtm_rounds = (dtm.time_to_tol / mean_delay
                   if dtm.time_to_tol is not None else float("inf"))
     record = ExperimentRecord(
@@ -292,16 +300,18 @@ def run_hybrid(*, t_max: float = 6000.0,
 
     topo4 = mesh_topology(2, 2, delay_low=10, delay_high=99, seed=seed,
                           integer_delays=True, name="hybrid-2x2")
-    clusters = [[0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13],
-                [10, 11, 14, 15]]
+    nodes = build_plan(split=split, topology=topo4,
+                       impedance=GeometricMeanImpedance(2.0),
+                       placement=[0, 0, 1, 1, 0, 0, 1, 1,
+                                  2, 2, 3, 3, 2, 2, 3, 3])
     gals = ClusteredDtmSimulator(
-        split, topo4, clusters, impedance=GeometricMeanImpedance(2.0),
-        local_sweeps=3, min_solve_interval=5.0).run(
+        nodes, local_sweeps=3, min_solve_interval=5.0).run(
         t_max, tol=1e-6, reference=reference)
     resync = PeriodicResyncDtmSimulator(
-        split, topo16, resync_period=500.0,
-        impedance=GeometricMeanImpedance(2.0),
-        min_solve_interval=5.0).run(t_max, tol=1e-6, reference=reference)
+        build_plan(split=split, topology=topo16,
+                   impedance=GeometricMeanImpedance(2.0)),
+        resync_period=500.0, min_solve_interval=5.0).run(
+        t_max, tol=1e-6, reference=reference)
     record = ExperimentRecord(
         experiment_id="ABL-HYB",
         description="§8 future work: sync/async hybrids vs plain DTM "

@@ -88,16 +88,9 @@ def run_paper_dtm(split: SplitResult, topology: Topology, *,
     logging) stay free per call.
     """
     impedance = impedance or default_impedance()
-    if any(k in kwargs for k in ("placement", "allow_indefinite")):
-        # plan-affecting extras not covered by the split-identity key:
-        # fall back to a monolithic build
-        sim = DtmSimulator(split, topology, impedance=impedance,
-                           min_solve_interval=min_solve_interval, **kwargs)
-    else:
-        plan = get_plan(split=split, topology=topology,
-                        impedance=impedance)
-        sim = DtmSimulator(plan=plan,
-                           min_solve_interval=min_solve_interval, **kwargs)
+    plan = get_plan(split=split, topology=topology, impedance=impedance)
+    sim = DtmSimulator(plan, min_solve_interval=min_solve_interval,
+                       **kwargs)
     # sim.run resolves the rule and computes the reference only when
     # the rule tree needs one (see core.convergence.begin_monitor)
     return sim.run(t_max, tol=tol, stopping=stopping, reference=reference,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.reporting import ExperimentRecord
+from ..plan import build_plan
 from ..sim.executor import DtmSimulator
 from ..sim.network import custom_topology
 from ..workloads.paper import (
@@ -31,8 +32,9 @@ def run_fig8(t_max: float = 100.0, *, n_rows: int = 12) -> ExperimentRecord:
     system = paper_system_3_2()
     exact = system.exact_solution()
     topo = custom_topology(example_5_1_delays(), name="example5.1")
-    sim = DtmSimulator(split, topo, impedance=example_5_1_impedances(),
-                       min_solve_interval=0.0,
+    plan = build_plan(split=split, topology=topo,
+                      impedance=example_5_1_impedances())
+    sim = DtmSimulator(plan, min_solve_interval=0.0,
                        probe_ports=[(0, 1), (1, 1), (0, 2), (1, 2)])
     res = sim.run(t_max=t_max)
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..analysis.reporting import ExperimentRecord
 from ..analysis.spectral import wave_spectral_report
+from ..plan import build_plan
 from ..sim.executor import DtmSimulator
 from ..sim.network import custom_topology
 from ..workloads.paper import (
@@ -37,7 +38,8 @@ def run_fig9(*, t_end: float = 100.0,
     errors = []
     for alpha in alphas:
         impedance = {1: IMPEDANCE_V2 * alpha, 2: IMPEDANCE_V3 * alpha}
-        sim = DtmSimulator(split, topo, impedance=impedance,
+        sim = DtmSimulator(build_plan(split=split, topology=topo,
+                                      impedance=impedance),
                            min_solve_interval=0.0)
         res = sim.run(t_max=t_end)
         rho = wave_spectral_report(split, impedance).spectral_radius

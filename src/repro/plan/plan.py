@@ -12,14 +12,15 @@ run itself — no re-partitioning, no re-factorization, no re-packing.
 
 Bitwise contract
 ----------------
-A plan-built solve with the plan's baked-in right-hand side produces
-*exactly* the result of the monolithic pipeline it replaced: the split
-is the same object graph, forked locals carry bitwise-equal ``x0``
+Every session and every in-process engine forks the same plan, so a
+solve with the plan's baked-in right-hand side is the same computation
+however it is reached: forked locals carry bitwise-equal ``x0``
 (block-column and single-column back-substitutions agree bit for bit in
 this package's dense kernels), and :meth:`SolverPlan.reference` mirrors
 :func:`~repro.linalg.iterative.direct_reference_solution` exactly —
 cached dense factor below the same size crossover, identical CG call
-above it.  The API-compat tests assert this equivalence field by field.
+above it.  The API tests assert ``solve_dtm`` against the per-message
+oracle on the same plan field by field.
 """
 
 from __future__ import annotations
@@ -487,10 +488,11 @@ def build_plan(a=None, b=None, *, mode: str = "dtm",
             # adjacency is not guaranteed to match any particular mesh
             topology = complete_topology(n_parts, delay_low=10.0,
                                          delay_high=100.0, seed=seed)
-        if n_parts > topology.n_procs:
-            raise ConfigurationError(
-                f"{n_parts} subdomains but only {topology.n_procs} "
-                "processors")
+        for q, p in enumerate(placement):
+            if not 0 <= p < topology.n_procs:
+                raise ConfigurationError(
+                    f"placement[{q}] = {p} is not a processor of the "
+                    f"{topology.n_procs}-processor topology")
         topo = topology
 
         def delay_of(qa: int, qb: int) -> float:

@@ -336,11 +336,6 @@ class VtmSession(_SessionBase):
         res = solver.run(tol=tol, max_iterations=max_iterations,
                          stopping=stopping, reference=reference)
         served = self._finish(self.fleet.waves)
-        series = TimeSeries("vtm_error")
-        # sparse rules don't record every sweep: use the recorded sweep
-        # indices, not positional enumeration
-        for t, e in zip(res.error_times(), res.error_history):
-            series.append(float(t), float(e))
         return SolveResult(
             x=res.x,
             rms_error=(rms_error(res.x, reference)
@@ -348,7 +343,7 @@ class VtmSession(_SessionBase):
             relative_residual=relative_residual(self.plan.a_mat, res.x,
                                                 b_vec),
             converged=res.converged, iterations=res.iterations,
-            sim_time=float(res.iterations), errors=series,
+            sim_time=float(res.iterations), errors=res.errors,
             split=self._current_split,
             plan_reused=reused, plan_solves=served,
             warm_started=warm is not None,

@@ -7,7 +7,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     {
         "engine": ("Engine",),
         "events": ("Event", "EventQueue"),
-        "executor": ("DtmRunResult", "DtmSimulator", "solve_dtm_simulated"),
+        "executor": ("DtmRunResult", "DtmSimulator"),
         "network": (
             "ConstantDelay",
             "DelayModel",

@@ -1,15 +1,14 @@
 """DTM on the simulated parallel machine (paper Fig 10's full pipeline).
 
-:class:`DtmSimulator` wires the pieces together exactly as §5 describes:
-
-1. EVS has produced subdomains and twin links (input ``split``);
-2. one DTLP per twin link, with the *algorithm-architecture delay
-   mapping*: each DTL's propagation delay is the nominal communication
-   delay of the directed processor link it rides on;
-3. each subdomain becomes a :class:`~repro.sim.processor.Processor`
-   owning a factored local system;
-4. processors exchange waves through the topology; no barrier, no
-   broadcast — the engine just plays messages in time order.
+A :class:`~repro.plan.SolverPlan` carries the construction §5
+describes — EVS subdomains and twin links, one DTLP per twin link whose
+delay is the nominal delay of the processor link it rides on (the
+*algorithm-architecture delay mapping*), one factored local system per
+subdomain.  :class:`DtmSimulator` runs it: each subdomain becomes a
+:class:`~repro.sim.processor.Processor` on processor
+``plan.placement[q]``, and processors exchange waves through the
+topology; no barrier, no broadcast — the engine just plays messages in
+time order.
 
 ``run()`` returns a :class:`DtmRunResult` carrying the error trace, the
 final gathered solution, counters, and any probes that were attached.
@@ -28,15 +27,9 @@ from ..core.convergence import (
     primary_tol,
     reuse_system,
 )
-from ..core.dtl import DtlpNetwork, build_dtlp_network
-from ..core.fleet import build_fleet
-from ..core.impedance import as_impedance_strategy
-from ..core.local import build_all_local_systems
 from ..errors import ConfigurationError
-from ..graph.evs import SplitResult
 from ..utils.timeseries import TimeSeries
 from .engine import Engine
-from .network import Topology
 from .processor import ComputeModel, Processor
 from .trace import ErrorObserver, MessageLog, MessageRecord, PortProbe, SolveLog
 
@@ -79,13 +72,12 @@ class DtmSimulator:
 
     Parameters
     ----------
-    split:
-        EVS result to solve.
-    topology:
-        The machine; subdomain *q* runs on processor ``placement[q]``
-        (identity by default).
-    impedance:
-        Scalar / per-vertex mapping / ImpedanceStrategy.
+    plan:
+        A dtm-mode :class:`~repro.plan.SolverPlan` (``build_plan(split=,
+        topology=, impedance=, placement=)``): it fixes the split, the
+        machine, the subdomain placement, the DTLP network and the
+        factored local systems, so constructing the simulator costs only
+        engine/processor wiring.
     compute:
         Per-solve latency model (default: zero-latency solves).
     min_solve_interval:
@@ -97,15 +89,10 @@ class DtmSimulator:
         (0 = always send, the paper's behaviour).
     log_messages:
         Keep a full message log (Table 1 compliance evidence).
-    plan:
-        A prebuilt :class:`~repro.plan.SolverPlan`: the electric graph,
-        partition, EVS split, DTLP network and factored local systems
-        are taken from it instead of being rebuilt, so constructing the
-        simulator costs only engine/processor wiring.  *split*,
-        *topology*, *impedance*, *placement* and *allow_indefinite*
-        must then be left at their defaults (they are plan properties).
+    probe_ports:
+        ``(part, port)`` pairs whose potentials are traced per solve.
     fleet:
-        With *plan*: a session-owned :class:`FleetKernel` fork whose
+        A session-owned :class:`FleetKernel` fork of *plan* whose
         right-hand side is already set (see
         :meth:`FleetKernel.swap_rhs`); omitted, a fresh fork is taken.
 
@@ -117,69 +104,24 @@ class DtmSimulator:
     ``tests/per_kernel.py``).
     """
 
-    def __init__(self, split: Optional[SplitResult] = None,
-                 topology: Optional[Topology] = None, *,
-                 impedance=1.0,
-                 placement: Optional[Sequence[int]] = None,
+    def __init__(self, plan, *,
                  compute: Optional[ComputeModel] = None,
                  min_solve_interval: Optional[float] = None,
                  send_threshold: float = 0.0,
-                 allow_indefinite: bool = False,
                  log_messages: bool = False,
                  probe_ports: Optional[Sequence[tuple[int, int]]] = None,
-                 plan=None,
                  fleet=None
                  ) -> None:
-        if plan is not None:
-            if split is not None or topology is not None \
-                    or placement is not None or impedance != 1.0 \
-                    or allow_indefinite:
-                raise ConfigurationError(
-                    "split/topology/impedance/placement/allow_indefinite "
-                    "are properties of the plan; do not pass them "
-                    "alongside plan=")
-            split = plan.split
-            topology = plan.topology
-            placement = plan.placement
-        else:
-            if fleet is not None:
-                raise ConfigurationError(
-                    "fleet= carries prebuilt plan state and requires "
-                    "plan=; without one it would be silently ignored")
-            if split is None or topology is None:
-                raise ConfigurationError(
-                    "DtmSimulator needs either (split, topology) or a "
-                    "plan")
+        if plan.mode != "dtm":
+            raise ConfigurationError(
+                f"DtmSimulator needs a dtm-mode plan, got {plan.mode!r}")
         self.plan = plan
-        self.split = split
-        self.topology = topology
-        n_parts = split.n_parts
-        if placement is None:
-            placement = list(range(n_parts))
-        if len(placement) != n_parts:
-            raise ConfigurationError(
-                f"placement must map all {n_parts} subdomains")
-        if n_parts > topology.n_procs:
-            raise ConfigurationError(
-                f"{n_parts} subdomains but only {topology.n_procs} "
-                "processors")
-        self.placement = [int(p) for p in placement]
-
-        if plan is not None:
-            self.network = plan.network
-            self.fleet = fleet if fleet is not None else \
-                plan.fork_fleet(send_threshold=send_threshold)
-        else:
-            z_list = as_impedance_strategy(impedance).assign(split)
-            self.network: DtlpNetwork = build_dtlp_network(
-                split, z_list,
-                lambda qa, qb: topology.nominal_delay(self.placement[qa],
-                                                      self.placement[qb]))
-            self.fleet = build_fleet(
-                split, self.network,
-                build_all_local_systems(split, self.network,
-                                        allow_indefinite=allow_indefinite),
-                send_threshold=send_threshold)
+        self.split = plan.split
+        self.topology = plan.topology
+        self.placement = plan.placement
+        self.network = plan.network
+        self.fleet = fleet if fleet is not None else \
+            plan.fork_fleet(send_threshold=send_threshold)
         self.locals = self.fleet.locals
         self.kernels = self.fleet.views()
 
@@ -374,14 +316,3 @@ class DtmSimulator:
             message_log=self.message_log,
             solve_log=self.solve_log,
         )
-
-
-def solve_dtm_simulated(split: SplitResult, topology: Topology, *,
-                        impedance=1.0, t_max: float,
-                        tol: Optional[float] = None,
-                        **kwargs) -> DtmRunResult:
-    """One-shot convenience wrapper around :class:`DtmSimulator`."""
-    run_keys = {"reference", "sample_interval", "max_events", "stopping"}
-    run_kwargs = {k: kwargs.pop(k) for k in list(kwargs) if k in run_keys}
-    sim = DtmSimulator(split, topology, impedance=impedance, **kwargs)
-    return sim.run(t_max, tol=tol, **run_kwargs)

@@ -28,6 +28,7 @@ from repro.core.vtm import VtmSolver
 from repro.errors import ValidationError
 from repro.graph.evs import DominancePreservingSplit, split_graph
 from repro.graph.partitioners import grid_block_partition
+from repro.plan import build_plan
 from repro.sim.executor import DtmSimulator
 from repro.sim.network import complete_topology
 from repro.sim.processor import ComputeModel
@@ -89,7 +90,7 @@ def test_sync_trajectories_bitwise_identical(multilevel_split,
 
 
 def test_vtm_solver_matches_per_kernel_reference(multilevel_split):
-    solver = VtmSolver(multilevel_split, 1.0)
+    solver = VtmSolver(build_plan(split=multilevel_split, mode="vtm"))
     _, kernels = _build_pair(multilevel_split)
     for _ in range(25):
         solver.sweep()
@@ -107,9 +108,10 @@ def test_simulated_trajectories_bitwise_identical(multilevel_split,
     split = multilevel_split
     topo = complete_topology(split.n_parts, delay_low=10.0,
                              delay_high=100.0, seed=11)
+    plan = build_plan(split=split, topology=topo)
     runs = []
     for cls in (DtmSimulator, PerKernelSimulator):
-        sim = cls(split, topo, send_threshold=send_threshold)
+        sim = cls(plan, send_threshold=send_threshold)
         runs.append((sim, sim.run(t_max=900.0)))
     (sim_f, res_f), (sim_k, res_k) = runs
     assert np.array_equal(res_f.x, res_k.x)
@@ -156,7 +158,8 @@ def test_simulator_matches_per_message_oracle(grid, px, py, seed,
                         strategy=DominancePreservingSplit())
     topo = complete_topology(split.n_parts, delay_low=5.0,
                              delay_high=60.0, seed=seed)
-    sims = [cls(split, topo, send_threshold=send_threshold,
+    plan = build_plan(split=split, topology=topo)
+    sims = [cls(plan, send_threshold=send_threshold,
                 compute=ComputeModel(base=base, per_slot=0.1),
                 log_messages=True)
             for cls in (DtmSimulator, PerKernelSimulator)]

@@ -11,6 +11,7 @@ from repro.errors import ConfigurationError
 from repro.graph.evs import DominancePreservingSplit, split_graph
 from repro.graph.partitioners import grid_block_partition
 from repro.linalg.iterative import direct_reference_solution
+from repro.plan import build_plan
 from repro.sim.network import custom_topology, mesh_topology
 from repro.workloads.paper import (
     example_5_1_delays,
@@ -19,6 +20,11 @@ from repro.workloads.paper import (
     paper_system_3_2,
 )
 from repro.workloads.poisson import grid2d_random
+
+
+def plan_on(split, topo, placement=None, impedance=1.0):
+    return build_plan(split=split, topology=topo, placement=placement,
+                      impedance=impedance)
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +42,7 @@ def grid_setup():
 def test_clustered_converges(grid_setup):
     split, ref = grid_setup
     topo = custom_topology({(0, 1): 20.0, (1, 0): 30.0})
-    sim = ClusteredDtmSimulator(split, topo, [[0, 1], [2, 3]],
+    sim = ClusteredDtmSimulator(plan_on(split, topo, [0, 0, 1, 1]),
                                 local_sweeps=3)
     res = sim.run(t_max=5000.0, tol=1e-7, reference=ref)
     assert res.converged
@@ -44,11 +50,28 @@ def test_clustered_converges(grid_setup):
     assert res.stats["n_clusters"] == 2
 
 
+def test_clusters_run_on_the_processors_the_plan_names(grid_setup):
+    """Placing on processors 1 and 3 of four is the same run as on 0
+    and 1 of two when the links between them carry the same delays."""
+    split, ref = grid_setup
+    sparse = custom_topology({(1, 3): 20.0, (3, 1): 30.0}, n_procs=4)
+    dense = custom_topology({(0, 1): 20.0, (1, 0): 30.0})
+    runs = [ClusteredDtmSimulator(plan_on(split, topo, placement),
+                                  local_sweeps=3)
+            .run(t_max=5000.0, tol=1e-7, reference=ref)
+            for topo, placement in ((sparse, [1, 1, 3, 3]),
+                                    (dense, [0, 0, 1, 1]))]
+    assert runs[0].converged
+    assert np.array_equal(runs[0].x, runs[1].x)
+    assert (runs[0].t_end, runs[0].n_messages) == \
+        (runs[1].t_end, runs[1].n_messages)
+
+
 def test_clustered_single_cluster_is_pure_vtm(grid_setup):
     """One cluster holding everything = repeated local sweeps only."""
     split, ref = grid_setup
     topo = custom_topology({(0, 1): 1.0, (1, 0): 1.0})
-    sim = ClusteredDtmSimulator(split, topo, [[0, 1, 2, 3], []],
+    sim = ClusteredDtmSimulator(plan_on(split, topo, [0, 0, 0, 0]),
                                 local_sweeps=50)
     # single activation performs 50 sweeps; initial start is enough
     sim.run(t_max=10.0, reference=ref)
@@ -59,7 +82,8 @@ def test_clustered_single_cluster_is_pure_vtm(grid_setup):
 def test_cluster_kernel_external_slots(grid_setup):
     split, _ = grid_setup
     topo = custom_topology({(0, 1): 5.0, (1, 0): 5.0})
-    sim = ClusteredDtmSimulator(split, topo, [[0, 1], [2, 3]])
+    sim = ClusteredDtmSimulator(plan_on(split, topo, [0, 0, 1, 1]))
+    assert sim.clusters == [[0, 1], [2, 3]]
     ck = sim.cluster_kernels[0]
     # every external slot references a member kernel's inbox
     for part, slot in ck.ext_in:
@@ -76,13 +100,15 @@ def test_clustered_validation(grid_setup):
     split, _ = grid_setup
     topo = custom_topology({(0, 1): 5.0, (1, 0): 5.0})
     with pytest.raises(ConfigurationError):
-        ClusteredDtmSimulator(split, topo, [[0, 1], [2]])  # missing 3
+        plan_on(split, topo, [0, 0, 1])  # subdomain 3 unplaced
     with pytest.raises(ConfigurationError):
-        ClusteredDtmSimulator(split, topo, [[0], [1], [2, 3]])  # 3 > procs
+        plan_on(split, topo, [0, 1, 2, 2])  # processor 2 > procs
+    plan = plan_on(split, topo, [0, 0, 1, 1])
     with pytest.raises(Exception):
-        ClusteredDtmSimulator(split, topo, [[0, 1], [2, 3]],
-                              local_sweeps=0)
-    sim = ClusteredDtmSimulator(split, topo, [[0, 1], [2, 3]])
+        ClusteredDtmSimulator(plan, local_sweeps=0)
+    with pytest.raises(ConfigurationError):
+        ClusteredDtmSimulator(build_plan(split=split, mode="vtm"))
+    sim = ClusteredDtmSimulator(plan)
     with pytest.raises(ConfigurationError):
         sim.run(t_max=0.0)
 
@@ -93,8 +119,9 @@ def test_clustered_validation(grid_setup):
 def test_periodic_resync_converges():
     split = paper_split()
     topo = custom_topology(example_5_1_delays())
-    sim = PeriodicResyncDtmSimulator(split, topo, resync_period=25.0,
-                                     impedance=example_5_1_impedances())
+    sim = PeriodicResyncDtmSimulator(
+        plan_on(split, topo, impedance=example_5_1_impedances()),
+        resync_period=25.0)
     res = sim.run(t_max=400.0, tol=1e-8)
     exact = paper_system_3_2().exact_solution()
     assert res.converged
@@ -106,13 +133,14 @@ def test_periodic_resync_validation():
     split = paper_split()
     topo = custom_topology(example_5_1_delays())
     with pytest.raises(ConfigurationError):
-        PeriodicResyncDtmSimulator(split, topo, resync_period=0.0)
+        PeriodicResyncDtmSimulator(plan_on(split, topo), resync_period=0.0)
 
 
 def test_periodic_resync_default_latency_is_max_delay():
     split = paper_split()
     topo = custom_topology(example_5_1_delays())
-    sim = PeriodicResyncDtmSimulator(split, topo, resync_period=10.0)
+    sim = PeriodicResyncDtmSimulator(plan_on(split, topo),
+                                     resync_period=10.0)
     assert sim.resync_latency == 6.7
 
 
@@ -122,7 +150,7 @@ def test_periodic_resync_default_latency_is_max_delay():
 def test_clustered_swap_rhs_solves_new_system(grid_setup):
     split, ref = grid_setup
     topo = custom_topology({(0, 1): 20.0, (1, 0): 30.0})
-    sim = ClusteredDtmSimulator(split, topo, [[0, 1], [2, 3]],
+    sim = ClusteredDtmSimulator(plan_on(split, topo, [0, 0, 1, 1]),
                                 local_sweeps=3)
     sim.run(t_max=5000.0, tol=1e-7, reference=ref)
     b2 = np.linspace(0.2, -0.8, split.graph.n)
@@ -137,7 +165,8 @@ def test_clustered_swap_rhs_solves_new_system(grid_setup):
 def test_resync_swap_rhs_solves_new_system(grid_setup):
     split, ref = grid_setup
     topo = mesh_topology(2, 2, delay_low=10, delay_high=30, seed=0)
-    sim = PeriodicResyncDtmSimulator(split, topo, resync_period=200.0)
+    sim = PeriodicResyncDtmSimulator(plan_on(split, topo),
+                                     resync_period=200.0)
     sim.run(t_max=4000.0, tol=1e-6, reference=ref)
     b2 = np.cos(np.arange(split.graph.n, dtype=np.float64))
     a_mat, _ = split.graph.to_system()

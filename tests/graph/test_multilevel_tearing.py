@@ -17,7 +17,13 @@ from repro.graph.evs import DominancePreservingSplit, split_graph
 from repro.graph.partition import Partition
 from repro.graph.partitioners import grid_block_partition
 from repro.linalg.iterative import direct_reference_solution
+from repro.plan import build_plan
 from repro.workloads.poisson import grid2d_random
+
+
+def vtm_on(split, impedance) -> VtmSolver:
+    return VtmSolver(build_plan(split=split, impedance=impedance,
+                                mode="vtm"))
 
 
 def cross_split(side=9, blocks=3, seed=0, topology="tree"):
@@ -75,7 +81,7 @@ def test_multiway_kcl_at_convergence(topology):
     g, res = cross_split(9, 3, topology=topology)
     a, b = g.to_system()
     ref = direct_reference_solution(a, b)
-    solver = VtmSolver(res, GeometricMeanImpedance(2.0))
+    solver = vtm_on(res, GeometricMeanImpedance(2.0))
     out = solver.run(tol=1e-11, max_iterations=6000, reference=ref)
     assert out.converged
     for v, parts in res.copies.items():
@@ -112,8 +118,8 @@ def test_level_three_star_graph_split():
     res.assert_exact()
     a, b = g.to_system()
     ref = direct_reference_solution(a, b)
-    out = VtmSolver(res, 1.0).run(tol=1e-10, max_iterations=4000,
-                                  reference=ref)
+    out = vtm_on(res, 1.0).run(tol=1e-10, max_iterations=4000,
+                               reference=ref)
     assert out.converged
     assert np.allclose(out.x, ref, atol=1e-8)
 
@@ -131,7 +137,7 @@ def test_port_only_subdomain_is_solvable():
     res.assert_exact()
     a, b = g.to_system()
     ref = direct_reference_solution(a, b)
-    out = VtmSolver(res, 1.0).run(tol=1e-10, max_iterations=2000,
-                                  reference=ref)
+    out = vtm_on(res, 1.0).run(tol=1e-10, max_iterations=2000,
+                               reference=ref)
     assert out.converged
     assert np.allclose(out.x, ref, atol=1e-8)

@@ -265,6 +265,7 @@ class TestClose:
 
     def test_close_ends_the_accept_thread_and_frees_the_server(self):
         before = len(_accept_threads())
+        handlers_before = set(_conn_threads())
         server = DtmServer(shards=1)
         frontend = DtmTcpFrontend(server).start()
         address = frontend.address
@@ -279,6 +280,11 @@ class TestClose:
             socket.create_connection(address, timeout=5.0)
         frontend.close()  # closing twice is fine
         del server, frontend
+        # the connection's handler thread holds the server until it
+        # sees the client's hang-up: wait for it instead of racing it
+        for t in set(_conn_threads()) - handlers_before:
+            t.join(5.0)
+            assert not t.is_alive()
         gc.collect()
         assert ref() is None
 

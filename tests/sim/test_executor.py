@@ -7,7 +7,8 @@ from repro.core.impedance import GeometricMeanImpedance
 from repro.errors import ConfigurationError
 from repro.graph.evs import DominancePreservingSplit, split_graph
 from repro.graph.partitioners import grid_block_partition
-from repro.sim.executor import DtmSimulator, solve_dtm_simulated
+from repro.plan import build_plan
+from repro.sim.executor import DtmSimulator
 from repro.sim.network import (
     custom_topology,
     mesh_topology,
@@ -23,6 +24,12 @@ from repro.workloads.paper import (
 from repro.workloads.poisson import grid2d_random
 
 
+def simulator(split, topo, *, impedance=1.0, placement=None, **kwargs):
+    return DtmSimulator(build_plan(split=split, topology=topo,
+                                   impedance=impedance,
+                                   placement=placement), **kwargs)
+
+
 @pytest.fixture(scope="module")
 def paper_setup():
     return (paper_split(), custom_topology(example_5_1_delays()),
@@ -31,9 +38,8 @@ def paper_setup():
 
 def test_example_5_1_converges(paper_setup):
     split, topo, exact = paper_setup
-    res = solve_dtm_simulated(split, topo,
-                              impedance=example_5_1_impedances(),
-                              t_max=200.0, tol=1e-7)
+    res = simulator(split, topo, impedance=example_5_1_impedances()
+                    ).run(t_max=200.0, tol=1e-7)
     assert res.converged
     assert np.allclose(res.x, exact, atol=1e-5)
     assert res.time_to_tol is not None
@@ -42,9 +48,8 @@ def test_example_5_1_converges(paper_setup):
 
 def test_error_trace_decays(paper_setup):
     split, topo, exact = paper_setup
-    res = solve_dtm_simulated(split, topo,
-                              impedance=example_5_1_impedances(),
-                              t_max=100.0)
+    res = simulator(split, topo, impedance=example_5_1_impedances()
+                    ).run(t_max=100.0)
     errs = res.errors.values
     assert errs[-1] < 1e-3 * errs[0]
     assert res.errors.tail_slope() < 0.0
@@ -58,16 +63,16 @@ def test_theorem_6_1_any_impedance_any_delay(paper_setup):
         delays = {(0, 1): float(rng.uniform(0.5, 20)),
                   (1, 0): float(rng.uniform(0.5, 20))}
         z = float(rng.uniform(0.05, 5.0))
-        res = solve_dtm_simulated(split, custom_topology(delays),
-                                  impedance=z, t_max=3000.0, tol=1e-6)
+        res = simulator(split, custom_topology(delays), impedance=z
+                        ).run(t_max=3000.0, tol=1e-6)
         assert res.converged, f"trial {trial}: z={z}, delays={delays}"
         assert np.allclose(res.x, exact, atol=1e-4)
 
 
 def test_port_probe_traces(paper_setup):
     split, topo, exact = paper_setup
-    sim = DtmSimulator(split, topo, impedance=example_5_1_impedances(),
-                       probe_ports=[(0, 1), (1, 1), (0, 2), (1, 2)])
+    sim = simulator(split, topo, impedance=example_5_1_impedances(),
+                    probe_ports=[(0, 1), (1, 1), (0, 2), (1, 2)])
     sim.run(t_max=150.0)
     # twin potentials converge to the same exact value (Fig 8)
     x2a = sim.port_probe.trace(0, 1)
@@ -81,8 +86,8 @@ def test_port_probe_traces(paper_setup):
 
 def test_message_and_solve_logs(paper_setup):
     split, topo, _ = paper_setup
-    sim = DtmSimulator(split, topo, impedance=example_5_1_impedances(),
-                       log_messages=True)
+    sim = simulator(split, topo, impedance=example_5_1_impedances(),
+                    log_messages=True)
     res = sim.run(t_max=50.0)
     log = res.message_log
     assert len(log) == res.n_messages > 0
@@ -96,8 +101,8 @@ def test_message_and_solve_logs(paper_setup):
 
 def test_quiescence_with_send_threshold(paper_setup):
     split, topo, exact = paper_setup
-    sim = DtmSimulator(split, topo, impedance=example_5_1_impedances(),
-                       send_threshold=1e-10)
+    sim = simulator(split, topo, impedance=example_5_1_impedances(),
+                    send_threshold=1e-10)
     res = sim.run(t_max=10_000.0)
     # traffic dies out well before the horizon once waves stabilise
     assert res.stats["quiescent"]
@@ -107,10 +112,9 @@ def test_quiescence_with_send_threshold(paper_setup):
 
 def test_compute_latency_slows_but_still_converges(paper_setup):
     split, topo, exact = paper_setup
-    res = solve_dtm_simulated(split, topo,
-                              impedance=example_5_1_impedances(),
-                              compute=ComputeModel(base=1.0),
-                              t_max=500.0, tol=1e-6)
+    res = simulator(split, topo, impedance=example_5_1_impedances(),
+                    compute=ComputeModel(base=1.0)
+                    ).run(t_max=500.0, tol=1e-6)
     assert res.converged
     assert np.allclose(res.x, exact, atol=1e-4)
 
@@ -120,9 +124,8 @@ def test_grid_16_processors_converges():
     p = grid_block_partition(9, 9, 2, 2)
     split = split_graph(g, p, strategy=DominancePreservingSplit())
     topo = mesh_topology(2, 2, delay_low=5, delay_high=50, seed=1)
-    res = solve_dtm_simulated(split, topo,
-                              impedance=GeometricMeanImpedance(2.0),
-                              t_max=6000.0, tol=1e-6)
+    res = simulator(split, topo, impedance=GeometricMeanImpedance(2.0)
+                    ).run(t_max=6000.0, tol=1e-6)
     assert res.converged
     a, b = g.to_system()
     from repro.core.convergence import relative_residual
@@ -136,9 +139,9 @@ def test_uniform_delays_match_vtm_trajectory():
 
     split = paper_split()
     topo = uniform_topology(2, delay=1.0)
-    sim = DtmSimulator(split, topo, impedance=0.5, min_solve_interval=0.0)
+    sim = simulator(split, topo, impedance=0.5, min_solve_interval=0.0)
     res = sim.run(t_max=20.5)
-    vtm = VtmSolver(split, 0.5)
+    vtm = VtmSolver(build_plan(split=split, impedance=0.5, mode="vtm"))
     for _ in range(20):
         vtm.sweep()
     assert np.allclose(res.x, vtm.current_solution(), atol=1e-9)
@@ -147,28 +150,56 @@ def test_uniform_delays_match_vtm_trajectory():
 def test_placement_validation(paper_setup):
     split, topo, _ = paper_setup
     with pytest.raises(ConfigurationError):
-        DtmSimulator(split, topo, placement=[0])
+        simulator(split, topo, placement=[0])
     with pytest.raises(ConfigurationError):
-        DtmSimulator(split, uniform_topology(1))  # too few processors
+        simulator(split, uniform_topology(1))  # too few processors
+
+
+def test_placement_entries_must_name_processors():
+    g = grid2d_random(8, seed=2)
+    split = split_graph(g, grid_block_partition(8, 8, 2, 2),
+                        strategy=DominancePreservingSplit())
+    with pytest.raises(ConfigurationError, match=r"placement\[3\] = 7"):
+        build_plan(split=split, topology=uniform_topology(4, delay=5.0),
+                   placement=[0, 1, 2, 7])
+
+
+def test_many_to_one_placement_converges():
+    """Co-located subdomains talk over zero-delay DTLPs."""
+    g = grid2d_random(8, seed=2)
+    split = split_graph(g, grid_block_partition(8, 8, 2, 2),
+                        strategy=DominancePreservingSplit())
+    plan = build_plan(split=split, topology=uniform_topology(2, delay=5.0),
+                      placement=[0, 0, 1, 1])
+    assert min(dtlp.delay_ab for dtlp in plan.network.dtlps) == 0.0
+    res = DtmSimulator(plan).run(3000.0, tol=1e-6)
+    assert res.converged
+    assert res.final_error <= 1e-6
 
 
 def test_placement_requires_links(paper_setup):
     split, _, _ = paper_setup
     # topology with a link only one way: building DTLs needs both
     with pytest.raises(ConfigurationError):
-        DtmSimulator(split, custom_topology({(0, 1): 1.0}, n_procs=2))
+        simulator(split, custom_topology({(0, 1): 1.0}, n_procs=2))
 
 
 def test_run_parameter_validation(paper_setup):
     split, topo, _ = paper_setup
-    sim = DtmSimulator(split, topo)
+    sim = simulator(split, topo)
     with pytest.raises(ConfigurationError):
         sim.run(t_max=0.0)
 
 
+def test_simulator_needs_a_dtm_plan(paper_setup):
+    split, _, _ = paper_setup
+    with pytest.raises(ConfigurationError):
+        DtmSimulator(build_plan(split=split, mode="vtm"))
+
+
 def test_result_summary_and_stats(paper_setup):
     split, topo, _ = paper_setup
-    res = solve_dtm_simulated(split, topo, t_max=30.0)
+    res = simulator(split, topo).run(t_max=30.0)
     assert "DTM run" in res.summary()
     assert res.stats["n_parts"] == 2
     assert res.stats["n_dtlps"] == 2
@@ -177,43 +208,11 @@ def test_result_summary_and_stats(paper_setup):
 
 
 # ----------------------------------------------------------------------
-# plan-backed construction, reset, RHS swap
+# reset, RHS swap
 # ----------------------------------------------------------------------
-def test_simulator_from_plan_matches_monolithic_build():
-    from repro.plan import build_plan
-
-    g = grid2d_random(8, seed=2)
-    p = grid_block_partition(8, 8, 2, 2)
-    split = split_graph(g, p, strategy=DominancePreservingSplit())
-    topo = uniform_topology(4, delay=5.0)
-    plan = build_plan(split=split, topology=topo)
-    res_plan = DtmSimulator(plan=plan).run(300.0, tol=1e-6)
-    res_mono = DtmSimulator(split, topo).run(300.0, tol=1e-6)
-    assert np.array_equal(res_plan.x, res_mono.x)
-    assert res_plan.t_end == res_mono.t_end
-    assert res_plan.n_messages == res_mono.n_messages
-
-
-def test_simulator_plan_rejects_conflicting_arguments():
-    from repro.plan import build_plan
-
-    g = grid2d_random(6, seed=0)
-    p = grid_block_partition(6, 6, 2, 2)
-    split = split_graph(g, p, strategy=DominancePreservingSplit())
-    topo = uniform_topology(4, delay=5.0)
-    plan = build_plan(split=split, topology=topo)
-    with pytest.raises(ConfigurationError):
-        DtmSimulator(split, plan=plan)
-    with pytest.raises(ConfigurationError):
-        DtmSimulator(plan=plan, impedance=2.0)
-    with pytest.raises(ConfigurationError):
-        DtmSimulator()
-
-
 def test_reset_reproduces_first_run_bitwise(paper_setup):
     split, topo, _ = paper_setup
-    sim = DtmSimulator(split, topo,
-                       impedance=example_5_1_impedances())
+    sim = simulator(split, topo, impedance=example_5_1_impedances())
     res1 = sim.run(100.0, tol=1e-6)
     sim.reset()
     res2 = sim.run(100.0, tol=1e-6)
@@ -226,8 +225,7 @@ def test_swap_rhs_solves_the_new_system(paper_setup):
     from repro.linalg.iterative import direct_reference_solution
 
     split, topo, _ = paper_setup
-    sim = DtmSimulator(split, topo,
-                       impedance=example_5_1_impedances())
+    sim = simulator(split, topo, impedance=example_5_1_impedances())
     sim.run(200.0, tol=1e-7)
     b2 = np.linspace(1.0, -2.0, split.graph.n)
     a_mat, _ = split.graph.to_system()
@@ -242,8 +240,7 @@ def test_swap_rhs_default_reference_tracks_new_system(paper_setup):
     """After swap_rhs, run() without reference= must converge against
     the new right-hand side (the split is re-dressed)."""
     split, topo, _ = paper_setup
-    sim = DtmSimulator(split, topo,
-                       impedance=example_5_1_impedances())
+    sim = simulator(split, topo, impedance=example_5_1_impedances())
     sim.run(200.0, tol=1e-7)
     b2 = np.linspace(1.0, -2.0, split.graph.n)
     sim.swap_rhs(b2)
@@ -257,8 +254,3 @@ def test_swap_rhs_default_reference_tracks_new_system(paper_setup):
     assert np.allclose(res2.x, direct_reference_solution(a_mat, b2),
                        atol=1e-5)
 
-
-def test_prebuilt_state_requires_plan(paper_setup):
-    split, topo, _ = paper_setup
-    with pytest.raises(ConfigurationError):
-        DtmSimulator(split, topo, fleet=object())

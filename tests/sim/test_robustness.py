@@ -14,6 +14,7 @@ from repro.core.impedance import GeometricMeanImpedance
 from repro.graph.evs import DominancePreservingSplit, split_graph
 from repro.graph.partitioners import grid_block_partition
 from repro.linalg.iterative import direct_reference_solution
+from repro.plan import build_plan
 from repro.sim.executor import DtmSimulator
 from repro.sim.network import (
     ConstantDelay,
@@ -30,6 +31,12 @@ from repro.workloads.paper import (
 from repro.workloads.poisson import grid2d_random
 
 
+def simulator(split, topo, *, impedance, placement=None, **kwargs):
+    return DtmSimulator(build_plan(split=split, topology=topo,
+                                   impedance=impedance,
+                                   placement=placement), **kwargs)
+
+
 @pytest.fixture(scope="module")
 def grid_setup():
     g = grid2d_random(9, seed=13)
@@ -44,7 +51,7 @@ def test_jittered_delays_still_converge(grid_setup):
     split, ref = grid_setup
     topo = mesh_topology(2, 2, delay_low=5, delay_high=40, seed=3,
                          jitter=0.3).seed(7)
-    sim = DtmSimulator(split, topo, impedance=GeometricMeanImpedance(2.0))
+    sim = simulator(split, topo, impedance=GeometricMeanImpedance(2.0))
     res = sim.run(t_max=8000.0, tol=1e-6, reference=ref)
     assert res.converged
     assert np.allclose(res.x, ref, atol=1e-4)
@@ -56,8 +63,8 @@ def test_jitter_changes_trajectory_not_destination(grid_setup):
     for seed in (1, 2):
         topo = mesh_topology(2, 2, delay_low=5, delay_high=40, seed=3,
                              jitter=0.3).seed(seed)
-        sim = DtmSimulator(split, topo,
-                           impedance=GeometricMeanImpedance(2.0))
+        sim = simulator(split, topo,
+                        impedance=GeometricMeanImpedance(2.0))
         res = sim.run(t_max=6000.0, tol=1e-7, reference=ref)
         finals.append(res)
     # different message schedules...
@@ -72,8 +79,8 @@ def test_heavy_compute_latency(grid_setup):
     """Solves costing a sizeable fraction of a link delay."""
     split, ref = grid_setup
     topo = mesh_topology(2, 2, delay_low=10, delay_high=50, seed=5)
-    sim = DtmSimulator(split, topo, impedance=GeometricMeanImpedance(2.0),
-                       compute=ComputeModel(base=2.0, per_slot=0.1))
+    sim = simulator(split, topo, impedance=GeometricMeanImpedance(2.0),
+                    compute=ComputeModel(base=2.0, per_slot=0.1))
     res = sim.run(t_max=15_000.0, tol=1e-6, reference=ref)
     assert res.converged
 
@@ -83,7 +90,7 @@ def test_extreme_delay_ratio():
     split = paper_split()
     exact = paper_system_3_2().exact_solution()
     topo = custom_topology({(0, 1): 1000.0, (1, 0): 1.0})
-    sim = DtmSimulator(split, topo, impedance=example_5_1_impedances())
+    sim = simulator(split, topo, impedance=example_5_1_impedances())
     res = sim.run(t_max=60_000.0, tol=1e-7)
     assert res.converged
     assert np.allclose(res.x, exact, atol=1e-5)
@@ -95,8 +102,8 @@ def test_zero_delay_links_degenerate_to_instant_exchange():
     exact = paper_system_3_2().exact_solution()
     topo = Topology(n_procs=2, links={(0, 1): ConstantDelay(0.0),
                                       (1, 0): ConstantDelay(0.0)})
-    sim = DtmSimulator(split, topo, impedance=example_5_1_impedances(),
-                       min_solve_interval=0.5)
+    sim = simulator(split, topo, impedance=example_5_1_impedances(),
+                    min_solve_interval=0.5)
     res = sim.run(t_max=200.0, tol=1e-8)
     assert res.converged
     assert np.allclose(res.x, exact, atol=1e-6)
@@ -108,8 +115,8 @@ def test_determinism_same_seed_same_trace(grid_setup):
     runs = []
     for _ in range(2):
         topo = mesh_topology(2, 2, delay_low=5, delay_high=40, seed=3)
-        sim = DtmSimulator(split, topo,
-                           impedance=GeometricMeanImpedance(2.0))
+        sim = simulator(split, topo,
+                        impedance=GeometricMeanImpedance(2.0))
         runs.append(sim.run(t_max=2000.0, reference=ref))
     assert runs[0].n_solves == runs[1].n_solves
     assert runs[0].n_messages == runs[1].n_messages
@@ -121,13 +128,13 @@ def test_send_threshold_accuracy_tradeoff(grid_setup):
     """Coarser send thresholds stop earlier at lower accuracy."""
     split, ref = grid_setup
     topo = mesh_topology(2, 2, delay_low=5, delay_high=40, seed=3)
-    fine = DtmSimulator(split, topo, impedance=GeometricMeanImpedance(2.0),
-                        send_threshold=1e-10).run(t_max=30_000.0,
-                                                  reference=ref)
-    coarse = DtmSimulator(split, topo,
-                          impedance=GeometricMeanImpedance(2.0),
-                          send_threshold=1e-4).run(t_max=30_000.0,
-                                                   reference=ref)
+    fine = simulator(split, topo, impedance=GeometricMeanImpedance(2.0),
+                     send_threshold=1e-10).run(t_max=30_000.0,
+                                               reference=ref)
+    coarse = simulator(split, topo,
+                       impedance=GeometricMeanImpedance(2.0),
+                       send_threshold=1e-4).run(t_max=30_000.0,
+                                                reference=ref)
     assert coarse.n_messages < fine.n_messages
     assert fine.final_error < coarse.final_error
 
@@ -137,7 +144,7 @@ def test_unbalanced_placement_on_larger_machine(grid_setup):
     split, ref = grid_setup
     topo = mesh_topology(2, 4, delay_low=5, delay_high=30, seed=9)
     placement = [0, 1, 4, 5]  # a 2x2 corner of the 2x4 mesh
-    sim = DtmSimulator(split, topo, impedance=GeometricMeanImpedance(2.0),
-                       placement=placement)
+    sim = simulator(split, topo, impedance=GeometricMeanImpedance(2.0),
+                    placement=placement)
     res = sim.run(t_max=8000.0, tol=1e-6, reference=ref)
     assert res.converged

@@ -120,6 +120,34 @@ def test_removed_factorization_knobs_stay_removed():
             getattr(repro.linalg, name)
 
 
+def test_split_built_engines_stay_removed():
+    """A plan is the only way into an in-process engine.
+
+    The split/topology/impedance constructors of the simulator, the VTM
+    solver and the clustered hybrid fail like any surplus argument, and
+    the one-shot wrappers over them do not resolve.
+    """
+    import repro.core
+    import repro.sim
+    from repro.core.hybrid import ClusteredDtmSimulator
+    from repro.core.vtm import VtmSolver
+    from repro.sim import DtmSimulator
+
+    split = prepare_split(grid2d_random(6, seed=0), None, 4)
+    topo = custom_topology({(p, q): 5.0 for p in range(4) for q in range(4)
+                            if p != q})
+    with pytest.raises(TypeError):
+        DtmSimulator(split, topo)
+    with pytest.raises(TypeError):
+        VtmSolver(split, 1.0)
+    with pytest.raises(TypeError):
+        ClusteredDtmSimulator(split, topo, [[0, 1], [2, 3]])
+    for pkg, name in [(repro.sim, "solve_dtm_simulated"),
+                      (repro.core, "solve_vtm")]:
+        with pytest.raises(AttributeError):
+            getattr(pkg, name)
+
+
 # ----------------------------------------------------------------------
 # plan pipeline: rhs override, cache reuse, seed-path equivalence
 # ----------------------------------------------------------------------
@@ -160,96 +188,54 @@ def test_vtm_plan_cache_reuse():
 
 
 class TestSeedPathEquivalence:
-    """Deprecation shims: the plan pipeline must reproduce the seed
-    (monolithic) pipeline's SolveResult field for field, bitwise."""
-
-    @staticmethod
-    def _seed_solve_dtm(a, b=None, *, n_subdomains=4, topology=None,
-                        impedance=1.0, t_max=5000.0, tol=1e-8, seed=0,
-                        simulator=None):
-        """The pre-plan solve_dtm pipeline, verbatim (*simulator*
-        defaults to :class:`DtmSimulator`)."""
-        from repro.core.convergence import relative_residual, rms_error
-        from repro.graph.electric import ElectricGraph
-        from repro.linalg.iterative import direct_reference_solution
-        from repro.sim.executor import DtmSimulator
-        from repro.sim.network import complete_topology
-
-        if isinstance(a, ElectricGraph) and b is None:
-            split = prepare_split(a, a.sources, n_subdomains, seed=seed)
-        else:
-            split = prepare_split(a, b, n_subdomains, seed=seed)
-        if topology is None:
-            topology = complete_topology(split.n_parts, delay_low=10.0,
-                                         delay_high=100.0, seed=seed)
-        sim = (simulator or DtmSimulator)(split, topology,
-                                          impedance=impedance)
-        res = sim.run(t_max, tol=tol)
-        a_mat, b_vec = split.graph.to_system()
-        ref = direct_reference_solution(a_mat, b_vec)
-        return dict(x=res.x, rms_error=rms_error(res.x, ref),
-                    relative_residual=relative_residual(a_mat, res.x,
-                                                        b_vec),
-                    converged=res.converged, iterations=res.n_solves,
-                    sim_time=res.t_end,
-                    error_values=np.asarray(res.errors.values))
-
-    def _assert_equivalent(self, new, old):
-        assert np.array_equal(new.x, old["x"])
-        assert new.rms_error == old["rms_error"]
-        assert new.relative_residual == old["relative_residual"]
-        assert new.converged == old["converged"]
-        assert new.iterations == old["iterations"]
-        assert new.sim_time == old["sim_time"]
-        assert np.array_equal(np.asarray(new.errors.values),
-                              old["error_values"])
-
-    def test_matrix_input_custom_topology(self):
-        system = paper_system_3_2()
-        kw = dict(n_subdomains=2,
-                  topology=custom_topology({(0, 1): 6.7, (1, 0): 2.9}),
-                  impedance=0.15, t_max=1000.0, tol=1e-8, seed=0)
-        new = solve_dtm(system.matrix, system.rhs, use_cache=False, **kw)
-        old = self._seed_solve_dtm(system.matrix, system.rhs, **kw)
-        self._assert_equivalent(new, old)
-
-    def test_graph_input_default_topology(self):
-        g = grid2d_random(8, seed=4)
-        kw = dict(n_subdomains=4, t_max=3000.0, tol=1e-5, seed=4)
-        new = solve_dtm(g, use_cache=False, **kw)
-        old = self._seed_solve_dtm(g, **kw)
-        self._assert_equivalent(new, old)
+    """The one-call API must reproduce the engines it wraps on the same
+    plan field for field, bitwise: ``solve_dtm`` the per-subdomain,
+    per-message oracle, ``solve_vtm_system`` a bare ``VtmSolver``."""
 
     def test_per_kernel_path(self):
         from per_kernel import PerKernelSimulator
 
+        from repro.core.convergence import relative_residual, rms_error
+        from repro.linalg.iterative import direct_reference_solution
+        from repro.plan import build_plan
+
         g = grid2d_random(7, seed=9)
-        kw = dict(n_subdomains=4, t_max=2000.0, tol=1e-5, seed=9)
-        new = solve_dtm(g, use_cache=False, **kw)
-        old = self._seed_solve_dtm(g, simulator=PerKernelSimulator, **kw)
-        self._assert_equivalent(new, old)
+        new = solve_dtm(g, n_subdomains=4, t_max=2000.0, tol=1e-5, seed=9,
+                        use_cache=False)
+        plan = build_plan(g, n_subdomains=4, seed=9)
+        old = PerKernelSimulator(plan).run(2000.0, tol=1e-5)
+        ref = direct_reference_solution(plan.a_mat, plan.base_b)
+        assert np.array_equal(new.x, old.x)
+        assert new.rms_error == rms_error(old.x, ref)
+        assert new.relative_residual == relative_residual(
+            plan.a_mat, old.x, plan.base_b)
+        assert new.converged == old.converged
+        assert new.iterations == old.n_solves
+        assert new.sim_time == old.t_end
+        assert np.array_equal(np.asarray(new.errors.values),
+                              np.asarray(old.errors.values))
 
     def test_vtm_system(self):
         from repro.core.convergence import relative_residual, rms_error
         from repro.core.vtm import VtmSolver
         from repro.linalg.iterative import direct_reference_solution
+        from repro.plan import build_plan
 
         system = paper_system_3_2()
-        split = prepare_split(system.matrix, system.rhs, 2, seed=0)
-        solver = VtmSolver(split, 0.2)
-        old = solver.run(tol=1e-9, max_iterations=10_000)
-        a_mat, b_vec = split.graph.to_system()
-        ref = direct_reference_solution(a_mat, b_vec)
+        plan = build_plan(system.matrix, system.rhs, mode="vtm",
+                          n_subdomains=2, impedance=0.2)
+        old = VtmSolver(plan).run(tol=1e-9, max_iterations=10_000)
+        ref = direct_reference_solution(plan.a_mat, plan.base_b)
         new = solve_vtm_system(system.matrix, system.rhs, n_subdomains=2,
                                impedance=0.2, tol=1e-9, use_cache=False)
         assert np.array_equal(new.x, old.x)
         assert new.iterations == old.iterations
         assert new.converged == old.converged
         assert new.rms_error == rms_error(old.x, ref)
-        assert new.relative_residual == relative_residual(a_mat, old.x,
-                                                          b_vec)
-        assert np.array_equal(np.asarray(new.errors.values),
-                              np.asarray(old.error_history))
+        assert new.relative_residual == relative_residual(
+            plan.a_mat, old.x, plan.base_b)
+        assert np.array_equal(new.errors.values, old.errors.values)
+        assert np.array_equal(new.errors.times, old.errors.times)
 
 
 def test_plan_argument_conflicts_are_rejected():

@@ -19,12 +19,23 @@ from repro.graph.partitioners import (
     grid_block_partition,
 )
 from repro.linalg.iterative import direct_reference_solution
+from repro.plan import build_plan
 from repro.sim.executor import DtmSimulator
 from repro.sim.network import complete_topology, mesh_topology
 from repro.solvers.block_gs import solve_block_gauss_seidel
 from repro.solvers.schur import solve_schur
 from repro.workloads.poisson import grid2d_random
 from repro.workloads.random_spd import random_connected_spd_graph
+
+
+def vtm_on(split, impedance) -> VtmSolver:
+    return VtmSolver(build_plan(split=split, impedance=impedance,
+                                mode="vtm"))
+
+
+def dtm_on(split, topo, *, impedance, **kwargs) -> DtmSimulator:
+    return DtmSimulator(build_plan(split=split, topology=topo,
+                                   impedance=impedance), **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -37,11 +48,11 @@ def test_all_solvers_agree_on_grid():
     ref = direct_reference_solution(a, b)
     split = split_graph(g, p, strategy=DominancePreservingSplit())
 
-    vtm = VtmSolver(split, GeometricMeanImpedance(2.0)).run(
+    vtm = vtm_on(split, GeometricMeanImpedance(2.0)).run(
         tol=1e-9, max_iterations=4000, reference=ref)
     topo = mesh_topology(2, 2, delay_low=5, delay_high=50, seed=2)
-    dtm = DtmSimulator(split, topo,
-                       impedance=GeometricMeanImpedance(2.0)).run(
+    dtm = dtm_on(split, topo,
+                 impedance=GeometricMeanImpedance(2.0)).run(
         t_max=15_000.0, tol=1e-8, reference=ref)
     schur = solve_schur(g, p)
     bgs = solve_block_gauss_seidel(g, p, tol=1e-9, reference=ref)
@@ -62,7 +73,7 @@ def test_property_random_system_full_pipeline(seed):
     assert split.definiteness().satisfies_theorem
     a, b = g.to_system()
     ref = direct_reference_solution(a, b)
-    res = VtmSolver(split, GeometricMeanImpedance(2.0)).run(
+    res = vtm_on(split, GeometricMeanImpedance(2.0)).run(
         tol=1e-8, max_iterations=6000, reference=ref)
     assert res.converged
     assert np.allclose(res.x, ref, atol=1e-5)
@@ -78,8 +89,8 @@ def test_property_simulated_dtm_on_random_system(seed):
     ref = direct_reference_solution(a, b)
     topo = complete_topology(split.n_parts, delay_low=5.0, delay_high=40.0,
                              seed=seed)
-    res = DtmSimulator(split, topo,
-                       impedance=GeometricMeanImpedance(2.0)).run(
+    res = dtm_on(split, topo,
+                 impedance=GeometricMeanImpedance(2.0)).run(
         t_max=20_000.0, tol=1e-7, reference=ref)
     assert res.converged, f"seed={seed}"
     assert np.allclose(res.x, ref, atol=1e-4)
@@ -109,8 +120,8 @@ def test_delay_equation_holds_at_steady_state():
 
     split = paper_split()
     topo = custom_topology(example_5_1_delays())
-    sim = DtmSimulator(split, topo, impedance=example_5_1_impedances(),
-                       log_messages=True)
+    sim = dtm_on(split, topo, impedance=example_5_1_impedances(),
+                 log_messages=True)
     sim.run(t_max=400.0, tol=1e-11)
     checked = 0
     for d in sim.network.dtlps:
@@ -146,7 +157,7 @@ def test_twin_consistency_at_convergence():
     split = split_graph(g, p, strategy=DominancePreservingSplit())
     a, b = g.to_system()
     ref = direct_reference_solution(a, b)
-    solver = VtmSolver(split, GeometricMeanImpedance(2.0))
+    solver = vtm_on(split, GeometricMeanImpedance(2.0))
     solver.run(tol=1e-11, max_iterations=5000, reference=ref)
     # for every split vertex: all copy potentials equal, currents sum 0
     u = {q: k.port_potentials() for q, k in enumerate(solver.kernels)}

@@ -148,7 +148,7 @@ def test_vtm_sparse_residual_checked_at_budget_end(workload,
     assert sparse.converged
     assert sparse.stop_metric <= 1e-9
     # ...and the recorded trace is indexed by sweep, not check count
-    assert sparse.error_times()[-1] == pytest.approx(sparse.iterations)
+    assert sparse.errors.times[-1] == pytest.approx(sparse.iterations)
 
 
 def test_vtm_session_sparse_series_keeps_sweep_indices(workload,
