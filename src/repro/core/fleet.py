@@ -40,6 +40,7 @@ observers and probes drive.
 
 from __future__ import annotations
 
+import copy
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,20 +48,6 @@ import numpy as np
 from ..errors import ValidationError
 from .local import LocalSystem
 from .shard_kernel import ShardKernel, _ShardGroup
-
-
-def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate ``[arange(s, s+c) for s, c in zip(starts, counts)]``."""
-    nz = counts > 0
-    starts, counts = starts[nz], counts[nz]
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    step = np.ones(total, dtype=np.int64)
-    step[0] = starts[0]
-    pos = np.cumsum(counts)[:-1]
-    step[pos] = starts[1:] - (starts[:-1] + counts[:-1] - 1)
-    return np.cumsum(step)
 
 
 class _ShapeGroup:
@@ -165,21 +152,23 @@ class FleetKernel:
             raise ValidationError("route destination slot out of range")
         self.route_dtlp = dtlp
 
-        # mutable state: zero initial boundary conditions, u(0) = ω(0) = 0
-        self.waves = np.zeros(S)
-        self.u = np.zeros(R)
-        self.last_sent = np.full(S, np.nan)
-        self.n_solves = np.zeros(P, dtype=np.int64)
-        self.n_received = np.zeros(P, dtype=np.int64)
-        self.dirty = np.ones(P, dtype=bool)
-
+        self._alloc_state()
         self._all_slots = np.arange(S, dtype=np.int64)
         self._build_groups()
         self._views: Optional[list[FleetKernelView]] = None
 
-    #: class-level default so forked kernels (object.__new__ copies in
-    #: :meth:`fork`) inherit the disabled state without extra work
+    #: class-level default: telemetry is off until :meth:`install_obs`
+    #: (a :meth:`fork` drops the instance's counter again)
     _c_solves = None
+
+    def _alloc_state(self) -> None:
+        """Fresh mutable state: zero boundary conditions, u = ω = 0."""
+        S, P = self.n_slots_total, self.n_parts
+        self.waves, self.u = np.zeros(S), np.zeros(self.n_ports_total)
+        self.last_sent = np.full(S, np.nan)
+        self.n_solves = np.zeros(P, dtype=np.int64)
+        self.n_received = np.zeros(P, dtype=np.int64)
+        self.dirty = np.ones(P, dtype=bool)
 
     def install_obs(self, registry) -> None:
         """Count subdomain solves on *registry* (hot path: guarded).
@@ -311,20 +300,13 @@ class FleetKernel:
         self.last_sent[slot_idx] = out
         return slot_idx, out
 
-    def emit_all(self, active_mask=None) -> tuple[np.ndarray, np.ndarray]:
+    def emit_all(self) -> tuple[np.ndarray, np.ndarray]:
         """Emit every slot's wave, routed to its destination.
 
         Returns ``(dest_slot_global, values)`` ready for
         :meth:`receive_batch` — the "emit then deliver" scatter.
         """
-        if active_mask is None:
-            idx = self._all_slots
-        else:
-            parts = self._normalize_parts(active_mask)
-            starts = self.slot_offsets[parts]
-            counts = self.slot_offsets[parts + 1] - starts
-            idx = _concat_ranges(starts, counts)
-        idx, values = self.emit_slots(idx)
+        idx, values = self.emit_slots(self._all_slots)
         return self.route_dest_slot_global[idx], values
 
     def part_slots(self, q: int) -> np.ndarray:
@@ -354,20 +336,9 @@ class FleetKernel:
         self.dirty |= counts > 0
         if not notify:
             return None
-        uniq, first, cnt = np.unique(parts, return_index=True,
-                                     return_counts=True)
-        order = np.argsort(first, kind="stable")
-        return uniq[order], cnt[order]
-
-    def receive_one(self, slot_global: int, value: float) -> None:
-        """Deliver a single wave by global slot (scalar fast path).
-
-        The per-arrival bookkeeping of the cluster kernel's receive path.
-        """
-        self.waves[slot_global] = value
-        part = self.slot_part[slot_global]
-        self.n_received[part] += 1
-        self.dirty[part] = True
+        _, first = np.unique(parts, return_index=True)
+        order = parts[np.sort(first)]
+        return order, counts[order]
 
     # ------------------------------------------------------------------
     # plan/session support: RHS swap, state reset, structural fork
@@ -450,34 +421,15 @@ class FleetKernel:
         is fresh.  This is how a :class:`~repro.plan.SolverPlan` hands
         each session its own runnable fleet without re-packing.
         """
-        new = object.__new__(FleetKernel)
-        new.locals = [loc.fork() for loc in self.locals]
         st = self.send_threshold if send_threshold is None \
             else float(send_threshold)
         if st < 0:
             raise ValidationError("send_threshold must be >= 0")
+        new = copy.copy(self)  # shares every packed, immutable array
+        new.__dict__.pop("_c_solves", None)  # telemetry stays per fleet
         new.send_threshold = st
-        new.n_parts = self.n_parts
-        new.slot_offsets = self.slot_offsets
-        new.port_offsets = self.port_offsets
-        new.n_slots_total = self.n_slots_total
-        new.n_ports_total = self.n_ports_total
-        new.slot_part = self.slot_part
-        new.slot_port_global = self.slot_port_global
-        new.slot_inv_z = self.slot_inv_z
-        new.route_dest_part = self.route_dest_part
-        new.route_dest_slot_local = self.route_dest_slot_local
-        new.route_dest_slot_global = self.route_dest_slot_global
-        new.route_dtlp = self.route_dtlp
-        new.waves = np.zeros(self.n_slots_total)
-        new.u = np.zeros(self.n_ports_total)
-        new.last_sent = np.full(self.n_slots_total, np.nan)
-        new.n_solves = np.zeros(self.n_parts, dtype=np.int64)
-        new.n_received = np.zeros(self.n_parts, dtype=np.int64)
-        new.dirty = np.ones(self.n_parts, dtype=bool)
-        new._all_slots = self._all_slots
-        new._part_group = self._part_group
-        new._part_pos = self._part_pos
+        new.locals = [loc.fork() for loc in self.locals]
+        new._alloc_state()
         new.groups = [
             _ShapeGroup(g.gid, g.parts, g.r, g.s, g.W3,
                         np.empty_like(g.u0), g.slot_idx, g.port_idx)

@@ -20,14 +20,14 @@ dtm-mode :class:`~repro.plan.SolverPlan`:
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..sim.engine import Engine
 from ..sim.executor import DtmRunResult, DtmSimulator
-from ..sim.processor import ComputeModel, Processor
+from ..sim.processor import ComputeModel
 from ..utils.validation import require
 from .fleet import FleetKernel
 
@@ -35,7 +35,8 @@ from .fleet import FleetKernel
 class ClusterKernel:
     """Synchronous sweep over one cluster of a shared fleet.
 
-    Presents the Processor-facing protocol (receive / solve / dirty);
+    Presents the Processor-facing protocol (solve / dirty; arrivals are
+    written into the fleet by the simulator's batched delivery);
     one ``solve()`` runs *local_sweeps* synchronous rounds among its
     members — each round a masked :meth:`FleetKernel.solve_all` plus a
     routed emit whose intra-cluster portion is delivered in one batch —
@@ -56,7 +57,6 @@ class ClusterKernel:
         self.local_sweeps = int(local_sweeps)
         self.dirty = True
         self.n_solves = 0
-        self.n_received = 0
 
         self._member_idx = np.asarray(self.members, dtype=np.int64)
         self._dest_cluster = dest_cluster
@@ -66,34 +66,13 @@ class ClusterKernel:
             if self.members else np.zeros(0, dtype=np.int64)
         # a member slot's twin lives where its emission is routed, so
         # the external *inboxes* are exactly the externally-routed slots
-        ext = self._emit_slots[
+        self._ext_slots = self._emit_slots[
             self._dest_cluster[self._emit_slots] != cluster_id]
-        self._ext_slots = ext
-        #: (member_part, member_slot) per external inbox, in ext order
-        self.ext_in: list[tuple[int, int]] = [
-            (int(fleet.slot_part[g]),
-             int(g - fleet.slot_offsets[fleet.slot_part[g]]))
-            for g in ext]
-        self._ext_index: dict[tuple[int, int], int] = {
-            ps: i for i, ps in enumerate(self.ext_in)}
 
-        n_local = sum(fleet.locals[p].n_local for p in self.members)
-
-        class _L:
-            pass
-
-        self.local = _L()
-        self.local.n_slots = len(self.ext_in)
-        self.local.n_local = n_local
-
-    def ext_slot_of(self, part: int, slot: int) -> int:
-        """External slot index for a member's (part, slot) inbox."""
-        return self._ext_index[(part, slot)]
-
-    def receive(self, ext_slot: int, value: float) -> None:
-        self.fleet.receive_one(int(self._ext_slots[ext_slot]), value)
-        self.n_received += 1
-        self.dirty = True
+        #: the sizes a ComputeModel prices one activation by
+        self.local = SimpleNamespace(
+            n_slots=self._ext_slots.size,
+            n_local=sum(fleet.locals[p].n_local for p in self.members))
 
     def solve(self) -> tuple[np.ndarray, np.ndarray]:
         fleet = self.fleet
@@ -132,9 +111,9 @@ class ClusteredDtmSimulator(DtmSimulator):
 
     Everything but the wiring — monitoring, ``run``, ``reset``,
     ``swap_rhs`` — is :class:`~repro.sim.executor.DtmSimulator`'s: one
-    processor per cluster drives a :class:`ClusterKernel`, and a wave
-    that leaves a cluster travels as one message to the destination
-    cluster's processor.
+    processor per cluster drives a :class:`ClusterKernel`, and the waves
+    that leave a cluster travel in bundles to the destination clusters'
+    processors.
     """
 
     def __init__(self, plan, *, local_sweeps: int = 2,
@@ -153,37 +132,33 @@ class ClusteredDtmSimulator(DtmSimulator):
                          min_solve_interval=min_solve_interval)
 
     def _wire_engine(self) -> None:
-        """Fresh engine, cluster kernels and one processor per cluster."""
+        """Fresh cluster kernels, then the base wiring over them."""
         dest_cluster = np.asarray(self.cluster_of, dtype=np.int64)[
             self.fleet.route_dest_part]
         self.cluster_kernels = [
             ClusterKernel(self.fleet, cid, members, dest_cluster,
                           self.local_sweeps)
             for cid, members in enumerate(self.clusters)]
-        self.engine = Engine()
-        self.message_log = self.solve_log = self.port_probe = None
-        self._n_messages = 0
-        self.processors = [
-            Processor(self.engine, cid, ck, self._route,
-                      compute=self._compute,
-                      min_solve_interval=self.min_solve_interval)
-            for cid, ck in enumerate(self.cluster_kernels)]
+        super()._wire_engine()
 
-    def _route(self, src_cluster: int, emitted, t_ready: float) -> None:
-        idx, values = emitted
-        fleet = self.fleet
-        for g, value in zip(idx.tolist(), values.tolist()):
-            dest_part = int(fleet.route_dest_part[g])
-            dest_cluster = self.cluster_of[dest_part]
-            latency = self.topology.sample_delay(
-                self.cluster_proc[src_cluster],
-                self.cluster_proc[dest_cluster])
-            ext_slot = self.cluster_kernels[dest_cluster].ext_slot_of(
-                dest_part, int(fleet.route_dest_slot_local[g]))
-            self._n_messages += 1
-            self.engine.schedule_at(
-                t_ready + latency,
-                self.processors[dest_cluster].deliver, ext_slot, value)
+    def _processor_kernels(self):
+        return zip(self.cluster_proc, self.cluster_kernels)
+
+    def _emission_groups(self, q: int) -> None:
+        """A cluster's emission mixes its members' slots, so it groups
+        by arrival time at send time."""
+        return None
+
+    def _deliver_batch(self, dest_slots, values) -> None:
+        """Batched delivery; each destination cluster is marked dirty
+        and woken in first-occurrence order (a second notify of one
+        cluster only counts arrivals: its solve is already pending)."""
+        parts, counts = self.fleet.receive_batch(dest_slots, values,
+                                                 notify=True)
+        for q, c in zip(parts.tolist(), counts.tolist()):
+            cid = self.cluster_of[q]
+            self.cluster_kernels[cid].dirty = True
+            self.processors[cid].notify(c)
 
     def run(self, t_max: float, **kwargs) -> DtmRunResult:
         res = super().run(t_max, **kwargs)
@@ -217,15 +192,15 @@ class PeriodicResyncDtmSimulator(DtmSimulator):
     def _resync(self) -> None:
         """Global exchange: everyone's current waves delivered together.
 
-        The whole fleet solves once and every emitted wave is scheduled
-        as a batchable message entry.
+        The whole fleet solves once and every emitted wave travels in
+        one bundle.
         """
         self.n_resyncs += 1
-        t_arrive = self.engine.now + self.resync_latency
         self.fleet.solve_all()
         dest, values = self.fleet.emit_all()
         self._n_messages += dest.size
-        for i in range(dest.size):
-            self.engine.schedule_message(t_arrive, int(dest[i]),
-                                         float(values[i]))
+        if dest.size:
+            self.engine.schedule_bundles(
+                [self.engine.now + self.resync_latency], [dest], [values],
+                dest.size)
         self.engine.schedule_after(self.resync_period, self._resync)

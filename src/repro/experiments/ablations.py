@@ -1,4 +1,4 @@
-"""Ablation experiments for the design choices called out in DESIGN.md.
+"""Ablation experiments, one per design choice:
 
 * ABL-Z     — impedance strategy → wave-operator ρ(S) and time-to-tol;
 * ABL-SPLIT — weight-split strategy → SNND certification + convergence;

@@ -68,7 +68,7 @@ def run_paper_dtm(split: SplitResult, topology: Topology, *,
                   reference: Optional[np.ndarray] = None,
                   stopping=None,
                   **kwargs) -> DtmRunResult:
-    """DTM run with the experiment defaults (documented in DESIGN.md §5).
+    """DTM run with the experiment defaults.
 
     ``stopping=None`` keeps the paper's reference-based rule — the
     figure experiments (8, 9, 12, 14) must keep measuring RMS error

@@ -6,36 +6,36 @@ DTM's state only changes when messages arrive, so event-driven
 simulation reproduces the continuous-time trajectory exactly (the
 inter-event state is piecewise constant).
 
-Wave deliveries have a batched fast path: an executor registers a
-*message sink* and schedules raw ``(dest_slot, value)`` entries with
-:meth:`Engine.schedule_message`; the run loop then pops each maximal
-run of simultaneous message entries in one go and hands the whole
-batch to the sink (one vectorised ``receive_batch`` instead of one
-Python callback per message).  Because a run stops at the first
-non-message entry in ``(time, seq)`` order, the trajectory is exactly
-the one the per-message path produces — same waves, same event order,
-same counters.
+Waves travel in bundles (:meth:`Engine.schedule_bundles`, one heap
+entry per arrival time of an emission); the run loop hands the
+simultaneous bundles at the head of the heap to the executor's *message
+sink* in one call (one vectorised ``receive_batch``, not one Python
+callback per wave).  An emission reserves one ``seq`` per wave and a
+run stops at the first non-bundle entry, so the trajectory is exactly
+that of one heap entry per wave: same waves, same event order, same
+counters (``n_events_processed`` counts waves).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from ..errors import SimulationError
-from .events import MESSAGE_DELIVERY, EventQueue
-
-MessageSink = Callable[[list, list], None]
+from .events import MESSAGE_BUNDLE, EventQueue
 
 
 class Engine:
-    """Deterministic event-driven simulation clock."""
+    """Deterministic event-driven simulation clock; *message_sink*
+    ``(dest_slots, values)`` receives each run of bundles, in order."""
 
-    def __init__(self) -> None:
+    def __init__(self, message_sink: Optional[Callable] = None) -> None:
         self.queue = EventQueue()
         self.now: float = 0.0
         self.n_events_processed: int = 0
         self._stopped = False
-        self._message_sink: Optional[MessageSink] = None
+        self._message_sink = message_sink
 
     # ------------------------------------------------------------------
     # scheduling
@@ -55,25 +55,19 @@ class Engine:
             raise SimulationError(f"negative delay {delay}")
         self.queue.push(self.now + delay, fn, args)
 
-    def set_message_sink(self, sink: Optional[MessageSink]) -> None:
-        """Register the batched wave-delivery callback.
-
-        ``sink(dest_slots, values)`` receives every maximal run of
-        simultaneous message entries in FIFO order.
-        """
-        self._message_sink = sink
-
-    def schedule_message(self, time: float, dest_slot: int,
-                         value: float) -> None:
-        """Schedule a raw wave delivery for the batched sink."""
+    def schedule_bundles(self, times: Sequence[float],
+                         dest_slots: Sequence[np.ndarray],
+                         values: Sequence[np.ndarray],
+                         n_waves: int) -> None:
+        """Schedule one emission: bundle *k* arrives at ``times[k]``
+        (see :meth:`EventQueue.push_bundles`)."""
         if self._message_sink is None:
+            raise SimulationError("schedule_bundles requires a message sink")
+        if min(times) < self.now:
             raise SimulationError(
-                "schedule_message requires a message sink (set one with "
-                "set_message_sink)")
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time} before current time {self.now}")
-        self.queue.push_message(time, dest_slot, value)
+                f"cannot schedule at {min(times)} before current time "
+                f"{self.now}")
+        self.queue.push_bundles(times, dest_slots, values, n_waves)
 
     def stop(self) -> None:
         """Stop the run loop after the current event finishes."""
@@ -114,19 +108,12 @@ class Engine:
                     f"event budget of {max_events} exhausted at t={self.now}; "
                     "the configuration generates events faster than expected "
                     "(check min_solve_interval / compute model)")
-            if head.fn is MESSAGE_DELIVERY:
-                sink = self._message_sink
-                if sink is None:
-                    raise SimulationError(
-                        "message event reached the run loop without a sink")
+            if head.fn is MESSAGE_BUNDLE:
                 # cap the batch at the remaining budget so exhaustion
-                # fires at exactly the same event count as per-message
-                # processing would
-                limit = None if budget == float("inf") \
-                    else int(budget - processed)
-                t, slots, values = queue.pop_message_run(limit)
+                # fires at the same wave count as one entry per wave
+                t, slots, values = queue.pop_message_run(budget - processed)
                 self.now = t
-                sink(slots, values)
+                self._message_sink(slots, values)
                 processed += len(slots)
             else:
                 ev = queue.pop()

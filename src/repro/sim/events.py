@@ -10,30 +10,26 @@ so the payload fields are never compared — and allocation is a plain
 tuple, not a dataclass with generated ordering methods (which dominated
 push/pop cost in profiles).
 
-Wave deliveries get a dedicated entry kind (``fn`` is the module-level
-:data:`MESSAGE_DELIVERY` marker, ``args`` is ``(dest_slot, value)``).
-:meth:`EventQueue.pop_message_run` pops the maximal run of simultaneous
-message entries in one call so the engine can hand them to a batched
-delivery sink — the event-batching fast path of the fleet simulator.
+Waves travel in bundles: one entry per (solve, arrival time) whose
+``fn`` is the :data:`MESSAGE_BUNDLE` marker and whose ``args`` are
+``(dest_slots, values)`` arrays in emission order.  An emission
+reserves one ``seq`` per wave (:meth:`EventQueue.push_bundles`), so
+each bundle sits where its waves would have sat one entry apiece.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from ..errors import SimulationError
 
 
-def MESSAGE_DELIVERY(*_args) -> None:
-    """Marker callback identifying raw wave-delivery heap entries.
-
-    Never meant to fire: message entries are delivered in batches by the
-    engine's message sink.  Firing one directly (e.g. popping it through
-    the generic path without a sink installed) is a configuration error.
-    """
-    raise SimulationError(
-        "raw message event fired without a delivery sink installed")
+def MESSAGE_BUNDLE(*_args) -> None:
+    """Marker of wave-bundle entries; they go to the engine's sink."""
+    raise SimulationError("wave bundle fired without a delivery sink")
 
 
 class Event(NamedTuple):
@@ -68,10 +64,23 @@ class EventQueue:
         heapq.heappush(self._heap, ev)
         return ev
 
-    def push_message(self, time: float, dest_slot: int,
-                     value: float) -> None:
-        """Schedule a raw wave delivery (batchable entry kind)."""
-        self.push(time, MESSAGE_DELIVERY, (dest_slot, value))
+    def push_bundles(self, times: Sequence[float],
+                     dest_slots: Sequence[np.ndarray],
+                     values: Sequence[np.ndarray], n_waves: int) -> None:
+        """Schedule one emission's bundles (distinct *times*).
+
+        Bundle *k* takes ``seq = base + k`` and ``seq`` then advances by
+        the emission's *n_waves*, so every delivery keeps the ``(time,
+        seq)`` place one entry per wave would have had.
+        """
+        base = self._seq
+        for k, t in enumerate(times):
+            if not (t == t):  # NaN guard
+                raise SimulationError("event time is NaN")
+            heapq.heappush(self._heap, Event(
+                float(t), base + k, MESSAGE_BUNDLE,
+                (dest_slots[k], values[k])))
+        self._seq = base + n_waves
 
     def pop(self) -> Event:
         """Remove and return the earliest event."""
@@ -79,36 +88,32 @@ class EventQueue:
             raise SimulationError("pop from an empty event queue")
         return heapq.heappop(self._heap)
 
-    def pop_message_run(self, limit: Optional[int] = None
-                        ) -> tuple[float, list[int], list[float]]:
-        """Pop the maximal run of simultaneous message entries.
-
-        Starting from the earliest entry (which must be a message),
-        removes consecutive message entries sharing its timestamp —
-        stopping at the first non-message entry in ``(time, seq)``
-        order, which preserves the exact per-message interleaving
-        semantics — and returns ``(time, dest_slots, values)`` in FIFO
-        order.  *limit* caps the number of entries popped (so an event
-        budget can cut a batch exactly where per-message processing
-        would have stopped).
+    def pop_message_run(self, limit: float = float("inf")
+                        ) -> tuple[float, np.ndarray, np.ndarray]:
+        """Pop the bundles sharing the head entry's time, in ``(time,
+        seq)`` order up to the first non-bundle entry, and return
+        ``(time, dest_slots, values)`` concatenated.  *limit* caps the
+        number of *waves*: the bundle that crosses it is split and its
+        remainder goes back at the same ``(time, seq)``.
         """
         heap = self._heap
-        if not heap:
-            raise SimulationError("pop from an empty event queue")
-        first = heapq.heappop(heap)
-        if first.fn is not MESSAGE_DELIVERY:
-            raise SimulationError(
-                "pop_message_run called with a non-message event first")
-        t = first.time
-        slots = [first.args[0]]
-        values = [first.args[1]]
-        cap = float("inf") if limit is None else int(limit)
-        while len(slots) < cap and heap and heap[0].time == t \
-                and heap[0].fn is MESSAGE_DELIVERY:
-            ev = heapq.heappop(heap)
-            slots.append(ev.args[0])
-            values.append(ev.args[1])
-        return t, slots, values
+        if not heap or heap[0].fn is not MESSAGE_BUNDLE:
+            raise SimulationError("pop_message_run needs a bundle first")
+        runs = [heapq.heappop(heap)]
+        t = runs[0].time
+        n = len(runs[0].args[0])
+        while n < limit and heap and heap[0].time == t \
+                and heap[0].fn is MESSAGE_BUNDLE:
+            runs.append(heapq.heappop(heap))
+            n += len(runs[-1].args[0])
+        if n > limit:
+            last = runs.pop()
+            (dest, vals), cut = last.args, int(len(last.args[0]) - (n - limit))
+            heapq.heappush(heap, last._replace(args=(dest[cut:],
+                                                     vals[cut:])))
+            runs.append(last._replace(args=(dest[:cut], vals[:cut])))
+        return (t, np.concatenate([ev.args[0] for ev in runs]),
+                np.concatenate([ev.args[1] for ev in runs]))
 
     def peek(self) -> Optional[Event]:
         """The earliest entry without removing it, or None when empty."""

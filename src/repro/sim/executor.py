@@ -31,7 +31,7 @@ from ..errors import ConfigurationError
 from ..utils.timeseries import TimeSeries
 from .engine import Engine
 from .processor import ComputeModel, Processor
-from .trace import ErrorObserver, MessageLog, MessageRecord, PortProbe, SolveLog
+from .trace import ErrorObserver, MessageLog, PortProbe, SolveLog
 
 
 @dataclass
@@ -83,7 +83,7 @@ class DtmSimulator:
     min_solve_interval:
         Re-solve throttle; default is ``min link delay / 10``, which
         coalesces near-simultaneous arrivals without affecting the
-        trajectory at delay scale (see DESIGN.md §5).
+        trajectory at delay scale.
     send_threshold:
         Suppress re-sending waves that changed less than this
         (0 = always send, the paper's behaviour).
@@ -97,8 +97,9 @@ class DtmSimulator:
         :meth:`FleetKernel.swap_rhs`); omitted, a fresh fork is taken.
 
     Every subdomain runs on one struct-of-arrays
-    :class:`~repro.core.fleet.FleetKernel`: waves travel as raw heap
-    entries and simultaneous deliveries land in one batched scatter.
+    :class:`~repro.core.fleet.FleetKernel`: a solve's waves travel as
+    one heap bundle per arrival time and simultaneous deliveries land in
+    one batched scatter.
     The trajectory is bitwise the one a per-subdomain, per-message
     executor plays (asserted against the oracle in
     ``tests/per_kernel.py``).
@@ -125,21 +126,27 @@ class DtmSimulator:
         self.locals = self.fleet.locals
         self.kernels = self.fleet.views()
 
+        #: destination processor of every emission slot
+        self._slot_dst_proc = np.asarray(
+            self.placement, dtype=np.int64)[self.fleet.route_dest_part]
+        self._emission = [self._emission_groups(q)
+                          for q in range(self.fleet.n_parts)]
+
         self._log_messages = bool(log_messages)
         self._probe_targets = probe_ports
         self._compute = compute
 
         if min_solve_interval is None:
-            used = self._used_delays()
+            used = [d for dtlp in self.network.dtlps
+                    for d in (dtlp.delay_ab, dtlp.delay_ba) if d > 0]
             min_solve_interval = (min(used) / 10.0) if used else 0.0
         self.min_solve_interval = float(min_solve_interval)
         self._wire_engine()
 
     # ------------------------------------------------------------------
     def _wire_engine(self) -> None:
-        """Fresh engine, observers and processors over the kernels."""
-        self.engine = Engine()
-        self.engine.set_message_sink(self._deliver_batch)
+        """Fresh engine, observers and one processor per kernel."""
+        self.engine = Engine(self._deliver_batch)
         self.message_log = MessageLog() if self._log_messages else None
         self.solve_log = SolveLog() if self._log_messages else None
         self.port_probe = PortProbe(self.split, self._probe_targets) \
@@ -151,14 +158,18 @@ class DtmSimulator:
             for h in hooks:
                 h.on_solve(part, t, kernel)
 
-        self.processors: list[Processor] = []
+        send = self._route if self.message_log is None \
+            else self._route_logged
         self._n_messages = 0
-        for q, kernel in enumerate(self.kernels):
-            self.processors.append(Processor(
-                self.engine, self.placement[q], kernel, self._route,
-                compute=self._compute,
-                min_solve_interval=self.min_solve_interval,
-                solve_hook=solve_hook if hooks else None))
+        self.processors = [
+            Processor(self.engine, proc, kernel, send, compute=self._compute,
+                      min_solve_interval=self.min_solve_interval,
+                      solve_hook=solve_hook if hooks else None)
+            for proc, kernel in self._processor_kernels()]
+
+    def _processor_kernels(self):
+        """``(processor, kernel)`` of every simulated processor."""
+        return zip(self.placement, self.kernels)
 
     def reset(self, waves=None) -> None:
         """Return the simulator to t = 0 for another :meth:`run`.
@@ -186,42 +197,78 @@ class DtmSimulator:
         self.reset(waves=waves)
 
     # ------------------------------------------------------------------
-    def _used_delays(self) -> list[float]:
-        out = []
-        for d in self.network.dtlps:
-            out.extend([d.delay_ab, d.delay_ba])
-        return [x for x in out if x > 0]
+    def _emission_groups(self, q: int):
+        """Part *q*'s emission positions grouped by link delay, as
+        ``(delays, sels, dests)`` lists; None when a jittered link makes
+        the part group by arrival time at solve time."""
+        s0, s1 = self.fleet.slot_offsets[q], self.fleet.slot_offsets[q + 1]
+        src, dst = self.placement[q], self._slot_dst_proc[s0:s1]
+        if any(self.topology.is_jittered(src, d) for d in set(dst.tolist())):
+            return None
+        delays, inv = np.unique(self.topology.sample_delays(src, dst),
+                                return_inverse=True)
+        sels = [np.flatnonzero(inv == k) for k in range(delays.size)]
+        return (delays.tolist(), sels,
+                [self.fleet.route_dest_slot_global[s0 + s] for s in sels])
 
-    def _route(self, src_part_proc: int, emitted, t_ready: float) -> None:
+    def _route(self, src_proc: int, emitted, t_ready: float):
         """Send one solve's waves: *emitted* is ``(emission_slots, values)``.
 
-        Each wave becomes one raw message heap entry addressed by
-        *global* destination slot; delivery happens in simultaneous
-        batches through :meth:`_deliver_batch`.
+        One heap bundle per arrival time, addressed by *global*
+        destination slot (delivered by :meth:`_deliver_batch`).  Returns
+        ``(times, sels)``, ``sels[k]`` indexing the waves arriving at
+        ``times[k]``, or None when nothing was sent.
         """
         idx, values = emitted
         n = idx.size
         if n == 0:
-            return
-        fleet = self.fleet
-        dest_parts = fleet.route_dest_part[idx]
-        dest_slots = fleet.route_dest_slot_global[idx]
-        sample = self.topology.sample_delay
-        schedule = self.engine.schedule_message
-        log = self.message_log
+            return None
         self._n_messages += n
-        for i in range(n):
-            dst_proc = self.placement[dest_parts[i]]
-            t_arrive = t_ready + sample(src_part_proc, dst_proc)
-            if log is not None:
-                log.record(MessageRecord(
-                    t_send=t_ready, t_arrive=t_arrive,
-                    src_proc=src_part_proc, dst_proc=dst_proc,
-                    dtlp_index=int(fleet.route_dtlp[idx[i]]),
-                    value=float(values[i])))
-            schedule(t_arrive, int(dest_slots[i]), float(values[i]))
+        q = self.fleet.slot_part[idx[0]]
+        if self._emission[q] is None:
+            return self._route_by_arrival(src_proc, idx, values, t_ready)
+        delays, sels, dests = self._emission[q]
+        times = [t_ready + d for d in delays]
+        if len(set(times)) < len(times):  # distinct delays, one arrival
+            return self._route_by_arrival(src_proc, idx, values, t_ready)
+        s0, s1 = self.fleet.slot_offsets[q], self.fleet.slot_offsets[q + 1]
+        if n < s1 - s0:
+            # send_threshold held waves back: mask them out of each group
+            at = np.full(s1 - s0, -1)
+            at[idx - s0] = np.arange(n)  # emission position -> wave index
+            groups = [(t, at[s], d) for t, s, d in zip(times, sels, dests)]
+            times, sels, dests = zip(*[(t, a[a >= 0], d[a >= 0])
+                                       for t, a, d in groups if a.max() >= 0])
+        self.engine.schedule_bundles(times, dests, [values[s] for s in sels],
+                                     n)
+        return times, sels
 
-    def _deliver_batch(self, dest_slots: list, values: list) -> None:
+    def _route_by_arrival(self, src_proc: int, idx: np.ndarray,
+                          values: np.ndarray, t_ready: float):
+        """:meth:`_route` grouping by arrival times drawn at send time."""
+        times, inv = np.unique(t_ready + self.topology.sample_delays(
+            src_proc, self._slot_dst_proc[idx]), return_inverse=True)
+        sels = np.split(np.argsort(inv, kind="stable"),
+                        np.cumsum(np.bincount(inv))[:-1])
+        dest, times = self.fleet.route_dest_slot_global[idx], times.tolist()
+        self.engine.schedule_bundles(times, [dest[s] for s in sels],
+                                     [values[s] for s in sels], idx.size)
+        return times, sels
+
+    def _route_logged(self, src_proc: int, emitted, t_ready: float) -> None:
+        """:meth:`_route`, then one :meth:`MessageLog.extend` per solve."""
+        bundles = self._route(src_proc, emitted, t_ready)
+        if bundles is not None:
+            idx, values = emitted
+            t_arrive = np.empty(idx.size)
+            for t, sel in zip(*bundles):
+                t_arrive[sel] = t
+            self.message_log.extend(t_ready, t_arrive, src_proc,
+                                    self._slot_dst_proc[idx],
+                                    self.fleet.route_dtlp[idx], values)
+
+    def _deliver_batch(self, dest_slots: np.ndarray,
+                       values: np.ndarray) -> None:
         """Engine message sink: one scatter for a simultaneous batch."""
         parts, counts = self.fleet.receive_batch(dest_slots, values,
                                                  notify=True)

@@ -106,9 +106,6 @@ class Topology:
         self._rng = as_generator(seed)
         return self
 
-    def has_link(self, src: int, dst: int) -> bool:
-        return (src, dst) in self.links
-
     def nominal_delay(self, src: int, dst: int) -> float:
         """Deterministic link delay (the DTL mapping value)."""
         if src == dst:
@@ -130,6 +127,28 @@ class Topology:
             raise ConfigurationError(
                 f"no communication link from processor {src} to {dst}") \
                 from None
+
+    def is_jittered(self, src: int, dst: int) -> bool:
+        """True when a message from *src* to *dst* draws its delay."""
+        return isinstance(self.links.get((src, dst)), JitteredDelay)
+
+    def sample_delays(self, src: int, dst_procs) -> np.ndarray:
+        """:meth:`sample_delay` for one emission's messages, in order:
+        the jittered links draw in one ``rng.uniform`` call (the values
+        and the RNG state after equal one :meth:`sample_delay` per
+        message), the others take their nominal delay."""
+        procs, inv = np.unique(np.asarray(dst_procs, dtype=np.int64),
+                               return_inverse=True)
+        procs = procs.tolist()
+        out = np.array([self.nominal_delay(src, d) for d in procs])[inv]
+        jit = np.array([self.links[(src, d)].jitter
+                        if self.is_jittered(src, d) else np.nan
+                        for d in procs])[inv]
+        drawn = ~np.isnan(jit)
+        if drawn.any():
+            out[drawn] *= self._rng.uniform(1.0 - jit[drawn],
+                                            1.0 + jit[drawn])
+        return out
 
     def neighbors(self, proc: int) -> list[int]:
         """Processors reachable from *proc* (outgoing links)."""

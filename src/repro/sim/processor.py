@@ -12,7 +12,7 @@ absorbed by the *next* solve.  :class:`Processor` models exactly that:
 
 Without such a model a zero-cost resolve-per-arrival policy lets the
 event rate grow with the processor adjacency spectral radius — a
-simulation artefact, not algorithm behaviour (see DESIGN.md §5).
+simulation artefact, not algorithm behaviour.
 """
 
 from __future__ import annotations
@@ -59,9 +59,10 @@ class Processor:
     proc_id:
         Identity in the topology.
     kernel:
-        Any object with ``receive(slot, value)``, ``solve()`` and a
-        ``dirty`` flag (fleet views, cluster kernels, block-Jacobi
-        kernels); whatever ``solve()`` returns is handed to *send*.
+        Any object with ``solve()`` and a ``dirty`` flag (fleet views,
+        cluster kernels, block-Jacobi kernels; :meth:`deliver` also
+        needs ``receive(slot, value)``); whatever ``solve()`` returns
+        is handed to *send*.
     send:
         ``send(proc_id, emitted, t_ready)`` — the executor's router;
         invoked when the solve's results are ready to leave the NIC.

@@ -121,6 +121,15 @@ class MessageLog:
         if self.enabled:
             self.records.append(rec)
 
+    def extend(self, t_send: float, t_arrive, src_proc: int, dst_proc,
+               dtlp_index, values) -> None:
+        """Append one emission's messages (columns in emission order)."""
+        if self.enabled:
+            cols = (np.asarray(c).tolist()
+                    for c in (t_arrive, dst_proc, dtlp_index, values))
+            self.records.extend(MessageRecord(t_send, t, src_proc, dst, k, v)
+                                for t, dst, k, v in zip(*cols))
+
     def __len__(self) -> int:
         return len(self.records)
 

@@ -11,13 +11,13 @@ several DTLs), for
 * the synchronous VTM schedule (fleet sweeps vs hand-rolled per-kernel
   sweeps), with and without ``send_threshold`` suppression;
 * the asynchronous simulated schedule (``DtmSimulator`` vs the
-  per-message ``PerKernelSimulator``) on a heterogeneous constant-delay
-  machine.
+  per-message ``PerKernelSimulator``) on heterogeneous, uniform
+  (arrival-time ties) and jittered machines.
 """
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from per_kernel import PerKernelSimulator, build_kernels, per_kernel_sweep
 
@@ -30,7 +30,12 @@ from repro.graph.evs import DominancePreservingSplit, split_graph
 from repro.graph.partitioners import grid_block_partition
 from repro.plan import build_plan
 from repro.sim.executor import DtmSimulator
-from repro.sim.network import complete_topology
+from repro.sim.network import (
+    JitteredDelay,
+    Topology,
+    complete_topology,
+    uniform_topology,
+)
 from repro.sim.processor import ComputeModel
 from repro.workloads.poisson import grid2d_random
 
@@ -137,34 +142,61 @@ def _assert_same_run(res_f, res_k):
                                 res_k.n_messages, res_k.n_events)
 
 
+def _oracle_topology(kind, n_procs, seed):
+    """``float``: heterogeneous constant delays (arrivals almost never
+    tie); ``uniform``: one delay everywhere (arrivals tie across
+    destinations and solves); ``jitter``: per-message draws."""
+    if kind == "uniform":
+        return uniform_topology(n_procs, delay=8.0)
+    topo = complete_topology(n_procs, delay_low=5.0, delay_high=60.0,
+                             seed=seed)
+    if kind == "jitter":
+        topo = Topology(n_procs, {k: JitteredDelay(m.nominal(), 0.3)
+                                  for k, m in topo.links.items()})
+    return topo
+
+
 @given(grid=st.integers(6, 10), px=st.integers(2, 3), py=st.integers(1, 3),
        seed=st.integers(0, 10_000),
        send_threshold=st.sampled_from([0.0, 1e-6]),
-       base=st.sampled_from([0.0, 0.5, 4.0]))
+       base=st.sampled_from([0.0, 0.5, 4.0]),
+       delays=st.sampled_from(["float", "uniform", "jitter"]))
+@example(grid=8, px=2, py=2, seed=1, send_threshold=0.0, base=0.0,
+         delays="uniform")
+@example(grid=8, px=3, py=2, seed=2, send_threshold=1e-6, base=0.5,
+         delays="jitter")
 @settings(max_examples=12, deadline=None,
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
 def test_simulator_matches_per_message_oracle(grid, px, py, seed,
-                                              send_threshold, base):
+                                              send_threshold, base, delays):
     """Batched delivery ≡ one callback per wave, cold and warm.
 
     Generated grids, partitions, delays, thresholds and compute models;
     the message logs (every send time, arrival time, link and value)
     must agree, and so must a second run warm-started from the first
-    run's final waves against a swapped right-hand side.  No shrink
+    run's final waves against a swapped right-hand side.  The jitter
+    RNG is re-seeded before every run, so the simulator's one draw per
+    solve is checked against the oracle's one draw per wave.  No shrink
     phase: every example is a full pair of simulations.
     """
     g = grid2d_random(grid, seed=seed)
     split = split_graph(g, grid_block_partition(grid, grid, px, py),
                         strategy=DominancePreservingSplit())
-    topo = complete_topology(split.n_parts, delay_low=5.0,
-                             delay_high=60.0, seed=seed)
-    plan = build_plan(split=split, topology=topo)
+    plan = build_plan(split=split,
+                      topology=_oracle_topology(delays, split.n_parts, seed))
     sims = [cls(plan, send_threshold=send_threshold,
                 compute=ComputeModel(base=base, per_slot=0.1),
                 log_messages=True)
             for cls in (DtmSimulator, PerKernelSimulator)]
-    cold = [sim.run(t_max=400.0) for sim in sims]
-    _assert_same_run(*cold)
+
+    def run_both(t_max):
+        runs = []
+        for sim in sims:
+            plan.topology.seed(seed)
+            runs.append(sim.run(t_max=t_max))
+        _assert_same_run(*runs)
+
+    run_both(400.0)
     logs = [[(m.t_send, m.t_arrive, m.src_proc, m.dst_proc, m.dtlp_index,
               m.value) for m in sim.message_log.records] for sim in sims]
     assert logs[0] == logs[1]
@@ -172,7 +204,7 @@ def test_simulator_matches_per_message_oracle(grid, px, py, seed,
     b2 = np.cos(np.arange(g.n, dtype=np.float64) + seed)
     for sim in sims:
         sim.swap_rhs(b2, waves=waves)
-    _assert_same_run(*[sim.run(t_max=200.0) for sim in sims])
+    run_both(200.0)
 
 
 # ----------------------------------------------------------------------
@@ -210,17 +242,19 @@ def test_masked_solve_only_touches_active_parts(multilevel_split):
             assert fleet.n_solves[q] == 1
 
 
-def test_emit_all_masked_matches_per_part_emissions(multilevel_split):
+def test_emit_slots_of_chosen_parts_matches_per_part_emissions(
+        multilevel_split):
     fleet, kernels = _build_pair(multilevel_split)
     fleet.solve_all()
     for k in kernels:
         k.solve()
-    active = np.zeros(fleet.n_parts, dtype=bool)
-    active[1] = active[4] = active[7] = True
-    dest, values = fleet.emit_all(active)
-    # reference: the masked parts' messages through the per-kernel path
+    active = [1, 4, 7]
+    idx, values = fleet.emit_slots(
+        np.concatenate([fleet.part_slots(q) for q in active]))
+    dest = fleet.route_dest_slot_global[idx]
+    # reference: the chosen parts' messages through the per-kernel path
     exp_dest, exp_vals = [], []
-    for q in np.flatnonzero(active):
+    for q in active:
         for m in kernels[q].solve():
             exp_dest.append(fleet.slot_offsets[m.dest_part] + m.dest_slot)
             exp_vals.append(m.value)

@@ -85,10 +85,12 @@ def test_cluster_kernel_external_slots(grid_setup):
     sim = ClusteredDtmSimulator(plan_on(split, topo, [0, 0, 1, 1]))
     assert sim.clusters == [[0, 1], [2, 3]]
     ck = sim.cluster_kernels[0]
-    # every external slot references a member kernel's inbox
-    for part, slot in ck.ext_in:
-        assert part in (0, 1)
-        assert 0 <= slot < sim.kernels[part].local.n_slots
+    # every external slot is a member's inbox fed from the other cluster
+    ext = ck._ext_slots
+    assert ext.size == ck.local.n_slots > 0
+    assert set(sim.fleet.slot_part[ext].tolist()) <= {0, 1}
+    assert all(sim.cluster_of[q] == 1 for q in
+               sim.fleet.slot_part[sim.fleet.route_dest_slot_global[ext]])
     # waves produced leave the cluster only
     idx, values = ck.solve()
     assert idx.size and idx.size == values.size

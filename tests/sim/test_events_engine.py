@@ -1,5 +1,6 @@
 """Tests for the event queue and simulation engine."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -140,23 +141,103 @@ def test_engine_event_counter():
     assert eng.n_events_processed == 7
 
 
-def test_message_batch_respects_event_budget():
-    """Budget exhaustion fires at the same event count as per-message
-    processing: a simultaneous batch is cut at the remaining budget."""
-    eng = Engine()
+# ----------------------------------------------------------------------
+# wave bundles
+# ----------------------------------------------------------------------
+def _bundle_engine():
     seen = []
-    eng.set_message_sink(lambda slots, values: seen.extend(slots))
+    eng = Engine(lambda slots, values: seen.append(
+        (eng.now, list(slots), list(values))))
+    return eng, seen
+
+
+def _push(eng, *bundles):
+    """One emission: ``(time, slots)`` bundles, value = slot."""
+    times = [t for t, _ in bundles]
+    slots = [np.asarray(s, dtype=np.int64) for _, s in bundles]
+    eng.schedule_bundles(times, slots, [s.astype(float) for s in slots],
+                         sum(s.size for s in slots))
+
+
+def test_message_batch_respects_event_budget():
+    """Budget exhaustion fires at the same wave count as one entry per
+    wave: a simultaneous batch is cut at the remaining budget."""
+    eng, seen = _bundle_engine()
     for i in range(3):
-        eng.schedule_message(1.0, i, float(i))
+        _push(eng, (1.0, [i]))
     with pytest.raises(SimulationError):
         eng.run(max_events=2)
-    assert seen == [0, 1]
-    # the third message is still queued, deliverable once budget allows
+    assert [s for _, s, _ in seen] == [[0, 1]]
+    # the third wave is still queued, deliverable once budget allows
     eng.run()
-    assert seen == [0, 1, 2]
+    assert [s for _, s, _ in seen] == [[0, 1], [2]]
 
 
-def test_schedule_message_requires_sink():
+def test_budget_splits_a_bundle_and_delivers_the_rest_first():
+    eng, seen = _bundle_engine()
+    _push(eng, (1.0, [0, 1]))
+    _push(eng, (1.0, [2, 3, 4, 5]))
+    later = []
+    eng.schedule_at(1.0, later.append, "same instant, pushed after")
+    with pytest.raises(SimulationError, match="budget"):
+        eng.run(max_events=3)
+    assert seen == [(1.0, [0, 1, 2], [0.0, 1.0, 2.0])]
+    eng.run()
+    # the remainder kept its (time, seq): it precedes the later push
+    assert seen[1] == (1.0, [3, 4, 5], [3.0, 4.0, 5.0])
+    assert later == ["same instant, pushed after"]
+
+
+def test_same_instant_bundles_are_fifo_across_pushes():
+    eng, seen = _bundle_engine()
+    _push(eng, (2.0, [5]), (1.0, [1, 2]))
+    _push(eng, (1.0, [3]), (3.0, [9]))
+    _push(eng, (2.0, [6, 7]))
+    eng.run()
+    assert [(t, s) for t, s, _ in seen] == [
+        (1.0, [1, 2, 3]), (2.0, [5, 6, 7]), (3.0, [9])]
+
+
+def test_non_message_entry_between_bundles_ends_the_batch():
+    eng, seen = _bundle_engine()
+    order = []
+    _push(eng, (1.0, [0, 1]))
+    eng.schedule_at(1.0, lambda: order.append(len(seen)))
+    _push(eng, (1.0, [2]))
+    eng.run()
+    assert [s for _, s, _ in seen] == [[0, 1], [2]]
+    assert order == [1]  # fired between the two deliveries
+
+
+def test_bundle_seq_reserves_one_number_per_wave():
+    eng, _ = _bundle_engine()
+    _push(eng, (1.0, [0, 1, 2]), (2.0, [3]))
+    assert eng.queue._seq == 4
+    eng.schedule_at(1.0, lambda: None)
+    assert eng.queue.peek().seq == 0
+    assert sorted(ev.seq for ev in eng.queue._heap) == [0, 1, 4]
+
+
+def test_bundles_reject_nan_and_past_times():
+    eng, _ = _bundle_engine()
+    with pytest.raises(SimulationError, match="NaN"):
+        _push(eng, (float("nan"), [0]))
+    eng.schedule_at(2.0, lambda: None)
+    eng.run()
+    with pytest.raises(SimulationError, match="before current time"):
+        _push(eng, (3.0, [0]), (1.0, [1]))
+
+
+def test_event_count_is_waves_not_bundles():
+    eng, seen = _bundle_engine()
+    _push(eng, (1.0, [0, 1, 2]), (2.0, [3, 4]))
+    _push(eng, (1.0, [5]))
+    eng.run()
+    assert len(seen) == 2
+    assert eng.n_events_processed == 6
+
+
+def test_schedule_bundles_requires_sink():
     eng = Engine()
-    with pytest.raises(SimulationError):
-        eng.schedule_message(1.0, 0, 0.0)
+    with pytest.raises(SimulationError, match="sink"):
+        _push(eng, (1.0, [0]))

@@ -144,6 +144,25 @@ def test_jittered_mesh_sampling():
     assert all(abs(s - nominal) <= 0.1 * nominal + 1e-9 for s in samples)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_sample_delays_equals_one_draw_per_message(seed):
+    """One vectorised draw per emission is the per-message stream: same
+    delays, same RNG state after; constant, zero-jitter and self links
+    mixed in."""
+    topo = mesh_topology(3, 3, delay_low=10, delay_high=40, seed=1,
+                         jitter=0.3)
+    topo.links[(4, 1)] = ConstantDelay(7.0)
+    topo.links[(4, 3)] = JitteredDelay(9.0, 0.0)
+    dst = np.random.default_rng(seed).choice([1, 3, 4, 5, 7], size=20)
+    topo.seed(seed)
+    one_by_one = [topo.sample_delay(4, int(d)) for d in dst]
+    after = topo._rng.uniform()
+    topo.seed(seed)
+    assert topo.sample_delays(4, dst).tolist() == one_by_one
+    assert topo._rng.uniform() == after
+    assert topo.sample_delays(4, []).size == 0
+
+
 def test_delay_stats_empty_topology_links():
     topo = Topology(n_procs=2, links={})
     s = topo.delay_stats()
