@@ -36,9 +36,10 @@ class ImpedanceStrategy:
         """Return impedances aligned with ``split.twin_links``."""
         raise NotImplementedError
 
-    def _port_weight(self, split: SplitResult, part: int, port: int) -> float:
-        sub = split.subdomains[part]
-        return float(sub.matrix.get(port, port))
+    @staticmethod
+    def _port_weights(split: SplitResult) -> list[np.ndarray]:
+        """Each subdomain's diagonal: port p of part q weighs ``[q][p]``."""
+        return [sub.matrix.to_scipy().diagonal() for sub in split.subdomains]
 
 
 class FixedImpedance(ImpedanceStrategy):
@@ -99,9 +100,10 @@ class GeometricMeanImpedance(ImpedanceStrategy):
 
     def assign(self, split: SplitResult) -> list[float]:
         out = []
+        w = self._port_weights(split)
         for link in split.twin_links:
-            wa = self._port_weight(split, link.part_a, link.port_a)
-            wb = self._port_weight(split, link.part_b, link.port_b)
+            wa = float(w[link.part_a][link.port_a])
+            wb = float(w[link.part_b][link.port_b])
             if wa <= 0 or wb <= 0:
                 raise ConfigurationError(
                     f"split vertex {link.vertex} has a non-positive copy "
@@ -121,9 +123,10 @@ class DiagonalMeanImpedance(ImpedanceStrategy):
 
     def assign(self, split: SplitResult) -> list[float]:
         out = []
+        w = self._port_weights(split)
         for link in split.twin_links:
-            wa = self._port_weight(split, link.part_a, link.port_a)
-            wb = self._port_weight(split, link.part_b, link.port_b)
+            wa = float(w[link.part_a][link.port_a])
+            wb = float(w[link.part_b][link.port_b])
             total = wa + wb
             if total <= 0:
                 raise ConfigurationError(

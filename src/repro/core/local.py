@@ -30,6 +30,7 @@ import numpy as np
 from ..errors import ConfigurationError, NotSpdError, ValidationError
 from ..graph.partition import Subdomain
 from ..linalg.cholesky import SymFactor, factor_spd, factor_symmetric
+from ..linalg.sparse import CsrMatrix
 from ..linalg.sparse_cholesky import factor_sparse_spd
 from ..utils.validation import require
 
@@ -284,8 +285,12 @@ def build_local_system(sub: Subdomain,
     if resolved == "sparse":
         k_sp = sub.matrix
         if n_slots:
-            k_sp = k_sp.add_diagonal(
-                np.bincount(slot_ports, weights=slot_inv_z, minlength=n))
+            # K + diag(1/z) edits the stored diagonal of a copy: K's
+            # pattern is kept, where a sparse sum drops cancelled entries
+            k = k_sp.to_scipy().copy()
+            k.setdiag(k.diagonal() + np.bincount(
+                slot_ports, weights=slot_inv_z, minlength=n))
+            k_sp = CsrMatrix(k.data, k.indices, k.indptr, k.shape)
         try:
             factor = factor_sparse_spd(
                 k_sp, check_symmetry=False,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ValidationError
-from ..linalg.sparse import CsrMatrix
+from ..linalg.sparse import CsrMatrix, is_symmetric
 from ..utils.validation import as_float_vector, require
 
 
@@ -74,10 +74,11 @@ class ElectricGraph:
         mat = a if isinstance(a, CsrMatrix) else CsrMatrix.from_dense(
             np.asarray(a, dtype=np.float64))
         require(mat.nrows == mat.ncols, "A must be square")
-        if not mat.is_symmetric():
+        if not is_symmetric(mat):
             raise ValidationError("A must be symmetric to have an electric graph")
         n = mat.nrows
-        rows, cols, vals = mat.triplets()
+        coo = mat.to_scipy().tocoo()
+        rows, cols, vals = coo.row, coo.col, coo.data
         diag_mask = rows == cols
         weights = np.zeros(n)
         weights[rows[diag_mask]] = vals[diag_mask]

@@ -229,10 +229,10 @@ class SplitResult:
         vals: list[np.ndarray] = []
         b = np.zeros(n)
         for sub in self.subdomains:
-            r, c, v = sub.matrix.triplets()
-            rows.append(sub.global_vertices[r])
-            cols.append(sub.global_vertices[c])
-            vals.append(v)
+            coo = sub.matrix.to_scipy().tocoo()
+            rows.append(sub.global_vertices[coo.row])
+            cols.append(sub.global_vertices[coo.col])
+            vals.append(coo.data)
             np.add.at(b, sub.global_vertices, sub.rhs)
         a = CsrMatrix.from_coo(np.concatenate(rows), np.concatenate(cols),
                                np.concatenate(vals), (n, n))

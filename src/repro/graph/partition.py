@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import PartitionError
+from ..linalg.sparse import CsrMatrix
 from .electric import ElectricGraph
 
 
@@ -153,7 +154,7 @@ class Subdomain:
     """
 
     part: int
-    matrix: "object"  # CsrMatrix; typed loosely to avoid import cycle
+    matrix: CsrMatrix
     rhs: np.ndarray
     global_vertices: np.ndarray
     n_ports: int

@@ -26,18 +26,12 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "IterativeResult",
             "conjugate_gradient",
             "direct_reference_solution",
-            "gauss_seidel",
-            "jacobi",
-            "sor",
         ),
-        "sparse": ("CsrMatrix", "forbid_densify", "laplacian_like"),
+        "sparse": ("CsrMatrix", "forbid_densify", "is_symmetric"),
         "sparse_cholesky": ("SparseSpdFactor", "factor_sparse_spd"),
         "spd": (
             "DefinitenessReport",
-            "assert_snnd",
-            "assert_spd",
             "definiteness_report",
-            "is_diagonally_dominant",
             "is_snnd",
             "is_spd",
             "min_eigenvalue",

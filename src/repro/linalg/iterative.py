@@ -1,15 +1,11 @@
-"""Classic iterative solvers used as references and baselines.
+"""The conjugate-gradient reference solver.
 
-The paper positions DTM against the standard stationary and Krylov
-methods (Gauss–Jacobi is its explicit foil in §1/§5).  We provide:
-
-* :func:`conjugate_gradient` — the library's high-accuracy reference
-  solver (also how experiments compute the "exact" solution on large n);
-* :func:`jacobi`, :func:`gauss_seidel`, :func:`sor` — the discrete-time
-  stationary iterations DTM generalises away from.
-
-All take either a :class:`~repro.linalg.sparse.CsrMatrix` or a dense
-array; convergence histories are returned for plotting/benchmarking.
+:func:`conjugate_gradient` (SPD systems, relative-residual stopping) is
+the library's high-accuracy reference: :func:`direct_reference_solution`
+runs it for the "exact" solution of systems too large to factor dense.
+Both take a :class:`~repro.linalg.sparse.CsrMatrix` or a dense array.
+The paper's discrete-time foils, block Jacobi and block Gauss–Seidel,
+are baselines in :mod:`repro.solvers`.
 """
 
 from __future__ import annotations
@@ -18,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConvergenceError, ValidationError
-from ..utils.validation import as_float_vector
+from ..errors import ConvergenceError
+from ..utils.validation import as_float_vector, as_square_matrix
 from .sparse import CsrMatrix
 
 
@@ -34,21 +30,27 @@ class IterativeResult:
 
     @property
     def final_residual(self) -> float:
-        return float(self.residual_norms[-1]) if self.residual_norms.size else np.inf
+        if not self.residual_norms.size:
+            return np.inf
+        return float(self.residual_norms[-1])
 
 
 def _as_matvec(a):
     if isinstance(a, CsrMatrix):
         return a.matvec, a.nrows
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError("matrix must be square")
+    arr = as_square_matrix(a, "matrix")
     return (lambda x: arr @ x), arr.shape[0]
 
 
-def conjugate_gradient(a, b, *, x0=None, tol: float = 1e-10,
-                       maxiter: int | None = None,
-                       raise_on_fail: bool = False) -> IterativeResult:
+def conjugate_gradient(
+    a,
+    b,
+    *,
+    x0=None,
+    tol: float = 1e-10,
+    maxiter: int | None = None,
+    raise_on_fail: bool = False,
+) -> IterativeResult:
     """Conjugate gradients for SPD systems (relative-residual stopping)."""
     matvec, n = _as_matvec(a)
     bv = as_float_vector(b, "b", n)
@@ -68,7 +70,8 @@ def conjugate_gradient(a, b, *, x0=None, tol: float = 1e-10,
             if raise_on_fail:
                 raise ConvergenceError(
                     "CG detected a non-positive curvature direction; the "
-                    "operator is not SPD")
+                    "operator is not SPD"
+                )
             break
         alpha = rs / denom
         x += alpha * p
@@ -84,74 +87,8 @@ def conjugate_gradient(a, b, *, x0=None, tol: float = 1e-10,
     if not converged and raise_on_fail:
         raise ConvergenceError(
             f"CG failed to reach tol={tol:g} in {maxiter} iterations "
-            f"(final relative residual {history[-1] / bnorm:.3e})")
-    return IterativeResult(x, it, np.asarray(history), converged)
-
-
-def jacobi(a, b, *, x0=None, tol: float = 1e-10, maxiter: int = 10_000,
-           damping: float = 1.0) -> IterativeResult:
-    """(Damped) point-Jacobi iteration — the paper's discrete-time foil."""
-    matvec, n = _as_matvec(a)
-    diag = a.diagonal() if isinstance(a, CsrMatrix) else np.diag(
-        np.asarray(a, dtype=np.float64))
-    if np.any(diag == 0.0):
-        raise ValidationError("Jacobi requires a nonzero diagonal")
-    bv = as_float_vector(b, "b", n)
-    x = np.zeros(n) if x0 is None else as_float_vector(x0, "x0", n).copy()
-    bnorm = float(np.linalg.norm(bv)) or 1.0
-    history = []
-    converged = False
-    it = 0
-    for it in range(1, maxiter + 1):
-        r = bv - matvec(x)
-        history.append(float(np.linalg.norm(r)))
-        if history[-1] <= tol * bnorm:
-            converged = True
-            it -= 1
-            break
-        x = x + damping * (r / diag)
-    if not history:
-        history = [float(np.linalg.norm(bv - matvec(x)))]
-    return IterativeResult(x, it, np.asarray(history), converged)
-
-
-def gauss_seidel(a, b, *, x0=None, tol: float = 1e-10,
-                 maxiter: int = 10_000) -> IterativeResult:
-    """Forward Gauss–Seidel sweeps (row-wise, CSR-aware)."""
-    return sor(a, b, omega=1.0, x0=x0, tol=tol, maxiter=maxiter)
-
-
-def sor(a, b, *, omega: float = 1.0, x0=None, tol: float = 1e-10,
-        maxiter: int = 10_000) -> IterativeResult:
-    """Successive over-relaxation (omega=1 reduces to Gauss–Seidel)."""
-    if not 0.0 < omega < 2.0:
-        raise ValidationError(f"SOR requires 0 < omega < 2, got {omega}")
-    if isinstance(a, CsrMatrix):
-        mat = a
-    else:
-        mat = CsrMatrix.from_dense(np.asarray(a, dtype=np.float64))
-    n = mat.nrows
-    diag = mat.diagonal()
-    if np.any(diag == 0.0):
-        raise ValidationError("SOR requires a nonzero diagonal")
-    bv = as_float_vector(b, "b", n)
-    x = np.zeros(n) if x0 is None else as_float_vector(x0, "x0", n).copy()
-    bnorm = float(np.linalg.norm(bv)) or 1.0
-    history = []
-    converged = False
-    it = 0
-    for it in range(1, maxiter + 1):
-        for i in range(n):
-            cols, vals = mat.row(i)
-            sigma = vals @ x[cols] - diag[i] * x[i]
-            x[i] = (1.0 - omega) * x[i] + omega * (bv[i] - sigma) / diag[i]
-        r = bv - mat.matvec(x)
-        history.append(float(np.linalg.norm(r)))
-        if history[-1] <= tol * bnorm:
-            converged = True
-            break
-    if not history:
-        history = [float(np.linalg.norm(bv - mat.matvec(x)))]
+            f"(final relative residual {history[-1] / bnorm:.3e})"
+        )
     return IterativeResult(x, it, np.asarray(history), converged)
 
 
@@ -165,9 +102,10 @@ def direct_reference_solution(a, b, *, tol: float = 1e-13) -> np.ndarray:
     from .cholesky import factor_spd
 
     if isinstance(a, CsrMatrix) and a.nrows > 600:
-        res = conjugate_gradient(a, b, tol=tol, maxiter=20 * a.nrows,
-                                 raise_on_fail=True)
+        res = conjugate_gradient(
+            a, b, tol=tol, maxiter=20 * a.nrows, raise_on_fail=True
+        )
         return res.x
-    dense = a.to_dense() if isinstance(a, CsrMatrix) else np.asarray(
-        a, dtype=np.float64)
-    return factor_spd(dense).solve(np.asarray(b, dtype=np.float64))
+    dense = a.to_dense() if isinstance(a, CsrMatrix) else a
+    factor = factor_spd(np.asarray(dense, dtype=np.float64))
+    return factor.solve(np.asarray(b, dtype=np.float64))

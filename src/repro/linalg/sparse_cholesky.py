@@ -1,11 +1,8 @@
 """Sparse SPD factorization over :class:`CsrMatrix` (LDLᵀ form).
 
-The dense :class:`~repro.linalg.cholesky.SpdFactor` caps plan
-construction: a 102k-unknown Poisson plan spends ~98 of its ~102
-seconds densifying and dense-factoring subdomain systems that are
->99% zeros.  This module provides the sparse path with the same
-``solve`` contract, so :class:`~repro.core.local.LocalSystem` is
-backend-agnostic.
+The sparse path of :class:`~repro.core.local.LocalSystem`: the same
+``solve`` contract as the dense :class:`~repro.linalg.cholesky.SpdFactor`
+without densifying subdomain systems that are >99% zeros.
 
 One engine orders and factors: SuperLU in symmetric mode
 (``permc_spec="MMD_AT_PLUS_A"``, ``diag_pivot_thresh=0``).  It applies
@@ -32,7 +29,7 @@ import numpy as np
 
 from ..errors import NotSpdError, SingularMatrixError
 from ..utils.validation import require
-from .sparse import CsrMatrix
+from .sparse import CsrMatrix, is_symmetric
 
 
 @dataclass
@@ -159,7 +156,7 @@ def factor_sparse_spd(
         a.nrows == a.ncols,
         f"factor_sparse_spd needs a square matrix, got {a.shape}",
     )
-    if check_symmetry and not a.is_symmetric():
+    if check_symmetry and not is_symmetric(a):
         raise NotSpdError("factor_sparse_spd requires a symmetric matrix")
 
     n = a.nrows

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NotSnndError, NotSpdError
+from ..errors import NotSpdError
 from ..utils.validation import as_square_matrix, check_symmetric
 from .dense import cholesky_factor
 from .sparse import CsrMatrix
@@ -60,42 +60,6 @@ def is_snnd(a, *, tol: float = 1e-10) -> bool:
         return True
     scale = max(float(np.max(np.abs(dense))), 1.0)
     return min_eigenvalue(dense) >= -tol * scale
-
-
-def assert_spd(a, *, name: str = "matrix") -> None:
-    """Raise :class:`NotSpdError` unless *a* is SPD."""
-    if not is_spd(a, name=name):
-        raise NotSpdError(f"{name} is not symmetric positive definite")
-
-
-def assert_snnd(a, *, name: str = "matrix", tol: float = 1e-10) -> None:
-    """Raise :class:`NotSnndError` unless *a* is SNND."""
-    if not is_snnd(a, tol=tol):
-        raise NotSnndError(
-            f"{name} is not symmetric non-negative definite "
-            f"(min eigenvalue {min_eigenvalue(a):.3e})")
-
-
-def is_diagonally_dominant(a, *, strict: bool = False) -> bool:
-    """Row diagonal dominance test (a cheap sufficient SNND condition).
-
-    With symmetric non-negative diagonal and |a_ii| >= sum_j!=i |a_ij|
-    for every row, Gershgorin places all eigenvalues in the right half
-    line — the split strategies in EVS use this to certify subgraphs
-    without eigen-decompositions.
-    """
-    if isinstance(a, CsrMatrix):
-        diag = a.diagonal()
-        off = a.offdiag_abs_row_sums()
-    else:
-        dense = np.asarray(a, dtype=np.float64)
-        diag = np.diag(dense)
-        off = np.sum(np.abs(dense), axis=1) - np.abs(diag)
-    if np.any(diag < 0):
-        return False
-    if strict:
-        return bool(np.all(diag > off))
-    return bool(np.all(diag >= off - 1e-12 * np.maximum(diag, 1.0)))
 
 
 @dataclass

@@ -50,6 +50,7 @@ def build_block_structure(graph: ElectricGraph,
                           partition: Partition) -> BlockStructure:
     """Precompute the block-relaxation data for every subdomain."""
     a, b = graph.to_system()
+    a_sp = a.to_scipy()
     labels = partition.labels
     n_parts = partition.n_parts
     owned = [np.nonzero(labels == q)[0] for q in range(n_parts)]
@@ -66,16 +67,14 @@ def build_block_structure(graph: ElectricGraph,
     slot_of: list[dict[int, int]] = []
     for q in range(n_parts):
         rows = owned[q]
-        a_qq = a.submatrix(rows, rows)
+        a_rows = a_sp[rows]
         # external columns touched by this block's rows
-        ext = sorted({int(c) for r in rows
-                      for c in a.row(r)[0] if labels[c] != q})
-        ext_arr = np.asarray(ext, dtype=np.int64)
-        a_q_ext = a.submatrix(rows, ext_arr) if ext_arr.size else None
-        factor = factor_spd(a_qq.to_dense(), check_symmetry=False)
+        touched = a_rows.indices
+        ext_arr = np.unique(touched[labels[touched] != q]).astype(np.int64)
+        factor = factor_spd(a_rows[:, rows].toarray(), check_symmetry=False)
         x0_q = factor.solve(b[rows])
         if ext_arr.size:
-            m_q = factor.solve(a_q_ext.to_dense())
+            m_q = factor.solve(a_rows[:, ext_arr].toarray())
         else:
             m_q = np.zeros((rows.size, 0))
         ext_vertices.append(ext_arr)

@@ -62,9 +62,9 @@ def solve_schur(graph: ElectricGraph, partition: Partition) -> SchurResult:
                 "Schur method needs a non-empty separator between parts")
     x = np.zeros(graph.n)
 
-    s = a.submatrix(interface, interface).to_dense() if interface.size \
-        else np.zeros((0, 0))
-    rhs = b[interface].copy() if interface.size else np.zeros(0)
+    a_sp = a.to_scipy()
+    s = a_sp[interface][:, interface].toarray()
+    rhs = b[interface]
 
     interiors = []
     interior_data = []
@@ -75,10 +75,9 @@ def solve_schur(graph: ElectricGraph, partition: Partition) -> SchurResult:
             interior_data.append(None)
             continue
         interiors.append(int(rows.size))
-        a_ii = a.submatrix(rows, rows).to_dense()
-        factor = factor_spd(a_ii, check_symmetry=False)
-        a_ib = a.submatrix(rows, interface).to_dense() if interface.size \
-            else np.zeros((rows.size, 0))
+        a_rows = a_sp[rows]
+        factor = factor_spd(a_rows[:, rows].toarray(), check_symmetry=False)
+        a_ib = a_rows[:, interface].toarray()
         w = factor.solve(np.concatenate([b[rows][:, None], a_ib], axis=1))
         y0 = w[:, 0]
         y_b = w[:, 1:]

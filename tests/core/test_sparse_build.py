@@ -24,7 +24,7 @@ from repro.graph.partitioners import (
     greedy_grow_partition,
     grid_block_partition,
 )
-from repro.linalg.sparse import forbid_densify
+from repro.linalg.sparse import CsrMatrix, forbid_densify
 from repro.linalg.sparse_cholesky import SparseSpdFactor
 from repro.workloads.circuits import resistor_grid
 from repro.workloads.poisson import grid2d_poisson
@@ -101,6 +101,24 @@ def test_dense_knob_bitwise_identical_to_default():
         assert np.array_equal(l0.X, l1.X)
 
 
+def test_sparse_local_matrix_is_k_plus_slot_diagonal_bitwise():
+    # K + diag(1/z) is built through scipy: its values must be the
+    # dense sum's bits and its pattern K's own, so a binop that drops a
+    # stored entry cannot go unnoticed
+    split, net = _split_poisson()
+    locals_ = build_all_local_systems(split, net, numerics="sparse")
+    for loc, sub in zip(locals_, split.subdomains):
+        k, f = sub.matrix, loc.factor
+        v = np.bincount(loc.slot_ports, weights=loc.slot_inv_z,
+                        minlength=k.nrows)
+        assert np.count_nonzero(v) > 0
+        assert f.a_indices.dtype == f.a_indptr.dtype == np.int64
+        assert np.array_equal(f.a_indptr, k.indptr)
+        assert np.array_equal(f.a_indices, k.indices)
+        kz = CsrMatrix(f.a_data, f.a_indices, f.a_indptr, k.shape)
+        assert np.array_equal(kz.to_dense(), k.to_dense() + np.diag(v))
+
+
 def test_sparse_build_never_densifies():
     # the acceptance guard: a sparse build must not materialize any
     # dense subdomain matrix
@@ -121,7 +139,8 @@ def test_sparse_not_spd_names_subdomain():
 
     split, net = _split_poisson(nx=8, pr=2, pc=1)
     sub = split.subdomains[0]
-    bad = sub.matrix.add_diagonal(np.full(sub.matrix.nrows, -50.0))
+    n = sub.matrix.nrows
+    bad = CsrMatrix.from_dense(sub.matrix.to_dense() - 50.0 * np.eye(n))
     sub = dataclasses.replace(sub, matrix=bad)
     with pytest.raises(NotSpdError, match="subdomain"):
         build_local_system(sub, [], numerics="sparse")

@@ -69,7 +69,7 @@ def test_weight_conservation_across_four_copies():
         for q in parts:
             sub = res.subdomains[q]
             row = sub.local_index_of(v)
-            total_w += sub.matrix.get(row, row)
+            total_w += sub.matrix.to_scipy()[row, row]
             total_b += sub.rhs[row]
         assert total_w == pytest.approx(float(g.vertex_weights[v]))
         assert total_b == pytest.approx(float(g.sources[v]))

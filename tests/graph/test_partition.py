@@ -74,7 +74,7 @@ def test_twin_link_endpoints():
 
 
 def test_subdomain_validation():
-    m = CsrMatrix.identity(3)
+    m = CsrMatrix.from_dense(np.eye(3))
     with pytest.raises(PartitionError):
         Subdomain(part=0, matrix=m, rhs=np.zeros(2),
                   global_vertices=np.arange(3), n_ports=1)
@@ -84,7 +84,7 @@ def test_subdomain_validation():
 
 
 def test_subdomain_accessors():
-    m = CsrMatrix.identity(3)
+    m = CsrMatrix.from_dense(np.eye(3))
     sub = Subdomain(part=1, matrix=m, rhs=np.array([1.0, 2.0, 3.0]),
                     global_vertices=np.array([7, 4, 9]), n_ports=2)
     assert sub.n_local == 3

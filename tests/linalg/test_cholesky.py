@@ -10,7 +10,7 @@ from repro.linalg.cholesky import (
     factor_symmetric,
     try_factor_spd,
 )
-from repro.linalg.sparse import laplacian_like
+from repro.workloads.poisson import grid2d_poisson
 
 
 def random_spd(rng, n):
@@ -20,17 +20,7 @@ def random_spd(rng, n):
 
 def grid_spd(n_side):
     """Small grid Laplacian + boost (sparse and SPD)."""
-    edges = []
-    idx = lambda i, j: i * n_side + j
-    for i in range(n_side):
-        for j in range(n_side):
-            if i + 1 < n_side:
-                edges.append((idx(i, j), idx(i + 1, j)))
-            if j + 1 < n_side:
-                edges.append((idx(i, j), idx(i, j + 1)))
-    r, c = zip(*edges)
-    return laplacian_like(r, c, np.ones(len(edges)), n_side * n_side,
-                          diagonal_boost=0.3)
+    return grid2d_poisson(n_side, ground=0.3).to_matrix()
 
 
 def test_factor_spd_dense_solve():

@@ -1,4 +1,4 @@
-"""Tests for CG / Jacobi / Gauss-Seidel / SOR reference solvers."""
+"""Tests for the conjugate-gradient reference solver."""
 
 import numpy as np
 import pytest
@@ -7,25 +7,13 @@ from repro.errors import ConvergenceError, ValidationError
 from repro.linalg.iterative import (
     conjugate_gradient,
     direct_reference_solution,
-    gauss_seidel,
-    jacobi,
-    sor,
 )
-from repro.linalg.sparse import laplacian_like
+from repro.workloads.poisson import grid2d_poisson
 
 
 def grid_system(side, boost=0.2, seed=0):
-    edges = []
-    idx = lambda i, j: i * side + j
-    for i in range(side):
-        for j in range(side):
-            if i + 1 < side:
-                edges.append((idx(i, j), idx(i + 1, j)))
-            if j + 1 < side:
-                edges.append((idx(i, j), idx(i, j + 1)))
-    r, c = zip(*edges)
-    a = laplacian_like(r, c, np.ones(len(edges)), side * side,
-                       diagonal_boost=boost)
+    """Grid Laplacian grounded by *boost* per vertex, random rhs."""
+    a = grid2d_poisson(side, ground=boost).to_matrix()
     b = np.random.default_rng(seed).standard_normal(side * side)
     return a, b
 
@@ -78,53 +66,6 @@ def test_cg_zero_rhs():
 def test_cg_rejects_rectangular():
     with pytest.raises(ValidationError):
         conjugate_gradient(np.zeros((2, 3)), np.zeros(2))
-
-
-def test_jacobi_converges_on_dominant_system():
-    a, b = grid_system(5, boost=2.0)
-    res = jacobi(a, b, tol=1e-10, maxiter=2000)
-    assert res.converged
-    assert np.allclose(a.matvec(res.x), b, atol=1e-7)
-
-
-def test_jacobi_damping():
-    a, b = grid_system(5, boost=2.0)
-    res = jacobi(a, b, tol=1e-10, maxiter=5000, damping=0.7)
-    assert res.converged
-
-
-def test_jacobi_requires_nonzero_diagonal():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(ValidationError):
-        jacobi(a, np.ones(2))
-
-
-def test_gauss_seidel_faster_than_jacobi():
-    a, b = grid_system(5, boost=0.5)
-    rj = jacobi(a, b, tol=1e-8, maxiter=20000)
-    rg = gauss_seidel(a, b, tol=1e-8, maxiter=20000)
-    assert rg.converged and rj.converged
-    assert rg.iterations < rj.iterations
-
-
-def test_sor_accepts_dense_and_beats_gs_with_good_omega():
-    a, b = grid_system(6, boost=0.05)
-    rg = gauss_seidel(a, b, tol=1e-8, maxiter=5000)
-    ro = sor(a.to_dense(), b, omega=1.5, tol=1e-8, maxiter=5000)
-    assert ro.converged
-    assert ro.iterations <= rg.iterations
-
-
-def test_sor_omega_range():
-    a, b = grid_system(3)
-    for bad in (0.0, 2.0, -1.0):
-        with pytest.raises(ValidationError):
-            sor(a, b, omega=bad)
-
-
-def test_sor_requires_nonzero_diagonal():
-    with pytest.raises(ValidationError):
-        sor(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2))
 
 
 def test_direct_reference_solution_small_and_large():

@@ -5,13 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import NotSnndError, NotSpdError
 from repro.linalg.sparse import CsrMatrix
 from repro.linalg.spd import (
-    assert_snnd,
-    assert_spd,
     definiteness_report,
-    is_diagonally_dominant,
     is_snnd,
     is_spd,
     min_eigenvalue,
@@ -42,6 +38,12 @@ def test_is_snnd_classification():
     assert not is_snnd(ASYMMETRIC)
 
 
+def test_non_square_input_is_neither_spd_nor_snnd():
+    for a in (np.ones((2, 3)), CsrMatrix.from_dense(np.ones((2, 3)))):
+        assert not is_spd(a)
+        assert not is_snnd(a)
+
+
 def test_is_snnd_empty_matrix():
     assert is_snnd(np.zeros((0, 0)))
 
@@ -58,27 +60,6 @@ def test_min_eigenvalue():
     assert min_eigenvalue(SNND_SINGULAR) == pytest.approx(0.0, abs=1e-12)
     assert min_eigenvalue(INDEFINITE) == pytest.approx(-1.0, abs=1e-12)
     assert min_eigenvalue(np.zeros((0, 0))) == 0.0
-
-
-def test_assertions():
-    assert_spd(SPD)
-    assert_snnd(SNND_SINGULAR)
-    with pytest.raises(NotSpdError):
-        assert_spd(SNND_SINGULAR)
-    with pytest.raises(NotSnndError):
-        assert_snnd(INDEFINITE)
-
-
-def test_diagonal_dominance():
-    dom = np.array([[3.0, -1.0, -1.0], [-1.0, 2.5, -1.0], [-1.0, -1.0, 2.5]])
-    assert is_diagonally_dominant(dom)
-    assert is_diagonally_dominant(dom, strict=True)
-    tight = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
-    assert is_diagonally_dominant(tight)
-    assert not is_diagonally_dominant(tight, strict=True)
-    assert not is_diagonally_dominant(INDEFINITE)
-    assert not is_diagonally_dominant(-np.eye(2))
-    assert is_diagonally_dominant(CsrMatrix.from_dense(dom))
 
 
 def test_definiteness_report_theorem_hypothesis():
@@ -117,4 +98,3 @@ def test_property_dominant_laplacian_plus_identity_is_spd(n, seed):
     np.fill_diagonal(w, 0.0)
     lap = np.diag(w.sum(axis=1)) - w + np.eye(n)
     assert is_spd(lap)
-    assert is_diagonally_dominant(lap, strict=True)

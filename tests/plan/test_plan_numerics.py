@@ -128,6 +128,24 @@ def test_forked_sessions_bitwise_identical():
         assert loc.fork().factor is loc.factor
 
 
+def test_sparse_plan_never_densifies_through_scipy(workload, monkeypatch):
+    # planning calls scipy on CsrMatrix.to_scipy(); forbid_densify
+    # guards only the record, so scipy's own densifiers refuse here too
+    import scipy.sparse as sp
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} densified")
+
+    for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix, sp.dia_matrix):
+        monkeypatch.setattr(cls, "toarray", refuse)
+        monkeypatch.setattr(cls, "todense", refuse)
+    with forbid_densify("sparse plan build and reference-free solve"):
+        plan = build_plan(workload, n_subdomains=4, numerics="sparse")
+        res = plan.session().solve(t_max=120_000, tol=None,
+                                   stopping=ResidualRule(tol=1e-8))
+    assert res.converged
+
+
 def test_sparse_reference_free_solve_never_densifies(workload):
     plan = build_plan(workload, n_subdomains=4, numerics="sparse")
     for loc in plan.base_locals:

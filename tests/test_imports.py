@@ -60,6 +60,33 @@ def test_boot_path_leaves_scipy_and_asyncio_out(module):
     )
 
 
+def test_client_builds_and_probes_a_matrix_without_scipy():
+    """A client's register path validates a matrix, multiplies and
+    densifies it; the CSR record does all of that on numpy alone."""
+    run_fresh(
+        """
+        import sys
+        import numpy as np
+        import repro.net.client
+        from repro.linalg.sparse import CsrMatrix
+
+        a = np.array([[4.0, -1.0, 0.0], [-1.0, 4.0, -1.0], [0.0, -1.0, 4.0]])
+        # rows given with their columns out of order: the constructor sorts
+        raw = CsrMatrix(
+            [-1.0, 4.0, -1.0, 4.0, -1.0, 4.0, -1.0],
+            [1, 0, 2, 1, 0, 2, 1],
+            [0, 2, 5, 7],
+            (3, 3),
+        )
+        x = np.arange(3.0)
+        for m in (raw, CsrMatrix.from_dense(a)):
+            assert np.array_equal(m.matvec(x), a @ x)
+            assert np.array_equal(m.to_dense(), a)
+        assert "scipy" not in sys.modules
+        """
+    )
+
+
 def test_worker_entry_imports_what_the_sweep_loop_runs():
     """What a spawned shard imports to unpickle ``_worker_main``:
     numpy, the shard kernel and the shm ports — no session, simulator,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.linalg.spd import is_diagonally_dominant, is_spd
+from repro.linalg.spd import is_spd
 from repro.workloads.circuits import (
     clustered_circuit,
     resistor_grid,
@@ -64,7 +64,9 @@ def test_grid2d_random_spd_and_seeded():
     assert np.array_equal(g1.edge_weights, g2.edge_weights)
     assert np.array_equal(g1.sources, g2.sources)
     assert is_spd(g1.to_matrix())
-    assert is_diagonally_dominant(g1.to_matrix(), strict=True)
+    a = g1.to_matrix().to_dense()
+    diag = np.diag(a)
+    assert np.all(diag > np.abs(a).sum(axis=1) - diag)  # strictly dominant
 
 
 def test_grid2d_random_range_validation():
