@@ -109,7 +109,7 @@ def bench_case(n_parts: int, *, grid: int = 64, sweeps: int = 20,
         "grid": grid,
         "n_unknowns": split.graph.n,
         "n_slots": fleet.n_slots_total,
-        "n_shape_groups": len(fleet.groups),
+        "n_shape_groups": len(fleet.kernel.groups),
         "per_kernel_sweep_s": t_kernel,
         "fleet_sweep_s": t_fleet,
         "speedup": t_kernel / t_fleet if t_fleet > 0 else float("inf"),

@@ -55,23 +55,17 @@ DEFAULT_OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 class _UnguardedFleet(FleetKernel):
     """The full-path sweep with the telemetry guard stripped out.
 
-    A copy of :meth:`FleetKernel.solve_all`'s unmasked branch minus
-    the ``_c_solves`` check — the in-run control for what the sweep
-    cost before instrumentation existed.  The bitwise equivalence
-    guard in :func:`bench_case` keeps this copy honest: if the real
+    :meth:`FleetKernel.solve_all`'s unmasked path minus the
+    ``_c_solves`` check — the in-run control for what the sweep cost
+    before instrumentation existed.  The bitwise equivalence guard in
+    :func:`bench_case` keeps this copy honest: if the real
     ``solve_all`` changes, the diverging wave states fail the bench
     loudly instead of timing a stale control.
     """
 
     def solve_all(self, active_mask=None) -> None:
         assert active_mask is None, "control times the full path only"
-        for g in self.groups:
-            if g.s == 0:
-                self.u[g.port_idx] = g.u0
-            else:
-                wv = self.waves[g.slot_idx]
-                self.u[g.port_idx] = g.u0 + np.matmul(
-                    g.W3, wv[:, :, None])[:, :, 0]
+        self.kernel.resolve(self.waves, self.u)
         self.n_solves += 1
         self.dirty[:] = False
 

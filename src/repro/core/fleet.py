@@ -1,41 +1,33 @@
-"""Struct-of-arrays fleet kernel: every subdomain's hot path in flat arrays.
+"""The in-process fleet: every subdomain of a plan over one kernel.
 
 After EVS/DTLP insertion each subdomain's resolve is a constant-
 coefficient affine map ``u = u0 + W a`` (see :mod:`repro.core.local`),
-and a wave-relaxation sweep over P subdomains is therefore data
-parallel.  :class:`FleetKernel` packs every subdomain's
-``(u0, W, slot_ports, slot_inv_z, routes)`` into contiguous arrays with
-CSR-style offsets so that one sweep is O(1) numpy calls instead of
-O(P·s) Python:
+so a wave-relaxation sweep over P subdomains is data parallel.
+:class:`FleetKernel` owns one
+:class:`~repro.core.shard_kernel.ShardKernel` over all parts
+``[0, P)`` — the kernel a multiprocess shard runs a slice of — and
+keeps what belongs to the owner of the subdomains: the factored locals
+and the right-hand-side swap, the mutable state (waves, port
+potentials, per-part counters, dirty flags, ``last_sent`` under
+``send_threshold``), the single-subdomain GEMV the simulator's
+processors drive, and the routing tables.  The wave emitted on global
+slot ``l`` lands in slot ``route_dest_slot_global[l]``, so "emit then
+deliver" is one fancy-indexed scatter (:meth:`FleetKernel.emit_all`,
+:meth:`FleetKernel.receive_batch`, latest occurrence wins).
 
-* :meth:`solve_all` — all (or a masked subset of) port resolves as one
-  batched mat-vec per *shape group*;
-* :meth:`emit_all` — the outgoing waves ``b = 2u − a`` of every slot,
-  already translated to their destination through a precomputed global
-  slot-routing permutation, so "emit then deliver" is a single
-  fancy-indexed scatter;
-* :meth:`receive_batch` — delivery of many waves at once
-  (latest-occurrence-wins, matching the per-message FIFO semantics).
+Packing rebinds each local's ``X`` to its row of the kernel's group
+stack: the wave-response stacks exist once, and forks and extracted
+shards view them.  Bitwise reproducibility is structural — batched,
+masked and single-subdomain resolves each compute a subdomain's row of
+an un-padded same-shape ``np.matmul`` or GEMV, which the kernel's
+contract makes batch-independent (checked against the per-message
+oracle in ``tests/per_kernel.py``) — so the fleet is the only
+execution path.
 
-Bitwise reproducibility
------------------------
-Subdomains are grouped by identical ``(n_ports, n_slots)`` shape and
-each group is solved with one un-padded batched ``np.matmul``.  Zero
-padding to a common shape is deliberately avoided: padded GEMMs are
-*not* bitwise-identical to the per-subdomain mat-vec (the accumulation
-grouping changes), whereas same-shape batched GEMM, GEMM with one
-column, and GEMV agree bit for bit on the BLAS builds numpy ships
-(this is an empirical property, not an API guarantee — the test-suite
-and the micro-benchmark's equivalence guard assert it against the
-per-subdomain oracle in ``tests/per_kernel.py`` on every platform they
-run on).  The fleet is therefore the only execution path: batching
-changes no bit of the wave trajectory.
-
-:class:`FleetKernelView` is a thin per-subdomain view over fleet
-slices: ``waves``/``u_ports`` are numpy views into the fleet arrays,
-and :meth:`FleetKernelView.solve` resolves one subdomain and returns
-its emitted waves as arrays — the protocol the simulator's processors,
-observers and probes drive.
+:class:`FleetKernelView` is one subdomain's view: ``waves``/``u_ports``
+are numpy views into the fleet arrays, and :meth:`FleetKernelView.solve`
+resolves one subdomain and returns its emitted waves as arrays — the
+protocol the simulator's processors, observers and probes drive.
 """
 
 from __future__ import annotations
@@ -47,35 +39,18 @@ import numpy as np
 
 from ..errors import ValidationError
 from .local import LocalSystem
-from .shard_kernel import ShardKernel, _ShardGroup
-
-
-class _ShapeGroup:
-    """All subdomains sharing one ``(n_ports, n_slots)`` block shape."""
-
-    __slots__ = ("gid", "parts", "r", "s", "W3", "u0", "slot_idx",
-                 "port_idx")
-
-    def __init__(self, gid: int, parts: np.ndarray, r: int, s: int,
-                 W3: np.ndarray, u0: np.ndarray, slot_idx: np.ndarray,
-                 port_idx: np.ndarray) -> None:
-        self.gid = gid
-        self.parts = parts
-        self.r = r
-        self.s = s
-        self.W3 = W3          # (g, r, s) stacked wave-response blocks
-        self.u0 = u0          # (g, r) stacked zero-wave port potentials
-        self.slot_idx = slot_idx  # (g, s) global slot index per member
-        self.port_idx = port_idx  # (g, r) global port index per member
+from .shard_kernel import pack_shard_kernel
 
 
 class FleetKernel:
-    """Struct-of-arrays packing of every subdomain's DTM hot path.
+    """Every subdomain's DTM hot path: one kernel plus owner state.
 
     Parameters
     ----------
     locals_:
         Factored local systems, one per subdomain, in part order.
+        Packing rebinds each one's ``X`` to its row of the kernel's
+        group stack.
     routes:
         ``routes[q]`` is subdomain *q*'s outgoing routing in slot order:
         ``(dest_part, dest_slot, dtlp_index, delay)`` tuples, exactly as
@@ -94,67 +69,50 @@ class FleetKernel:
                 "tables")
         if send_threshold < 0:
             raise ValidationError("send_threshold must be >= 0")
-        self.locals = list(locals_)
-        self.send_threshold = float(send_threshold)
-        P = len(self.locals)
-        self.n_parts = P
-
-        slot_counts = np.asarray([loc.n_slots for loc in self.locals],
-                                 dtype=np.int64)
-        port_counts = np.asarray([loc.n_ports for loc in self.locals],
-                                 dtype=np.int64)
-        for loc, rts in zip(self.locals, routes):
+        for loc, rts in zip(locals_, routes):
             if loc.n_slots != len(rts):
                 raise ValidationError(
                     f"part {loc.part} has {loc.n_slots} slots but "
                     f"{len(rts)} routes")
+        self.locals = list(locals_)
+        self.send_threshold = float(send_threshold)
+        P = self.n_parts = len(self.locals)
+        self.kernel = pack_shard_kernel(self.locals)
+        # the stacks exist once: each local's X becomes its stack row
+        for g in self.kernel.groups:
+            for row, q in zip(g.X3, g.members):
+                self.locals[q].X = row
+        self.kernel.load_x0(self._x0_flat())
+
         #: CSR-style offsets: part q owns slots [so[q], so[q+1]) and
         #: ports [po[q], po[q+1]) of the flat arrays.
-        self.slot_offsets = np.concatenate(
-            [[0], np.cumsum(slot_counts)]).astype(np.int64)
-        self.port_offsets = np.concatenate(
-            [[0], np.cumsum(port_counts)]).astype(np.int64)
-        S = int(self.slot_offsets[-1])
-        R = int(self.port_offsets[-1])
-        self.n_slots_total = S
-        self.n_ports_total = R
-
+        self.slot_offsets = self.kernel.slot_off
+        self.port_offsets = self.kernel.port_off
+        S = self.n_slots_total = self.kernel.n_slots
+        self.n_ports_total = self.kernel.n_ports
         #: owning part of every global slot
         self.slot_part = np.repeat(np.arange(P, dtype=np.int64),
-                                   slot_counts)
+                                   np.diff(self.slot_offsets))
         #: global port row each slot's wave acts on
-        self.slot_port_global = np.concatenate(
-            [loc.slot_ports + self.port_offsets[q]
-             for q, loc in enumerate(self.locals)]) if S else \
-            np.zeros(0, dtype=np.int64)
-        self.slot_inv_z = np.concatenate(
-            [loc.slot_inv_z for loc in self.locals]) if S else np.zeros(0)
+        self.slot_port_global = self.kernel.slot_port
 
         # global slot-routing permutation: the wave emitted on slot l is
         # delivered into global slot route_dest_slot_global[l]
-        dest_part = np.zeros(S, dtype=np.int64)
-        dest_local = np.zeros(S, dtype=np.int64)
-        dtlp = np.zeros(S, dtype=np.int64)
-        for q, rts in enumerate(routes):
-            o = int(self.slot_offsets[q])
-            for l, (dp, ds, di, _delay) in enumerate(rts):
-                dest_part[o + l] = dp
-                dest_local[o + l] = ds
-                dtlp[o + l] = di
+        dest_part, dest_local, dtlp = np.array(
+            [rt[:3] for rts in routes for rt in rts],
+            dtype=np.int64).reshape(S, 3).T.copy()
         if np.any(dest_part >= P) or np.any(dest_part < 0):
             raise ValidationError("route destination part out of range")
-        self.route_dest_part = dest_part
-        self.route_dest_slot_local = dest_local
-        self.route_dest_slot_global = (self.slot_offsets[dest_part]
-                                       + dest_local)
-        if S and np.any((dest_local < 0)
-                        | (dest_local >= slot_counts[dest_part])):
+        if S and np.any((dest_local < 0) | (
+                dest_local >= np.diff(self.slot_offsets)[dest_part])):
             raise ValidationError("route destination slot out of range")
+        self.route_dest_part = dest_part
+        self.route_dest_slot_global = self.slot_offsets[dest_part] + \
+            dest_local
         self.route_dtlp = dtlp
 
         self._alloc_state()
         self._all_slots = np.arange(S, dtype=np.int64)
-        self._build_groups()
         self._views: Optional[list[FleetKernelView]] = None
 
     #: class-level default: telemetry is off until :meth:`install_obs`
@@ -170,45 +128,16 @@ class FleetKernel:
         self.n_received = np.zeros(P, dtype=np.int64)
         self.dirty = np.ones(P, dtype=bool)
 
-    def install_obs(self, registry) -> None:
-        """Count subdomain solves on *registry* (hot path: guarded).
+    def _x0_flat(self) -> np.ndarray:
+        """The locals' zero-wave states in the kernel's row layout."""
+        return np.concatenate([loc.x0 for loc in self.locals])
 
-        Left uninstalled (the default), the sweep loop pays one
-        attribute check per batch — the near-zero disabled cost the
-        telemetry layer promises.
-        """
+    def install_obs(self, registry) -> None:
+        """Count subdomain solves on *registry*; uninstalled, the sweep
+        pays one attribute check per batch (hot path: guarded)."""
         self._c_solves = registry.counter(
             "repro_fleet_solves_total",
             "subdomain solves executed by the in-process fleet")
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    def _build_groups(self) -> None:
-        by_shape: dict[tuple[int, int], list[int]] = {}
-        for q, loc in enumerate(self.locals):
-            by_shape.setdefault((loc.n_ports, loc.n_slots), []).append(q)
-        self.groups: list[_ShapeGroup] = []
-        self._part_group = np.zeros(self.n_parts, dtype=np.int64)
-        self._part_pos = np.zeros(self.n_parts, dtype=np.int64)
-        for gid, ((r, s), parts) in enumerate(sorted(by_shape.items())):
-            parts_arr = np.asarray(parts, dtype=np.int64)
-            W3 = np.stack([self.locals[q].W for q in parts]) if r else \
-                np.zeros((len(parts), 0, s))
-            u0 = np.stack([self.locals[q].u0 for q in parts]) if r else \
-                np.zeros((len(parts), 0))
-            slot_idx = np.stack(
-                [np.arange(self.slot_offsets[q], self.slot_offsets[q + 1])
-                 for q in parts]).astype(np.int64) if s else \
-                np.zeros((len(parts), 0), dtype=np.int64)
-            port_idx = np.stack(
-                [np.arange(self.port_offsets[q], self.port_offsets[q + 1])
-                 for q in parts]).astype(np.int64) if r else \
-                np.zeros((len(parts), 0), dtype=np.int64)
-            self.groups.append(_ShapeGroup(gid, parts_arr, r, s, W3, u0,
-                                           slot_idx, port_idx))
-            self._part_group[parts_arr] = gid
-            self._part_pos[parts_arr] = np.arange(len(parts))
 
     def _normalize_parts(self, parts) -> np.ndarray:
         arr = np.asarray(parts)
@@ -226,43 +155,19 @@ class FleetKernel:
     # Table 1 steps 3.1: the batched resolve
     # ------------------------------------------------------------------
     def solve_all(self, active_mask=None) -> None:
-        """Resolve every (or the masked subset of) subdomain at once.
-
-        One un-padded batched mat-vec per shape group — bitwise
-        identical to one GEMV per subdomain (module docstring).
-        """
-        if active_mask is None:
-            for g in self.groups:
-                if g.s == 0:
-                    self.u[g.port_idx] = g.u0
-                else:
-                    wv = self.waves[g.slot_idx]
-                    self.u[g.port_idx] = g.u0 + np.matmul(
-                        g.W3, wv[:, :, None])[:, :, 0]
-            self.n_solves += 1
-            self.dirty[:] = False
-            if self._c_solves is not None:
-                self._c_solves.inc(self.n_parts)
+        """Resolve every (or the masked subset of) subdomain at once:
+        the kernel's batched resolve, one mat-vec per shape group."""
+        parts = None if active_mask is None else \
+            self._normalize_parts(active_mask)
+        if parts is not None and parts.size == 0:
             return
-        parts = self._normalize_parts(active_mask)
-        if parts.size == 0:
-            return
-        gids = self._part_group[parts]
-        for g in self.groups:
-            sel = parts[gids == g.gid]
-            if sel.size == 0:
-                continue
-            pos = self._part_pos[sel]
-            if g.s == 0:
-                self.u[g.port_idx[pos]] = g.u0[pos]
-            else:
-                wv = self.waves[g.slot_idx[pos]]
-                self.u[g.port_idx[pos]] = g.u0[pos] + np.matmul(
-                    g.W3[pos], wv[:, :, None])[:, :, 0]
-        self.n_solves[parts] += 1
-        self.dirty[parts] = False
+        self.kernel.resolve(self.waves, self.u, parts)
+        solved = slice(None) if parts is None else parts
+        self.n_solves[solved] += 1
+        self.dirty[solved] = False
         if self._c_solves is not None:
-            self._c_solves.inc(int(parts.size))
+            self._c_solves.inc(self.n_parts if parts is None
+                               else int(parts.size))
 
     def _solve_part(self, q: int) -> None:
         """Single-subdomain resolve (simulator path; GEMV on slices)."""
@@ -301,11 +206,8 @@ class FleetKernel:
         return slot_idx, out
 
     def emit_all(self) -> tuple[np.ndarray, np.ndarray]:
-        """Emit every slot's wave, routed to its destination.
-
-        Returns ``(dest_slot_global, values)`` ready for
-        :meth:`receive_batch` — the "emit then deliver" scatter.
-        """
+        """Every slot's wave, routed: ``(dest_slot_global, values)``
+        ready for :meth:`receive_batch`."""
         idx, values = self.emit_slots(self._all_slots)
         return self.route_dest_slot_global[idx], values
 
@@ -367,20 +269,6 @@ class FleetKernel:
         self.n_received[:] = 0
         self.dirty[:] = True
 
-    def repack_u0(self) -> None:
-        """Restack the shape groups' ``u0`` blocks from the locals.
-
-        Called after the locals' zero-wave states changed (RHS swap):
-        the wave-response stacks ``W3`` depend only on the matrix and
-        stay shared, so re-packing is O(total ports) copying — no
-        re-factorization, no re-grouping.
-        """
-        for g in self.groups:
-            if g.r == 0:
-                continue
-            for i, q in enumerate(g.parts):
-                g.u0[i, :] = self.locals[q].u0
-
     def swap_rhs(self, rhs_list=None, *, x0_list=None,
                  reset: bool = True) -> None:
         """Re-point the fleet at a new right-hand side, factors kept.
@@ -393,8 +281,7 @@ class FleetKernel:
         next run starts from fresh boundary conditions.
         """
         if (rhs_list is None) == (x0_list is None):
-            raise ValidationError(
-                "pass exactly one of rhs_list / x0_list")
+            raise ValidationError("pass exactly one of rhs_list / x0_list")
         vecs = rhs_list if rhs_list is not None else x0_list
         if len(vecs) != self.n_parts:
             raise ValidationError(
@@ -406,20 +293,16 @@ class FleetKernel:
                 loc.set_rhs(vec)
             else:
                 loc.set_x0(vec)
-        self.repack_u0()
+        self.kernel.load_x0(self._x0_flat())
         if reset:
             self.reset_state()
 
     def fork(self, *, send_threshold: Optional[float] = None
              ) -> "FleetKernel":
-        """Structural copy sharing every immutable packed array.
-
-        The routing permutation, offsets, slot tables and the groups'
-        ``W3`` wave-response stacks are shared (they only depend on the
-        split and the impedances); the locals are forked (own ``x0``),
-        the per-member ``u0`` stacks are restacked and all mutable state
-        is fresh.  This is how a :class:`~repro.plan.SolverPlan` hands
-        each session its own runnable fleet without re-packing.
+        """Structural copy sharing every immutable packed array — the
+        routing tables and the kernel's stacks and index tables — with
+        forked locals (own ``x0``), a kernel reloaded from them and
+        fresh mutable state: each session's own runnable fleet.
         """
         st = self.send_threshold if send_threshold is None \
             else float(send_threshold)
@@ -430,11 +313,8 @@ class FleetKernel:
         new.send_threshold = st
         new.locals = [loc.fork() for loc in self.locals]
         new._alloc_state()
-        new.groups = [
-            _ShapeGroup(g.gid, g.parts, g.r, g.s, g.W3,
-                        np.empty_like(g.u0), g.slot_idx, g.port_idx)
-            for g in self.groups]
-        new.repack_u0()  # fills the fresh u0 stacks from new.locals
+        new.kernel = copy.copy(self.kernel)
+        new.kernel.load_x0(new._x0_flat())
         new._views = None
         return new
 
@@ -453,13 +333,10 @@ class FleetKernelView:
     """One subdomain of a :class:`FleetKernel`.
 
     ``waves`` and ``u_ports`` are numpy *views* into the fleet's flat
-    arrays: mutating them mutates fleet state and vice versa.  Counters
-    read/write the fleet's per-part counter arrays.
-    A simulated processor drives it through ``solve`` / ``dirty``
-    (arrivals land in batches through :meth:`FleetKernel.receive_batch`,
-    never one ``receive`` per wave); ``solve`` returns the raw emission
-    arrays the simulator's router understands, so the hot path never
-    allocates a message object.
+    arrays, and the counters read the fleet's per-part arrays.  A
+    simulated processor drives it through ``solve`` / ``dirty``
+    (arrivals land in batches through :meth:`FleetKernel.receive_batch`);
+    ``solve`` returns raw emission arrays, never a message object.
     """
 
     __slots__ = ("fleet", "part", "local", "_s0", "_s1", "_p0", "_p1")
@@ -527,70 +404,3 @@ def build_fleet(split, network, locals_: Sequence[LocalSystem], *,
     """
     routes = [network.routes_from(sub.part) for sub in split.subdomains]
     return FleetKernel(locals_, routes, send_threshold=send_threshold)
-
-
-# ======================================================================
-# per-shard repack: the multiprocess runtime's compute payload
-# ======================================================================
-def pack_shard_kernel(parts: np.ndarray,
-                      locals_: Sequence[LocalSystem]) -> ShardKernel:
-    """Stack the local systems of contiguous *parts* into a shard kernel.
-
-    Same-shape batching as :meth:`FleetKernel._build_groups`, with
-    ``n_local`` added to the key (the ``X3`` full-state stacks need
-    it); per-member results are batch-composition independent (module
-    docstring), and the lockstep bitwise test in
-    ``tests/runtime/test_multiproc.py`` pins the two groupings to each
-    other — if one changes, that test is the tripwire.
-    """
-    parts = np.asarray(parts, dtype=np.int64)
-    if len(locals_) != parts.size:
-        raise ValidationError(
-            f"{parts.size} parts but {len(locals_)} local systems")
-
-    def offsets(counts) -> np.ndarray:
-        return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-
-    slot_off = offsets([loc.n_slots for loc in locals_])
-    port_off = offsets([loc.n_ports for loc in locals_])
-    state_off = offsets([loc.n_local for loc in locals_])
-
-    def index_rows(off: np.ndarray, members, width: int) -> np.ndarray:
-        if not width:
-            return np.zeros((len(members), 0), dtype=np.int64)
-        return np.stack([np.arange(off[i], off[i + 1])
-                         for i in members]).astype(np.int64)
-
-    #: shard-local port index each owned slot's wave acts on
-    slot_port = np.concatenate(
-        [loc.slot_ports + port_off[i]
-         for i, loc in enumerate(locals_)]) if slot_off[-1] else \
-        np.zeros(0, dtype=np.int64)
-
-    by_shape: dict[tuple[int, int, int], list[int]] = {}
-    for i, loc in enumerate(locals_):
-        key = (loc.n_local, loc.n_ports, loc.n_slots)
-        by_shape.setdefault(key, []).append(i)
-    groups = []
-    for (n, r, s), members in sorted(by_shape.items()):
-        g = len(members)
-        W3 = np.stack([locals_[i].W for i in members]) if r else \
-            np.zeros((g, 0, s))
-        X3 = np.stack([locals_[i].X for i in members]) if n else \
-            np.zeros((g, 0, s))
-        groups.append(_ShardGroup(
-            n, r, s, np.asarray(members, dtype=np.int64), W3, X3,
-            index_rows(slot_off, members, s),
-            index_rows(port_off, members, r),
-            index_rows(state_off, members, n)))
-    return ShardKernel(parts, slot_port, groups)
-
-
-def extract_shard_kernel(fleet: FleetKernel, lo: int, hi: int
-                         ) -> ShardKernel:
-    """Repack fleet parts ``[lo, hi)`` into a :class:`ShardKernel`."""
-    if not 0 <= lo < hi <= fleet.n_parts:
-        raise ValidationError(
-            f"shard range [{lo}, {hi}) out of [0, {fleet.n_parts})")
-    parts = np.arange(lo, hi, dtype=np.int64)
-    return pack_shard_kernel(parts, [fleet.locals[q] for q in parts])

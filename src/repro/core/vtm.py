@@ -88,7 +88,7 @@ class VtmSolver:
         """Re-target the solver at a new global right-hand side.
 
         One back-substitution per subdomain against the retained
-        factors plus a ``u0`` re-pack — no re-factorization.  With
+        factors plus a kernel ``load_x0`` — no re-factorization.  With
         ``reset`` (default) the wave state restarts from zero boundary
         conditions.  ``self.split`` is re-dressed with *b*, so a
         subsequent :meth:`run` without an explicit ``reference=``
@@ -164,7 +164,8 @@ class VtmSolver:
     # ------------------------------------------------------------------
     def current_solution(self) -> np.ndarray:
         """Global solution estimate from the kernels' current waves."""
-        return self.split.gather([k.full_state() for k in self.kernels])
+        states = self.fleet.kernel.full_states(self.fleet.waves)
+        return self.split.gather_flat(states)
 
     def _probe(self) -> StateProbe:
         return StateProbe(self.current_solution, self.get_waves)

@@ -285,6 +285,13 @@ class SplitResult:
                 seen[sub.global_vertices] = True
         return acc if mode == "first" else acc / self._copy_counts
 
+    def gather_flat(self, states: np.ndarray) -> np.ndarray:
+        """:meth:`gather` of the subdomains' local vectors laid
+        back-to-back in part order — the state layout of the in-process
+        fleet and of the sharded runtime's shared buffer alike."""
+        ends = np.cumsum([sub.n_local for sub in self.subdomains])
+        return self.gather(np.split(states, ends[:-1]))
+
     def spread(self, x_global) -> list[np.ndarray]:
         """Restrict a global vector to each subdomain's local ordering."""
         x = np.asarray(x_global, dtype=np.float64)

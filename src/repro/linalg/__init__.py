@@ -10,7 +10,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "SymFactor",
             "factor_spd",
             "factor_symmetric",
-            "try_factor_spd",
         ),
         "dense": (
             "cholesky_factor",
@@ -20,7 +19,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "ldlt_solve",
             "solve_lower",
             "solve_upper",
-            "spd_inverse",
         ),
         "iterative": (
             "IterativeResult",

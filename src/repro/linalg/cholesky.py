@@ -18,7 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import NotSpdError
 from ..utils.validation import as_square_matrix, check_symmetric
 from .dense import (
     cholesky_factor,
@@ -120,10 +119,3 @@ def factor_symmetric(a) -> SymFactor:
     L, d = ldlt_factor(dense)
     return SymFactor(L, d)
 
-
-def try_factor_spd(a) -> Optional[SpdFactor]:
-    """Return a factor if *a* is SPD, else ``None`` (no exception)."""
-    try:
-        return factor_spd(a)
-    except NotSpdError:
-        return None

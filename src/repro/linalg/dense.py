@@ -147,13 +147,6 @@ def invert_lower(L: np.ndarray) -> np.ndarray:
     return X
 
 
-def spd_inverse(a) -> np.ndarray:
-    """Explicit inverse of an SPD matrix via our Cholesky kernels."""
-    L = cholesky_factor(a)
-    Linv = invert_lower(L)
-    return Linv.T @ Linv
-
-
 def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``(L Lᵀ) x = b`` given the lower Cholesky factor."""
     return solve_upper(L.T, solve_lower(L, b))

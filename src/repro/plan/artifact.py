@@ -32,7 +32,10 @@ are immutable by contract; sessions fork before mutating).  Array
 aliasing inside the plan (e.g. ``fleet_template.locals[i] is
 base_locals[i]``, ``plan.graph is plan.split.graph``) survives the
 round trip: the pickler memoizes externalized arrays by identity and
-the unpickler hands back one view per segment.
+the unpickler hands back one view per segment.  The fleet kernel's
+wave-response stacks are stored once: each local's ``X`` is a row of
+one of them, pickled as a ``(segment, row)`` reference and loaded as
+a view of that row.
 
 The format is versioned: any mismatch — bad magic, unknown version,
 truncated data, checksum failure — raises
@@ -61,7 +64,7 @@ from .plan import SolverPlan, compute_plan_hash
 #: bump on any incompatible layout/semantic change; load_plan refuses
 #: other versions (artifacts are a disposable cache — rebuild, never
 #: migrate)
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 FORMAT_NAME = "repro-plan-artifact"
 
@@ -119,18 +122,39 @@ def _rebuild_slim(cls, state):
     return obj
 
 
+def _row_key(arr: np.ndarray) -> tuple:
+    return (arr.__array_interface__["data"][0], arr.shape, arr.strides)
+
+
 class _SegmentPickler(pickle.Pickler):
     """Pickler that externalizes large plain arrays into segments.
 
     ``persistent_id`` memoizes by object identity: an array reachable
     through several plan fields is stored once and every loaded
-    reference aliases the same view.
+    reference aliases the same view.  A row of a stack registered with
+    :meth:`share_rows` is stored as a reference to that row.
     """
 
     def __init__(self, file) -> None:
         super().__init__(file, protocol=5)
         self.segments: list[np.ndarray] = []
         self._seen: dict[int, int] = {}
+        self._rows: dict[tuple, tuple[int, int]] = {}
+
+    def _segment(self, obj: np.ndarray) -> int:
+        pid = self._seen.get(id(obj))
+        if pid is None:
+            pid = len(self.segments)
+            self._seen[id(obj)] = pid
+            self.segments.append(obj)
+        return pid
+
+    def share_rows(self, stack: np.ndarray) -> None:
+        """Store *stack* once; an array that is one of its rows (same
+        memory, shape and strides) pickles as ``(segment, row)``."""
+        pid = self._segment(stack)
+        for i, row in enumerate(stack):
+            self._rows[_row_key(row)] = (pid, i)
 
     def persistent_id(self, obj):
         if (
@@ -139,12 +163,10 @@ class _SegmentPickler(pickle.Pickler):
             and not obj.dtype.hasobject
             and obj.nbytes >= INLINE_LIMIT
         ):
-            pid = self._seen.get(id(obj))
-            if pid is None:
-                pid = len(self.segments)
-                self._seen[id(obj)] = pid
-                self.segments.append(obj)
-            return (_PID_TAG, pid)
+            row = self._rows.get(_row_key(obj))
+            if row is not None:
+                return (_PID_TAG, *row)
+            return (_PID_TAG, self._segment(obj))
         return None
 
     def reducer_override(self, obj):
@@ -164,12 +186,16 @@ class _SegmentUnpickler(pickle.Unpickler):
         self._arrays = arrays
 
     def persistent_load(self, pid):
-        tag, idx = pid
-        if tag != _PID_TAG or not 0 <= idx < len(self._arrays):
+        tag, idx, *row = pid
+        if (
+            tag != _PID_TAG
+            or not 0 <= idx < len(self._arrays)
+            or (row and not 0 <= row[0] < len(self._arrays[idx]))
+        ):
             raise PlanArtifactError(
                 f"artifact references unknown segment {pid!r}"
             )
-        return self._arrays[idx]
+        return self._arrays[idx][row[0]] if row else self._arrays[idx]
 
 
 def _writable_bytes(arr: np.ndarray) -> tuple[str, np.ndarray]:
@@ -195,6 +221,9 @@ def _pack(plan: SolverPlan) -> tuple[list[np.ndarray], bytes]:
     state = {name: getattr(plan, name) for name in _PLAN_FIELDS}
     sink = io.BytesIO()
     pickler = _SegmentPickler(sink)
+    # each local's X is a row of the fleet kernel's group stack
+    for group in plan.fleet_template.kernel.groups:
+        pickler.share_rows(group.X3)
     pickler.dump(state)
     return pickler.segments, sink.getvalue()
 

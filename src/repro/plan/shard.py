@@ -55,7 +55,7 @@ from ..errors import ConfigurationError, ValidationError
 #: payload format tag, checked on load so a worker of another build
 #: fails loudly instead of misinterpreting the tables; bump it with any
 #: change to the layout, the header fields or the array names
-PAYLOAD_SCHEMA = "repro-shard-payload/3"
+PAYLOAD_SCHEMA = "repro-shard-payload/4"
 
 _PREFIX = struct.Struct("<II")  # header length, header CRC-32
 _ALIGN = 64
@@ -63,7 +63,6 @@ _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
 #: per shape group ``(n, r, s)`` with ``g`` members: array → shape
 _GROUP_ARRAYS = {
     "members": ("<i8", lambda g, n, r, s: (g,)),
-    "W3": ("<f8", lambda g, n, r, s: (g, r, s)),
     "X3": ("<f8", lambda g, n, r, s: (g, n, s)),
     "slot_idx": ("<i8", lambda g, n, r, s: (g, s)),
     "port_idx": ("<i8", lambda g, n, r, s: (g, r)),
@@ -337,6 +336,14 @@ class ShardSpec:
             dest_slots = take(f"{name}.dest_slots", "<i8", emit_pos.shape)
             _check_index(f"{name}.emit_pos", emit_pos, slot_port.size)
             _check_index(f"{name}.dest_slots", dest_slots, None)
+            # single writer per slot: loopback waves land in the
+            # shard's own slots, outbox waves in another shard's
+            owned = (dest_slots >= slot_lo) & (dest_slots < slot_hi)
+            if not np.all(owned if dst == index else ~owned):
+                raise _malformed(
+                    f"array '{name}.dest_slots' has slots "
+                    f"{'outside' if dst == index else 'inside'} the "
+                    f"shard's own range [{slot_lo}, {slot_hi})")
             return MailboxSpec(index, dst, emit_pos, dest_slots)
 
         index, n_shards, slot_lo, slot_hi, state_lo, state_hi = _ints(
@@ -352,6 +359,8 @@ class ShardSpec:
             groups.append(_ShardGroup(n, r, s, **{
                 key: take(f"group{j}.{key}", dtype, shape(g, n, r, s))
                 for key, (dtype, shape) in _GROUP_ARRAYS.items()}))
+            _check_index(f"group{j}.members", groups[-1].members,
+                         parts.size)
         kernel = ShardKernel(parts, slot_port, groups)
         _check_index("slot_port", slot_port, kernel.n_ports)
         for j, group in enumerate(groups):
@@ -381,60 +390,42 @@ class ShardSpec:
             kernel=kernel, loopback=loopback, outboxes=outboxes)
 
 
-def part_shard_map(bounds: Sequence[tuple[int, int]],
-                   n_parts: int) -> np.ndarray:
-    """``part → shard`` lookup table for contiguous *bounds*."""
-    out = np.empty(n_parts, dtype=np.int64)
-    for k, (lo, hi) in enumerate(bounds):
-        out[lo:hi] = k
-    return out
-
-
 def extract_shards(plan, n_shards: int) -> list[ShardSpec]:
     """Cut *plan* into *n_shards* contiguous worker payloads.
 
     Subdomains are grouped in part order (contiguous groups keep each
     shard's slot/port/state slices contiguous in the global flat
     arrays, so shared-memory views need no index indirection), balanced
-    by local system size.  Cross-shard routing is split into one
-    :class:`MailboxSpec` per directed shard pair.
+    by local system size.  Each shard's kernel is a slice of the plan
+    fleet's — its stacks are views, not copies.  Cross-shard routing is
+    split into one :class:`MailboxSpec` per directed shard pair.
     """
-    # the packing reads the factored locals; a worker, which only
-    # decodes payloads, must not import them (PERFORMANCE.md "Cold start")
-    from ..core.fleet import extract_shard_kernel
-
     if plan.mode != "dtm":
         raise ConfigurationError(
             f"shard extraction needs a dtm-mode plan, got {plan.mode!r}")
     fleet = plan.fleet_template
     weights = [max(loc.n_local, 1) for loc in plan.base_locals]
     bounds = shard_bounds(weights, n_shards)
-    shard_of = part_shard_map(bounds, fleet.n_parts)
-    state_off = np.concatenate(
-        [[0], np.cumsum([loc.n_local for loc in plan.base_locals])]
-    ).astype(np.int64)
+    shard_of = np.repeat(np.arange(n_shards),
+                         [hi - lo for lo, hi in bounds])
+    slot_off, state_off = fleet.slot_offsets, fleet.kernel.state_off
 
     specs: list[ShardSpec] = []
     for k, (lo, hi) in enumerate(bounds):
-        kernel = extract_shard_kernel(fleet, lo, hi)
-        slot_lo = int(fleet.slot_offsets[lo])
-        slot_hi = int(fleet.slot_offsets[hi])
-        owned = np.arange(slot_lo, slot_hi, dtype=np.int64)
+        owned = slice(slot_off[lo], slot_off[hi])
         dest_global = fleet.route_dest_slot_global[owned]
         dest_shard = shard_of[fleet.route_dest_part[owned]]
-        loop_pos = np.flatnonzero(dest_shard == k)
-        loopback = MailboxSpec(k, k, loop_pos, dest_global[loop_pos])
-        outboxes = []
-        for dst in np.unique(dest_shard):
-            dst = int(dst)
-            if dst == k:
-                continue
+
+        def mailbox(dst: int) -> MailboxSpec:
             pos = np.flatnonzero(dest_shard == dst)
-            outboxes.append(MailboxSpec(k, dst, pos, dest_global[pos]))
+            return MailboxSpec(k, dst, pos, dest_global[pos])
+
+        kernel = fleet.kernel.slice(lo, hi)
         specs.append(ShardSpec(
-            index=k, n_shards=n_shards,
-            parts=np.arange(lo, hi, dtype=np.int64),
-            slot_lo=slot_lo, slot_hi=slot_hi,
+            index=k, n_shards=n_shards, parts=kernel.parts,
+            slot_lo=int(slot_off[lo]), slot_hi=int(slot_off[hi]),
             state_lo=int(state_off[lo]), state_hi=int(state_off[hi]),
-            kernel=kernel, loopback=loopback, outboxes=outboxes))
+            kernel=kernel, loopback=mailbox(k),
+            outboxes=[mailbox(dst) for dst in np.unique(dest_shard).tolist()
+                      if dst != k]))
     return specs

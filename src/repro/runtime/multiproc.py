@@ -85,11 +85,7 @@ from ..obs import (
 )
 from ..plan.session import SolveResult, SolverSession, _as_rhs
 from ..plan.shard import ShardSpec, extract_shards
-from ..sim.trace import (
-    ShardReport,
-    gather_shard_states,
-    merge_shard_series,
-)
+from ..sim.trace import ShardReport, merge_shard_series
 from .shard_worker import _worker_main
 
 __all__ = [
@@ -561,10 +557,6 @@ class MultiprocDtmRunner:
             nap = min(2.0 * nap, self.idle_sleep)
 
     # -- coordinator-side measurement -----------------------------------
-    def _gather(self, states: np.ndarray) -> np.ndarray:
-        return gather_shard_states(self.plan.split, states,
-                                   self._state_off)
-
     def _wave_fixed_point_delta(self, states: np.ndarray,
                                 waves: np.ndarray) -> float:
         """Max wave change one more lockstep sweep would produce.
@@ -722,7 +714,7 @@ class MultiprocDtmRunner:
             t = time.perf_counter() - t0
             n_looks += 1
             states = self._port.read_states()
-            probe = StateProbe(lambda: self._gather(states),
+            probe = StateProbe(lambda: self.plan.split.gather_flat(states),
                                self._port.read_waves)
             n_seen = 0 if residuals is None else len(residuals)
             event = monitor.update(t, probe)

@@ -186,7 +186,7 @@ class DtmSimulator:
         """Point the simulator at a new right-hand side and reset.
 
         One back-substitution per subdomain against the retained
-        factors (no re-factorization) plus a ``u0`` re-pack.
+        factors (no re-factorization) plus a kernel ``load_x0``.
         ``self.split`` is re-dressed with *b*, so a subsequent
         :meth:`run` without an explicit ``reference=`` tracks
         convergence against the *new* system's solution.
@@ -281,8 +281,9 @@ class DtmSimulator:
         (e.g. the periodic re-synchronisations of the §8 hybrid)."""
 
     def current_solution(self) -> np.ndarray:
-        """Global solution estimate from the kernels' current state."""
-        return self.split.gather([k.full_state() for k in self.kernels])
+        """Global solution estimate from the current wave state."""
+        states = self.fleet.kernel.full_states(self._current_waves())
+        return self.split.gather_flat(states)
 
     def _current_waves(self) -> np.ndarray:
         """Snapshot of the global wave vector (for quiescence rules)."""
@@ -311,7 +312,7 @@ class DtmSimulator:
             reference=reference)
         if sample_interval is None:
             sample_interval = t_max / 256.0
-        observer = ErrorObserver(self.engine, self.split, self.kernels,
+        observer = ErrorObserver(self.engine, self.current_solution,
                                  monitor, sample_interval,
                                  waves_fn=self._current_waves)
         observer.install()

@@ -21,24 +21,23 @@ from .engine import Engine
 
 
 class ErrorObserver:
-    """Samples the globally gathered solution on a fixed time grid.
+    """Samples the global solution on a fixed time grid.
 
-    The gather needs one full-state reconstruction per subdomain, so it
-    runs at observer cadence, not per event, and only on samples where
-    the stopping rule's :class:`~repro.core.convergence.RuleMonitor`
-    asks for the state.  When the monitor fires, the engine is stopped
-    early.
+    *solution_fn* assembles the solution (one batched full-state pass
+    and a gather), so it runs at observer cadence, not per event, and
+    only on samples where the stopping rule's
+    :class:`~repro.core.convergence.RuleMonitor` asks for the state.
+    When the monitor fires, the engine is stopped early.
     """
 
-    def __init__(self, engine: Engine, split, kernels: Sequence,
+    def __init__(self, engine: Engine, solution_fn,
                  monitor: RuleMonitor, interval: float, *,
                  detect_quiescence: bool = True,
                  waves_fn=None) -> None:
         if interval <= 0:
             raise ValidationError("observer interval must be positive")
         self.engine = engine
-        self.split = split
-        self.kernels = kernels
+        self.current_solution = solution_fn
         self.monitor = monitor
         self.interval = float(interval)
         self.detect_quiescence = detect_quiescence
@@ -47,9 +46,6 @@ class ErrorObserver:
 
     def install(self) -> None:
         self.engine.schedule_at(self.engine.now, self._sample)
-
-    def current_solution(self) -> np.ndarray:
-        return self.split.gather([k.full_state() for k in self.kernels])
 
     def probe(self) -> StateProbe:
         """Lazy state view for rule monitors at the current instant."""
@@ -192,25 +188,6 @@ class ShardReport:
     def subdomain_solves(self) -> int:
         """Subdomain resolves this shard performed (sweeps x parts)."""
         return self.sweeps * self.n_parts
-
-
-def gather_shard_states(split, states: np.ndarray,
-                        state_offsets: np.ndarray,
-                        mode: str = "average") -> np.ndarray:
-    """Assemble the global solution from a flat shared state buffer.
-
-    *states* holds every subdomain's full local state ``[u; y]``
-    back-to-back in part order (the multiprocess runtime's
-    shared-memory layout); *state_offsets* is the CSR-style row offset
-    table (``part q`` owns rows ``[off[q], off[q+1])``).  Split-vertex
-    copies are combined exactly as :meth:`SplitResult.gather` does, so
-    a sharded run's result assembly matches the single-process path.
-    """
-    locals_states = [
-        states[state_offsets[q]:state_offsets[q + 1]]
-        for q in range(len(state_offsets) - 1)
-    ]
-    return split.gather(locals_states, mode=mode)
 
 
 def merge_shard_series(series_list: Sequence[TimeSeries],

@@ -10,12 +10,10 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "validation": (
             "as_float_vector",
             "as_square_matrix",
-            "check_disjoint",
             "check_symmetric",
             "require",
             "require_index_array",
             "require_positive",
-            "unique_everseen",
         ),
     },
 )

@@ -7,8 +7,6 @@ uniform without repeating boilerplate in every constructor.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from ..errors import NotSymmetricError, ValidationError
@@ -82,24 +80,3 @@ def require_index_array(
             f"[{arr.min()}, {arr.max()}]"
         )
     return arr
-
-
-def unique_everseen(items: Iterable) -> list:
-    """Return the items in first-seen order with duplicates removed."""
-    seen = set()
-    out = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out
-
-
-def check_disjoint(groups: Sequence[Sequence[int]], name: str) -> None:
-    """Validate that integer groups are pairwise disjoint."""
-    seen: set[int] = set()
-    for g in groups:
-        for v in g:
-            if v in seen:
-                raise ValidationError(f"{name}: element {v} appears in two groups")
-            seen.add(v)

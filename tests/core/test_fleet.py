@@ -268,8 +268,10 @@ def test_view_solve_messages_match_dtmkernel(multilevel_split):
     msgs = kernels[4].solve()
     assert len(idx) == len(msgs)
     for g, v, m in zip(idx, values, msgs):
-        assert (int(fleet.route_dest_part[g]),
-                int(fleet.route_dest_slot_local[g]),
+        dest_part = int(fleet.route_dest_part[g])
+        assert (dest_part,
+                int(fleet.route_dest_slot_global[g]
+                    - fleet.slot_offsets[dest_part]),
                 int(fleet.route_dtlp[g]), int(fleet.slot_part[g])) == \
             (m.dest_part, m.dest_slot, m.dtlp_index, m.src_part)
         assert v == m.value
@@ -355,7 +357,17 @@ class TestFleetRhsSwapForkReset:
         assert not np.array_equal(fleet.locals[0].x0, fork.locals[0].x0)
         # immutable packings are shared, not copied
         assert fork.route_dest_slot_global is fleet.route_dest_slot_global
-        assert fork.groups[0].W3 is fleet.groups[0].W3
+        assert fork.kernel.groups[0].X3 is fleet.kernel.groups[0].X3
+        assert np.shares_memory(fork.locals[0].X, fleet.locals[0].X)
+
+    def test_locals_x_are_rows_of_the_kernel_stacks(self, multilevel_split):
+        """The stacks exist once: packing rebinds every local's X to
+        its row of the fleet kernel's group stack."""
+        fleet, _ = _build_pair(multilevel_split)
+        for g in fleet.kernel.groups:
+            for row, q in zip(g.X3, g.members):
+                assert np.shares_memory(fleet.locals[q].X, g.X3)
+                assert np.array_equal(fleet.locals[q].X, row)
 
     def test_reset_state_restores_fresh_construction(self, multilevel_split):
         fleet, _ = _build_pair(multilevel_split)

@@ -8,7 +8,6 @@ from repro.linalg.cholesky import (
     SpdFactor,
     factor_spd,
     factor_symmetric,
-    try_factor_spd,
 )
 from repro.workloads.poisson import grid2d_poisson
 
@@ -96,11 +95,6 @@ def test_factor_symmetric_indefinite():
     assert (pos, zero, neg) == (1, 0, 1)
     b = np.array([1.0, 1.0])
     assert np.allclose(a @ f.solve(b), b, atol=1e-10)
-
-
-def test_try_factor_spd():
-    assert try_factor_spd(np.eye(3)) is not None
-    assert try_factor_spd(np.array([[1.0, 2.0], [2.0, 1.0]])) is None
 
 
 def test_not_spd_raises():

@@ -15,7 +15,6 @@ from repro.linalg.dense import (
     solve_lower,
     solve_triangular_right_t,
     solve_upper,
-    spd_inverse,
 )
 
 
@@ -128,12 +127,6 @@ def test_invert_lower_singular():
     L = np.array([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(SingularMatrixError):
         invert_lower(L)
-
-
-def test_spd_inverse():
-    rng = np.random.default_rng(8)
-    a = random_spd(rng, 25)
-    assert np.allclose(spd_inverse(a), np.linalg.inv(a), atol=1e-7)
 
 
 # ----------------------------------------------------------------------

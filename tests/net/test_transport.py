@@ -163,7 +163,7 @@ class TestShmHandOff:
             try:
                 arrays = [spec.parts, spec.kernel.slot_port]
                 for group in spec.kernel.groups:
-                    arrays += [group.members, group.W3, group.X3,
+                    arrays += [group.members, group.X3,
                                group.slot_idx, group.port_idx,
                                group.state_idx]
                 assert sum(a.nbytes for a in arrays) > 3_000_000
@@ -175,7 +175,7 @@ class TestShmHandOff:
                 worker.close()
 
     def test_the_coordinator_holds_the_stacks_once(self, plan100):
-        """7.4 MB of stacks at the parent; now index tables only — and
+        """6.6 MB of stacks at the parent; now index tables only — and
         the mesh hub's SPEC blobs are the one copy there, not a second
         one beside the specs."""
         with MultiprocDtmRunner(plan100, shards=2,
@@ -186,7 +186,7 @@ class TestShmHandOff:
                                 spawn_workers=False) as runner:
             assert ndarray_bytes(runner.specs) < 1_000_000
             hub = runner.transport._hub
-            assert sum(len(p) for p in hub.payloads) > 7_000_000
+            assert sum(len(p) for p in hub.payloads) > 6_000_000
 
     def test_no_segment_outlives_the_runner(self, plan):
         before = shm_listing()
@@ -465,7 +465,7 @@ class TestHandshake:
         with runner:
             with pytest.raises(ProtocolError,
                                match="repro-shard-payload/1.*"
-                                     "repro-shard-payload/3"):
+                                     + shard.PAYLOAD_SCHEMA):
                 MeshWorkerPort(transport.host, transport.port,
                                transport.token, 0)
 

@@ -123,13 +123,24 @@ class TestRoundTrip:
 
     def test_aliasing_is_preserved(self, dense_plan, tmp_path):
         # the fleet template shares the very same LocalSystem objects
-        # as base_locals; a loader that deep-copies would double memory
+        # as base_locals, and each local's X is a row of the fleet
+        # kernel's group stack; a loader that copies would double memory
         path = tmp_path / "p.plan"
-        save_plan(dense_plan, path)
+        header = save_plan(dense_plan, path)
         loaded = load_plan(path)
         for i, loc in enumerate(loaded.base_locals):
             assert loaded.fleet_template.locals[i] is loc
         assert loaded.split.graph is loaded.graph
+        for group in loaded.fleet_template.kernel.groups:
+            for row, q in zip(group.X3, group.members):
+                x = loaded.base_locals[q].X
+                assert np.shares_memory(x, group.X3)
+                assert np.array_equal(x, row)
+        # the stacks are stored once: no local's X has a segment of
+        # its own
+        shapes = {tuple(rec["shape"]) for rec in header["segments"]}
+        assert not any(loc.X.shape in shapes
+                       for loc in dense_plan.base_locals)
 
     def test_mapped_arrays_are_read_only(self, dense_plan, tmp_path):
         path = tmp_path / "p.plan"

@@ -62,7 +62,7 @@ def payload_arrays(spec) -> list:
     for box in mailboxes(spec):
         arrays += [box.emit_pos, box.dest_slots]
     for g in spec.kernel.groups:
-        arrays += [g.members, g.W3, g.X3, g.slot_idx, g.port_idx, g.state_idx]
+        arrays += [g.members, g.X3, g.slot_idx, g.port_idx, g.state_idx]
     return arrays
 
 
@@ -105,6 +105,13 @@ class TestRoundTrip:
     ):
         nbytes = sum(arr.nbytes for arr in payload_arrays(spec))
         assert nbytes < len(payload) < nbytes + 16 * 1024
+
+    def test_the_port_responses_are_not_stored_apart(self, payload):
+        """The stacks exist once: the port rows are read off ``X3``."""
+        header, _ = split(payload)
+        names = [entry[0] for entry in header["arrays"]]
+        assert "group0.X3" in names
+        assert not any(name.endswith(".W3") for name in names)
 
     def test_a_spec_without_its_stacks_cannot_be_encoded(self, payload):
         clone = ShardSpec.from_payload(payload)
@@ -186,6 +193,14 @@ BAD_FIELDS = [
     ("arrays", None),
 ]
 
+#: a destination slot that breaks single-writer-per-slot, per mailbox
+BAD_MAILBOX_SLOTS = [
+    ("loopback.dest_slots", lambda lo, hi: lo - 1),
+    ("loopback.dest_slots", lambda lo, hi: hi),
+    ("outbox0.dest_slots", lambda lo, hi: lo),
+    ("outbox0.dest_slots", lambda lo, hi: hi - 1),
+]
+
 
 class TestUntrustedBytes:
     def test_truncated_anywhere(self, payload):
@@ -223,13 +238,14 @@ class TestUntrustedBytes:
         """Each with a valid checksum: the table itself is checked
         against the buffer before any view exists."""
         header, data = split(payload)
-        mutate(entry_of(header, "group0.W3"), len(data))
+        mutate(entry_of(header, "group0.X3"), len(data))
         with pytest.raises(ValidationError):
             ShardSpec.from_payload(pack(header, data))
 
     def test_overlapping_entries(self, payload):
         header, data = split(payload)
-        entry_of(header, "group0.X3")[3] = entry_of(header, "group0.W3")[3]
+        members = entry_of(header, "group0.members")
+        entry_of(header, "group0.X3")[3] = members[3]
         with pytest.raises(ValidationError, match="overlaps"):
             ShardSpec.from_payload(pack(header, data))
 
@@ -260,6 +276,20 @@ class TestUntrustedBytes:
         offset = entry_of(header, "group0.state_idx")[3]
         np.frombuffer(data, dtype="<i8", count=1, offset=offset)[0] = 10**9
         with pytest.raises(ValidationError, match="indexes outside"):
+            ShardSpec.from_payload(pack(header, bytes(data)))
+
+    @pytest.mark.parametrize("box, slot", BAD_MAILBOX_SLOTS)
+    def test_a_mailbox_that_breaks_single_writer(self, payload, box, slot):
+        """Loopback waves must land in the shard's own slots and outbox
+        waves outside them: anything else would overwrite a slot
+        another writer owns."""
+        header, data = split(payload)
+        data = bytearray(data)
+        offset = entry_of(header, box)[3]
+        value = slot(header["slot_lo"], header["slot_hi"])
+        assert value >= 0
+        np.frombuffer(data, dtype="<i8", count=1, offset=offset)[0] = value
+        with pytest.raises(ValidationError, match="own range"):
             ShardSpec.from_payload(pack(header, bytes(data)))
 
     def test_header_that_is_not_a_json_object(self, payload):

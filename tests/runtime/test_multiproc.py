@@ -42,7 +42,7 @@ from hypothesis import strategies as st
 
 from repro.api import QuiescenceRule, ReferenceRule, ResidualRule, solve_dtm
 from repro.core.convergence import StateProbe, begin_monitor, relative_residual
-from repro.core.fleet import extract_shard_kernel, pack_shard_kernel
+from repro.core.shard_kernel import ShardKernel
 from repro.errors import ConfigurationError, MultiprocError, ValidationError
 from repro.graph.evs import DominancePreservingSplit, split_graph
 from repro.graph.partitioners import grid_block_partition
@@ -179,19 +179,30 @@ class TestShardExtraction:
 
 class TestShardKernel:
     def test_requires_loaded_x0(self, poisson_plan):
-        kern = extract_shard_kernel(poisson_plan.fleet_template, 0, 2)
+        kern = poisson_plan.fleet_template.kernel.slice(0, 2)
         with pytest.raises(ValidationError):
             kern.sweep(np.zeros(kern.n_slots))
 
     def test_rejects_non_contiguous_parts(self, poisson_plan):
-        locs = poisson_plan.base_locals
+        kern = poisson_plan.fleet_template.kernel.slice(0, 2)
         with pytest.raises(ValidationError):
-            pack_shard_kernel(np.array([0, 2]), [locs[0], locs[2]])
+            ShardKernel(np.array([0, 2]), kern.slot_port, kern.groups)
 
     def test_rejects_bad_x0_shape(self, poisson_plan):
-        kern = extract_shard_kernel(poisson_plan.fleet_template, 0, 2)
+        kern = poisson_plan.fleet_template.kernel.slice(0, 2)
         with pytest.raises(ValidationError):
             kern.load_x0(np.zeros(kern.n_states + 1))
+
+    def test_shard_stacks_are_views_of_the_fleet_stacks(self,
+                                                        poisson_plan):
+        """The stacks exist once: a shard's X3 is a slice of the
+        fleet's."""
+        kernel = poisson_plan.fleet_template.kernel
+        fleet_stacks = [g.X3 for g in kernel.groups]
+        for spec in extract_shards(poisson_plan, 3):
+            for g in spec.kernel.groups:
+                assert any(np.shares_memory(g.X3, x3)
+                           for x3 in fleet_stacks)
 
     @pytest.mark.parametrize("n_shards", [1, 2, 3])
     def test_lockstep_sweeps_bitwise_match_fleet(self, poisson_plan,

@@ -117,32 +117,21 @@ def test_port_probe_records_on_solve():
 # ----------------------------------------------------------------------
 # ErrorObserver
 # ----------------------------------------------------------------------
-class _StubKernel:
-    def __init__(self, value):
-        self._v = value
-
-    def full_state(self):
-        return self._v
-
-
 def _monitor(rule, reference):
     return rule.begin(SolveContext(reference=reference))
 
 
 def test_error_observer_requires_positive_interval():
-    split = paper_split()
     eng = Engine()
     monitor = _monitor(ReferenceRule(), np.zeros(4))
     with pytest.raises(ValidationError):
-        ErrorObserver(eng, split, [], monitor, interval=0.0)
+        ErrorObserver(eng, lambda: np.zeros(4), monitor, interval=0.0)
 
 
 def test_error_observer_samples_and_stops_on_tol():
-    split = paper_split()
     eng = Engine()
     monitor = _monitor(ReferenceRule(tol=1e-3), np.zeros(4))
-    kernels = [_StubKernel(np.zeros(3)), _StubKernel(np.zeros(3))]
-    obs = ErrorObserver(eng, split, kernels, monitor, interval=1.0,
+    obs = ErrorObserver(eng, lambda: np.zeros(4), monitor, interval=1.0,
                         detect_quiescence=False)
     obs.install()
     # keep the engine busy with unrelated events
@@ -156,11 +145,9 @@ def test_error_observer_samples_and_stops_on_tol():
 
 
 def test_error_observer_quiescence_stop():
-    split = paper_split()
     eng = Engine()
     monitor = _monitor(ReferenceRule(), np.ones(4))
-    kernels = [_StubKernel(np.zeros(3)), _StubKernel(np.zeros(3))]
-    obs = ErrorObserver(eng, split, kernels, monitor, interval=1.0)
+    obs = ErrorObserver(eng, lambda: np.zeros(4), monitor, interval=1.0)
     obs.install()
     eng.run(until=50.0)
     assert obs.stopped_quiescent
@@ -171,12 +158,10 @@ def test_error_observer_quiescence_stop():
 def test_error_observer_honors_horizon_rule():
     # a HorizonRule is the time budget: the observer stops the engine
     # at the first sample that reaches it, without certifying anything
-    split = paper_split()
     eng = Engine()
     monitor = _monitor(ReferenceRule(tol=1e-12) | HorizonRule(t_max=5.0),
                        np.ones(4))
-    kernels = [_StubKernel(np.zeros(3)), _StubKernel(np.zeros(3))]
-    obs = ErrorObserver(eng, split, kernels, monitor, interval=1.0,
+    obs = ErrorObserver(eng, lambda: np.zeros(4), monitor, interval=1.0,
                         detect_quiescence=False)
     obs.install()
     for t in range(60):

@@ -7,12 +7,10 @@ from repro.errors import NotSymmetricError, ValidationError
 from repro.utils.validation import (
     as_float_vector,
     as_square_matrix,
-    check_disjoint,
     check_symmetric,
     require,
     require_index_array,
     require_positive,
-    unique_everseen,
 )
 
 
@@ -71,13 +69,3 @@ def test_require_index_array_bounds():
         require_index_array([-1], "idx", upper=3)
     with pytest.raises(ValidationError):
         require_index_array([], "idx", upper=3, allow_empty=False)
-
-
-def test_unique_everseen_order():
-    assert unique_everseen([3, 1, 3, 2, 1]) == [3, 1, 2]
-
-
-def test_check_disjoint():
-    check_disjoint([[1, 2], [3], []], "groups")
-    with pytest.raises(ValidationError, match="element 2"):
-        check_disjoint([[1, 2], [2, 3]], "groups")
