@@ -41,6 +41,8 @@ from .partition import Partition, Subdomain, TwinLink
 _TWIN_TOPOLOGIES = ("tree", "chain", "star", "complete")
 
 
+
+
 # ----------------------------------------------------------------------
 # split strategies (paper §4 step 3)
 # ----------------------------------------------------------------------
@@ -52,14 +54,16 @@ class SplitStrategy:
     by the splitter).
     """
 
-    def edge_fractions(self, u: int, v: int, weight: float,
-                       parts: Sequence[int]) -> dict[int, float]:
+    def edge_fractions(
+        self, u: int, v: int, weight: float, parts: Sequence[int]
+    ) -> dict[int, float]:
         """Fractions of a boundary-boundary edge weight per part."""
         k = len(parts)
         return {q: 1.0 / k for q in parts}
 
-    def vertex_fractions(self, v: int, weight: float,
-                         loads: Mapping[int, float]) -> dict[int, float]:
+    def vertex_fractions(
+        self, v: int, weight: float, loads: Mapping[int, float]
+    ) -> dict[int, float]:
         """Fractions of a split vertex's weight per part.
 
         *loads* maps each copy's part to the absolute off-diagonal
@@ -68,9 +72,9 @@ class SplitStrategy:
         k = len(loads)
         return {q: 1.0 / k for q in loads}
 
-    def source_fractions(self, v: int, source: float,
-                         weight_fractions: Mapping[int, float]
-                         ) -> dict[int, float]:
+    def source_fractions(
+        self, v: int, source: float, weight_fractions: Mapping[int, float]
+    ) -> dict[int, float]:
         """Fractions of the split vertex's source (default: as weight)."""
         return dict(weight_fractions)
 
@@ -89,8 +93,9 @@ class DominancePreservingSplit(SplitStrategy):
     when the row is not dominant.
     """
 
-    def vertex_fractions(self, v: int, weight: float,
-                         loads: Mapping[int, float]) -> dict[int, float]:
+    def vertex_fractions(
+        self, v: int, weight: float, loads: Mapping[int, float]
+    ) -> dict[int, float]:
         parts = sorted(loads)
         k = len(parts)
         total_load = float(sum(loads.values()))
@@ -111,15 +116,18 @@ class ExplicitSplit(SplitStrategy):
     listed falls back to *default* (equal split unless given).
     """
 
-    def __init__(self,
-                 vertex: Mapping[int, Mapping[int, float]] | None = None,
-                 source: Mapping[int, Mapping[int, float]] | None = None,
-                 edge: Mapping[tuple[int, int], Mapping[int, float]] | None = None,
-                 default: SplitStrategy | None = None) -> None:
+    def __init__(
+        self,
+        vertex: Mapping[int, Mapping[int, float]] | None = None,
+        source: Mapping[int, Mapping[int, float]] | None = None,
+        edge: Mapping[tuple[int, int], Mapping[int, float]] | None = None,
+        default: SplitStrategy | None = None,
+    ) -> None:
         self._vertex = {int(k): dict(v) for k, v in (vertex or {}).items()}
         self._source = {int(k): dict(v) for k, v in (source or {}).items()}
-        self._edge = {(min(k), max(k)): dict(v)
-                      for k, v in (edge or {}).items()}
+        self._edge = {
+            (min(k), max(k)): dict(v) for k, v in (edge or {}).items()
+        }
         self._default = default or EqualSplit()
 
     def edge_fractions(self, u, v, weight, parts):
@@ -154,7 +162,8 @@ def twin_pairs(k: int, topology: str) -> list[tuple[int, int]]:
     if topology not in _TWIN_TOPOLOGIES:
         raise ValidationError(
             f"unknown twin topology {topology!r}; choose from "
-            f"{_TWIN_TOPOLOGIES}")
+            f"{_TWIN_TOPOLOGIES}"
+        )
     if k < 2:
         return []
     if topology == "chain":
@@ -191,13 +200,16 @@ class SplitResult:
     subdomains: list[Subdomain]
     twin_links: list[TwinLink]
     copies: dict[int, list[int]]
+    #: per part: the fraction of its split vertex's source each port
+    #: receives (inner vertices keep all of theirs)
+    port_weights: list[np.ndarray]
     notes: list[str] = field(default_factory=list)
     #: per split vertex: the fraction of its source each copy received
-    #: (recorded by :func:`split_graph`; powers :meth:`spread_sources`).
-    source_fractions: dict[int, dict[int, float]] = field(
-        default_factory=dict)
-    #: copies per global vertex: a constant of the split, filled by the
-    #: first :meth:`gather` and shared by :meth:`with_sources` variants
+    source_fractions: dict[int, dict[int, float]] = field(default_factory=dict)
+    #: the subdomains' ``global_vertices`` back to back, and the copies
+    #: per global vertex: constants of the split, filled by the first
+    #: gather and shared by :meth:`with_sources` variants
+    _copy_index: np.ndarray | None = field(default=None, repr=False)
     _copy_counts: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -207,7 +219,7 @@ class SplitResult:
     @property
     def split_vertices(self) -> list[int]:
         """Vertices that were actually split (>= 2 copies)."""
-        return sorted(v for v, parts in self.copies.items() if len(parts) >= 2)
+        return sorted(self.levels())
 
     def levels(self) -> dict[int, int]:
         """Wire-tearing level per split vertex: level L ⇔ 2^L copies.
@@ -215,8 +227,8 @@ class SplitResult:
         A 2-copy split is level one, a 4-copy split level two (paper
         Fig 6); intermediate counts report the ceiling level.
         """
-        return {v: int(np.ceil(np.log2(len(parts))))
-                for v, parts in self.copies.items() if len(parts) >= 2}
+        copies = self.copies.items()
+        return {v: (len(p) - 1).bit_length() for v, p in copies if len(p) > 1}
 
     # ------------------------------------------------------------------
     # exactness
@@ -224,36 +236,46 @@ class SplitResult:
     def reassemble(self) -> tuple[CsrMatrix, np.ndarray]:
         """Sum the subdomain systems back to a global (A, b)."""
         n = self.graph.n
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        vals: list[np.ndarray] = []
         b = np.zeros(n)
+        triplets = []
         for sub in self.subdomains:
             coo = sub.matrix.to_scipy().tocoo()
-            rows.append(sub.global_vertices[coo.row])
-            cols.append(sub.global_vertices[coo.col])
-            vals.append(coo.data)
-            np.add.at(b, sub.global_vertices, sub.rhs)
-        a = CsrMatrix.from_coo(np.concatenate(rows), np.concatenate(cols),
-                               np.concatenate(vals), (n, n))
-        return a, b
+            gv = sub.global_vertices
+            triplets.append((gv[coo.row], gv[coo.col], coo.data))
+            np.add.at(b, gv, sub.rhs)
+        rows, cols, vals = map(np.concatenate, zip(*triplets))
+        return CsrMatrix.from_coo(rows, cols, vals, (n, n)), b
 
     def assert_exact(self, atol: float = 1e-9) -> None:
         """Raise unless reassembly reproduces the original system."""
         a, b = self.reassemble()
         a0, b0 = self.graph.to_system()
-        dev_a = float(np.max(np.abs(a.to_dense() - a0.to_dense()))) \
-            if self.graph.n else 0.0
-        dev_b = float(np.max(np.abs(b - b0))) if self.graph.n else 0.0
+        dev_a = dev_b = 0.0
+        if self.graph.n:
+            dev_a = float(np.max(np.abs(a.to_dense() - a0.to_dense())))
+            dev_b = float(np.max(np.abs(b - b0)))
         if dev_a > atol or dev_b > atol:
             raise PartitionError(
-                f"EVS reassembly mismatch: |dA|={dev_a:.3e}, |db|={dev_b:.3e}")
+                f"EVS reassembly mismatch: |dA|={dev_a:.3e}, |db|={dev_b:.3e}"
+            )
 
     # ------------------------------------------------------------------
     # solution transfer
     # ------------------------------------------------------------------
-    def gather(self, local_values: Sequence[np.ndarray],
-               mode: str = "average") -> np.ndarray:
+    def _copy_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(_copy_index, _copy_counts)``, computed on first use."""
+        if self._copy_counts is None:
+            gv = [sub.global_vertices for sub in self.subdomains]
+            index = np.concatenate(gv)
+            cnt = np.bincount(index, minlength=self.graph.n).astype(float)
+            if np.any(cnt == 0):
+                raise PartitionError("gather: some vertices have no copy")
+            self._copy_index, self._copy_counts = index, cnt
+        return self._copy_index, self._copy_counts
+
+    def gather(
+        self, local_values: Sequence[np.ndarray], mode: str = "average"
+    ) -> np.ndarray:
         """Assemble a global vector from per-subdomain local vectors.
 
         Split vertices take the ``"average"`` of their copies (default)
@@ -261,70 +283,51 @@ class SplitResult:
         """
         if mode not in ("average", "first"):
             raise ValidationError(f"unknown gather mode {mode!r}")
-        n = self.graph.n
-        if self._copy_counts is None:
-            cnt = np.bincount(np.concatenate(
-                [sub.global_vertices for sub in self.subdomains]),
-                minlength=n).astype(np.float64)
-            if np.any(cnt == 0):
-                raise PartitionError("gather: some vertices have no copy")
-            self._copy_counts = cnt
-        acc = np.zeros(n)
-        seen = np.zeros(n, dtype=bool) if mode == "first" else None
-        for sub, vec in zip(self.subdomains, local_values):
-            vec = np.asarray(vec, dtype=np.float64)
+        vecs = [np.asarray(vec, dtype=np.float64) for vec in local_values]
+        for sub, vec in zip(self.subdomains, vecs):
             if vec.shape != (sub.n_local,):
                 raise ValidationError(
                     f"subdomain {sub.part} local vector has shape "
-                    f"{vec.shape}, expected ({sub.n_local},)")
-            if seen is None:
-                np.add.at(acc, sub.global_vertices, vec)
-            else:
-                first = ~seen[sub.global_vertices]
-                acc[sub.global_vertices[first]] = vec[first]
-                seen[sub.global_vertices] = True
-        return acc if mode == "first" else acc / self._copy_counts
+                    f"{vec.shape}, expected ({sub.n_local},)"
+                )
+        if mode == "average":
+            return self.gather_flat(np.concatenate(vecs))
+        acc = np.zeros(self.graph.n)
+        seen = np.zeros(self.graph.n, dtype=bool)
+        for sub, vec in zip(self.subdomains, vecs):
+            first = ~seen[sub.global_vertices]
+            acc[sub.global_vertices[first]] = vec[first]
+            seen[sub.global_vertices] = True
+        return acc
 
     def gather_flat(self, states: np.ndarray) -> np.ndarray:
         """:meth:`gather` of the subdomains' local vectors laid
         back-to-back in part order — the state layout of the in-process
-        fleet and of the sharded runtime's shared buffer alike."""
-        ends = np.cumsum([sub.n_local for sub in self.subdomains])
-        return self.gather(np.split(states, ends[:-1]))
+        fleet and of the sharded runtime's shared buffer alike.
+
+        One ``bincount``: it adds in input order, so every vertex sums
+        its copies in part order, as a per-part ``np.add.at`` would.
+        """
+        index, counts = self._copy_map()
+        states = np.asarray(states, dtype=np.float64)
+        if states.shape != index.shape:
+            raise ValidationError(
+                f"flat state has shape {states.shape}, expected {index.shape}"
+            )
+        return np.bincount(index, states, self.graph.n) / counts
 
     def spread(self, x_global) -> list[np.ndarray]:
         """Restrict a global vector to each subdomain's local ordering."""
         x = np.asarray(x_global, dtype=np.float64)
         if x.shape != (self.graph.n,):
             raise ValidationError(
-                f"global vector must have shape ({self.graph.n},)")
+                f"global vector must have shape ({self.graph.n},)"
+            )
         return [x[sub.global_vertices] for sub in self.subdomains]
 
-    def source_weights(self, part: int) -> np.ndarray:
-        """Per-local-vertex source fraction of subdomain *part*.
-
-        Inner vertices keep their full source (fraction 1); port copies
-        receive the fraction the split strategy assigned at EVS time.
-        Multiplying a new global right-hand side by these weights
-        reproduces — bit for bit — the ``rhs`` the splitter would have
-        baked in had the graph carried that right-hand side.
-        """
-        sub = self.subdomains[part]
-        frac = np.ones(sub.n_local)
-        for i in range(sub.n_ports):
-            v = int(sub.global_vertices[i])
-            try:
-                frac[i] = self.source_fractions[v][part]
-            except KeyError:
-                raise ValidationError(
-                    f"no recorded source fraction for split vertex {v} in "
-                    f"part {part}; this SplitResult predates source-"
-                    "fraction recording (rebuild it with split_graph)"
-                ) from None
-        return frac
-
-    def with_sources(self, b, rhs_list: Sequence[np.ndarray] | None = None
-                     ) -> "SplitResult":
+    def with_sources(
+        self, b, rhs_list: Sequence[np.ndarray] | None = None
+    ) -> "SplitResult":
         """A shallow variant of this split carrying right-hand side *b*.
 
         The split topology (partition, copies, twin links, matrices) is
@@ -340,36 +343,31 @@ class SplitResult:
         if rhs_list is None:
             rhs_list = self.spread_sources(b)
         graph = self.graph.with_sources(b)
-        subdomains = [replace(sub, rhs=rhs)
-                      for sub, rhs in zip(self.subdomains, rhs_list)]
-        return SplitResult(graph=graph, partition=self.partition,
-                           subdomains=subdomains,
-                           twin_links=self.twin_links, copies=self.copies,
-                           notes=self.notes,
-                           source_fractions=self.source_fractions,
-                           _copy_counts=self._copy_counts)
+        subs = [replace(s, rhs=r) for s, r in zip(self.subdomains, rhs_list)]
+        return replace(self, graph=graph, subdomains=subs)
 
     def spread_sources(self, b) -> list[np.ndarray]:
         """Per-subdomain right-hand sides for a *new* global source *b*.
 
         The RHS-swap primitive of the plan/session architecture: the
         split topology (copies, ports, twin links) is source-independent,
-        so a changed right-hand side only re-weights the local ``rhs``
-        vectors.  *b* may be 1-D ``(n,)`` or a column block ``(n, k)``;
-        with ``b == graph.sources`` the 1-D result equals every
-        subdomain's baked-in ``rhs`` bitwise.
+        so a changed right-hand side only re-weights the ports of each
+        gathered local vector by :attr:`port_weights`.  *b* may be 1-D
+        ``(n,)`` or a column block ``(n, k)``; with ``b ==
+        graph.sources`` the 1-D result equals every subdomain's
+        baked-in ``rhs`` bitwise.
         """
         b = np.asarray(b, dtype=np.float64)
         if b.shape[0] != self.graph.n or b.ndim > 2:
             raise ValidationError(
                 f"source vector must have {self.graph.n} rows, got shape "
-                f"{b.shape}")
+                f"{b.shape}"
+            )
         out = []
-        for sub in self.subdomains:
-            frac = self.source_weights(sub.part)
+        for sub, w in zip(self.subdomains, self.port_weights):
             local = b[sub.global_vertices]
-            out.append(frac * local if b.ndim == 1
-                       else frac[:, None] * local)
+            local[: sub.n_ports] *= w if b.ndim == 1 else w[:, None]
+            out.append(local)
         return out
 
     # ------------------------------------------------------------------
@@ -380,209 +378,210 @@ class SplitResult:
         return definiteness_report([s.matrix for s in self.subdomains])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"SplitResult(parts={self.n_parts}, "
-                f"split_vertices={len(self.split_vertices)}, "
-                f"twin_links={len(self.twin_links)})")
+        return (
+            f"SplitResult(parts={self.n_parts}, "
+            f"split_vertices={len(self.split_vertices)}, "
+            f"twin_links={len(self.twin_links)})"
+        )
 
 
 # ----------------------------------------------------------------------
 # the splitter
 # ----------------------------------------------------------------------
-def split_graph(graph: ElectricGraph, partition: Partition,
-                strategy: SplitStrategy | None = None,
-                twin_topology: str = "tree") -> SplitResult:
+def split_graph(
+    graph: ElectricGraph,
+    partition: Partition,
+    strategy: SplitStrategy | None = None,
+    twin_topology: str = "tree",
+) -> SplitResult:
     """Perform EVS on *graph* under *partition*.
 
     Returns a :class:`SplitResult` whose subdomains are the paper's
     block systems (4.3) with ports ordered first, plus the twin links
-    where §5 inserts DTLPs.
+    where §5 inserts DTLPs.  The work over all edges is numpy; Python
+    loops run only per separator vertex, per split vertex and per edge
+    joining two separator vertices.
     """
     strategy = strategy or EqualSplit()
     partition.validate(graph)
     notes: list[str] = []
-    n = graph.n
-    labels = partition.labels
-    sep = partition.separator
-    adj = graph.adjacency()
+    n, n_parts = graph.n, partition.n_parts
+    labels, sep = partition.labels, partition.separator
+    eu, ev, ew = graph.edge_u, graph.edge_v, graph.edge_weights
+    vw, src = graph.vertex_weights, graph.sources
 
     # ---- step 2: copies per separator vertex -------------------------
-    copies: dict[int, list[int]] = {}
-    for v in np.nonzero(sep)[0]:
-        v = int(v)
-        direct = {int(labels[u]) for u in adj[v] if not sep[u]}
-        copies[v] = sorted(direct)
+    # the parts of each separator vertex's interior neighbours
+    sep_u, sep_v = sep[eu], sep[ev]
+    at_u, at_v = sep_u & ~sep_v, sep_v & ~sep_u
+    owner = np.concatenate([eu[at_u], ev[at_v]])
+    part = labels[np.concatenate([ev[at_u], eu[at_v]])]
+    keys = np.unique(owner * n_parts + part)
+    sep_ids = np.nonzero(sep)[0]
+    lo = np.searchsorted(keys, sep_ids * n_parts).tolist()
+    hi = np.searchsorted(keys, (sep_ids + 1) * n_parts).tolist()
+    key_parts = (keys % n_parts).tolist()
+    copies = {v: key_parts[i:j] for v, i, j in zip(sep_ids.tolist(), lo, hi)}
     # fallback for separator vertices with no interior neighbours
     # (e.g. grid-line crossings): inherit the union of neighbouring
-    # separator vertices' parts
-    for v, parts in list(copies.items()):
-        if parts:
-            continue
-        inherited: set[int] = set()
-        for u in adj[v]:
-            if sep[u]:
-                inherited.update(copies.get(int(u), []))
-        if not inherited:
-            notes.append(f"isolated separator vertex {v} kept in its home part")
-        copies[v] = sorted(inherited)
+    # separator vertices' parts, in ascending order (a vertex sees what
+    # a lower one inherited)
+    lonely = [v for v, parts in copies.items() if not parts]
+    if lonely:
+        ends, others = np.concatenate([eu, ev]), np.concatenate([ev, eu])
+        hit = np.nonzero(np.isin(ends, lonely))[0]
+        hit = hit[np.argsort(ends[hit], kind="stable")]
+        cut = np.searchsorted(ends[hit], lonely + [n]).tolist()
+        nbrs = others[hit].tolist()
+        for v, i, j in zip(lonely, cut, cut[1:]):
+            inherited = set().union(*(copies[u] for u in nbrs[i:j]))
+            if not inherited:
+                notes.append(
+                    f"isolated separator vertex {v} kept in its home part"
+                )
+            copies[v] = sorted(inherited)
     # a torn vertex always keeps a copy in its home part (as in the
     # paper's Example 4.1); this also prevents the separator from
     # swallowing a small part whole
-    for v in list(copies):
-        home = int(labels[v])
+    for v, home in zip(sep_ids.tolist(), labels[sep_ids].tolist()):
         if home not in copies[v]:
-            copies[v] = sorted(set(copies[v]) | {home})
+            copies[v] = sorted(copies[v] + [home])
 
     # ---- make every edge assignable -----------------------------------
-    def effective_parts(v: int) -> list[int]:
-        if sep[v]:
-            return copies[int(v)]
-        return [int(labels[v])]
-
-    for u, v in zip(graph.edge_u, graph.edge_v):
-        u, v = int(u), int(v)
-        pu, pv = effective_parts(u), effective_parts(v)
+    # a separator vertex has a copy in every interior neighbour's part,
+    # so only an edge between two separator vertices can lack a common
+    # part; in edge order, since an extension shows in later edges
+    both = np.nonzero(sep_u & sep_v)[0]
+    for u, v in zip(eu[both].tolist(), ev[both].tolist()):
+        pu, pv = copies[u], copies[v]
         if not set(pu) & set(pv):
-            if sep[u] and sep[v]:
-                q = min(set(pu) | set(pv))
-                for w, pw in ((u, pu), (v, pv)):
-                    if q not in pw:
-                        copies[w] = sorted(set(pw) | {q})
-                notes.append(
-                    f"extended copies of boundary edge ({u}, {v}) into part {q}")
-            elif sep[u] or sep[v]:
-                s, q = (u, int(labels[v])) if sep[u] else (v, int(labels[u]))
-                copies[s] = sorted(set(copies[s]) | {q})
-                notes.append(
-                    f"extended copies of separator vertex {s} to cover part {q}")
-            else:  # pragma: no cover - already excluded by validate()
-                raise PartitionError(
-                    f"interior edge ({u}, {v}) crosses parts")
-
-    split_set = {v for v, parts in copies.items() if len(parts) >= 2}
-    for v, parts in copies.items():
-        if len(parts) == 1:
+            q = min(pu[0], pv[0])
+            lacking = v if q in pu else u
+            copies[lacking] = sorted(copies[lacking] + [q])
             notes.append(
-                f"separator vertex {v} touches a single part "
-                f"{parts[0]}; treated as inner")
+                f"extended copies of boundary edge ({u}, {v}) into part {q}"
+            )
+
+    split_ids = [v for v, parts in copies.items() if len(parts) >= 2]
+    single = [(v, p[0]) for v, p in copies.items() if len(p) == 1]
+    notes += [
+        f"separator vertex {v} touches a single part {q}; treated as inner"
+        for v, q in single
+    ]
+    is_split = np.zeros(n, dtype=bool)
+    is_split[split_ids] = True
 
     # ---- steps 3-4: edge shares ---------------------------------------
-    # edge_entries[(part)] collects (local COO in *global* vertex ids)
-    edge_share: list[tuple[int, int, int, float]] = []  # (u, v, part, w)
-    loads: dict[int, dict[int, float]] = {
-        v: {q: 0.0 for q in copies[v]} for v in split_set}
-    for u, v, w in zip(graph.edge_u, graph.edge_v, graph.edge_weights):
-        u, v, w = int(u), int(v), float(w)
-        su, sv = u in split_set, v in split_set
-        if not su and not sv:
-            q = effective_parts(u)[0]
-            edge_share.append((u, v, q, w))
-            continue
-        if su != sv:
-            inner = v if su else u
-            q = effective_parts(inner)[0]
-            edge_share.append((u, v, q, w))
-            split_v = u if su else v
-            loads[split_v][q] += abs(w)
-            continue
+    # an edge with an unsplit endpoint goes whole to that endpoint's
+    # home part (an unsplit separator vertex's one copy is its home)
+    split_u, split_v = is_split[eu], is_split[ev]
+    inner_part = labels[np.where(split_u, ev, eu)]
+    whole = np.nonzero(~(split_u & split_v))[0]
+    torn = np.nonzero(split_u ^ split_v)[0]
+    pair = np.nonzero(split_u & split_v)[0]
+    pair_k, pair_q, pair_w = [], [], []  # split-split edge shares
+    for k, u, v, w in zip(
+        pair.tolist(), eu[pair].tolist(), ev[pair].tolist(), ew[pair].tolist()
+    ):
         common = sorted(set(copies[u]) & set(copies[v]))
         fracs = strategy.edge_fractions(u, v, w, common)
         _check_fractions(fracs, common, f"edge ({u}, {v})")
         for q in common:
             share = w * fracs[q]
-            if share == 0.0:
-                continue
-            edge_share.append((u, v, q, share))
-            loads[u][q] += abs(share)
-            loads[v][q] += abs(share)
+            if share != 0.0:
+                pair_k.append(k)
+                pair_q.append(q)
+                pair_w.append(share)
+    pk, pq = (np.asarray(a, dtype=np.int64) for a in (pair_k, pair_q))
+    pw = np.asarray(pair_w, dtype=np.float64)
 
-    # vertex weight / source shares
-    vertex_share: dict[int, dict[int, tuple[float, float]]] = {}
-    source_fractions: dict[int, dict[int, float]] = {}
-    for v in split_set:
-        wfrac = strategy.vertex_fractions(v, float(graph.vertex_weights[v]),
-                                          loads[v])
-        _check_fractions(wfrac, copies[v], f"vertex {v} weight")
-        sfrac = strategy.source_fractions(v, float(graph.sources[v]), wfrac)
-        _check_fractions(sfrac, copies[v], f"vertex {v} source")
-        source_fractions[v] = {q: float(sfrac[q]) for q in copies[v]}
-        vertex_share[v] = {
-            q: (float(graph.vertex_weights[v]) * wfrac[q],
-                float(graph.sources[v]) * sfrac[q]) for q in copies[v]}
+    # |off-diagonal weight| per (split vertex, part), summed in edge
+    # order: bincount adds in input order
+    rank = np.cumsum(is_split) - 1
+    order = np.argsort(np.concatenate([torn, pk, pk]), kind="stable")
+    x = np.concatenate([np.where(split_u, eu, ev)[torn], eu[pk], ev[pk]])
+    xq = np.concatenate([inner_part[torn], pq, pq])
+    flat = (rank[x] * n_parts + xq)[order]
+    size = np.abs(np.concatenate([ew[torn], pw, pw]))[order]
+    load = np.bincount(flat, size, len(split_ids) * n_parts).tolist()
+
+    # vertex weight / source shares: per port copy (v, q), ascending v,
+    # its diagonal ``a`` and source ``b`` share and its source fraction
+    fractions: dict[int, dict[int, float]] = {}
+    port_v, port_q, port_a, port_b, port_f = [], [], [], [], []
+    for r, v in enumerate(split_ids):
+        parts = copies[v]
+        weight, source = float(vw[v]), float(src[v])
+        loads = {q: load[r * n_parts + q] for q in parts}
+        wfrac = strategy.vertex_fractions(v, weight, loads)
+        _check_fractions(wfrac, parts, f"vertex {v} weight")
+        sfrac = strategy.source_fractions(v, source, wfrac)
+        _check_fractions(sfrac, parts, f"vertex {v} source")
+        fractions[v] = {q: float(sfrac[q]) for q in parts}
+        port_v += [v] * len(parts)
+        port_q += parts
+        port_a += [weight * wfrac[q] for q in parts]
+        port_b += [source * sfrac[q] for q in parts]
+        port_f += fractions[v].values()
+    port_v, port_q = (np.asarray(a, dtype=np.int64) for a in (port_v, port_q))
+    port_a, port_b, port_f = map(np.asarray, (port_a, port_b, port_f))
 
     # ---- assemble subdomains (ports first) ----------------------------
-    n_parts = partition.n_parts
-    port_lists: list[list[int]] = [[] for _ in range(n_parts)]
-    inner_lists: list[list[int]] = [[] for _ in range(n_parts)]
-    for v in sorted(split_set):
-        for q in copies[v]:
-            port_lists[q].append(v)
-    for v in range(n):
-        if v in split_set:
-            continue
-        inner_lists[effective_parts(v)[0]].append(v)
+    def group(key: np.ndarray) -> list[np.ndarray]:  # positions by part
+        cuts = np.cumsum(np.bincount(key, minlength=n_parts))[:-1]
+        return np.split(np.argsort(key, kind="stable"), cuts)
 
-    local_index: list[dict[int, int]] = []
+    inner = np.nonzero(~is_split)[0]
+    e_part = np.concatenate([inner_part[whole], pq])
+    e_u = np.concatenate([eu[whole], eu[pk]])
+    e_v = np.concatenate([ev[whole], ev[pk]])
+    e_w = np.concatenate([ew[whole], pw])
+    local = np.empty(n, dtype=np.int64)  # global -> local id in part q
+    port_local = np.empty(port_v.size, dtype=np.int64)
     subdomains: list[Subdomain] = []
-    for q in range(n_parts):
-        locs = port_lists[q] + inner_lists[q]
-        index = {v: i for i, v in enumerate(locs)}
-        local_index.append(index)
-        m = len(locs)
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        rhs = np.zeros(m)
-        for i, v in enumerate(locs):
-            if v in split_set:
-                wgt, src = vertex_share[v][q]
-            else:
-                wgt, src = float(graph.vertex_weights[v]), float(graph.sources[v])
-            rows.append(i)
-            cols.append(i)
-            vals.append(wgt)
-            rhs[i] = src
-        for u, v, q_e, w in edge_share:
-            if q_e != q:
-                continue
-            iu, iv = local_index[q].get(u), local_index[q].get(v)
-            if iu is None or iv is None:  # pragma: no cover - defensive
-                raise PartitionError(
-                    f"edge share ({u}, {v}) assigned to part {q} but an "
-                    "endpoint has no copy there")
-            rows.extend((iu, iv))
-            cols.extend((iv, iu))
-            vals.extend((w, w))
+    weights: list[np.ndarray] = []
+    for q, ports, own, edges in zip(
+        range(n_parts), group(port_q), group(labels[inner]), group(e_part)
+    ):
+        inner_q = inner[own]
+        locs = np.concatenate([port_v[ports], inner_q])
+        m = locs.size
+        diag = np.arange(m)
+        local[locs] = diag
+        port_local[ports] = diag[: ports.size]
+        lu, lv, w = local[e_u[edges]], local[e_v[edges]], e_w[edges]
+        rows = np.concatenate([diag, lu, lv])
+        cols = np.concatenate([diag, lv, lu])
+        vals = np.concatenate([port_a[ports], vw[inner_q], w, w])
         matrix = CsrMatrix.from_coo(rows, cols, vals, (m, m))
-        subdomains.append(Subdomain(
-            part=q, matrix=matrix, rhs=rhs,
-            global_vertices=np.asarray(locs, dtype=np.int64),
-            n_ports=len(port_lists[q])))
+        rhs = np.concatenate([port_b[ports], src[inner_q]])
+        subdomains.append(Subdomain(q, matrix, rhs, locs, ports.size))
+        weights.append(port_f[ports])
 
     # ---- twin links -----------------------------------------------------
     links: list[TwinLink] = []
-    for v in sorted(split_set):
+    ports_of = iter(port_local.tolist())  # in port-copy order
+    for v in split_ids:
         parts = copies[v]
-        for ia, ib in twin_pairs(len(parts), twin_topology):
-            qa, qb = parts[ia], parts[ib]
-            links.append(TwinLink(
-                vertex=v,
-                part_a=qa, port_a=local_index[qa][v],
-                part_b=qb, port_b=local_index[qb][v]))
+        here = [next(ports_of) for _ in parts]
+        for i, j in twin_pairs(len(parts), twin_topology):
+            links.append(TwinLink(v, parts[i], here[i], parts[j], here[j]))
 
-    result = SplitResult(graph=graph, partition=partition,
-                         subdomains=subdomains, twin_links=links,
-                         copies={v: list(p) for v, p in copies.items()},
-                         notes=notes, source_fractions=source_fractions)
-    return result
+    return SplitResult(
+        graph, partition, subdomains, links, copies, weights, notes, fractions
+    )
 
 
-def _check_fractions(fracs: Mapping[int, float], parts: Sequence[int],
-                     what: str) -> None:
+def _check_fractions(
+    fracs: Mapping[int, float], parts: Sequence[int], what: str
+) -> None:
     if set(fracs) != set(parts):
         raise ValidationError(
             f"split fractions for {what} cover parts {sorted(fracs)} "
-            f"instead of {sorted(parts)}")
+            f"instead of {sorted(parts)}"
+        )
     total = float(sum(fracs.values()))
     if abs(total - 1.0) > 1e-9:
         raise ValidationError(
-            f"split fractions for {what} sum to {total:.12f}, expected 1")
+            f"split fractions for {what} sum to {total:.12f}, expected 1"
+        )

@@ -64,7 +64,7 @@ from .plan import SolverPlan, compute_plan_hash
 #: bump on any incompatible layout/semantic change; load_plan refuses
 #: other versions (artifacts are a disposable cache — rebuild, never
 #: migrate)
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 FORMAT_NAME = "repro-plan-artifact"
 
@@ -103,7 +103,7 @@ _PLAN_FIELDS = (
 _DROPPED_CACHES = {
     ElectricGraph: ("_adjacency",),
     FleetKernel: ("_views",),
-    SplitResult: ("_copy_counts",),
+    SplitResult: ("_copy_index", "_copy_counts"),
 }
 
 

@@ -405,14 +405,6 @@ class TestSpreadSources:
         with pytest.raises(ValidationError):
             res.spread_sources(np.zeros(g.n + 1))
 
-    def test_legacy_split_without_fractions_raises(self):
-        g = grid2d_random(6, seed=0)
-        p = grid_block_partition(6, 6, 2, 2)
-        res = split_graph(g, p, strategy=DominancePreservingSplit())
-        res.source_fractions = {}  # simulate a pre-recording SplitResult
-        with pytest.raises(ValidationError):
-            res.spread_sources(g.sources)
-
 
 # ----------------------------------------------------------------------
 # re-dressing a split with a new right-hand side (shared topology)
