@@ -1078,6 +1078,7 @@ class MeshTransport(Transport):
         n_states: int,
         idle_sleep: float,
         obs_enabled: bool = False,
+        wakes=(),
     ) -> HubCoordinatorPort:
         if self._hub is not None:
             raise ConfigurationError("MeshTransport is already bound")

@@ -37,7 +37,7 @@ import secrets
 import time
 import weakref
 from functools import partial
-from multiprocessing import get_context, shared_memory
+from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -255,7 +255,11 @@ class Transport:
         n_states: int,
         idle_sleep: float,
         obs_enabled: bool = False,
+        wakes=(),
     ) -> CoordinatorPort:
+        """Set the fabric up for *specs*; *wakes* holds each local
+        worker's wake semaphore, by shard (the shm fabric posts them,
+        sockets need none)."""
         raise NotImplementedError
 
     def worker_descriptor(self, index: int) -> tuple:
@@ -333,6 +337,7 @@ class ShmTransport(Transport):
         n_states: int,
         idle_sleep: float,
         obs_enabled: bool = False,
+        wakes=(),
     ) -> "ShmCoordinatorPort":
         if self._finalizer is not None:
             raise ConfigurationError("ShmTransport is already bound")
@@ -370,15 +375,16 @@ class ShmTransport(Transport):
         # are read-only)
         for spec in specs:
             spec.encode_payload(partial(self._create, f"spec{spec.index}"))
-        # posted with every EPOCH bump (see ShmWorkerPort.idle_wait)
-        self._wake = [
-            get_context("spawn").Semaphore(0) for _ in range(n_shards)
-        ]
+        # the workers' own semaphores, posted with every EPOCH bump (see
+        # ShmWorkerPort.idle_wait); the runner's list, so a respawned
+        # worker's semaphore replaces its predecessor's in place
+        self._wake = wakes
         return ShmCoordinatorPort(self, waves, x0, states, ctrl, n_shards)
 
     def worker_descriptor(self, index: int) -> tuple:
         """Names and sizes only: the shard itself stays in its segment,
-        so a spawn pipe carries under a kilobyte per worker."""
+        so a job pipe carries under a kilobyte per worker.  No wake
+        semaphore: the worker opens its port with its own."""
         names = {
             key: self._names[key] for key in ("waves", "x0", "states", "ctrl")
         }
@@ -390,7 +396,6 @@ class ShmTransport(Transport):
             self._n_slots,
             self._n_states,
             self._idle_sleep,
-            self._wake[index],
         )
 
     def wake_workers(self) -> None:
@@ -400,7 +405,7 @@ class ShmTransport(Transport):
     def close(self) -> None:
         if self._finalizer is not None:
             self._finalizer()  # close+unlink, exactly once
-        self._wake = []  # the last reference unlinks a semaphore
+        self._wake = []
 
 
 class ShmCoordinatorPort(CoordinatorPort):
@@ -570,15 +575,21 @@ def resolve_transport(transport) -> Transport:
     )
 
 
-def open_worker_port(descriptor) -> tuple:
+def open_worker_port(descriptor, wake=None) -> tuple:
     """Open a worker port from a transport's worker descriptor.
 
-    Returns ``(spec, port, idle_sleep)`` — everything the generic shard
-    loop in :mod:`repro.runtime.multiproc` needs.
+    *wake* is the semaphore the worker was born with: an shm port
+    blocks on it between epochs and needs it, a socket port has no use
+    for it.  Returns ``(spec, port, idle_sleep)`` — everything the
+    generic shard loop in :mod:`repro.runtime.shard_worker` needs.
     """
     kind = descriptor[0]
     if kind == "shm":
-        _, names, spec_size, n_slots, n_states, idle, wake = descriptor
+        _, names, spec_size, n_slots, n_states, idle = descriptor
+        if wake is None:
+            raise ConfigurationError(
+                "an shm worker port needs the worker's wake semaphore"
+            )
         shms = {key: _attach_shm(name) for key, name in names.items()}
         # (a segment may be rounded up to whole pages: slice it)
         spec = ShardSpec.from_payload(shms["spec"].buf[:spec_size])

@@ -126,6 +126,30 @@ def _impedance_token(impedance) -> tuple:
     return ("z-object", id(impedance))
 
 
+def _split_digest(split: SplitResult) -> str:
+    """Content hash of a prebuilt split: what a plan takes from it.
+
+    Each subdomain's CSR triple, global vertices and port count, the
+    source fraction of every port and split vertex, and the twin links
+    — so the same split hashes alike in every process (sources are
+    left out, as in :func:`graph_fingerprint`).
+    """
+    h = hashlib.sha256()
+    for sub in split.subdomains:
+        m = sub.matrix
+        h.update(repr((sub.part, sub.n_ports, m.shape)).encode())
+        for arr in (m.indptr, m.indices, m.data, sub.global_vertices):
+            h.update(np.ascontiguousarray(arr).tobytes())
+    for weights in split.port_weights:
+        h.update(np.ascontiguousarray(weights, dtype=np.float64).tobytes())
+    h.update(repr(sorted((v, sorted(f.items()))
+                         for v, f in split.source_fractions.items())
+                  ).encode())
+    h.update(repr([tuple(link.endpoints()) + (link.vertex,)
+                   for link in split.twin_links]).encode())
+    return h.hexdigest()
+
+
 def plan_key(graph: ElectricGraph, *, mode: str, n_subdomains: int,
              seed: int, grid_shape, parts_shape, topology, impedance,
              placement, allow_indefinite: bool,
@@ -140,10 +164,10 @@ def plan_key(graph: ElectricGraph, *, mode: str, n_subdomains: int,
     ``build_workers`` is deliberately *not* key material: a pooled
     build is bitwise-identical to a serial one.
     """
-    split_token = ("split", id(split)) if split is not None else (
-        "auto-split", int(n_subdomains),
-        tuple(grid_shape) if grid_shape else None,
-        tuple(parts_shape) if parts_shape else None)
+    split_token = ("split", _split_digest(split)) if split is not None \
+        else ("auto-split", int(n_subdomains),
+              tuple(grid_shape) if grid_shape else None,
+              tuple(parts_shape) if parts_shape else None)
     # seed stays in the key even with a prebuilt split: it also seeds
     # the default topology construction
     return (mode, graph_fingerprint(graph), split_token, int(seed),
@@ -545,6 +569,8 @@ def get_plan(a=None, b=None, *, cache: Optional[PlanCache] = None,
     rebind_b = None
     if split is not None:
         graph = split.graph
+        # equal splits share a key whatever their sources
+        rebind_b = np.asarray(graph.sources, dtype=np.float64)
     elif isinstance(a, ElectricGraph):
         graph = a
         rebind_b = resolve_rhs(a, b)

@@ -2,7 +2,8 @@
 
 The simulator (:mod:`repro.sim`) models DTM's asynchrony in virtual
 time; this package runs it for real — :class:`MultiprocDtmRunner` with
-one OS process per shard over a pluggable transport
+one OS process per shard, taken from a process-wide pool of booted
+workers (:mod:`repro.runtime.pool`), over a pluggable transport
 (:mod:`repro.net.transport`: shared memory on one machine, the socket
 mesh across address spaces/machines), and :class:`DtmServer` serving warm sharded
 runners over a shared :class:`PlanStore` (optionally LRU-bounded via

@@ -3,10 +3,11 @@
 The simulator backends *model* asynchrony; this runtime **executes**
 it.  A :class:`MultiprocDtmRunner` cuts an immutable
 :class:`~repro.plan.SolverPlan` into contiguous shards (see
-:mod:`repro.plan.shard`), spawns one worker process per shard, and
-lets every worker free-run the paper's Table 1 loop over its
-subdomains — resolve, emit ``b = 2u − a``, deliver — with **no global
-barrier and no locks**:
+:mod:`repro.plan.shard`), takes one booted worker process per shard
+from the process-wide pool (:mod:`repro.runtime.pool`), and lets every
+worker free-run the paper's Table 1 loop over its subdomains — resolve,
+emit ``b = 2u − a``, deliver — with **no global barrier and no
+locks**:
 
 * wave delivery is a :class:`~repro.net.transport.Transport` concern:
   the default :class:`~repro.net.transport.ShmTransport` keeps the
@@ -86,7 +87,7 @@ from ..obs import (
 from ..plan.session import SolveResult, SolverSession, _as_rhs
 from ..plan.shard import ShardSpec, extract_shards
 from ..sim.trace import ShardReport, merge_shard_series
-from .shard_worker import _worker_main
+from .pool import worker_pool
 
 __all__ = [
     "EdgeMailbox",
@@ -257,9 +258,10 @@ class MultiprocDtmRunner:
         :class:`_ProbePacer` and PERFORMANCE.md "Stopping without a
         barrier").
     mp_context:
-        ``multiprocessing`` start method (default ``"spawn"``, the
-        start method that is safe regardless of parent threads; pass
-        ``"fork"`` on POSIX for faster worker startup).
+        ``multiprocessing`` start method of the worker pool (default
+        ``"spawn"``, the start method that is safe regardless of
+        parent threads; pass ``"fork"`` on POSIX for faster worker
+        boots).
     ack_timeout:
         Seconds to wait for workers to acknowledge epoch transitions
         before declaring them lost.
@@ -273,14 +275,18 @@ class MultiprocDtmRunner:
         coordinator's hub for any worker without a peer socket) and
         recovers lost workers.
     spawn_workers:
-        Spawn one local process per shard (default).  With a mesh
-        transport you may pass ``False`` and attach workers yourself
-        (``python -m repro.net.worker``) — e.g. from other machines.
+        Run one local process per shard (default): each is taken from
+        the process-wide pool of booted workers
+        (:func:`~repro.runtime.pool.worker_pool`) and given back on
+        :meth:`close`.  With a mesh transport you may pass ``False``
+        and attach workers yourself (``python -m repro.net.worker``) —
+        e.g. from other machines.
     faults:
         Optional :class:`~repro.net.faults.FaultPlan` armed on the
         spawned workers — the deterministic chaos-testing hook.
         Respawned workers never inherit faults (each script fires
-        against the original incarnation only).
+        against the original incarnation only), and an armed worker
+        never returns to the pool.
     recover:
         Recover lost workers (respawn local ones with a fresh state
         snapshot; wait for external ones to reconnect) instead of
@@ -297,6 +303,11 @@ class MultiprocDtmRunner:
     Workers persist across :meth:`solve` calls (epochs), which is what
     makes a warm runner a *serving* unit: right-hand-side swaps cost
     one back-substitution per subdomain plus one transport publish.
+    They outlive the runner too: :meth:`close` returns each worker that
+    shut down cleanly to the pool, where the next runner finds it
+    booted; an idle worker that no runner takes within
+    :data:`~repro.runtime.pool.IDLE_LINGER` seconds is ended, and idle
+    workers exit with the process.
     """
 
     def __init__(self, plan, shards: int = 2, *,
@@ -330,14 +341,13 @@ class MultiprocDtmRunner:
         self._last_waves: Optional[np.ndarray] = None
         self.n_solves = 0
         self._closed = False
-        self._procs: list = []
+        self._workers: list = []  # pooled workers, by shard
         self._epoch = 0
         self.faults = faults
         self.max_recoveries = int(max_recoveries)
         self.recovery_timeout = float(recovery_timeout)
         self.n_recoveries = 0
         self._recovering: dict = {}  # shard -> rejoin deadline
-        self._spawn_workers_flag = bool(spawn_workers)
         # telemetry: obs=None follows REPRO_OBS, obs=True gets a fresh
         # registry; the disabled default costs one attribute check per
         # instrumented site (see repro.obs)
@@ -378,7 +388,6 @@ class MultiprocDtmRunner:
             [self._state_off[q] + np.arange(loc.n_ports, dtype=np.int64)
              for q, loc in enumerate(plan.base_locals)]) \
             if self._n_states else np.zeros(0, dtype=np.int64)
-        self._ctx = get_context(mp_context)
         self.transport = resolve_transport(transport)
         self.recover = (bool(self.transport.supports_recovery)
                         if recover is None else bool(recover))
@@ -387,9 +396,24 @@ class MultiprocDtmRunner:
                 "a FaultPlan arms spawned workers; with "
                 "spawn_workers=False script faults on the external "
                 "workers themselves")
-        self._port = self.transport.bind(
-            self.specs, n_slots=self._n_slots, n_states=self._n_states,
-            idle_sleep=self.idle_sleep, obs_enabled=self.obs.enabled)
+        if spawn_workers:
+            # taken before the bind: an idle worker is booted already,
+            # and a fresh one boots while the shards are encoded
+            self._pool = worker_pool(mp_context)
+            self._workers = [self._pool.take() for _ in self.specs]
+            self._wakes = [worker.wake for worker in self._workers]
+        else:  # for workers attached by hand
+            ctx = get_context(mp_context)
+            self._wakes = [ctx.Semaphore(0) for _ in self.specs]
+        try:
+            self._port = self.transport.bind(
+                self.specs, n_slots=self._n_slots,
+                n_states=self._n_states, idle_sleep=self.idle_sleep,
+                obs_enabled=self.obs.enabled, wakes=self._wakes)
+        except BaseException:
+            for worker in self._workers:
+                self._pool.give_back(worker)
+            raise
         # the transport now holds each shard's stacks, encoded once;
         # nothing on the coordinator reads them, so it keeps the index
         # tables and mailboxes only
@@ -397,29 +421,26 @@ class MultiprocDtmRunner:
             spec.kernel = None
         if self.obs.enabled:
             self._port.install_obs(self.obs)
-        if spawn_workers:
-            self._spawn_workers()
+        for spec, worker in zip(self.specs, self._workers):
+            worker.serve(self.transport.worker_descriptor(spec.index),
+                         None if faults is None
+                         else faults.for_shard(spec.index))
 
     # -- lifecycle ------------------------------------------------------
-    def _spawn_one(self, index: int, faults=None):
-        descriptor = self.transport.worker_descriptor(index)
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(descriptor, faults),
-            name=f"dtm-shard-{index}",
-            daemon=True)
-        proc.start()
-        return proc
-
-    def _spawn_workers(self) -> None:
-        for spec in self.specs:
-            shard_faults = (self.faults.for_shard(spec.index)
-                            if self.faults is not None else None)
-            self._procs.append(
-                self._spawn_one(spec.index, shard_faults))
+    def _respawn(self, index: int) -> None:
+        """Replace shard *index*'s worker by a pooled one (no faults)."""
+        worker = self._pool.take()
+        self._wakes[index] = worker.wake
+        worker.serve(self.transport.worker_descriptor(index))
+        self._workers[index] = worker
 
     def close(self) -> None:
-        """Shut the worker pool down and release the transport."""
+        """Shut the shard loops down, return every worker that shut
+        down cleanly to the pool, and release the transport.
+
+        A worker that died, raised, missed the 5 s deadline or was
+        armed with faults is joined, or terminated, instead.
+        """
         if self._closed:
             return
         self._closed = True
@@ -427,13 +448,14 @@ class MultiprocDtmRunner:
             return
         self._port.shutdown()
         deadline = time.perf_counter() + 5.0
-        for proc in self._procs:
-            proc.join(timeout=max(0.0, deadline - time.perf_counter()))
-        for proc in self._procs:
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout=1.0)
+        clean = [worker.finish(deadline) for worker in self._workers]
+        for worker, ok in zip(self._workers, clean):
+            if ok:
+                self._pool.give_back(worker)
+            else:
+                worker.retire(deadline)
         self._port.close()
+        self._wakes = []
 
     def __enter__(self) -> "MultiprocDtmRunner":
         return self
@@ -443,8 +465,8 @@ class MultiprocDtmRunner:
 
     # -- health ---------------------------------------------------------
     def _dead_shards(self) -> set:
-        return {i for i, p in enumerate(self._procs)
-                if not p.is_alive()}
+        return {i for i, w in enumerate(self._workers)
+                if not w.proc.is_alive()}
 
     def _check_workers(self) -> None:
         failed = self._port.failed_shard()
@@ -462,7 +484,7 @@ class MultiprocDtmRunner:
             self._maintain_recovery(dead | lost | stale)
             return
         if dead:
-            names = sorted(self._procs[i].name for i in dead)
+            names = [f"dtm-shard-{i}" for i in sorted(dead)]
             raise MultiprocError(
                 f"worker processes died without error marker: {names} "
                 "(killed or crashed hard); restart the runner")
@@ -515,12 +537,10 @@ class MultiprocDtmRunner:
                     f"shard {shard} lost after the recovery budget "
                     f"({self.max_recoveries}) was exhausted")
             self._recovering[shard] = now + self.recovery_timeout
-            if shard < len(self._procs):
-                proc = self._procs[shard]
-                if proc.is_alive():  # stale/hung, not dead: replace it
-                    proc.terminate()
-                proc.join(timeout=5.0)
-                self._procs[shard] = self._spawn_one(shard)
+            if shard < len(self._workers):
+                # dead, or stale/hung and terminated here: replace it
+                self._workers[shard].retire(time.perf_counter())
+                self._respawn(shard)
 
     def _wait_acks(self, epoch: int, budget_end: float) -> None:
         """Block until every live shard has acknowledged *epoch*.

@@ -1,13 +1,14 @@
 """The shard worker's entry: the one loop every shard process runs.
 
-A module of its own because of what importing it costs.  A spawned
-worker unpickles its target by importing the target's module, and a
-remote worker (``python -m repro.net.worker``) imports it by name:
-what this file imports is what every shard pays before its first
-sweep.  That is numpy, the shard kernel and the transport ports —
-no session, simulator, factorization or graph code, none of which a
-sweep touches (``tests/test_imports.py`` pins the set; PERFORMANCE.md
-"Cold start").  The coordinator lives in
+A module of its own because of what importing it costs.  A pooled
+worker (:func:`repro.runtime.pool.worker_pool`) unpickles its target by
+importing the target's module, and a remote worker (``python -m
+repro.net.worker``) imports it by name: what this file imports is what
+every shard pays before its first sweep — once per process, however
+many runners a pooled worker serves.  That is numpy, the shard kernel
+and the transport ports — no session, simulator, factorization or
+graph code, none of which a sweep touches (``tests/test_imports.py``
+pins the set; PERFORMANCE.md "Cold start").  The coordinator lives in
 :mod:`repro.runtime.multiproc`.
 """
 
@@ -74,17 +75,18 @@ def _run_worker(spec, port, idle_sleep: float) -> None:
         port.ack(epoch)
 
 
-def _worker_main(descriptor, faults=None) -> None:
+def _worker_main(descriptor, faults=None, wake=None) -> None:
     """Entry point of one shard worker (module-level for spawn).
 
-    Opens a worker port from the transport descriptor and runs the
-    shard loop.  *faults* is an optional
+    Opens a worker port from the transport descriptor — an shm port
+    with *wake*, the semaphore a pooled worker was born with — and
+    runs the shard loop.  *faults* is an optional
     :class:`~repro.net.faults.ShardFaults` script armed on the port —
     the chaos-testing hook.  Any exception marks the error cell (or
     sends an error frame) before exiting, so the coordinator fails
     fast instead of hanging on acks.
     """
-    spec, port, idle_sleep = open_worker_port(descriptor)
+    spec, port, idle_sleep = open_worker_port(descriptor, wake)
     if port.obs_enabled or os.environ.get("REPRO_OBS"):
         # (the registry is imported by the workers that count)
         from ..obs.registry import MetricRegistry, obs_env_enabled
@@ -113,3 +115,29 @@ def _worker_main(descriptor, faults=None) -> None:
         # let go of them first, a mapping cannot close under a view
         del spec
         port.close()
+
+
+def _pooled_main(conn, wake) -> None:
+    """Entry point of a pooled shard worker (module-level for spawn).
+
+    Booted once, the worker blocks on *conn* for ``(descriptor,
+    faults)`` and runs :func:`_worker_main` on them with *wake*, the
+    semaphore it was born with, then reports ``done`` once SHUTDOWN has
+    closed its port and unmapped its segments, and waits for the next
+    shard.  ``None`` or EOF ends it, and so does an exception, which the
+    coordinator sees as EOF instead of ``done``.
+    """
+    while True:
+        try:
+            job = conn.recv()
+        except EOFError:
+            return
+        if job is None:
+            return
+        descriptor, faults = job
+        _worker_main(descriptor, faults, wake)
+        # a post the loop left unconsumed would wake the next shard's
+        # idle loop once for nothing
+        while wake.acquire(False):
+            pass
+        conn.send("done")

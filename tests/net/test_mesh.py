@@ -231,7 +231,7 @@ class TestRecovery:
             first = r.solve(stopping=ResidualRule(tol=REC_TOL),
                             wall_budget=120.0)
             assert first.converged
-            victim = r._procs[1]
+            victim = r._workers[1].proc
             victim.terminate()
             victim.join(timeout=10.0)
             assert not victim.is_alive()

@@ -144,22 +144,23 @@ class TestShmHandOff:
                           grid_shape=[100, 100], parts_shape=[4, 4])
 
     def test_descriptor_is_names_and_sizes(self, plan100):
+        """... and no wake semaphore: that crosses into a process by
+        inheritance only, so each pooled worker is born with its own."""
         with MultiprocDtmRunner(plan100, shards=2,
                                 spawn_workers=False) as runner:
             for i in range(2):
-                *plain, wake = runner.transport.worker_descriptor(i)
-                for member in plain:
+                descriptor = runner.transport.worker_descriptor(i)
+                for member in descriptor:
                     if isinstance(member, (bytes, bytearray, memoryview,
                                            np.ndarray)):
                         assert memoryview(member).nbytes <= 1024
-                assert len(pickle.dumps(plain)) < 1024
-                assert type(wake).__name__ == "Semaphore"
+                assert len(pickle.dumps(descriptor)) < 1024
 
     def test_worker_stacks_are_read_only_views(self, plan100):
         with MultiprocDtmRunner(plan100, shards=2,
                                 spawn_workers=False) as runner:
             spec, worker, _ = open_worker_port(
-                runner.transport.worker_descriptor(1))
+                runner.transport.worker_descriptor(1), runner._wakes[1])
             try:
                 arrays = [spec.parts, spec.kernel.slot_port]
                 for group in spec.kernel.groups:
@@ -189,12 +190,17 @@ class TestShmHandOff:
             assert sum(len(p) for p in hub.payloads) > 6_000_000
 
     def test_no_segment_outlives_the_runner(self, plan):
+        # the runner's workers come from the pool and go back to it:
+        # their wake semaphores go with them, not with the runner
+        # (tests/runtime/test_worker_pool.py)
         before = shm_listing()
         with MultiprocDtmRunner(plan, shards=2) as runner:
             created = set(shm_listing()) - set(before)
             assert sum("-spec" in name for name in created) == 2
             assert runner.solve(stopping=ResidualRule(tol=TOL)).converged
-        assert shm_listing() == before
+            wakes = {"sem." + worker.wake._semlock.name.lstrip("/")
+                     for worker in runner._workers}
+        assert not (created - wakes) & set(shm_listing())
 
     def test_a_dropped_transport_unlinks_its_segments(self, plan):
         """The finalizer path: no ``close()``, the spec segments go
@@ -226,7 +232,7 @@ class TestShmIdleWait:
         with MultiprocDtmRunner(plan, shards=2,
                                 spawn_workers=False) as runner:
             _, worker, _ = open_worker_port(
-                runner.transport.worker_descriptor(0))
+                runner.transport.worker_descriptor(0), runner._wakes[0])
             try:
                 yield runner._port, worker
             finally:

@@ -1,7 +1,14 @@
 """Tests for SolverPlan construction, keying, and the plan cache."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.core.impedance import FixedImpedance, GeometricMeanImpedance
 from repro.errors import ConfigurationError
@@ -10,6 +17,8 @@ from repro.plan import PlanCache, build_plan, get_plan, plan_key
 from repro.plan.plan import graph_fingerprint, make_split
 from repro.workloads.poisson import grid2d_random
 from repro.workloads.random_spd import random_connected_spd_graph
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +110,36 @@ class TestPlanKey:
             key(impedance=FixedImpedance(0.5))
 
 
+    def test_section7_plan_hash_is_the_same_in_every_process(self):
+        """The §7 plan is built from a prebuilt split: its key must
+        hash the split's content, not the object, or a restarted
+        process never finds its artifact in a ``plan_dir``."""
+        code = textwrap.dedent(
+            """
+            from repro.experiments.common import (
+                default_impedance, paper_split_for)
+            from repro.plan import get_plan
+            from repro.runtime.server import plan_hash
+            from repro.sim.network import paper_fig11_topology
+
+            split = paper_split_for(4225, 16, 2008)
+            plan = get_plan(split=split,
+                            topology=paper_fig11_topology(2008),
+                            impedance=default_impedance())
+            print(plan_hash(plan))
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep
+                   + os.environ.get("PYTHONPATH", ""))
+        hashes = {
+            subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, check=True,
+                           timeout=300).stdout.strip()
+            for _ in range(2)
+        }
+        assert len(hashes) == 1 and "" not in hashes
+
+
 class TestPlanCache:
     def test_get_plan_hits_and_misses(self, graph):
         cache = PlanCache(maxsize=4)
@@ -130,13 +169,25 @@ class TestPlanCache:
                       use_cache=False)
         assert p2 is not p1 and not p2.from_cache
 
-    def test_prebuilt_split_key_uses_identity(self):
+    def test_prebuilt_split_keys_by_content(self):
         g = random_connected_spd_graph(30, seed=0)
         split = make_split(g, g.sources, 3, seed=0)
         cache = PlanCache()
         p1 = get_plan(split=split, cache=cache)
         p2 = get_plan(split=split, cache=cache)
         assert p2 is p1 and p2.from_cache
+        # an equal split built afresh is the same plan ...
+        again = make_split(g, g.sources, 3, seed=0)
+        assert get_plan(split=again, cache=cache) is p1
+        # ... with its own sources as the default right-hand side
+        b2 = np.arange(g.n, dtype=np.float64)
+        p3 = get_plan(split=make_split(g, b2, 3, seed=0), cache=cache)
+        assert p3.from_cache and p3.network is p1.network
+        np.testing.assert_array_equal(p3.base_b, b2)
+        # another cut is another plan
+        p4 = get_plan(split=make_split(g, g.sources, 2, seed=0),
+                      cache=cache)
+        assert not p4.from_cache and p4.key != p1.key
 
 
 class TestReviewFixes:
