@@ -6,9 +6,9 @@ so a durable artifact that loads in milliseconds changes what a
 restart or a new replica costs.  Per case the same plan is produced
 two ways:
 
-* **rebuild_s** — ``numerics="sparse"`` + ``build_workers=-1``: the
-  fastest build the repo has (the PR-6 path), i.e. what a cold
-  process would actually pay;
+* **rebuild_s** — ``build_plan(..., build_workers=-1)``: the fastest
+  build the repo has (SuperLU locals over a process pool), i.e. what
+  a cold process would actually pay;
 * **load_mmap_s** — ``load_plan(path)`` over the artifact written by
   ``save_plan``: one read-only mmap, zero-copy ``np.frombuffer``
   views (best of ``LOAD_REPEATS`` — load is I/O bound and the
@@ -97,8 +97,7 @@ def _build(nx: int, *, n_parts: int, parts_shape) -> tuple:
     graph = grid2d_poisson(nx, nx)
     t0 = time.perf_counter()
     plan = build_plan(graph, n_subdomains=n_parts, grid_shape=(nx, nx),
-                      parts_shape=parts_shape, numerics="sparse",
-                      build_workers=-1)
+                      parts_shape=parts_shape, build_workers=-1)
     return graph, plan, time.perf_counter() - t0
 
 
@@ -182,8 +181,8 @@ def bench_warm_restart(nx: int = RESTART_NX) -> dict:
         t0 = time.perf_counter()
         plan_id = server1.register(
             graph, n_subdomains=spec["n_parts"], grid_shape=(nx, nx),
-            parts_shape=spec["parts_shape"], numerics="sparse",
-            build_workers=-1, use_cache=False)
+            parts_shape=spec["parts_shape"], build_workers=-1,
+            use_cache=False)
         cold_register_s = time.perf_counter() - t0
         x_cold = server1.solve(plan_id, b, **guard).x
         server1.close()

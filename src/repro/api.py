@@ -56,12 +56,12 @@ __all__ = [
 ]
 
 #: keyword arguments that select or shape the plan build — the first
-#: three are cache-key material; ``build_workers`` only parallelizes
+#: two are cache-key material; ``build_workers`` only parallelizes
 #: the build and ``plan_dir`` only adds the persistent artifact tier
 #: below the in-process cache (both leave every result bit unchanged,
 #: so they are deliberately not part of the key)
-_PLAN_KEYS = ("placement", "allow_indefinite", "numerics",
-              "build_workers", "plan_dir")
+_PLAN_KEYS = ("placement", "allow_indefinite", "build_workers",
+              "plan_dir")
 #: keyword arguments forwarded to SolveResult-producing run calls
 #: (``stopping`` is an explicit parameter of the wrappers, not a
 #: pass-through, so it cannot collide here)
@@ -169,13 +169,10 @@ def solve_dtm(a, b=None, *, n_subdomains: int = 4,
     (bitwise-identical to it), keeps ``t_max`` and may use an explicit
     reference-needing rule.
 
-    ``numerics="dense"|"sparse"|"auto"`` (default ``"auto"``, passed
-    through ``**sim_kwargs``) selects the per-subdomain factorization:
-    ``auto`` keeps the historical dense path for small locals and
-    switches to the sparse LDLᵀ path for large sparse ones;
-    ``build_workers=N`` (or ``-1`` for all CPUs) fans the plan's
-    factorizations out across a process pool without changing any
-    result bit.  See PERFORMANCE.md → "Sparse planning".
+    ``build_workers=N`` (passed through ``**sim_kwargs``, ``-1`` for
+    all CPUs) fans the plan's per-subdomain SuperLU factorizations out
+    across a process pool without changing any result bit.  See
+    PERFORMANCE.md → "Sparse planning".
 
     ``plan_dir=`` (also through ``**sim_kwargs``) points at a
     persistent plan-artifact directory: cache misses consult it
@@ -229,7 +226,6 @@ def solve_dtm(a, b=None, *, n_subdomains: int = 4,
             placement=(plan_kwargs.get("placement"), None),
             allow_indefinite=(plan_kwargs.get("allow_indefinite", False),
                               False),
-            numerics=(plan_kwargs.get("numerics", "auto"), "auto"),
             build_workers=(plan_kwargs.get("build_workers"), None),
             plan_dir=(plan_kwargs.get("plan_dir"), None))
     if backend == "multiproc":
@@ -260,7 +256,6 @@ def solve_vtm_system(a, b=None, *, n_subdomains: int = 4, impedance=1.0,
                      tol: float = 1e-8, max_iterations: int = 10_000,
                      stopping=None,
                      seed: int = 0,
-                     numerics: str = "auto",
                      build_workers: Optional[int] = None,
                      plan: Optional[SolverPlan] = None,
                      use_cache: bool = True) -> SolveResult:
@@ -277,13 +272,11 @@ def solve_vtm_system(a, b=None, *, n_subdomains: int = 4, impedance=1.0,
         plan = get_plan(a, None if isinstance(a, ElectricGraph) else b_vec,
                         use_cache=use_cache, mode="vtm",
                         n_subdomains=n_subdomains, impedance=impedance,
-                        seed=seed, numerics=numerics,
-                        build_workers=build_workers)
+                        seed=seed, build_workers=build_workers)
     else:
         _reject_plan_conflicts(
             plan, a, n_subdomains=(n_subdomains, 4),
             impedance=(impedance, 1.0), seed=(seed, 0),
-            numerics=(numerics, "auto"),
             build_workers=(build_workers, None))
     session = VtmSession(plan)
     return session.solve(b_vec, tol=tol, max_iterations=max_iterations,

@@ -616,6 +616,18 @@ def reuse_system(plan, graph) -> tuple:
     return plan.a_mat, np.asarray(graph.sources, dtype=np.float64)
 
 
+def plan_reference(plan, graph):
+    """Lazy ``reference=`` supplier for :func:`begin_monitor`.
+
+    The plan's cached direct solution for *graph*'s current sources
+    (:meth:`SolverPlan.reference <repro.plan.plan.SolverPlan.reference>`),
+    invoked only when a reference-needing rule is in play, so a
+    reference-free run never builds the plan's reference factor.
+    """
+    b = np.asarray(graph.sources, dtype=np.float64)
+    return lambda: plan.reference(b)
+
+
 def primary_tol(rule: "StoppingRule") -> Optional[float]:
     """The tolerance governing a rule tree's *primary* metric trace.
 
@@ -641,39 +653,24 @@ def begin_monitor(stopping, *, tol: Optional[float] = None,
     The one shared entry point for every execution layer; returns
     ``(rule, monitor, reference)`` where the last element is the
     reference actually in play (``None`` on reference-free runs).
-    *graph* (an object with ``to_system()``) or an explicit *system*
-    ``(a, b)`` pair supplies the linear system — assembled **at most
-    once**, and only when the rule tree actually consumes it.  The
-    direct reference solution is likewise computed only when
-    ``needs_reference`` and no *reference* was passed: a reference-free
-    rule never touches
-    :func:`~repro.linalg.iterative.direct_reference_solution` (the
-    production contract, asserted by the test-suite).
+    An explicit *system* ``(a, b)`` pair or *graph* (an object with
+    ``to_system()``) supplies the linear system, read only when the
+    rule tree consumes it.  *reference* is an array or a lazy
+    zero-argument supplier — the engines built from a plan pass
+    :func:`plan_reference` — invoked only when a reference-needing
+    rule is in play; such a rule without one raises
+    :class:`ConfigurationError`.
     """
     rule = as_stopping_rule(stopping, tol=tol, metric=metric)
-    resolved: list = []
-
-    def get_system():
-        if not resolved:
-            if system is not None:
-                resolved.extend(system)
-            elif graph is not None:
-                resolved.extend(graph.to_system())
-            else:
-                raise ConfigurationError(
-                    "begin_monitor needs a graph or an (a, b) system")
-        return resolved[0], resolved[1]
-
-    if rule.needs_reference and reference is None:
-        # late import: picks up test monkeypatches and avoids an
-        # import cycle (linalg does not depend on core)
-        from ..linalg.iterative import direct_reference_solution
-
-        a, b = get_system()
-        reference = direct_reference_solution(a, b)
     ctx_a = ctx_b = None
     if rule.needs_system:
-        ctx_a, ctx_b = get_system()
+        if system is not None:
+            ctx_a, ctx_b = system
+        elif graph is not None:
+            ctx_a, ctx_b = graph.to_system()
+        else:
+            raise ConfigurationError(
+                "begin_monitor needs a graph or an (a, b) system")
     ctx = SolveContext(a=ctx_a, b=ctx_b, reference=reference)
     monitor = rule.begin(ctx)
     # hand back the reference actually in play: the context's cached

@@ -27,38 +27,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError, NotSpdError, ValidationError
+from ..errors import NotSpdError, SingularMatrixError, ValidationError
 from ..graph.partition import Subdomain
-from ..linalg.cholesky import SymFactor, factor_spd, factor_symmetric
 from ..linalg.sparse import CsrMatrix
 from ..linalg.sparse_cholesky import factor_sparse_spd
 from ..utils.validation import require
-
-#: ``numerics="auto"`` picks the sparse factorization for local
-#: systems at least this large ...
-_SPARSE_MIN_N = 256
-#: ... whose fill fraction nnz/n² stays below this (denser systems
-#: gain nothing from sparse elimination)
-_SPARSE_MAX_FILL = 0.25
-
-
-def resolve_numerics(numerics: str, n: int, nnz: int) -> str:
-    """Resolve the ``numerics`` knob to ``"dense"`` or ``"sparse"``.
-
-    ``"auto"`` flips to sparse when the system is big enough for the
-    dense O(n³) factorization to dominate (n ≥ ``_SPARSE_MIN_N``) and
-    sparse enough for elimination to exploit
-    (nnz/n² ≤ ``_SPARSE_MAX_FILL``).
-    """
-    if numerics not in ("dense", "sparse", "auto"):
-        raise ConfigurationError(
-            f"unknown numerics {numerics!r}; choose dense, sparse or "
-            "auto")
-    if numerics != "auto":
-        return numerics
-    if n >= _SPARSE_MIN_N and nnz <= _SPARSE_MAX_FILL * n * n:
-        return "sparse"
-    return "dense"
 
 
 @dataclass
@@ -83,11 +56,10 @@ class LocalSystem:
     #: x_full(a) = x0 + X @ a
     x0: np.ndarray
     X: np.ndarray
-    #: retained matrix factor (SpdFactor or SymFactor); enables
+    #: retained SuperLU factor (:class:`SparseSpdFactor`); enables
     #: :meth:`set_rhs` — re-deriving ``x0`` for a new right-hand side
     #: with one back-substitution instead of a re-factorization.
     factor: Optional[object] = field(default=None, repr=False)
-    _logdet: float = field(default=np.nan, repr=False)
 
     def __post_init__(self) -> None:
         # read-only aliases served by the zero-slot fast paths: callers
@@ -170,8 +142,8 @@ class LocalSystem:
         One back-substitution against the retained factor — no
         re-factorization.  *rhs* may be ``(n,)`` or a column block
         ``(n, k)``; block columns are bitwise-identical to solving each
-        column separately (the dense triangular sweeps are elementwise
-        per column), which is what lets :meth:`SolverSession.solve_many
+        column separately (SuperLU applies the same sweeps to every
+        column), which is what lets :meth:`SolverSession.solve_many
         <repro.plan.session.SolverSession.solve_many>` batch its RHS
         preparation without changing any per-column result.
         """
@@ -215,7 +187,7 @@ class LocalSystem:
             part=self.part, n_local=self.n_local, n_ports=self.n_ports,
             attachments=self.attachments, slot_ports=self.slot_ports,
             slot_inv_z=self.slot_inv_z, x0=self.x0.copy(), X=self.X,
-            factor=self.factor, _logdet=self._logdet)
+            factor=self.factor)
 
     def residual(self, waves: np.ndarray, matrix, rhs: np.ndarray
                  ) -> np.ndarray:
@@ -234,9 +206,13 @@ class LocalSystem:
 
 def build_local_system(sub: Subdomain,
                        attachments: Sequence[tuple[int, int, float]],
-                       *, allow_indefinite: bool = False,
-                       numerics: str = "dense") -> LocalSystem:
+                       *, allow_indefinite: bool = False) -> LocalSystem:
     """Assemble and factor the local system (5.9) for one subdomain.
+
+    ``K + diag(1/Z)`` is factored once by SuperLU (see
+    :func:`~repro.linalg.sparse_cholesky.factor_sparse_spd`) on its CSR
+    arrays, never densified, and the factor is retained for right-hand
+    side swaps.
 
     Parameters
     ----------
@@ -247,14 +223,10 @@ def build_local_system(sub: Subdomain,
     allow_indefinite:
         The merged matrix ``C + Z^{-1}`` of an SNND subgraph with at
         least one attached DTL is SPD in all ordinary cases; set this
-        to fall back to an LDLᵀ factorization when a deliberately
-        indefinite subgraph must still be handled.
-    numerics:
-        ``"dense"`` (the historical path, bit-for-bit unchanged),
-        ``"sparse"`` (factor the CSR system directly, never
-        densifying), or ``"auto"`` (see :func:`resolve_numerics`).
-        Sparse and dense factors agree to solver precision (~1e-14
-        relative), not bitwise.
+        to keep a factor with negative pivots when a deliberately
+        indefinite subgraph must still be handled.  A zero pivot on the
+        diagonal is never factored: it raises
+        :class:`SingularMatrixError` naming the subdomain.
     """
     n = sub.n_local
     for _idx, port, z in attachments:
@@ -273,92 +245,53 @@ def build_local_system(sub: Subdomain,
                            slot_ports=slot_ports, slot_inv_z=slot_inv_z,
                            x0=np.zeros(0), X=np.zeros((0, 0)))
 
-    resolved = resolve_numerics(numerics, n, sub.matrix.nnz)
-
     # right-hand sides, pre-allocated: base f, plus one e_p / z column
     # per slot
     rhs_block = np.zeros((n, 1 + n_slots))
     rhs_block[:, 0] = sub.rhs
     rhs_block[slot_ports, 1 + np.arange(n_slots)] = slot_inv_z
 
-    logdet = np.nan
-    if resolved == "sparse":
-        k_sp = sub.matrix
-        if n_slots:
-            # K + diag(1/z) edits the stored diagonal of a copy: K's
-            # pattern is kept, where a sparse sum drops cancelled entries
-            k = k_sp.to_scipy().copy()
-            k.setdiag(k.diagonal() + np.bincount(
-                slot_ports, weights=slot_inv_z, minlength=n))
-            k_sp = CsrMatrix(k.data, k.indices, k.indptr, k.shape)
-        try:
-            factor = factor_sparse_spd(
-                k_sp, check_symmetry=False,
-                allow_indefinite=allow_indefinite)
-        except NotSpdError:
-            raise NotSpdError(
-                f"local system of subdomain {sub.part} is not SPD; the "
-                "subgraph violates the SNND hypothesis of Theorem 6.1 "
-                "(pass allow_indefinite=True to force an LDL^T factor)"
-            ) from None
-        if factor.is_spd:
-            logdet = factor.logdet()
-        solution = factor.solve(rhs_block)
-        retained = factor
-    else:
-        # one dense scratch, bumped in place and consumed by the
-        # factor — no second densify/copy inside factor_spd
-        # (overwrite_a=True)
-        k = sub.matrix.to_dense()
-        if n_slots:
-            k.flat[:: n + 1] += np.bincount(slot_ports,
-                                            weights=slot_inv_z,
-                                            minlength=n)
-        try:
-            factor = factor_spd(k, check_symmetry=False,
-                                overwrite_a=True)
-            logdet = factor.logdet()
-            solution = factor.solve(rhs_block)
-            retained = factor
-        except NotSpdError:
-            if not allow_indefinite:
-                raise NotSpdError(
-                    f"local system of subdomain {sub.part} is not SPD; "
-                    "the subgraph violates the SNND hypothesis of "
-                    "Theorem 6.1 (pass allow_indefinite=True to force "
-                    "an LDL^T factor)")
-            # the failed in-place factor destroyed k: rebuild the
-            # (rare) indefinite system instead of copying defensively
-            # up front
-            k = sub.matrix.to_dense()
-            if n_slots:
-                k.flat[:: n + 1] += np.bincount(slot_ports,
-                                                weights=slot_inv_z,
-                                                minlength=n)
-            sym: SymFactor = factor_symmetric(k)
-            solution = sym.solve(rhs_block)
-            retained = sym
+    k_sp = sub.matrix
+    if n_slots:
+        # K + diag(1/z) edits the stored diagonal of a copy: K's
+        # pattern is kept, where a sparse sum drops cancelled entries
+        k = k_sp.to_scipy().copy()
+        k.setdiag(k.diagonal() + np.bincount(
+            slot_ports, weights=slot_inv_z, minlength=n))
+        k_sp = CsrMatrix(k.data, k.indices, k.indptr, k.shape)
+    try:
+        factor = factor_sparse_spd(
+            k_sp, check_symmetry=False, allow_indefinite=allow_indefinite)
+    except NotSpdError:
+        raise NotSpdError(
+            f"local system of subdomain {sub.part} is not SPD; the "
+            "subgraph violates the SNND hypothesis of Theorem 6.1 (pass "
+            "allow_indefinite=True to keep an indefinite factor)"
+        ) from None
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(
+            f"local system of subdomain {sub.part} cannot be factored "
+            f"({exc}); Theorem 6.1 asks for an SNND subgraph, which "
+            "its attached DTLs make SPD") from exc
+    solution = factor.solve(rhs_block)
 
     x0 = solution[:, 0].copy()
     X = solution[:, 1:].copy()
-    local = LocalSystem(part=sub.part, n_local=n, n_ports=sub.n_ports,
-                        attachments=list(attachments),
-                        slot_ports=slot_ports, slot_inv_z=slot_inv_z,
-                        x0=x0, X=X, factor=retained, _logdet=logdet)
-    return local
+    return LocalSystem(part=sub.part, n_local=n, n_ports=sub.n_ports,
+                       attachments=list(attachments),
+                       slot_ports=slot_ports, slot_inv_z=slot_inv_z,
+                       x0=x0, X=X, factor=factor)
 
 
 def _build_local_job(job) -> LocalSystem:
     """Pool-target wrapper (module-level so it pickles under spawn)."""
-    sub, attachments, allow_indefinite, numerics = job
+    sub, attachments, allow_indefinite = job
     return build_local_system(sub, attachments,
-                              allow_indefinite=allow_indefinite,
-                              numerics=numerics)
+                              allow_indefinite=allow_indefinite)
 
 
 def build_all_local_systems(split, network, *,
                             allow_indefinite: bool = False,
-                            numerics: str = "dense",
                             workers: Optional[int] = None
                             ) -> list[LocalSystem]:
     """Build the factored local system of every subdomain of a split.
@@ -371,8 +304,8 @@ def build_all_local_systems(split, network, *,
     bitwise-identical to a serial one (same code, same libraries, no
     accumulation-order change — each subdomain is independent).
     """
-    jobs = [(sub, network.attachments[sub.part], allow_indefinite,
-             numerics) for sub in split.subdomains]
+    jobs = [(sub, network.attachments[sub.part], allow_indefinite)
+            for sub in split.subdomains]
     if workers is None or workers == 1 or len(jobs) <= 1:
         return [_build_local_job(job) for job in jobs]
     # late import: repro.runtime imports the plan layer, which imports

@@ -27,7 +27,12 @@ import numpy as np
 
 from ..errors import ConvergenceError, ValidationError
 from ..utils.timeseries import TimeSeries
-from .convergence import StateProbe, begin_monitor, reuse_system
+from .convergence import (
+    StateProbe,
+    begin_monitor,
+    plan_reference,
+    reuse_system,
+)
 from .fleet import FleetKernel, FleetKernelView
 
 
@@ -178,12 +183,15 @@ class VtmSolver:
         """Iterate until the stopping rule fires or the budget runs out.
 
         The default rule is the paper's reference-based criterion at
-        *tol* (``reference`` then defaults to the direct solution).
+        *tol* (``reference`` then defaults to the plan's cached direct
+        solution).
         Reference-free rules — ``ResidualRule``, ``QuiescenceRule`` —
         never compute a reference; the returned ``errors`` trace is
         then the rule's own metric (relative residual or wave-update
         delta).
         """
+        if reference is None:
+            reference = plan_reference(self.plan, self.split.graph)
         rule, monitor, _ = begin_monitor(
             stopping, tol=tol, graph=self.split.graph,
             system=reuse_system(self.plan, self.split.graph),

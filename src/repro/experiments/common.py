@@ -91,8 +91,8 @@ def run_paper_dtm(split: SplitResult, topology: Topology, *,
     plan = get_plan(split=split, topology=topology, impedance=impedance)
     sim = DtmSimulator(plan, min_solve_interval=min_solve_interval,
                        **kwargs)
-    # sim.run resolves the rule and computes the reference only when
-    # the rule tree needs one (see core.convergence.begin_monitor)
+    # sim.run resolves the rule and takes the plan's reference only
+    # when the rule tree needs one (see core.convergence.plan_reference)
     return sim.run(t_max, tol=tol, stopping=stopping, reference=reference,
                    sample_interval=sample_interval)
 

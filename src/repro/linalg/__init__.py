@@ -5,21 +5,6 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "cholesky": (
-            "SpdFactor",
-            "SymFactor",
-            "factor_spd",
-            "factor_symmetric",
-        ),
-        "dense": (
-            "cholesky_factor",
-            "cholesky_solve",
-            "invert_lower",
-            "ldlt_factor",
-            "ldlt_solve",
-            "solve_lower",
-            "solve_upper",
-        ),
         "iterative": (
             "IterativeResult",
             "conjugate_gradient",

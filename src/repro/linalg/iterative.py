@@ -1,9 +1,10 @@
-"""The conjugate-gradient reference solver.
+"""Conjugate gradients and the direct reference solution.
 
-:func:`conjugate_gradient` (SPD systems, relative-residual stopping) is
-the library's high-accuracy reference: :func:`direct_reference_solution`
-runs it for the "exact" solution of systems too large to factor dense.
-Both take a :class:`~repro.linalg.sparse.CsrMatrix` or a dense array.
+:func:`conjugate_gradient` (SPD systems, relative-residual stopping)
+is the examples' global iterative baseline;
+:func:`direct_reference_solution` is the library's "exact" solution,
+one SuperLU factor and solve at every size.  Both take a
+:class:`~repro.linalg.sparse.CsrMatrix` or a dense array.
 The paper's discrete-time foils, block Jacobi and block Gauss–Seidel,
 are baselines in :mod:`repro.solvers`.
 """
@@ -92,20 +93,16 @@ def conjugate_gradient(
     return IterativeResult(x, it, np.asarray(history), converged)
 
 
-def direct_reference_solution(a, b, *, tol: float = 1e-13) -> np.ndarray:
+def direct_reference_solution(a, b) -> np.ndarray:
     """High-accuracy reference solution used by the experiments.
 
-    Dense Cholesky for small systems; CG pushed to near machine
-    precision for larger sparse ones (the systems in this package are
-    SPD by construction).
+    One SuperLU factorization of *a* and one solve: bitwise what
+    :meth:`SolverPlan.reference <repro.plan.plan.SolverPlan.reference>`
+    returns from its cached factor of the same matrix.  A reference
+    needs *a* symmetric and nonsingular (a zero pivot raises), not
+    positive definite, so its pivots are never read.
     """
-    from .cholesky import factor_spd
+    from .sparse_cholesky import factor_sparse_spd
 
-    if isinstance(a, CsrMatrix) and a.nrows > 600:
-        res = conjugate_gradient(
-            a, b, tol=tol, maxiter=20 * a.nrows, raise_on_fail=True
-        )
-        return res.x
-    dense = a.to_dense() if isinstance(a, CsrMatrix) else a
-    factor = factor_spd(np.asarray(dense, dtype=np.float64))
+    factor = factor_sparse_spd(a, allow_indefinite=True)
     return factor.solve(np.asarray(b, dtype=np.float64))

@@ -1,8 +1,9 @@
 """Sparse SPD factorization over :class:`CsrMatrix` (LDLᵀ form).
 
-The sparse path of :class:`~repro.core.local.LocalSystem`: the same
-``solve`` contract as the dense :class:`~repro.linalg.cholesky.SpdFactor`
-without densifying subdomain systems that are >99% zeros.
+The one factorization of a constant system in this package: every
+subdomain's :class:`~repro.core.local.LocalSystem` and every plan's
+reference solution go through it, at every size, without densifying
+systems that are >99% zeros.
 
 One engine orders and factors: SuperLU in symmetric mode
 (``permc_spec="MMD_AT_PLUS_A"``, ``diag_pivot_thresh=0``).  It applies
@@ -36,10 +37,9 @@ from .sparse import CsrMatrix, is_symmetric
 class SparseSpdFactor:
     """LDLᵀ factor of a sparse SPD (or quasi-definite) matrix.
 
-    Solves go through the same ``solve(b)`` contract as
-    :class:`~repro.linalg.cholesky.SpdFactor`: *b* may be a vector or
-    an ``(n, k)`` column block, and block columns are bitwise-identical
-    to per-column solves (SuperLU applies the same sweeps per column).
+    ``solve(b)`` takes a vector or an ``(n, k)`` column block, and
+    block columns are bitwise-identical to per-column solves (SuperLU
+    applies the same sweeps per column).
 
     Attributes
     ----------
@@ -47,21 +47,38 @@ class SparseSpdFactor:
         The factored matrix, canonical CSR — equal to its CSC arrays by
         symmetry.  This is the payload SuperLU refactors from after
         unpickling.
-    d:
-        Pivot vector ``diag(D)``; all positive iff the matrix is SPD.
     """
 
     n: int
     a_data: np.ndarray
     a_indices: np.ndarray
     a_indptr: np.ndarray
-    d: np.ndarray
+    _d: Optional[np.ndarray] = field(default=None, repr=False)
     _lu: Optional[object] = field(default=None, repr=False)
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_lu"] = None  # SuperLU handles are not picklable
         return state
+
+    def _splu(self):
+        if self._lu is None:  # rebuilt lazily after unpickling
+            self._lu = _splu_symmetric(
+                self.n, self.a_data, self.a_indices, self.a_indptr
+            )
+        return self._lu
+
+    @property
+    def d(self) -> np.ndarray:
+        """Pivot vector ``diag(D)``; all positive iff the matrix is SPD.
+
+        Read off SuperLU's ``U`` on first use: materializing ``U`` costs
+        a transient copy of the whole factor, which a factor nobody
+        asks for pivots (an ``allow_indefinite`` one) never pays.
+        """
+        if self._d is None:
+            self._d = np.asarray(self._splu().U.diagonal(), dtype=np.float64)
+        return self._d
 
     @property
     def is_spd(self) -> bool:
@@ -87,11 +104,7 @@ class SparseSpdFactor:
             rhs.shape[0] == self.n,
             f"solve rhs must have {self.n} rows, got {rhs.shape}",
         )
-        if self._lu is None:  # rebuilt lazily after unpickling
-            self._lu = _splu_symmetric(
-                self.n, self.a_data, self.a_indices, self.a_indptr
-            )
-        return self._lu.solve(rhs)
+        return self._splu().solve(rhs)
 
 
 def _splu_symmetric(n, data, indices, indptr):
@@ -116,12 +129,12 @@ def _splu_symmetric(n, data, indices, indptr):
     )
 
 
-def _check_pivots(d: np.ndarray, allow_indefinite: bool) -> None:
+def _check_pivots(d: np.ndarray) -> None:
     if not np.all(np.isfinite(d)) or np.any(d == 0.0):
         raise SingularMatrixError(
             "sparse LDL^T hit a zero/non-finite pivot: matrix is singular"
         )
-    if not allow_indefinite and np.any(d < 0.0):
+    if np.any(d < 0.0):
         raise NotSpdError(
             "matrix is not positive definite (negative LDL^T pivot); pass allow_indefinite=True to keep the indefinite factor"
         )
@@ -138,12 +151,11 @@ def factor_sparse_spd(
     Parameters
     ----------
     a:
-        :class:`CsrMatrix` (a dense array is converted, for parity with
-        :func:`~repro.linalg.cholesky.factor_spd`).
+        :class:`CsrMatrix` (a dense array is converted).
     allow_indefinite:
         Keep a factor with negative pivots instead of raising
-        :class:`NotSpdError` — the sparse analogue of the dense path's
-        LDLᵀ fallback.  Zero pivots always raise
+        :class:`NotSpdError`; its pivots are then not read at all
+        until asked for.  Zero pivots always raise
         :class:`SingularMatrixError`.
     check_symmetry:
         Verify symmetry first (the factorization silently assumes it).
@@ -172,13 +184,9 @@ def factor_sparse_spd(
         raise SingularMatrixError(
             f"sparse LDL^T hit a zero pivot on the diagonal of row {row} (elimination step {step}): matrix is singular"
         )
-    d = np.asarray(lu.U.diagonal(), dtype=np.float64)
-    _check_pivots(d, allow_indefinite)
-    return SparseSpdFactor(
-        n=n,
-        a_data=a.data,
-        a_indices=a.indices,
-        a_indptr=a.indptr,
-        d=d,
-        _lu=lu,
+    factor = SparseSpdFactor(
+        n=n, a_data=a.data, a_indices=a.indices, a_indptr=a.indptr, _lu=lu
     )
+    if not allow_indefinite:
+        _check_pivots(factor.d)
+    return factor

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NotSpdError
 from ..utils.validation import as_square_matrix, check_symmetric
-from .dense import cholesky_factor
 from .sparse import CsrMatrix
 
 
@@ -31,9 +29,9 @@ def is_spd(a, *, name: str = "matrix") -> bool:
     except Exception:
         return False
     try:
-        cholesky_factor(dense)
+        np.linalg.cholesky(dense)
         return True
-    except NotSpdError:
+    except np.linalg.LinAlgError:
         return False
 
 

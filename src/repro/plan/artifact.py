@@ -18,8 +18,8 @@ File layout (little-endian, version :data:`FORMAT_VERSION`)::
 
 Every ``float64``/``int64`` array that matters — the packed fleet
 template, slot-routing tables, per-subdomain ``x0``/``X`` response
-blocks, dense factors, the CSR triples and pivots of sparse LDL^T
-factors, subdomain matrices — is externalized into an
+blocks, the CSR triples and pivots of the SuperLU factors, subdomain
+matrices — is externalized into an
 aligned raw segment and recorded in the header with its dtype, shape
 and memory order.  The remaining object structure (dataclasses, lists,
 tuples, the plan key) goes into a small pickle whose array leaves are
@@ -64,7 +64,7 @@ from .plan import SolverPlan, compute_plan_hash
 #: bump on any incompatible layout/semantic change; load_plan refuses
 #: other versions (artifacts are a disposable cache — rebuild, never
 #: migrate)
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 FORMAT_NAME = "repro-plan-artifact"
 
@@ -95,7 +95,6 @@ _PLAN_FIELDS = (
     "base_b",
     "build_seconds",
     "key",
-    "numerics",
     "locals_b",
 )
 
@@ -261,7 +260,6 @@ def _build_header(
         "mode": plan.mode,
         "n": plan.n,
         "n_parts": plan.n_parts,
-        "numerics": plan.numerics,
         "segments": records,
         "pickle": {
             "offset": blob_offset,

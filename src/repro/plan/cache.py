@@ -4,8 +4,9 @@ Plans are pure functions of their build inputs, so an in-process cache
 keyed on those inputs turns every repeated ``solve_dtm`` /
 ``solve_vtm_system`` call against the same matrix into a cheap
 execute-only call.  The cache is deliberately small and in-memory: a
-plan holds dense factors of every subdomain, so entries are bounded by
-``maxsize`` (LRU eviction) rather than grown without limit.
+plan holds the factors and response blocks of every subdomain, so
+entries are bounded by ``maxsize`` (LRU eviction) rather than grown
+without limit.
 """
 
 from __future__ import annotations

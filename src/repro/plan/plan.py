@@ -15,17 +15,18 @@ Bitwise contract
 Every session and every in-process engine forks the same plan, so a
 solve with the plan's baked-in right-hand side is the same computation
 however it is reached: forked locals carry bitwise-equal ``x0``
-(block-column and single-column back-substitutions agree bit for bit in
-this package's dense kernels), and :meth:`SolverPlan.reference` mirrors
-:func:`~repro.linalg.iterative.direct_reference_solution` exactly —
-cached dense factor below the same size crossover, identical CG call
-above it.  The API tests assert ``solve_dtm`` against the per-message
-oracle on the same plan field by field.
+(block-column and single-column SuperLU back-substitutions agree bit
+for bit), and :meth:`SolverPlan.reference` is bitwise
+:func:`~repro.linalg.iterative.direct_reference_solution` — the same
+SuperLU factor of the same matrix, built once and cached.  The API
+tests assert ``solve_dtm`` against the per-message oracle on the same
+plan field by field.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import threading
 import time
 from dataclasses import dataclass, field
@@ -41,20 +42,10 @@ from ..errors import ConfigurationError
 from ..graph.electric import ElectricGraph
 from ..graph.evs import DominancePreservingSplit, SplitResult, split_graph
 from ..graph.partitioners import greedy_grow_partition, grid_block_partition
-from ..linalg.cholesky import SpdFactor, factor_spd
-from ..linalg.iterative import direct_reference_solution
 from ..linalg.sparse import CsrMatrix
+from ..linalg.sparse_cholesky import SparseSpdFactor, factor_sparse_spd
 from ..sim.network import ConstantDelay, Topology, complete_topology
 from .cache import PlanCache, default_plan_cache
-
-#: Largest n whose reference solution is served from a cached dense
-#: factor; mirrors :func:`direct_reference_solution`'s dense/CG
-#: crossover so cached and uncached references are bitwise-identical.
-DENSE_REFERENCE_LIMIT = 600
-
-#: Cap on per-plan cached reference solutions (keyed by rhs bytes).
-_REF_CACHE_LIMIT = 64
-
 
 # ----------------------------------------------------------------------
 # cache keys
@@ -153,14 +144,9 @@ def _split_digest(split: SplitResult) -> str:
 def plan_key(graph: ElectricGraph, *, mode: str, n_subdomains: int,
              seed: int, grid_shape, parts_shape, topology, impedance,
              placement, allow_indefinite: bool,
-             numerics: str = "auto",
              split: Optional[SplitResult] = None) -> tuple:
     """Hashable identity of a plan build — every plan-affecting input.
 
-    ``numerics`` is key material: it selects the local factorization
-    backend, whose solves differ at the last-bits level, so plans
-    built with different settings must never alias in the cache (and
-    ``plan_hash`` — a hash over this key — distinguishes them too).
     ``build_workers`` is deliberately *not* key material: a pooled
     build is bitwise-identical to a serial one.
     """
@@ -173,8 +159,7 @@ def plan_key(graph: ElectricGraph, *, mode: str, n_subdomains: int,
     return (mode, graph_fingerprint(graph), split_token, int(seed),
             _topology_token(topology), _impedance_token(impedance),
             tuple(int(p) for p in placement) if placement else None,
-            bool(allow_indefinite),
-            ("numerics", str(numerics)))
+            bool(allow_indefinite))
 
 
 # ----------------------------------------------------------------------
@@ -260,9 +245,6 @@ class SolverPlan:
     base_b: np.ndarray
     build_seconds: float
     key: Optional[tuple] = None
-    #: requested local-factorization knob ("dense" | "sparse" | "auto");
-    #: per-subdomain resolution is visible on the base locals' factors
-    numerics: str = "auto"
     #: the right-hand side the *base locals* were factored against —
     #: differs from ``base_b`` only on :meth:`with_base_rhs` views.
     locals_b: Optional[np.ndarray] = field(default=None, repr=False)
@@ -270,9 +252,8 @@ class SolverPlan:
     #: reuse counters (surfaced in SolveResult)
     n_sessions: int = field(default=0, compare=False)
     n_solves_served: int = field(default=0, compare=False)
-    _ref_factor: Optional[SpdFactor] = field(default=None, repr=False)
-    _ref_cache: dict = field(default_factory=dict, repr=False)
-    #: guards the mutable bits (reference cache, reuse counters) —
+    _ref_factor: Optional[SparseSpdFactor] = field(default=None, repr=False)
+    #: guards the mutable bits (reference factor, reuse counters) —
     #: plans are otherwise immutable and shared across sessions/threads
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False)
@@ -303,7 +284,7 @@ class SolverPlan:
         """A view of this plan whose default right-hand side is *b*.
 
         Everything expensive stays shared by reference (network,
-        factored locals, fleet template, reference factor+cache, lock);
+        factored locals, fleet template, reference factor, lock);
         only the graph/split dressing and ``base_b`` change, so
         ``get_plan(a, b2)`` after a cache hit for ``b1`` still hands
         sessions the right default rhs.  Returns ``self`` when *b*
@@ -321,11 +302,8 @@ class SolverPlan:
             fleet_template=self.fleet_template,
             a_mat=self.a_mat, base_b=b,
             build_seconds=self.build_seconds, key=self.key,
-            numerics=self.numerics,
             locals_b=self.forked_locals_rhs,
-            from_cache=self.from_cache,
-            _ref_factor=self._ref_factor, _ref_cache=self._ref_cache,
-            _lock=self._lock)
+            from_cache=self.from_cache, _lock=self._lock)
         view._counter_root = self._root()
         return view
 
@@ -355,82 +333,42 @@ class SolverPlan:
 
     @property
     def reference_materialized(self) -> bool:
-        """True once any reference machinery has been built.
+        """True once the reference factor has been built.
 
         A plan whose solves all used reference-free stopping rules
-        stays ``False``: no dense factor, no cached reference
-        solutions — the invariant the production stopping-rule tests
-        assert.
+        stays ``False`` — the invariant the production stopping-rule
+        tests assert.
         """
-        with self._lock:
-            return self._ref_factor is not None or bool(self._ref_cache)
+        root = self._root()
+        with root._lock:
+            return root._ref_factor is not None
 
-    def _wants_dense_reference(self) -> bool:
-        return not (isinstance(self.a_mat, CsrMatrix)
-                    and self.a_mat.nrows > DENSE_REFERENCE_LIMIT)
+    def _reference_factor(self) -> SparseSpdFactor:
+        """The SuperLU factor of ``a_mat``, built lazily on first use
+        exactly as :func:`direct_reference_solution` builds it.
 
-    def _reference_factor(self) -> Optional[SpdFactor]:
-        """The dense reference factor, built lazily on first use.
-
-        Planning no longer pays for it: a plan whose solves use
+        Planning does not pay for it: a plan whose solves use
         reference-free stopping rules never factors the assembled
         global system at all.  The factor lives on the *root* plan so
         every :meth:`with_base_rhs` view shares one copy.
         """
-        if not self._wants_dense_reference():
-            return None
         root = self._root()
         with root._lock:
             if root._ref_factor is None:
-                root._ref_factor = factor_spd(self.a_mat.to_dense())
-            if root is not self:
-                self._ref_factor = root._ref_factor
+                root._ref_factor = factor_sparse_spd(
+                    self.a_mat, allow_indefinite=True)
             return root._ref_factor
 
     def reference(self, b) -> np.ndarray:
-        """High-accuracy reference solution of ``A x = b`` (cached).
+        """High-accuracy reference solution of ``A x = b``.
 
         Bitwise-identical to ``direct_reference_solution(a_mat, b)``:
-        below the dense crossover the (lazily built) cached factor is
-        the same factor that call would compute; above it the identical
-        CG call runs (and is cached per right-hand side, which is what
-        amortizes repeated solves against one *b*).
+        the lazily built factor is the one that call would compute, so
+        a reference costs one SuperLU solve.  *b* may be a vector or an
+        ``(n, k)`` column block, whose columns are bitwise the
+        per-column references.
         """
-        b = np.asarray(b, dtype=np.float64)
-        key = b.tobytes()
-        with self._lock:
-            hit = self._ref_cache.get(key)
-        if hit is not None:
-            return hit
-        factor = self._reference_factor()
-        if factor is not None:
-            ref = factor.solve(b)
-        else:
-            ref = direct_reference_solution(self.a_mat, b)
-        with self._lock:
-            if len(self._ref_cache) >= _REF_CACHE_LIMIT:
-                self._ref_cache.pop(next(iter(self._ref_cache)))
-            self._ref_cache[key] = ref
-        return ref
-
-    def reference_block(self, B: np.ndarray) -> np.ndarray:
-        """Reference solutions for a column block ``(n, k)``.
-
-        Dense path: one block back-substitution whose columns are
-        bitwise-identical to per-column :meth:`reference` calls; CG
-        path: per-column (each cached).
-        """
-        B = np.asarray(B, dtype=np.float64)
-        factor = self._reference_factor()
-        if factor is not None:
-            out = factor.solve(B)
-            with self._lock:
-                for k in range(B.shape[1]):
-                    if len(self._ref_cache) < _REF_CACHE_LIMIT:
-                        self._ref_cache[B[:, k].tobytes()] = out[:, k]
-            return out
-        return np.stack([self.reference(B[:, k])
-                         for k in range(B.shape[1])], axis=1)
+        return self._reference_factor().solve(np.asarray(b, np.float64))
 
     def record_solve(self) -> int:
         """Bump and return the number of solves this plan has served."""
@@ -462,7 +400,6 @@ def build_plan(a=None, b=None, *, mode: str = "dtm",
                parts_shape: Optional[tuple[int, int]] = None,
                placement: Optional[Sequence[int]] = None,
                allow_indefinite: bool = False,
-               numerics: str = "auto",
                build_workers: Optional[int] = None,
                split: Optional[SplitResult] = None,
                key: Optional[tuple] = None) -> SolverPlan:
@@ -473,9 +410,8 @@ def build_plan(a=None, b=None, *, mode: str = "dtm",
     prebuilt *split*.  ``mode="vtm"`` builds the synchronous special
     case: unit DTL delays, no machine topology.
 
-    ``numerics`` selects the per-subdomain factorization backend
-    (``"auto"``, the default, goes sparse for large sparse locals —
-    see :func:`repro.core.local.resolve_numerics`); ``build_workers``
+    Every local system is factored once by SuperLU (see
+    :func:`repro.core.local.build_local_system`); ``build_workers``
     fans the factorizations out across a process pool (``-1`` = all
     CPUs) without changing a single result bit.
     """
@@ -503,8 +439,7 @@ def build_plan(a=None, b=None, *, mode: str = "dtm",
                        seed=seed, grid_shape=grid_shape,
                        parts_shape=parts_shape, topology=topology,
                        impedance=impedance, placement=placement,
-                       allow_indefinite=allow_indefinite,
-                       numerics=numerics, split=split)
+                       allow_indefinite=allow_indefinite, split=split)
 
     if mode == "dtm":
         if topology is None:
@@ -531,11 +466,11 @@ def build_plan(a=None, b=None, *, mode: str = "dtm",
     network = build_dtlp_network(split, z_list, delay_spec)
     base_locals = build_all_local_systems(
         split, network, allow_indefinite=allow_indefinite,
-        numerics=numerics, workers=build_workers)
+        workers=build_workers)
     fleet_template = build_fleet(split, network, base_locals)
 
     a_mat, base_b = graph.to_system()
-    # NB: the dense reference factor is NOT built here — it
+    # NB: the reference factor is NOT built here — it
     # materializes lazily on the first reference() call, so plans
     # whose solves use reference-free stopping rules never pay for
     # (or even touch) a direct solution of the global system.
@@ -544,8 +479,13 @@ def build_plan(a=None, b=None, *, mode: str = "dtm",
         placement=placement, impedance=impedance, network=network,
         base_locals=base_locals, fleet_template=fleet_template,
         a_mat=a_mat, base_b=base_b,
-        build_seconds=time.perf_counter() - t0, key=key,
-        numerics=numerics)
+        build_seconds=time.perf_counter() - t0, key=key)
+
+
+#: the keywords :func:`get_plan` forwards to :func:`build_plan` (*a*,
+#: *b* and *key* are get_plan's own)
+_BUILD_KEYWORDS = frozenset(
+    inspect.signature(build_plan).parameters) - {"a", "b", "key"}
 
 
 def get_plan(a=None, b=None, *, cache: Optional[PlanCache] = None,
@@ -564,7 +504,15 @@ def get_plan(a=None, b=None, *, cache: Optional[PlanCache] = None,
     process (or a restarted server) against the same directory comes
     up warm.  Like ``build_workers``, ``plan_dir`` is *not* key
     material: a loaded plan is bitwise-equivalent to a built one.
+
+    A keyword :func:`build_plan` does not take raises
+    :class:`ConfigurationError` naming it, on a cache hit as on a miss.
     """
+    unknown = sorted(set(kwargs) - _BUILD_KEYWORDS)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown plan keyword(s): {', '.join(unknown)} (a plan "
+            f"takes {', '.join(sorted(_BUILD_KEYWORDS))})")
     split = kwargs.get("split")
     rebind_b = None
     if split is not None:
@@ -591,7 +539,6 @@ def get_plan(a=None, b=None, *, cache: Optional[PlanCache] = None,
         impedance=kwargs.get("impedance", 1.0),
         placement=kwargs.get("placement"),
         allow_indefinite=kwargs.get("allow_indefinite", False),
-        numerics=kwargs.get("numerics", "auto"),
         split=split)
 
     def _build_or_load() -> SolverPlan:

@@ -9,13 +9,12 @@ API the transient-analysis use case needs:
   then engine/processor wiring and the run itself);
 * :meth:`SolverSession.solve_many` — a column block of right-hand
   sides with *batched* preparation (one block back-substitution per
-  subdomain, one block reference solve) and per-column execution that
-  is bitwise-identical to calling :meth:`solve` in a loop — asserted by
-  the test-suite, guaranteed by construction because block-column and
-  single-column back-substitutions agree bit for bit in this package's
-  dense kernels while the event-driven trajectory itself is played per
-  column (early stopping at ``tol`` is a per-column property, so
-  columns must not share one event horizon);
+  subdomain) and per-column execution that is bitwise-identical to
+  calling :meth:`solve` in a loop — asserted by the test-suite,
+  guaranteed by construction because block-column and single-column
+  SuperLU back-substitutions agree bit for bit while the event-driven
+  trajectory itself is played per column (early stopping at ``tol`` is
+  a per-column property, so columns must not share one event horizon);
 * warm starts — seed the wave state from the previous solve's final
   waves, the natural accelerator when consecutive right-hand sides are
   close (circuit transient steps).
@@ -178,20 +177,14 @@ class _SessionBase:
         """Solve a column block ``B`` of right-hand sides.
 
         Preparation is batched (one block back-substitution per
-        subdomain, one block reference solve on the dense path); the
-        trajectories then run per column through the exact single-solve
-        path, so the results are bitwise-identical to
-        ``[session.solve(B[:, k]) for k]``.  ``warm_start=True`` chains
-        the columns: each warm-starts from its predecessor's waves.
-        With a reference-free ``stopping=`` rule the block reference
-        solve is skipped entirely.
+        subdomain); the trajectories then run per column through the
+        exact single-solve path, so the results are bitwise-identical
+        to ``[session.solve(B[:, k]) for k]``.  ``warm_start=True``
+        chains the columns: each warm-starts from its predecessor's
+        waves.
         """
         B = _as_rhs_block(B, self.plan.n)
         x0_blocks = self._batched_x0(B)
-        rule = as_stopping_rule(solve_kwargs.get("stopping"),
-                                tol=solve_kwargs.get("tol", 1e-8))
-        if rule.needs_reference:
-            self.plan.reference_block(B)  # populate the per-rhs cache
         out = []
         for k in range(B.shape[1]):
             out.append(self.solve(

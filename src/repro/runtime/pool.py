@@ -16,8 +16,8 @@ Determinism contract: :func:`map_ordered` returns results in
 function of its item computed with the same interpreter and libraries
 as the coordinator — so a pooled build is bitwise-identical to a
 serial one, which the plan tests assert.  Items and results must
-pickle (``LocalSystem`` and the sparse/dense factor objects do; the
-sparse factor's SuperLU handle is a drop-on-pickle cache).
+pickle (``LocalSystem`` and its factor do; the factor's SuperLU
+handle is a drop-on-pickle cache).
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ import numpy as np
 from ..core.convergence import (
     StopEvent,
     begin_monitor,
+    plan_reference,
     primary_tol,
     reuse_system,
 )
@@ -299,13 +300,15 @@ class DtmSimulator:
         ``stopping`` selects the termination criterion (see
         :mod:`repro.core.convergence`); the default is the paper's
         reference-based rule at *tol*, for which ``reference`` defaults
-        to the direct solution of the original system.  Reference-free
-        rules (``ResidualRule``, ``QuiescenceRule``) never compute a
-        reference at all.  ``sample_interval`` defaults to
+        to the plan's cached direct solution of the original system.
+        Reference-free rules (``ResidualRule``, ``QuiescenceRule``)
+        never compute a reference at all.  ``sample_interval`` defaults to
         ``t_max / 256``.
         """
         if t_max <= 0:
             raise ConfigurationError("t_max must be positive")
+        if reference is None:
+            reference = plan_reference(self.plan, self.split.graph)
         rule, monitor, _ = begin_monitor(
             stopping, tol=tol, graph=self.split.graph,
             system=reuse_system(self.plan, self.split.graph),

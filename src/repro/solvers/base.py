@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from ..errors import PartitionError
 from ..graph.electric import ElectricGraph
 from ..graph.partition import Partition
-from ..linalg.cholesky import factor_spd
 from ..utils.timeseries import TimeSeries
 
 
@@ -71,10 +71,10 @@ def build_block_structure(graph: ElectricGraph,
         # external columns touched by this block's rows
         touched = a_rows.indices
         ext_arr = np.unique(touched[labels[touched] != q]).astype(np.int64)
-        factor = factor_spd(a_rows[:, rows].toarray(), check_symmetry=False)
-        x0_q = factor.solve(b[rows])
+        factor = cho_factor(a_rows[:, rows].toarray())
+        x0_q = cho_solve(factor, b[rows])
         if ext_arr.size:
-            m_q = factor.solve(a_rows[:, ext_arr].toarray())
+            m_q = cho_solve(factor, a_rows[:, ext_arr].toarray())
         else:
             m_q = np.zeros((rows.size, 0))
         ext_vertices.append(ext_arr)

@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from ..errors import PartitionError
 from ..graph.electric import ElectricGraph
 from ..graph.partition import Partition
-from ..linalg.cholesky import factor_spd
 from ..linalg.spd import is_spd
 
 
@@ -76,9 +76,10 @@ def solve_schur(graph: ElectricGraph, partition: Partition) -> SchurResult:
             continue
         interiors.append(int(rows.size))
         a_rows = a_sp[rows]
-        factor = factor_spd(a_rows[:, rows].toarray(), check_symmetry=False)
+        factor = cho_factor(a_rows[:, rows].toarray())
         a_ib = a_rows[:, interface].toarray()
-        w = factor.solve(np.concatenate([b[rows][:, None], a_ib], axis=1))
+        w = cho_solve(factor,
+                      np.concatenate([b[rows][:, None], a_ib], axis=1))
         y0 = w[:, 0]
         y_b = w[:, 1:]
         if interface.size:
@@ -87,7 +88,7 @@ def solve_schur(graph: ElectricGraph, partition: Partition) -> SchurResult:
         interior_data.append((rows, factor, a_ib, y0, y_b))
 
     if interface.size:
-        x_b = factor_spd(s, check_symmetry=False).solve(rhs)
+        x_b = cho_solve(cho_factor(s), rhs)
         x[interface] = x_b
     else:
         x_b = np.zeros(0)

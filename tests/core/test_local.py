@@ -9,7 +9,7 @@ from repro.core.local import (
     build_local_system,
     validate_local_system,
 )
-from repro.errors import NotSpdError, ValidationError
+from repro.errors import NotSpdError, SingularMatrixError, ValidationError
 from repro.graph.evs import DominancePreservingSplit, split_graph
 from repro.graph.partitioners import grid_block_partition
 from repro.workloads.paper import (
@@ -155,10 +155,46 @@ def test_not_spd_error_message_mentions_theorem():
     net = build_dtlp_network(split, 1.0, 1.0)
     with pytest.raises(NotSpdError, match="6.1"):
         build_all_local_systems(split, net)
-    # with allow_indefinite the LDL^T fallback must still satisfy (4.3)
+    # with allow_indefinite the indefinite factor must still satisfy
+    # (4.3)
     locals_ = build_all_local_systems(split, net, allow_indefinite=True)
     for local, sub in zip(locals_, split.subdomains):
         validate_local_system(local, sub)
+
+
+def _with_interior_block(block):
+    """Subdomain 0 of an 8x8 grid whose matrix is the identity except
+    for *block* on its last interior rows and columns."""
+    import dataclasses
+
+    from repro.linalg.sparse import CsrMatrix
+
+    g = grid2d_poisson(8)
+    split = split_graph(g, grid_block_partition(8, 8, 2, 1),
+                        strategy=DominancePreservingSplit())
+    sub = split.subdomains[0]
+    n, k = sub.n_local, len(block)
+    assert sub.n_ports <= n - k  # the block sits in the interior
+    a = np.eye(n)
+    a[n - k:, n - k:] = block
+    return dataclasses.replace(sub, matrix=CsrMatrix.from_dense(a))
+
+
+def test_singular_local_error_names_subdomain_and_theorem():
+    """A structurally singular local (an interior row with nothing in
+    it) is a SingularMatrixError naming its subdomain and 6.1."""
+    sub = _with_interior_block([[0.0]])
+    with pytest.raises(SingularMatrixError, match="subdomain 0.*6.1"):
+        build_local_system(sub, [])
+
+
+@pytest.mark.parametrize("allow_indefinite", [False, True])
+def test_zero_pivot_indefinite_local_names_subdomain(allow_indefinite):
+    """An indefinite local with a zero diagonal pivot is never factored,
+    not even with allow_indefinite: the SuperLU pivot check names it."""
+    sub = _with_interior_block([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(SingularMatrixError, match="subdomain 0.*6.1"):
+        build_local_system(sub, [], allow_indefinite=allow_indefinite)
 
 
 def test_empty_subdomain():

@@ -1,21 +1,20 @@
-"""Sparse local factorizations: dense/sparse equivalence at build level.
+"""SuperLU local factorizations at build level.
 
-The ``numerics`` knob of :func:`build_local_system` must be a pure
-performance choice: ``"sparse"`` agrees with ``"dense"`` to 1e-10
-relative, ``"dense"`` is bitwise-identical to the historical default,
-``"auto"`` resolves by size/fill thresholds, and the pooled
+Every local system is factored by SuperLU on its CSR arrays: its
+``x0`` and ``X`` agree with a ``scipy.linalg`` dense solve of the same
+system to 1e-10 relative, the build never densifies, and the pooled
 :func:`build_all_local_systems` is bitwise-identical to the serial
 build.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from repro.core.dtl import build_dtlp_network
 from repro.core.local import (
     build_all_local_systems,
     build_local_system,
-    resolve_numerics,
     validate_local_system,
 )
 from repro.errors import ConfigurationError, NotSpdError
@@ -46,67 +45,44 @@ def _split_circuit(rows=12, cols=12, n_parts=4):
     return split, net
 
 
+makers = pytest.mark.parametrize("maker", [_split_poisson, _split_circuit],
+                                ids=["poisson", "circuit"])
+
+
 def _max_rel(a, b):
     scale = max(float(np.max(np.abs(a))), 1.0)
     return float(np.max(np.abs(a - b))) / scale
 
 
 # ----------------------------------------------------------------------
-# the knob itself
+# SuperLU against a dense solve, per subdomain
 # ----------------------------------------------------------------------
-def test_resolve_numerics_thresholds():
-    assert resolve_numerics("dense", 10_000, 1) == "dense"
-    assert resolve_numerics("sparse", 2, 4) == "sparse"
-    # auto: needs both size and sparsity
-    assert resolve_numerics("auto", 100, 500) == "dense"  # too small
-    assert resolve_numerics("auto", 1000, 5000) == "sparse"
-    assert resolve_numerics("auto", 1000, 600_000) == "dense"  # too full
-    with pytest.raises(ConfigurationError):
-        resolve_numerics("blocked", 10, 10)
-
-
-def test_existing_grids_resolve_dense_under_auto():
-    # every pre-PR test workload is below the auto threshold, so the
-    # default numerics="auto" cannot change any historical result
-    split, _ = _split_poisson(nx=20, pr=2, pc=4)
-    for sub in split.subdomains:
-        n = sub.matrix.nrows
-        assert resolve_numerics("auto", n, sub.matrix.nnz) == "dense"
-
-
-# ----------------------------------------------------------------------
-# dense/sparse equivalence per subdomain
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("maker", [_split_poisson, _split_circuit],
-                         ids=["poisson", "circuit"])
-def test_sparse_locals_match_dense(maker):
+@makers
+def test_locals_match_dense_solve(maker):
     split, net = maker()
-    dense = build_all_local_systems(split, net, numerics="dense")
-    sparse = build_all_local_systems(split, net, numerics="sparse")
-    for ld, ls, sub in zip(dense, sparse, split.subdomains):
-        assert isinstance(ls.factor, SparseSpdFactor)
-        assert _max_rel(ld.x0, ls.x0) <= 1e-10
-        assert _max_rel(ld.X, ls.X) <= 1e-10
-        validate_local_system(ls, sub)
+    locals_ = build_all_local_systems(split, net)
+    for loc, sub in zip(locals_, split.subdomains):
+        assert isinstance(loc.factor, SparseSpdFactor)
+        n = sub.n_local
+        k = sub.matrix.to_dense()
+        k[np.arange(n), np.arange(n)] += np.bincount(
+            loc.slot_ports, weights=loc.slot_inv_z, minlength=n)
+        rhs = np.zeros((n, 1 + loc.n_slots))
+        rhs[:, 0] = sub.rhs
+        rhs[loc.slot_ports, 1 + np.arange(loc.n_slots)] = loc.slot_inv_z
+        dense = scipy.linalg.solve(k, rhs, assume_a="pos")
+        assert _max_rel(dense[:, 0], loc.x0) <= 1e-10
+        assert _max_rel(dense[:, 1:], loc.X) <= 1e-10
+        validate_local_system(loc, sub)
 
 
-def test_dense_knob_bitwise_identical_to_default():
-    # numerics="dense" IS the historical path: not approximately equal,
-    # bitwise equal
-    split, net = _split_poisson(nx=12)
-    legacy = build_all_local_systems(split, net)
-    explicit = build_all_local_systems(split, net, numerics="dense")
-    for l0, l1 in zip(legacy, explicit):
-        assert np.array_equal(l0.x0, l1.x0)
-        assert np.array_equal(l0.X, l1.X)
-
-
-def test_sparse_local_matrix_is_k_plus_slot_diagonal_bitwise():
+@makers
+def test_sparse_local_matrix_is_k_plus_slot_diagonal_bitwise(maker):
     # K + diag(1/z) is built through scipy: its values must be the
     # dense sum's bits and its pattern K's own, so a binop that drops a
     # stored entry cannot go unnoticed
-    split, net = _split_poisson()
-    locals_ = build_all_local_systems(split, net, numerics="sparse")
+    split, net = maker()
+    locals_ = build_all_local_systems(split, net)
     for loc, sub in zip(locals_, split.subdomains):
         k, f = sub.matrix, loc.factor
         v = np.bincount(loc.slot_ports, weights=loc.slot_inv_z,
@@ -119,19 +95,14 @@ def test_sparse_local_matrix_is_k_plus_slot_diagonal_bitwise():
         assert np.array_equal(kz.to_dense(), k.to_dense() + np.diag(v))
 
 
-def test_sparse_build_never_densifies():
+@makers
+def test_sparse_build_never_densifies(maker):
     # the acceptance guard: a sparse build must not materialize any
     # dense subdomain matrix
-    split, net = _split_poisson(nx=12)
+    split, net = maker()
     with forbid_densify("sparse plan build must stay sparse"):
-        locals_ = build_all_local_systems(split, net, numerics="sparse")
+        locals_ = build_all_local_systems(split, net)
     assert all(isinstance(l.factor, SparseSpdFactor) for l in locals_)
-
-
-def test_invalid_numerics_rejected():
-    split, net = _split_poisson(nx=8, pr=2, pc=1)
-    with pytest.raises(ConfigurationError):
-        build_local_system(split.subdomains[0], [], numerics="banded")
 
 
 def test_sparse_not_spd_names_subdomain():
@@ -143,16 +114,16 @@ def test_sparse_not_spd_names_subdomain():
     bad = CsrMatrix.from_dense(sub.matrix.to_dense() - 50.0 * np.eye(n))
     sub = dataclasses.replace(sub, matrix=bad)
     with pytest.raises(NotSpdError, match="subdomain"):
-        build_local_system(sub, [], numerics="sparse")
+        build_local_system(sub, [])
 
 
 # ----------------------------------------------------------------------
 # fork sharing + pooled builds
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("numerics", ["dense", "sparse"])
-def test_fork_shares_immutable_factor_and_response(numerics):
-    split, net = _split_poisson(nx=12)
-    base = build_all_local_systems(split, net, numerics=numerics)
+@makers
+def test_fork_shares_immutable_factor_and_response(maker):
+    split, net = maker()
+    base = build_all_local_systems(split, net)
     for loc in base:
         f = loc.fork()
         assert f.factor is loc.factor  # shared, never deep-copied
@@ -161,12 +132,11 @@ def test_fork_shares_immutable_factor_and_response(numerics):
         assert np.array_equal(f.x0, loc.x0)
 
 
-@pytest.mark.parametrize("numerics", ["dense", "sparse"])
-def test_pooled_build_bitwise_identical_to_serial(numerics):
-    split, net = _split_poisson(nx=12)
-    serial = build_all_local_systems(split, net, numerics=numerics)
-    pooled = build_all_local_systems(split, net, numerics=numerics,
-                                     workers=2)
+@makers
+def test_pooled_build_bitwise_identical_to_serial(maker):
+    split, net = maker()
+    serial = build_all_local_systems(split, net)
+    pooled = build_all_local_systems(split, net, workers=2)
     for ls, lp in zip(serial, pooled):
         assert np.array_equal(ls.x0, lp.x0)
         assert np.array_equal(ls.X, lp.X)

@@ -4,11 +4,12 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import NotSpdError, SingularMatrixError, ValidationError
 from repro.graph.electric import ElectricGraph
 from repro.linalg import CsrMatrix, SparseSpdFactor, factor_sparse_spd
-from repro.linalg.cholesky import factor_spd
 from repro.workloads.poisson import grid2d_poisson
 
 
@@ -37,12 +38,11 @@ def random_spd_csr(n, seed, extra_edges=4, boost=1.0):
 def test_solve_matches_dense_oracle(n):
     a = random_spd_csr(n, seed=n)
     dense = a.to_dense()
-    oracle = factor_spd(dense)
     f = factor_sparse_spd(a)
     rng = np.random.default_rng(1)
     b = rng.standard_normal(n)
     x = f.solve(b)
-    assert np.max(np.abs(x - oracle.solve(b))) <= 1e-10 * max(
+    assert np.max(np.abs(x - np.linalg.solve(dense, b))) <= 1e-10 * max(
         1.0, np.max(np.abs(x)))
     # the factorization really solved the original system
     assert np.max(np.abs(dense @ x - b)) <= 1e-8
@@ -221,7 +221,7 @@ def test_family_solves_like_dense_oracle(make):
     f = factor_sparse_spd(a)
     b = _rhs(a.nrows)
     x = f.solve(b)
-    assert np.max(np.abs(x - factor_spd(dense).solve(b))) <= 1e-10 * max(
+    assert np.max(np.abs(x - np.linalg.solve(dense, b))) <= 1e-10 * max(
         1.0, np.max(np.abs(x)))
     assert np.max(np.abs(dense @ x - b)) <= 1e-8
     assert f.inertia() == (a.nrows, 0, 0)
@@ -279,3 +279,135 @@ def test_family_pickle_roundtrip_solves_bitwise(make):
     assert f2._lu is None
     assert np.array_equal(f2.solve(b), x)
     assert np.array_equal(f2.d, f.d)
+
+
+def _reconstruct(f):
+    """``A`` rebuilt from the SuperLU factors: ``Prᵀ L U Pcᵀ``."""
+    import scipy.sparse as sp
+
+    lu, n = f._splu(), f.n
+    pr = sp.csc_matrix((np.ones(n), (lu.perm_r, np.arange(n))),
+                       shape=(n, n))
+    pc = sp.csc_matrix((np.ones(n), (np.arange(n), lu.perm_c)),
+                       shape=(n, n))
+    return (pr.T @ (lu.L @ lu.U) @ pc.T).toarray()
+
+
+@family
+def test_family_factor_reconstructs_the_matrix(make):
+    a = make()
+    f = factor_sparse_spd(a)
+    dense = a.to_dense()
+    assert np.max(np.abs(_reconstruct(f) - dense)) <= 1e-12 * max(
+        1.0, np.max(np.abs(dense)))
+
+
+# ----------------------------------------------------------------------
+# dense SPD inputs: the cases the removed dense Cholesky / LDLᵀ kernels
+# were checked on, now held by the one factorization against numpy
+# ----------------------------------------------------------------------
+def random_dense_spd(rng, n, cond=10.0):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q * np.geomspace(1.0, cond, n)) @ q.T
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 48, 49, 120])
+def test_dense_spd_matches_numpy(n):
+    rng = np.random.default_rng(n)
+    a = random_dense_spd(rng, n)
+    a = (a + a.T) / 2
+    f = factor_sparse_spd(a)
+    b = rng.standard_normal(n)
+    assert np.allclose(f.solve(b), np.linalg.solve(a, b), atol=1e-8)
+    assert np.allclose(_reconstruct(f), a, atol=1e-9)
+    assert f.inertia() == (n, 0, 0)
+    assert f.logdet() == pytest.approx(np.linalg.slogdet(a)[1], rel=1e-8)
+
+
+def test_dense_spd_column_block_matches_numpy():
+    rng = np.random.default_rng(3)
+    a = random_dense_spd(rng, 12)
+    a = (a + a.T) / 2
+    B = rng.standard_normal((12, 4))
+    assert np.allclose(factor_sparse_spd(a).solve(B), np.linalg.solve(a, B),
+                       atol=1e-9)
+
+
+def test_identity_block_solve_is_the_inverse():
+    m = grid2d_poisson(4, ground=0.3).to_matrix()
+    f = factor_sparse_spd(m)
+    inv = f.solve(np.eye(m.nrows))
+    assert np.allclose(inv, np.linalg.inv(m.to_dense()), atol=1e-9)
+
+
+def test_grounded_grid_input_solves():
+    m = grid2d_poisson(5, ground=0.3).to_matrix()
+    b = np.random.default_rng(2).standard_normal(25)
+    x = factor_sparse_spd(m).solve(b)
+    assert np.allclose(m.to_dense() @ x, b, atol=1e-9)
+
+
+def test_negative_definite_raises():
+    with pytest.raises(NotSpdError, match="allow_indefinite"):
+        factor_sparse_spd(-np.eye(3))
+
+
+@pytest.mark.parametrize("allow_indefinite", [False, True])
+def test_zero_row_is_singular_either_way(allow_indefinite):
+    # the removed dense Cholesky reported this as not SPD; with no
+    # pivot to take on row 0, it is a singular matrix whatever is asked
+    with pytest.raises(SingularMatrixError):
+        factor_sparse_spd(np.array([[0.0, 0.0], [0.0, 1.0]]),
+                          allow_indefinite=allow_indefinite)
+
+
+@pytest.mark.parametrize("dense, inertia", [
+    ([[2.0, 1.0], [1.0, -3.0]], (1, 0, 1)),
+    # symmetric quasi-definite: strong diagonal of mixed sign
+    ([[4.0, 1.0, 0.0], [1.0, -5.0, 2.0], [0.0, 2.0, 6.0]], (2, 0, 1)),
+], ids=["2x2", "quasi-definite"])
+def test_indefinite_inertia_and_solve(dense, inertia):
+    a = np.array(dense)
+    f = factor_sparse_spd(a, allow_indefinite=True)
+    assert f.inertia() == inertia
+    b = np.ones(a.shape[0])
+    assert np.allclose(a @ f.solve(b), b, atol=1e-10)
+    assert np.allclose(_reconstruct(f), a, atol=1e-12)
+
+
+def test_shifted_dense_indefinite_solve():
+    rng = np.random.default_rng(10)
+    a = random_dense_spd(rng, 9) - 3.0 * np.eye(9)
+    a = (a + a.T) / 2
+    f = factor_sparse_spd(a, allow_indefinite=True)
+    _pos, zero, neg = f.inertia()
+    assert zero == 0 and neg > 0
+    b = rng.standard_normal(9)
+    assert np.allclose(f.solve(b), np.linalg.solve(a, b), atol=1e-7)
+
+
+def test_unchecked_symmetry_factors_a_nearly_symmetric_matrix():
+    a = np.array([[2.0, 1.0 + 1e-13], [1.0, 2.0]])
+    f = factor_sparse_spd(a, check_symmetry=False)
+    b = np.array([1.0, -1.0])
+    assert np.allclose(a @ f.solve(b), b, atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 2 ** 31 - 1))
+def test_property_factor_reconstructs(n, seed):
+    rng = np.random.default_rng(seed)
+    a = random_dense_spd(rng, n, cond=100.0)
+    a = (a + a.T) / 2
+    f = factor_sparse_spd(a)
+    assert np.allclose(_reconstruct(f), a, rtol=1e-8, atol=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 25), st.integers(0, 2 ** 31 - 1))
+def test_property_solve_inverts_matvec(n, seed):
+    rng = np.random.default_rng(seed)
+    a = random_dense_spd(rng, n)
+    a = (a + a.T) / 2
+    x = rng.standard_normal(n)
+    assert np.allclose(factor_sparse_spd(a).solve(a @ x), x, atol=1e-7)

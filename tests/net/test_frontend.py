@@ -152,6 +152,18 @@ class TestHardenedLoopOverTcp:
         with pytest.raises(RemoteError):
             client.register(bad, np.ones(2))
 
+    def test_register_with_a_retired_knob_names_it(self, service, graph):
+        # an old client still sending numerics= gets an error response
+        # naming the key, even though this system's plan is cached
+        # server-side, and the server keeps serving
+        _, _, client, plan_id = service
+        with pytest.raises(RemoteError, match="numerics"):
+            client.register(graph, n_subdomains=4, seed=1,
+                            numerics="sparse")
+        assert client.ping()
+        assert client.register(graph, n_subdomains=4, seed=1) == plan_id
+        assert client.solve(plan_id, np.ones(graph.n), tol=1e-6).converged
+
 
 class TestPlanTransfer:
     def test_push_then_solve_then_fetch_round_trip(self, service, graph):

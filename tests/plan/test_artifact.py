@@ -33,6 +33,7 @@ from repro.plan import (
 from repro.plan.artifact import FORMAT_VERSION, MAGIC, peek_header
 from repro.plan.diskstore import DiskPlanStore, plan_disk_hash
 from repro.plan.plan import graph_fingerprint
+from repro.workloads.circuits import resistor_grid
 from repro.workloads.poisson import grid2d_poisson
 
 GRID = 20
@@ -45,13 +46,13 @@ def graph():
 
 
 @pytest.fixture(scope="module")
-def dense_plan(graph):
-    return build_plan(graph, n_subdomains=N_PARTS, numerics="dense")
+def built_plan(graph):
+    return build_plan(graph, n_subdomains=N_PARTS)
 
 
 @pytest.fixture(scope="module")
-def sparse_plan(graph):
-    return build_plan(graph, n_subdomains=N_PARTS, numerics="sparse")
+def other_plan(graph):
+    return build_plan(graph, n_subdomains=N_PARTS, seed=1)
 
 
 def _solve(plan, b, **kw):
@@ -59,53 +60,53 @@ def _solve(plan, b, **kw):
 
 
 class TestRoundTrip:
-    def test_dense_solve_is_bitwise_identical(self, graph, dense_plan,
-                                              tmp_path):
-        path = tmp_path / "dense.plan"
-        save_plan(dense_plan, path)
-        loaded = load_plan(path)
-        x_built = _solve(dense_plan, graph.sources).x
-        x_loaded = _solve(loaded, graph.sources).x
-        assert np.array_equal(x_built, x_loaded)
-
-    def test_sparse_solve_is_bitwise_identical(self, graph, sparse_plan,
-                                               tmp_path):
-        plan = sparse_plan
-        path = tmp_path / "sparse.plan"
+    @pytest.mark.parametrize("variant", ["dtm", "vtm", "circuit"])
+    def test_solve_is_bitwise_identical(self, graph, built_plan,
+                                        tmp_path, variant):
+        # every variant refactors its SuperLU locals after loading:
+        # the refactor must reproduce the built plan's bits
+        if variant == "circuit":
+            graph = resistor_grid(12, 12, seed=3)
+        plan = {"dtm": lambda: built_plan,
+                "vtm": lambda: build_plan(graph, mode="vtm",
+                                          n_subdomains=N_PARTS),
+                "circuit": lambda: build_plan(graph,
+                                              n_subdomains=N_PARTS)}[
+            variant]()
+        path = tmp_path / "p.plan"
         save_plan(plan, path)
         loaded = load_plan(path)
-        assert loaded.numerics == plan.numerics
         x_built = _solve(plan, graph.sources).x
         x_loaded = _solve(loaded, graph.sources).x
         assert np.array_equal(x_built, x_loaded)
 
-    def test_eager_load_matches_mmap(self, dense_plan, tmp_path):
+    def test_eager_load_matches_mmap(self, built_plan, tmp_path):
         path = tmp_path / "p.plan"
-        save_plan(dense_plan, path)
+        save_plan(built_plan, path)
         mapped = load_plan(path, mmap=True)
         eager = load_plan(path, mmap=False)
         for lm, le in zip(mapped.base_locals, eager.base_locals):
             assert np.array_equal(lm.x0, le.x0)
             assert np.array_equal(lm.X, le.X)
 
-    def test_solve_many_is_bitwise_identical(self, graph, dense_plan,
+    def test_solve_many_is_bitwise_identical(self, graph, built_plan,
                                              tmp_path):
         path = tmp_path / "p.plan"
-        save_plan(dense_plan, path)
+        save_plan(built_plan, path)
         loaded = load_plan(path)
         rng = np.random.default_rng(7)
         B = rng.standard_normal((graph.n, 2))
-        built_res = dense_plan.session().solve_many(B, tol=1e-8)
+        built_res = built_plan.session().solve_many(B, tol=1e-8)
         loaded_res = loaded.session().solve_many(B, tol=1e-8)
         for rb, rl in zip(built_res, loaded_res):
             assert np.array_equal(rb.x, rl.x)
 
     def test_forked_sessions_work_on_a_loaded_plan(self, graph,
-                                                   dense_plan, tmp_path):
+                                                   built_plan, tmp_path):
         # two sessions over one loaded plan: the fork path must not
         # write through the read-only mapped base state
         path = tmp_path / "p.plan"
-        save_plan(dense_plan, path)
+        save_plan(built_plan, path)
         loaded = load_plan(path)
         b = graph.sources
         x1 = _solve(loaded, b).x
@@ -114,19 +115,19 @@ class TestRoundTrip:
         assert np.array_equal(x1, x3)
         assert not np.array_equal(x1, x2)
 
-    def test_bytes_round_trip(self, graph, dense_plan):
-        data = plan_to_bytes(dense_plan)
+    def test_bytes_round_trip(self, graph, built_plan):
+        data = plan_to_bytes(built_plan)
         clone = plan_from_bytes(data)
-        x_built = _solve(dense_plan, graph.sources).x
+        x_built = _solve(built_plan, graph.sources).x
         x_clone = _solve(clone, graph.sources).x
         assert np.array_equal(x_built, x_clone)
 
-    def test_aliasing_is_preserved(self, dense_plan, tmp_path):
+    def test_aliasing_is_preserved(self, built_plan, tmp_path):
         # the fleet template shares the very same LocalSystem objects
         # as base_locals, and each local's X is a row of the fleet
         # kernel's group stack; a loader that copies would double memory
         path = tmp_path / "p.plan"
-        header = save_plan(dense_plan, path)
+        header = save_plan(built_plan, path)
         loaded = load_plan(path)
         for i, loc in enumerate(loaded.base_locals):
             assert loaded.fleet_template.locals[i] is loc
@@ -140,11 +141,11 @@ class TestRoundTrip:
         # its own
         shapes = {tuple(rec["shape"]) for rec in header["segments"]}
         assert not any(loc.X.shape in shapes
-                       for loc in dense_plan.base_locals)
+                       for loc in built_plan.base_locals)
 
-    def test_mapped_arrays_are_read_only(self, dense_plan, tmp_path):
+    def test_mapped_arrays_are_read_only(self, built_plan, tmp_path):
         path = tmp_path / "p.plan"
-        save_plan(dense_plan, path)
+        save_plan(built_plan, path)
         loaded = load_plan(path)
         arr = loaded.base_locals[0].X
         assert not arr.flags.writeable
@@ -152,34 +153,34 @@ class TestRoundTrip:
             arr[0, 0] = 1.0
 
     def test_plan_hash_is_stable_across_the_round_trip(self, graph,
-                                                       dense_plan,
+                                                       built_plan,
                                                        tmp_path):
         path = tmp_path / "p.plan"
-        header = save_plan(dense_plan, path)
+        header = save_plan(built_plan, path)
         loaded = load_plan(path)
-        assert plan_disk_hash(loaded) == plan_disk_hash(dense_plan)
-        assert header["plan_hash"] == plan_disk_hash(dense_plan)
+        assert plan_disk_hash(loaded) == plan_disk_hash(built_plan)
+        assert header["plan_hash"] == plan_disk_hash(built_plan)
         # and the hash is computable *before* building: fingerprint+key
         expected = compute_plan_hash(
-            graph_fingerprint(graph), dense_plan.key)
+            graph_fingerprint(graph), built_plan.key)
         assert header["plan_hash"] == expected
 
-    def test_peek_header_reads_metadata_without_arrays(self, dense_plan,
+    def test_peek_header_reads_metadata_without_arrays(self, built_plan,
                                                        tmp_path):
         path = tmp_path / "p.plan"
-        save_plan(dense_plan, path)
+        save_plan(built_plan, path)
         header = peek_header(path)
         assert header["format"] == "repro-plan-artifact"
         assert header["version"] == FORMAT_VERSION
-        assert header["n"] == dense_plan.n
+        assert header["n"] == built_plan.n
         assert header["mode"] == "dtm"
-        assert header["plan_hash"] == plan_disk_hash(dense_plan)
+        assert header["plan_hash"] == plan_disk_hash(built_plan)
 
-    def test_plan_nbytes_tracks_the_artifact_size(self, dense_plan,
+    def test_plan_nbytes_tracks_the_artifact_size(self, built_plan,
                                                   tmp_path):
         path = tmp_path / "p.plan"
-        save_plan(dense_plan, path)
-        nbytes = plan_nbytes(dense_plan)
+        save_plan(built_plan, path)
+        nbytes = plan_nbytes(built_plan)
         assert 0 < nbytes <= os.path.getsize(path)
         # the file adds only the JSON header and per-segment alignment
         # padding on top of the payload plan_nbytes counts
@@ -188,12 +189,11 @@ class TestRoundTrip:
         assert overhead <= 256 * n_segments + 4096
 
 
-    @pytest.mark.parametrize("numerics", ["dense", "sparse"])
     def test_plan_nbytes_comes_off_the_header_when_there_is_one(
-            self, graph, numerics, tmp_path):
+            self, built_plan, tmp_path):
         """The count a saved or loaded plan carries (segment table +
         blob length) is the count packing the plan gave."""
-        plan = build_plan(graph, n_subdomains=N_PARTS, numerics=numerics)
+        plan = built_plan
         segments, blob = artifact._pack(plan)
         sizes = [arr.nbytes for arr in segments]
         expected = len(blob) + sum(sizes)
@@ -217,31 +217,31 @@ class TestCorruptArtifacts:
         save_plan(plan, path)
         return path
 
-    def test_bad_magic(self, dense_plan, tmp_path):
-        path = self._saved(dense_plan, tmp_path)
+    def test_bad_magic(self, built_plan, tmp_path):
+        path = self._saved(built_plan, tmp_path)
         with open(path, "r+b") as fh:
             fh.write(b"NOTAPLAN")
         with pytest.raises(PlanArtifactError, match="magic"):
             load_plan(path)
 
-    def test_version_mismatch(self, dense_plan, tmp_path):
-        path = self._saved(dense_plan, tmp_path)
+    def test_version_mismatch(self, built_plan, tmp_path):
+        path = self._saved(built_plan, tmp_path)
         with open(path, "r+b") as fh:
             fh.seek(len(MAGIC))
             fh.write((FORMAT_VERSION + 1).to_bytes(4, "little"))
         with pytest.raises(PlanArtifactError, match="version"):
             load_plan(path)
 
-    def test_truncated_file(self, dense_plan, tmp_path):
-        path = self._saved(dense_plan, tmp_path)
+    def test_truncated_file(self, built_plan, tmp_path):
+        path = self._saved(built_plan, tmp_path)
         size = os.path.getsize(path)
         with open(path, "r+b") as fh:
             fh.truncate(size // 2)
         with pytest.raises(PlanArtifactError, match="truncat"):
             load_plan(path)
 
-    def test_corrupt_pickle_blob(self, dense_plan, tmp_path):
-        path = self._saved(dense_plan, tmp_path)
+    def test_corrupt_pickle_blob(self, built_plan, tmp_path):
+        path = self._saved(built_plan, tmp_path)
         header = peek_header(path)
         # flip one byte inside the pickle blob: sha256 must catch it
         offset = header["pickle"]["offset"]
@@ -260,21 +260,21 @@ class TestCorruptArtifacts:
         with pytest.raises(PlanArtifactError):
             load_plan(path)
 
-    def test_bytes_path_raises_too(self, dense_plan):
-        data = bytearray(plan_to_bytes(dense_plan))
+    def test_bytes_path_raises_too(self, built_plan):
+        data = bytearray(plan_to_bytes(built_plan))
         data[:8] = b"NOTAPLAN"
         with pytest.raises(PlanArtifactError):
             plan_from_bytes(bytes(data))
 
 
 class TestDiskPlanStore:
-    def test_put_get_round_trip(self, graph, dense_plan, tmp_path):
+    def test_put_get_round_trip(self, graph, built_plan, tmp_path):
         store = DiskPlanStore(tmp_path / "plans")
-        h = store.put(dense_plan)
-        assert h == plan_disk_hash(dense_plan)
+        h = store.put(built_plan)
+        assert h == plan_disk_hash(built_plan)
         assert h in store
         loaded = store.get(h)
-        assert np.array_equal(_solve(dense_plan, graph.sources).x,
+        assert np.array_equal(_solve(built_plan, graph.sources).x,
                               _solve(loaded, graph.sources).x)
         snap = store.obs.snapshot()
         assert snap.total("repro_disk_store_hits_total") == 1
@@ -287,20 +287,20 @@ class TestDiskPlanStore:
             "repro_disk_store_misses_total") == 1
 
     def test_put_bytes_validates_and_get_bytes_round_trips(
-            self, dense_plan, tmp_path):
+            self, built_plan, tmp_path):
         store = DiskPlanStore(tmp_path / "plans")
-        data = plan_to_bytes(dense_plan)
+        data = plan_to_bytes(built_plan)
         h = store.put_bytes(data)
-        assert h == plan_disk_hash(dense_plan)
+        assert h == plan_disk_hash(built_plan)
         fetched = store.get_bytes(h)
-        assert plan_from_bytes(fetched).n == dense_plan.n
+        assert plan_from_bytes(fetched).n == built_plan.n
         with pytest.raises(PlanArtifactError):
             store.put_bytes(b"garbage")
 
-    def test_corrupt_entry_is_dropped_not_served(self, dense_plan,
+    def test_corrupt_entry_is_dropped_not_served(self, built_plan,
                                                  tmp_path):
         store = DiskPlanStore(tmp_path / "plans")
-        h = store.put(dense_plan)
+        h = store.put(built_plan)
         with open(store.path_for(h), "r+b") as fh:
             fh.write(b"NOTAPLAN")
         assert store.get(h) is None
@@ -308,17 +308,16 @@ class TestDiskPlanStore:
         assert store.obs.snapshot().total(
             "repro_disk_store_corrupt_total") == 1
 
-    def test_byte_budget_evicts_oldest(self, graph, dense_plan,
+    def test_byte_budget_evicts_oldest(self, built_plan, other_plan,
                                        tmp_path):
-        # a second dense plan (different seed → different hash) has
+        # a second plan (different seed → different hash) has about
         # the same footprint, so two of them must overflow a 1.5x
         # budget and push out the older artifact
-        other = build_plan(graph, n_subdomains=N_PARTS,
-                           numerics="dense", seed=1)
-        one = plan_nbytes(dense_plan)
+        other = other_plan
+        one = plan_nbytes(built_plan)
         store = DiskPlanStore(tmp_path / "plans",
                               max_bytes=int(one * 1.5))
-        h1 = store.put(dense_plan)
+        h1 = store.put(built_plan)
         time.sleep(0.05)  # mtime LRU needs distinct timestamps
         h2 = store.put(other)
         assert h2 != h1
@@ -327,10 +326,10 @@ class TestDiskPlanStore:
         assert store.obs.snapshot().total(
             "repro_disk_store_evictions_total") >= 1
 
-    def test_discard_and_clear(self, dense_plan, sparse_plan, tmp_path):
+    def test_discard_and_clear(self, built_plan, other_plan, tmp_path):
         store = DiskPlanStore(tmp_path / "plans")
-        h1 = store.put(dense_plan)
-        store.put(sparse_plan)
+        h1 = store.put(built_plan)
+        store.put(other_plan)
         assert store.discard(h1)
         assert not store.discard(h1)
         assert len(store) == 1

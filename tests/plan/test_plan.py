@@ -44,7 +44,12 @@ class TestPlanBuild:
         for d in plan.network.dtlps:
             assert d.delay_ab == 1.0 and d.delay_ba == 1.0
 
-    def test_reference_matches_direct_solution_bitwise(self, graph):
+    @pytest.mark.parametrize("side", [8, 24, 25, 30],
+                             ids=["n64", "n576", "n625", "n900"])
+    def test_reference_matches_direct_solution_bitwise(self, side):
+        # one cached SuperLU factor at every size: on both sides of the
+        # 600 unknowns where a CG reference used to take over
+        graph = grid2d_random(side, seed=1)
         plan = build_plan(graph, n_subdomains=4, seed=1)
         a_mat, b = graph.to_system()
         assert np.array_equal(plan.reference(b),
@@ -57,7 +62,7 @@ class TestPlanBuild:
         plan = build_plan(graph, n_subdomains=4, seed=1)
         rng = np.random.default_rng(0)
         B = rng.standard_normal((graph.n, 3))
-        block = plan.reference_block(B)
+        block = plan.reference(B)
         for k in range(3):
             assert np.array_equal(block[:, k], plan.reference(B[:, k]))
 
@@ -153,6 +158,37 @@ class TestPlanCache:
         assert snap.total("repro_plan_cache_hits_total") == 1
         assert snap.total("repro_plan_cache_misses_total") == 2
         assert snap.value("repro_plan_cache_entries") == 2
+
+    def test_unknown_keyword_is_named_on_a_miss_and_a_hit(self, graph):
+        # validated before keying: a misspelt or retired knob must not
+        # be dropped silently because an equal plan is already cached
+        cache = PlanCache(maxsize=4)
+        for bad in ({"numerix": "sparse"}, {"numerics": "sparse"}):
+            (name,) = bad
+            with pytest.raises(ConfigurationError, match=name):
+                get_plan(graph, n_subdomains=4, seed=1, cache=cache, **bad)
+            assert len(cache) == 0  # the miss built nothing
+        get_plan(graph, n_subdomains=4, seed=1, cache=cache)
+        for bad in ({"numerix": "sparse"}, {"numerics": "sparse"},
+                    {"key": ("x",)}):
+            (name,) = bad
+            with pytest.raises(ConfigurationError, match=name):
+                get_plan(graph, n_subdomains=4, seed=1, cache=cache, **bad)
+        assert len(cache) == 1
+
+    @pytest.mark.parametrize("front_end", [
+        "solve_dtm", "solve_vtm_system", "build_plan", "get_plan"])
+    def test_retired_numerics_knob_is_named_by_every_front_end(
+            self, graph, front_end):
+        # a client that still sends `numerics` is refused by name,
+        # never served a plan that silently ignored it
+        from repro import api
+        from repro.plan import plan as plan_mod
+
+        fn = getattr(api, front_end, None) or getattr(plan_mod, front_end)
+        with pytest.raises((TypeError, ConfigurationError),
+                           match="numerics"):
+            fn(graph, n_subdomains=4, seed=1, numerics="sparse")
 
     def test_lru_eviction(self, graph):
         cache = PlanCache(maxsize=1)

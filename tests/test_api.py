@@ -92,32 +92,36 @@ def test_removed_engines_and_knob_stay_removed():
 
 
 def test_removed_factorization_knobs_stay_removed():
-    """SuperLU is the one sparse factorization and its only ordering.
+    """SuperLU is the one factorization and its only ordering.
 
-    ``sparse_ordering`` fails like any unknown keyword, the engine and
-    ordering arguments of the factor functions are gone, and so are the
-    pure-python ordering helpers.
+    ``sparse_ordering`` and ``numerics`` fail like any unknown keyword,
+    the engine and ordering arguments of the factor function are gone,
+    and so are the dense factorization kernels and the pure-python
+    ordering helpers.
     """
+    import repro.core.local
     import repro.linalg
-    from repro.linalg import factor_sparse_spd, factor_spd
+    from repro.linalg import factor_sparse_spd
     from repro.plan import build_plan
 
     g = grid2d_random(6, seed=0)
-    with pytest.raises(TypeError, match="sparse_ordering"):
-        solve_dtm(g, sparse_ordering="amd", t_max=100.0, tol=None)
-    with pytest.raises(TypeError, match="sparse_ordering"):
-        build_plan(g, numerics="sparse", sparse_ordering="amd")
+    for knob, value in (("sparse_ordering", "amd"), ("numerics", "dense")):
+        with pytest.raises(TypeError, match=knob):
+            solve_dtm(g, t_max=100.0, tol=None, **{knob: value})
+        with pytest.raises(TypeError, match=knob):
+            build_plan(g, **{knob: value})
     a = np.eye(3)
     with pytest.raises(TypeError, match="backend"):
         factor_sparse_spd(a, backend="python")
     with pytest.raises(TypeError, match="ordering"):
         factor_sparse_spd(a, ordering="amd")
-    with pytest.raises(TypeError, match="ordering"):
-        factor_spd(a, ordering="rcm")
     assert not hasattr(factor_sparse_spd(a), "engine")
-    for name in ("minimum_degree", "reverse_cuthill_mckee", "bandwidth"):
+    for name in ("minimum_degree", "reverse_cuthill_mckee", "bandwidth",
+                 "factor_spd", "factor_symmetric", "SpdFactor",
+                 "cholesky_factor", "ldlt_factor"):
         with pytest.raises(AttributeError):
             getattr(repro.linalg, name)
+    assert not hasattr(repro.core.local, "resolve_numerics")
 
 
 def test_split_built_engines_stay_removed():

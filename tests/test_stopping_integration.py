@@ -53,13 +53,11 @@ def forbid_reference(monkeypatch):
         raise AssertionError(
             "direct reference solution computed on a reference-free path")
 
-    # every execution layer resolves its reference through
-    # core.convergence.begin_monitor, whose late import reads this
-    # attribute; plan.reference() uses its own module-level binding
+    # no layer may call the one-shot reference ...
     monkeypatch.setattr(iterative_mod, "direct_reference_solution", boom)
-    monkeypatch.setattr(plan_mod, "direct_reference_solution", boom)
-    # the plan's lazy dense reference factor must stay unbuilt too
-    monkeypatch.setattr(plan_mod, "factor_spd", boom)
+    # ... nor build the plan's lazy SuperLU factor of the global system,
+    # which every engine built from a plan takes its reference from
+    monkeypatch.setattr(plan_mod, "factor_sparse_spd", boom)
 
 
 def _within_slack(free_iters: int, oracle_iters: int) -> bool:
