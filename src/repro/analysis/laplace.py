@@ -24,16 +24,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from ..errors import ValidationError
 from ..graph.evs import SplitResult
+from ..linalg.spd import cho_solver
 from ..utils.validation import require
 
 
 # ----------------------------------------------------------------------
 # port-space reduction
 # ----------------------------------------------------------------------
+def _inner_solver(subdomain, D: np.ndarray):
+    return cho_solver(D, f"the inner block of subdomain {subdomain.part}")
+
+
 def port_operator(subdomain) -> np.ndarray:
     """Schur complement of a subdomain onto its ports.
 
@@ -48,7 +52,7 @@ def port_operator(subdomain) -> np.ndarray:
     E = m[:p, p:]
     F = m[p:, :p]
     D = m[p:, p:]
-    return C - E @ cho_solve(cho_factor(D), F)
+    return C - E @ _inner_solver(subdomain, D)(F)
 
 
 def port_source(subdomain) -> np.ndarray:
@@ -61,7 +65,7 @@ def port_source(subdomain) -> np.ndarray:
     E = m[:p, p:]
     D = m[p:, p:]
     g = subdomain.rhs[p:]
-    return f - E @ cho_solve(cho_factor(D), g)
+    return f - E @ _inner_solver(subdomain, D)(g)
 
 
 @dataclass

@@ -224,18 +224,28 @@ class StateProbe:
     Rules pull only what they need: gathering the global solution or
     snapshotting the wave vector is skipped entirely on samples where
     no active rule asks for it (e.g. :class:`ResidualRule` between its
-    periodic checks).
+    periodic checks).  An execution layer that can measure the relative
+    residual without the global solution passes *residual_fn* (the
+    multiproc coordinator's halo look, :mod:`repro.runtime.look`).
     """
 
-    __slots__ = ("_x_fn", "_waves_fn", "_x", "_waves")
+    __slots__ = ("_x_fn", "_waves_fn", "_residual_fn", "_x", "_waves")
 
     def __init__(self, x_fn: Callable[[], np.ndarray],
-                 waves_fn: Optional[Callable[[], np.ndarray]] = None
+                 waves_fn: Optional[Callable[[], np.ndarray]] = None,
+                 residual_fn: Optional[Callable[[], float]] = None
                  ) -> None:
         self._x_fn = x_fn
         self._waves_fn = waves_fn
+        self._residual_fn = residual_fn
         self._x: Optional[np.ndarray] = None
         self._waves: Optional[np.ndarray] = None
+
+    def relative_residual(self, a, b: np.ndarray) -> float:
+        """``‖b − A x‖₂ / ‖b‖₂`` of this instant's solution."""
+        if self._residual_fn is not None:
+            return float(self._residual_fn())
+        return relative_residual(a, self.x, b)
 
     @property
     def x(self) -> np.ndarray:
@@ -402,7 +412,7 @@ class ResidualMonitor(RuleMonitor):
         self._n_samples = 0
 
     def _check(self, t: float, probe: StateProbe) -> Optional[StopEvent]:
-        res = relative_residual(self.a, probe.x, self.b)
+        res = probe.relative_residual(self.a, self.b)
         self.series.append(t, res)
         if res <= self.rule.tol:
             return StopEvent(self.rule.name, t, res, converged=True)

@@ -9,8 +9,8 @@ written once: the wave-response stacks and index tables of a
 in-process fleet (:class:`repro.core.fleet.FleetKernel`) owns one over
 all parts, packed by :func:`pack_shard_kernel`; a shard is a slice of
 it (:meth:`ShardKernel.slice`: views of the stacks, rebased index
-tables), which a worker decodes as read-only views of its payload
-(:meth:`repro.plan.shard.ShardSpec.from_payload`).
+tables), whose port and halo rows a worker decodes as read-only views
+of its payload (:meth:`repro.plan.shard.ShardSpec.from_payload`).
 
 Bitwise contract (structural): a subdomain's resolve is its row of an
 un-padded same-shape batched ``np.matmul``, and that row does not
@@ -44,11 +44,11 @@ class _ShardGroup(NamedTuple):
     first ``r`` rows of each ``X3`` block — never stored apart.
     """
 
-    n: int
+    n: int  # rows held per member: all, or a worker's ports and halo
     r: int
     s: int
     members: np.ndarray  # (g,) ascending member positions
-    X3: np.ndarray  # (g, n, s) full-state wave responses
+    X3: np.ndarray  # (g, n, s) wave responses of the held rows
     slot_idx: np.ndarray  # (g, s) kernel-local slot index
     port_idx: np.ndarray  # (g, r) kernel-local port index
     state_idx: np.ndarray  # (g, n) kernel-local state row
@@ -184,6 +184,30 @@ class ShardKernel:
                 wv = waves[g.slot_idx]
                 product = np.matmul(g.X3, wv[:, :, None])
                 out[g.state_idx] = x0 + product[:, :, 0]
+        return out
+
+    def look_states(self, waves: np.ndarray) -> np.ndarray:
+        """:meth:`full_states` as a shard worker publishes them: every
+        held row for *waves*, the port rows by the sweep's own product.
+
+        A worker's kernel holds each member's port rows and halo rows
+        only (:meth:`repro.plan.shard.ShardSpec.encode_payload`); its
+        port rows come out bit for bit as :meth:`resolve` writes them,
+        its halo rows from one product over the rows below the ports.
+        """
+        out = np.empty(self.n_states)
+        for g, x0, W, u0 in zip(
+            self.groups, self._loaded_x0(), self._W, self._u0
+        ):
+            if g.n == 0:
+                continue
+            if g.s == 0:
+                out[g.state_idx] = x0
+                continue
+            wv = waves[g.slot_idx][:, :, None]
+            out[g.state_idx[:, : g.r]] = u0 + np.matmul(W, wv)[:, :, 0]
+            halo = np.matmul(g.X3[:, g.r :, :], wv)[:, :, 0]
+            out[g.state_idx[:, g.r :]] = x0[:, g.r :] + halo
         return out
 
     def slice(self, lo: int, hi: int) -> "ShardKernel":

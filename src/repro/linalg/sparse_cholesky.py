@@ -140,6 +140,18 @@ def _check_pivots(d: np.ndarray) -> None:
         )
 
 
+def _gershgorin_spd(a: CsrMatrix) -> bool:
+    """Whether Gershgorin's discs prove the symmetric *a* SPD: every
+    diagonal entry positive and strictly above its row's off-diagonal
+    absolute sum — with no factor to read."""
+    n = a.nrows
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    on = rows == a.indices
+    diag = np.bincount(rows[on], a.data[on], n)
+    off = np.bincount(rows[~on], np.abs(a.data[~on]), n)
+    return bool(np.all(diag > off))
+
+
 def factor_sparse_spd(
     a,
     *,
@@ -156,7 +168,11 @@ def factor_sparse_spd(
         Keep a factor with negative pivots instead of raising
         :class:`NotSpdError`; its pivots are then not read at all
         until asked for.  Zero pivots always raise
-        :class:`SingularMatrixError`.
+        :class:`SingularMatrixError`.  Without it the pivots are read
+        (and checked) only when the matrix is not strictly diagonally
+        dominant with a positive diagonal — Gershgorin proves such a
+        symmetric matrix SPD, and a SuperLU pivot read materializes
+        the factor's whole ``U`` for the handle's lifetime.
     check_symmetry:
         Verify symmetry first (the factorization silently assumes it).
         Builders that assemble symmetric systems by construction pass
@@ -187,6 +203,8 @@ def factor_sparse_spd(
     factor = SparseSpdFactor(
         n=n, a_data=a.data, a_indices=a.indices, a_indptr=a.indptr, _lu=lu
     )
-    if not allow_indefinite:
+    if not allow_indefinite and not _gershgorin_spd(a):
+        # reading the pivots materializes SuperLU's U, which the handle
+        # then keeps for life: only where no certificate spares it
         _check_pivots(factor.d)
     return factor

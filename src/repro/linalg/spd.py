@@ -9,9 +9,12 @@ those hypotheses into executable checks used by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
+from ..errors import NotSpdError
 from ..utils.validation import as_square_matrix, check_symmetric
 from .sparse import CsrMatrix
 
@@ -33,6 +36,26 @@ def is_spd(a, *, name: str = "matrix") -> bool:
         return True
     except np.linalg.LinAlgError:
         return False
+
+
+def cho_solver(a: np.ndarray, block: str
+               ) -> Callable[[np.ndarray], np.ndarray]:
+    """Cholesky-factor the dense SPD block *a*; returns ``b ↦ a⁻¹ b``.
+
+    The one dense factorization of the package (the DDM baselines'
+    diagonal blocks and Schur complements, the Laplace check's inner
+    blocks).  A block that is not positive definite raises
+    :class:`~repro.errors.NotSpdError` naming *block*.  scipy is
+    imported here: importing this module does not load it.
+    """
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
+    try:
+        factor = cho_factor(a)
+    except LinAlgError as exc:
+        raise NotSpdError(f"{block} is not positive definite: {exc}") \
+            from exc
+    return partial(cho_solve, factor)
 
 
 def min_eigenvalue(a) -> float:

@@ -143,6 +143,8 @@ class _Hub:
         self.waves = np.zeros(self.n_slots)
         self.x0 = np.zeros(self.n_states)
         self.states = np.zeros(self.n_states)
+        #: the wave snapshot each shard's published states came from
+        self.snaps = np.zeros(self.n_slots)
         self.ctrl = np.zeros(ctrl_size(self.n_shards), dtype=np.int64)
         self.err_text = ""
         self.lock = threading.RLock()
@@ -350,6 +352,7 @@ class _Hub:
                     f"wave slice from shard {shard} has wrong shape"
                 )
             self.states[state_lo:state_hi] = states
+            self.snaps[slot_lo:slot_hi] = waves
             self.waves[slot_lo:slot_hi] = waves
             self.ctrl[sweep_cell(shard)] = int(header["sweeps"])
             if self._c_rx_states is not None:
@@ -513,6 +516,9 @@ class HubCoordinatorPort(CoordinatorPort):
 
     def read_states(self) -> np.ndarray:
         return np.array(self._hub.states)
+
+    def read_snapshots(self) -> np.ndarray:
+        return np.array(self._hub.snaps)
 
     def sweep_counts(self) -> np.ndarray:
         cells = [sweep_cell(i) for i in range(self._n_shards)]
@@ -947,7 +953,9 @@ class MeshWorkerPort(WorkerPort):
         self._sweeps = int(total)
         self._maybe_heartbeat()
 
-    def publish_states(self, states: np.ndarray, sweeps: int) -> None:
+    def publish_states(
+        self, states: np.ndarray, waves: np.ndarray, sweeps: int
+    ) -> None:
         self._sweeps = int(sweeps)
         header = {"shard": self.shard, "sweeps": self._sweeps}
         if self._obs is not None:
@@ -955,7 +963,7 @@ class MeshWorkerPort(WorkerPort):
         self._send_hub(
             wire.T_STATES,
             header,
-            {"states": states, "waves": self._in_waves},
+            {"states": states, "waves": waves},
         )
 
     def ack(self, epoch: int) -> None:

@@ -134,7 +134,13 @@ class CoordinatorPort:
         raise NotImplementedError
 
     def read_states(self) -> np.ndarray:
-        """Snapshot of the concatenated published shard states."""
+        """Snapshot of the concatenated published shard states (each
+        shard's port and halo rows, in the look layout)."""
+        raise NotImplementedError
+
+    def read_snapshots(self) -> np.ndarray:
+        """The wave snapshots the published states came from, each
+        shard's at its own slots (what an answer is built from)."""
         raise NotImplementedError
 
     def sweep_counts(self) -> np.ndarray:
@@ -222,9 +228,13 @@ class WorkerPort:
     def record_sweeps(self, total: int) -> None:
         raise NotImplementedError
 
-    def publish_states(self, states: np.ndarray, sweeps: int) -> None:
-        """Publish the shard's full state block: once per epoch, after
-        STOP and before the ack — the only time interiors are computed."""
+    def publish_states(
+        self, states: np.ndarray, waves: np.ndarray, sweeps: int
+    ) -> None:
+        """Publish the shard's port and halo states and the wave
+        snapshot *waves* they came from: once per epoch, after STOP and
+        before the ack — the only time a row below the ports is
+        computed."""
         raise NotImplementedError
 
     def ack(self, epoch: int) -> None:
@@ -364,6 +374,11 @@ class ShmTransport(Transport):
             dtype=np.float64,
             buffer=self._create("states", max(self._n_states, 1) * 8),
         )
+        snaps = np.ndarray(
+            (self._n_slots,),
+            dtype=np.float64,
+            buffer=self._create("snaps", max(self._n_slots, 1) * 8),
+        )
         ctrl = np.ndarray(
             (ctrl_size(n_shards),),
             dtype=np.int64,
@@ -379,14 +394,17 @@ class ShmTransport(Transport):
         # ShmWorkerPort.idle_wait); the runner's list, so a respawned
         # worker's semaphore replaces its predecessor's in place
         self._wake = wakes
-        return ShmCoordinatorPort(self, waves, x0, states, ctrl, n_shards)
+        return ShmCoordinatorPort(
+            self, waves, x0, states, snaps, ctrl, n_shards
+        )
 
     def worker_descriptor(self, index: int) -> tuple:
         """Names and sizes only: the shard itself stays in its segment,
         so a job pipe carries under a kilobyte per worker.  No wake
         semaphore: the worker opens its port with its own."""
         names = {
-            key: self._names[key] for key in ("waves", "x0", "states", "ctrl")
+            key: self._names[key]
+            for key in ("waves", "x0", "states", "snaps", "ctrl")
         }
         names["spec"] = self._names[f"spec{index}"]
         return (
@@ -417,6 +435,7 @@ class ShmCoordinatorPort(CoordinatorPort):
         waves: np.ndarray,
         x0: np.ndarray,
         states: np.ndarray,
+        snaps: np.ndarray,
         ctrl: np.ndarray,
         n_shards: int,
     ) -> None:
@@ -424,6 +443,7 @@ class ShmCoordinatorPort(CoordinatorPort):
         self._waves = waves
         self._x0 = x0
         self._states = states
+        self._snaps = snaps
         self._ctrl = ctrl
         self._n_shards = int(n_shards)
 
@@ -449,6 +469,9 @@ class ShmCoordinatorPort(CoordinatorPort):
 
     def read_states(self) -> np.ndarray:
         return np.array(self._states)
+
+    def read_snapshots(self) -> np.ndarray:
+        return np.array(self._snaps)
 
     def sweep_counts(self) -> np.ndarray:
         cells = [sweep_cell(i) for i in range(self._n_shards)]
@@ -488,6 +511,9 @@ class ShmWorkerPort(WorkerPort):
         )
         self._states = np.ndarray(
             (n_states,), dtype=np.float64, buffer=shms["states"].buf
+        )
+        self._snaps = np.ndarray(
+            (n_slots,), dtype=np.float64, buffer=shms["snaps"].buf
         )
         self._ctrl = np.ndarray(
             (ctrl_size(n_shards),), dtype=np.int64, buffer=shms["ctrl"].buf
@@ -536,8 +562,11 @@ class ShmWorkerPort(WorkerPort):
     def record_sweeps(self, total: int) -> None:
         self._ctrl[self._sweep_cell] = int(total)
 
-    def publish_states(self, states: np.ndarray, sweeps: int) -> None:
+    def publish_states(
+        self, states: np.ndarray, waves: np.ndarray, sweeps: int
+    ) -> None:
         self._states[self._state_sl] = states
+        self._snaps[self._slot_sl] = waves
 
     def ack(self, epoch: int) -> None:
         self._ctrl[self._ack_cell] = int(epoch)

@@ -19,7 +19,12 @@ wave-response stacks, **no** retained factors, no topology, no graph —
 and has exactly one serialized form, the **shard payload**
 (:meth:`ShardSpec.encode_payload` / :meth:`ShardSpec.from_payload`):
 the bytes a shared-memory segment holds for a local worker and the
-mesh SPEC frame carries to a remote one.  Layout (little-endian)::
+mesh SPEC frame carries to a remote one.  A worker sweeps its ports and
+is looked at through its ports and *halo rows* (the inner vertices
+adjacent to a port, :func:`look_rows`), so the payload carries those
+rows of each member's wave responses and no others: the interiors are
+built by the coordinator, once per answer, from the plan's own stacks.
+Layout (little-endian)::
 
     hdr_len  uint32    byte length of the JSON header
     hdr_crc  uint32    CRC-32 of the header bytes
@@ -45,28 +50,29 @@ import struct
 from binascii import crc32
 from dataclasses import dataclass, field
 from math import prod
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ..core.shard_kernel import ShardKernel, _ShardGroup
+from ..core.shard_kernel import ShardKernel, _offsets, _ShardGroup
 from ..errors import ConfigurationError, ValidationError
 
 #: payload format tag, checked on load so a worker of another build
 #: fails loudly instead of misinterpreting the tables; bump it with any
 #: change to the layout, the header fields or the array names
-PAYLOAD_SCHEMA = "repro-shard-payload/4"
+PAYLOAD_SCHEMA = "repro-shard-payload/5"
 
 _PREFIX = struct.Struct("<II")  # header length, header CRC-32
 _ALIGN = 64
 _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
-#: per shape group ``(n, r, s)`` with ``g`` members: array → shape
+#: per shape group ``(n, r, h, s)`` with ``g`` members, each holding
+#: its ``r`` port rows and ``h`` halo rows of ``n``: array → shape
 _GROUP_ARRAYS = {
-    "members": ("<i8", lambda g, n, r, s: (g,)),
-    "X3": ("<f8", lambda g, n, r, s: (g, n, s)),
-    "slot_idx": ("<i8", lambda g, n, r, s: (g, s)),
-    "port_idx": ("<i8", lambda g, n, r, s: (g, r)),
-    "state_idx": ("<i8", lambda g, n, r, s: (g, n)),
+    "members": ("<i8", lambda g, r, h, s: (g,)),
+    "X3": ("<f8", lambda g, r, h, s: (g, r + h, s)),
+    "slot_idx": ("<i8", lambda g, r, h, s: (g, s)),
+    "port_idx": ("<i8", lambda g, r, h, s: (g, r)),
+    "state_idx": ("<i8", lambda g, r, h, s: (g, r + h)),
 }
 _SCALARS = ("index", "n_shards", "slot_lo", "slot_hi", "state_lo",
             "state_hi")
@@ -168,6 +174,39 @@ def _check_index(name: str, arr: np.ndarray, n: Optional[int]) -> None:
         raise _malformed(f"array {name!r} indexes outside [0, {n})")
 
 
+def look_rows(split) -> list[np.ndarray]:
+    """Per subdomain, the local rows a worker holds and publishes: its
+    ports, then its *halo* — the inner rows adjacent to a port —
+    ascending.
+
+    An inner row's equation is a row of ``A`` that the local solve
+    meets; only where it couples to a port copy can the gathered
+    solution disagree with it.  So the relative residual of the
+    gathered solution is a function of these rows alone
+    (:class:`repro.runtime.look.HaloLook`).
+    """
+    rows = []
+    for sub in split.subdomains:
+        m, r = sub.matrix, sub.n_ports
+        row_of = np.repeat(np.arange(m.nrows), np.diff(m.indptr))
+        halo = np.unique(row_of[(row_of >= r) & (m.indices < r)])
+        rows.append(np.concatenate([np.arange(r), halo]).astype(np.int64))
+    return rows
+
+
+class _Take(NamedTuple):
+    """A payload array gathered at encode time: ``rows`` of the 2-D
+    stack ``src``, written straight into the payload buffer."""
+
+    src: np.ndarray
+    rows: np.ndarray
+    shape: tuple
+
+    @property
+    def size(self) -> int:
+        return prod(self.shape)
+
+
 def shard_bounds(weights: Sequence[float], n_shards: int
                  ) -> list[tuple[int, int]]:
     """Cut ``range(len(weights))`` into *n_shards* contiguous groups.
@@ -231,28 +270,35 @@ class ShardSpec:
     index: int
     n_shards: int
     parts: np.ndarray
-    #: global flat-array slices owned by this shard
+    #: global flat-array slices owned by this shard: its wave slots,
+    #: and its rows of the published *look* layout (per subdomain its
+    #: :func:`look_rows`, back to back in part order)
     slot_lo: int
     slot_hi: int
     state_lo: int
     state_hi: int
-    #: the wave-response stacks; ``None`` on a coordinator whose
-    #: transport holds the encoded payload (it reads the index tables
-    #: and mailboxes only, and the stacks exist once)
+    #: the wave-response stacks: on the coordinator a slice of the
+    #: plan's fleet kernel (every row), in a worker the decoded look
+    #: rows only; ``None`` on a coordinator whose transport holds the
+    #: encoded payload (it reads the index tables and mailboxes only)
     kernel: Optional[ShardKernel]
     #: in-shard deliveries (src == dst == index)
     loopback: MailboxSpec
     #: cross-shard deliveries, one per destination shard, ascending
     outboxes: list[MailboxSpec] = field(default_factory=list)
+    #: coordinator side: each member's :func:`look_rows`, the rows the
+    #: payload keeps (a decoded spec holds nothing else)
+    look_rows: Optional[list] = None
 
     @property
     def n_parts(self) -> int:
         return int(self.parts.size)
 
-    def _payload_arrays(self) -> dict:
-        """Every array of the payload by name, in payload order."""
+    def _payload_arrays(self) -> tuple[list, dict]:
+        """The groups' ``[g, n, r, h, s]`` and every array of the
+        payload by name, in payload order (stacks as :class:`_Take`)."""
         kern = self.kernel
-        if kern is None:
+        if kern is None or self.look_rows is None:
             raise ValidationError(
                 f"shard {self.index} no longer holds its stacks (they "
                 "were handed to a transport); extract the shard again")
@@ -262,23 +308,41 @@ class ShardSpec:
         for name, box in boxes:
             arrays[f"{name}.emit_pos"] = box.emit_pos
             arrays[f"{name}.dest_slots"] = box.dest_slots
-        for j, group in enumerate(kern.groups):
-            for key in _GROUP_ARRAYS:
-                arrays[f"group{j}.{key}"] = getattr(group, key)
-        return arrays
+        look_off = _offsets([rows.size for rows in self.look_rows])
+        dims = []
+        for g in kern.groups:  # regrouped by halo count h
+            n, r, s = g.n, g.r, g.s
+            hs = np.array([self.look_rows[m].size for m in g.members]) - r
+            for h in np.unique(hs).tolist():
+                pick = np.flatnonzero(hs == h)
+                members = g.members[pick]
+                held = np.stack([self.look_rows[m] for m in members])
+                shape = (members.size, r + h, s)
+                j = len(dims)
+                dims.append([int(members.size), n, r, h, s])
+                arrays[f"group{j}.members"] = members
+                arrays[f"group{j}.X3"] = _Take(
+                    g.X3.reshape(-1, s), (pick[:, None] * n + held).ravel(),
+                    shape) if s else np.zeros(shape)
+                arrays[f"group{j}.slot_idx"] = g.slot_idx[pick]
+                arrays[f"group{j}.port_idx"] = g.port_idx[pick]
+                arrays[f"group{j}.state_idx"] = \
+                    look_off[members, None] + np.arange(r + h)
+        return dims, arrays
 
     def encode_payload(self, alloc=bytearray):
         """Encode into the writable buffer ``alloc(nbytes)`` returns.
 
         Returns that buffer.  The arrays are copied once, straight
-        into it — a shared-memory transport passes an *alloc* that
-        creates the segment, so no intermediate copy of the stacks
-        exists.
+        into it, and the stacks' port and halo rows are gathered
+        straight into it — a shared-memory transport passes an *alloc*
+        that creates the segment, so no intermediate copy exists.
         """
-        arrays = self._payload_arrays()
+        dims, arrays = self._payload_arrays()
         table, end = [], 0
         for name, arr in arrays.items():
-            dtype = "<f8" if arr.dtype.kind == "f" else "<i8"
+            dtype = "<f8" if isinstance(arr, _Take) \
+                or arr.dtype.kind == "f" else "<i8"
             offset = _align(end)
             table.append([name, dtype, list(arr.shape), offset])
             end = offset + 8 * arr.size
@@ -286,8 +350,7 @@ class ShardSpec:
             "schema": PAYLOAD_SCHEMA,
             **{name: int(getattr(self, name)) for name in _SCALARS},
             "outboxes": [int(box.dst_shard) for box in self.outboxes],
-            "groups": [[int(g.members.size), g.n, g.r, g.s]
-                       for g in self.kernel.groups],
+            "groups": dims,
             "arrays": table,
         }, separators=(",", ":")).encode()
         data_start = _align(_PREFIX.size + len(head))
@@ -295,12 +358,17 @@ class ShardSpec:
         view = memoryview(buf)
         view[:_PREFIX.size] = _PREFIX.pack(len(head), crc32(head))
         view[_PREFIX.size:_PREFIX.size + len(head)] = head
-        for (_, dtype, _, offset), arr in zip(table, arrays.values()):
-            if arr.size:
-                np.frombuffer(
-                    view, dtype=dtype, count=arr.size,
-                    offset=data_start + offset,
-                ).reshape(arr.shape)[...] = arr
+        for (_, dtype, shape, offset), arr in zip(table, arrays.values()):
+            if not arr.size:
+                continue
+            out = np.frombuffer(view, dtype=dtype, count=arr.size,
+                                offset=data_start + offset)
+            if isinstance(arr, _Take):
+                # (mode="clip": the default buffers the gather)
+                np.take(arr.src, arr.rows, axis=0, mode="clip",
+                        out=out.reshape(-1, shape[-1]))
+            else:
+                out.reshape(arr.shape)[...] = arr
         return buf
 
     def to_payload(self) -> bytes:
@@ -310,6 +378,10 @@ class ShardSpec:
     @staticmethod
     def from_payload(payload) -> "ShardSpec":
         """Rebuild a spec over read-only views of *payload*.
+
+        Its kernel holds each member's look rows only — ports, then
+        halo — so its groups' ``n`` is ``r + h`` and its states are
+        the look layout's rows.
 
         *payload* is any buffer — bytes, a shared-memory
         ``memoryview``, a wire blob — and must outlive the spec (the
@@ -355,9 +427,12 @@ class ShardSpec:
             raise _malformed("field 'groups' is not a list")
         groups = []
         for j, dims in enumerate(group_dims):
-            g, n, r, s = _ints(dims, f"group {j}'s [g, n, r, s]", 4)
-            groups.append(_ShardGroup(n, r, s, **{
-                key: take(f"group{j}.{key}", dtype, shape(g, n, r, s))
+            g, n, r, h, s = _ints(dims, f"group {j}'s [g, n, r, h, s]", 5)
+            if r + h > n:
+                raise _malformed(f"group {j} holds more rows than it has")
+            # a worker's kernel holds the look rows: its n is r + h
+            groups.append(_ShardGroup(r + h, r, s, **{
+                key: take(f"group{j}.{key}", dtype, shape(g, r, h, s))
                 for key, (dtype, shape) in _GROUP_ARRAYS.items()}))
             _check_index(f"group{j}.members", groups[-1].members,
                          parts.size)
@@ -397,7 +472,8 @@ def extract_shards(plan, n_shards: int) -> list[ShardSpec]:
     shard's slot/port/state slices contiguous in the global flat
     arrays, so shared-memory views need no index indirection), balanced
     by local system size.  Each shard's kernel is a slice of the plan
-    fleet's — its stacks are views, not copies.  Cross-shard routing is
+    fleet's — its stacks are views, not copies — and its payload keeps
+    the members' :func:`look_rows` of them.  Cross-shard routing is
     split into one :class:`MailboxSpec` per directed shard pair.
     """
     if plan.mode != "dtm":
@@ -408,7 +484,9 @@ def extract_shards(plan, n_shards: int) -> list[ShardSpec]:
     bounds = shard_bounds(weights, n_shards)
     shard_of = np.repeat(np.arange(n_shards),
                          [hi - lo for lo, hi in bounds])
-    slot_off, state_off = fleet.slot_offsets, fleet.kernel.state_off
+    slot_off = fleet.slot_offsets
+    rows = look_rows(plan.split)
+    look_off = _offsets([r.size for r in rows])
 
     specs: list[ShardSpec] = []
     for k, (lo, hi) in enumerate(bounds):
@@ -424,8 +502,9 @@ def extract_shards(plan, n_shards: int) -> list[ShardSpec]:
         specs.append(ShardSpec(
             index=k, n_shards=n_shards, parts=kernel.parts,
             slot_lo=int(slot_off[lo]), slot_hi=int(slot_off[hi]),
-            state_lo=int(state_off[lo]), state_hi=int(state_off[hi]),
+            state_lo=int(look_off[lo]), state_hi=int(look_off[hi]),
             kernel=kernel, loopback=mailbox(k),
             outboxes=[mailbox(dst) for dst in np.unique(dest_shard).tolist()
-                      if dst != k]))
+                      if dst != k],
+            look_rows=rows[lo:hi]))
     return specs

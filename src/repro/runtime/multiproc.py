@@ -25,9 +25,13 @@ locks**:
   monitor on *looks* — STOP → ack → measure → done | resume — so the
   plan's dense reference factor is never touched
   (``plan.reference_materialized`` stays ``False``).  Between looks
-  the shards touch their ports only; a shard computes its full states
-  once per look, when STOP arrives.  *When* the coordinator looks is
-  paced by the measured residual decay (:class:`_ProbePacer`);
+  the shards touch their ports only; a shard computes and publishes its
+  port and halo states once per look, when STOP arrives, and the
+  coordinator judges the look on the residual those rows determine
+  (:class:`~repro.runtime.look.HaloLook`).  The interiors are built by
+  the coordinator, from the plan's own stacks, only for an answer —
+  which one full residual then re-checks.  *When* the coordinator looks
+  is paced by the measured residual decay (:class:`_ProbePacer`);
   *whether* it stops is only ever decided on a measured, quiesced
   sample.
 
@@ -42,8 +46,9 @@ are scheduling-dependent; the contract is convergence to the same
 tolerance, asserted by the runner itself: every measurement is taken
 on a *quiesced* state (workers stop, publish, ack; then the coordinator
 gathers and measures), and a solve is reported ``converged`` only if
-its last such measurement met the rule.  This holds for every
-transport — see PERFORMANCE.md ("Transports").
+its last such measurement met the rule and the answer it returns
+meets the residual tolerance.  This holds for every transport — see
+PERFORMANCE.md ("Transports").
 
 Memory-ordering note: on shm, workers and coordinator exchange float64
 waves and int64 control words through aligned shared-memory cells with
@@ -61,6 +66,7 @@ import math
 import statistics
 import time
 from collections import deque
+from functools import partial
 from multiprocessing import get_context
 from typing import Optional
 
@@ -87,6 +93,7 @@ from ..obs import (
 from ..plan.session import SolveResult, SolverSession, _as_rhs
 from ..plan.shard import ShardSpec, extract_shards
 from ..sim.trace import ShardReport, merge_shard_series
+from .look import HaloLook
 from .pool import worker_pool
 
 __all__ = [
@@ -151,14 +158,14 @@ class _ProbePacer:
     samples, so a wrong seed is paid for with two probes, not with a
     re-probe at every step down to the floor.
 
-    Where a look is dear — 8–10 ms at nx=240, as long as the solve
-    sweeps; 2 ms at nx=100 — one aimed at the crossing meets ``tol`` or
-    misses it by a hair with the host's mood, and a miss is a second
-    look.  So the pacer keeps the median cost of the last looks, and a
-    seeded solve's first look moves from its aim to :data:`_REACH`, a
-    fixed wall time, as that cost goes from half to three quarters of
-    a ceiling.  The cost does not depend on when the pacer looked:
-    nothing feeds back (PERFORMANCE.md, "Stopping without a barrier").
+    Where a look is dear — as long as the solve sweeps — one aimed at
+    the crossing meets ``tol`` or misses it by a hair with the host's
+    mood, and a miss is a second look.  So the pacer keeps the median
+    cost of the last looks (STOP to verdict), and a seeded solve's
+    first look moves from its aim to :data:`_REACH`, a fixed wall
+    time, as that cost goes from half to three quarters of a ceiling.
+    The cost does not depend on when the pacer looked: nothing feeds
+    back (PERFORMANCE.md, "Stopping without a barrier").
 
     The pacer never decides *whether* to stop: that takes a measured
     ``residual <= tol`` from the monitor.  Whenever there is nothing to
@@ -202,7 +209,8 @@ class _ProbePacer:
 
         *residual* is what a look at *t* just measured (``None`` when
         it measured none, or at the start of a solve), *cost* its
-        seconds from STOP to measured; *crossing* is the solve time at
+        seconds from STOP to the verdict (an answer built after it is
+        not the look's); *crossing* is the solve time at
         which the fitted line meets the tolerance (``None`` without).
         """
         if cost is not None:
@@ -382,12 +390,8 @@ class MultiprocDtmRunner:
         ).astype(np.int64)
         self._n_states = int(self._state_off[-1])
         self._n_slots = int(plan.fleet_template.n_slots_total)
-        #: state-buffer rows holding each part's port potentials, in
-        #: the fleet's port_offsets order (for _wave_fixed_point_delta)
-        self._port_rows = np.concatenate(
-            [self._state_off[q] + np.arange(loc.n_ports, dtype=np.int64)
-             for q, loc in enumerate(plan.base_locals)]) \
-            if self._n_states else np.zeros(0, dtype=np.int64)
+        self._look = HaloLook(
+            plan, [rows for spec in self.specs for rows in spec.look_rows])
         self.transport = resolve_transport(transport)
         self.recover = (bool(self.transport.supports_recovery)
                         if recover is None else bool(recover))
@@ -408,15 +412,15 @@ class MultiprocDtmRunner:
         try:
             self._port = self.transport.bind(
                 self.specs, n_slots=self._n_slots,
-                n_states=self._n_states, idle_sleep=self.idle_sleep,
+                n_states=self._look.n_rows, idle_sleep=self.idle_sleep,
                 obs_enabled=self.obs.enabled, wakes=self._wakes)
         except BaseException:
             for worker in self._workers:
                 self._pool.give_back(worker)
             raise
-        # the transport now holds each shard's stacks, encoded once;
-        # nothing on the coordinator reads them, so it keeps the index
-        # tables and mailboxes only
+        # the transport now holds each shard's look rows, encoded once;
+        # the coordinator keeps the index tables and mailboxes only (an
+        # answer reads the plan's own stacks)
         for spec in self.specs:
             spec.kernel = None
         if self.obs.enabled:
@@ -582,7 +586,7 @@ class MultiprocDtmRunner:
         """Max wave change one more lockstep sweep would produce.
 
         Computed on the *quiesced* state from what the look already
-        read: the published port potentials (*states*) and the wave
+        read: the published port potentials (in *states*) and the wave
         vector give every slot's outgoing wave ``b = 2u − a``, and
         the routing permutation says which slot it would overwrite.
         Genuine quiescence (a wave fixed point) has delta ≈ 0; a
@@ -593,7 +597,7 @@ class MultiprocDtmRunner:
         fleet = self.plan.fleet_template
         if self._n_slots == 0:
             return 0.0
-        u = states[self._port_rows]
+        u = states[self._look.port_rows]
         out = 2.0 * u[fleet.slot_port_global] - waves
         return float(np.max(np.abs(
             out - waves[fleet.route_dest_slot_global])))
@@ -644,11 +648,13 @@ class MultiprocDtmRunner:
         simulator path can afford the oracle).  With ``shards>1`` the
         run is wall-clock bounded by ``wall_budget`` seconds and
         reference-needing rules are rejected.  The rule is judged on
-        *looks*: the shards are stopped, publish, ack, and the
-        coordinator measures that quiesced state once; a look that
-        does not end the solve resumes the shards on their live waves
-        (a quiescence stop also needs the wave fixed-point delta to
-        agree, so a scheduling stall is not mistaken for convergence).
+        *looks*: the shards are stopped, publish their port and halo
+        rows, ack, and the coordinator measures that quiesced state
+        once; a look that does not end the solve resumes the shards on
+        their live waves (a quiescence stop also needs the wave
+        fixed-point delta to agree, so a scheduling stall is not
+        mistaken for convergence, and a residual stop needs the answer
+        built from the shards' snapshots to meet ``tol`` too).
         """
         if self._closed:
             raise MultiprocError("runner is closed")
@@ -688,7 +694,8 @@ class MultiprocDtmRunner:
                 x0_full[self._state_off[loc.part]:
                         self._state_off[loc.part + 1]] = \
                     loc.response_for(rhs)
-        self._port.write_x0(x0_full)
+        self._port.write_x0(x0_full[self._look.state_rows])
+        self._look.start(b_vec)
         if tr is not None:
             tr.event("rhs_swap", shards=self.shards, warm=bool(
                 warm_start and self._last_waves is not None))
@@ -712,6 +719,16 @@ class MultiprocDtmRunner:
             return monitor, (None if res_monitor is None
                              else res_monitor.series)
 
+        def answer() -> np.ndarray:
+            # the interiors, built only for an answer (off the look's
+            # clock: the pacer learns a look's cost without them)
+            began = time.perf_counter()
+            x = self._look.answer(x0_full, self._port.read_snapshots())
+            if tr is not None:
+                tr.event("answer", epoch=epoch,
+                         ms=1e3 * (time.perf_counter() - began))
+            return x
+
         monitor, residuals = watch()
         series_parts = [monitor.series]
         n_looks = 0
@@ -733,9 +750,10 @@ class MultiprocDtmRunner:
             self._wait_acks(epoch, deadline)
             t = time.perf_counter() - t0
             n_looks += 1
+            final_rr = None  # the full residual of this look's answer
             states = self._port.read_states()
-            probe = StateProbe(lambda: self.plan.split.gather_flat(states),
-                               self._port.read_waves)
+            probe = StateProbe(answer, self._port.read_waves,
+                               partial(self._look.residual, states))
             n_seen = 0 if residuals is None else len(residuals)
             event = monitor.update(t, probe)
             out_of_budget = time.perf_counter() >= deadline
@@ -748,11 +766,11 @@ class MultiprocDtmRunner:
                 else None
             # the prediction only places the next look; stopping takes
             # the monitor's verdict on this measured, quiesced sample
-            delay, crossing = pacer.next(
-                t, residual, time.perf_counter() - stopped)
+            cost = time.perf_counter() - stopped
+            delay, crossing = pacer.next(t, residual, cost)
             if tr is not None:
                 tr.event("probe", epoch=epoch, t=t, residual=residual,
-                         next_delay=delay, crossing=crossing)
+                         next_delay=delay, crossing=crossing, cost=cost)
             if event is not None and event.rule == "quiescence" \
                     and quiet_thr is not None \
                     and self._wave_fixed_point_delta(
@@ -763,13 +781,21 @@ class MultiprocDtmRunner:
                 event = None
                 monitor, residuals = watch()
                 series_parts.append(monitor.series)
+            if event is not None and event.rule == "residual":
+                # the look read the rows below the halo as met: the
+                # answer it stops on is judged whole, once
+                final_rr = relative_residual(plan.a_mat, probe.x, b_vec)
+                if final_rr > res_tol:
+                    event = None
+                    monitor, residuals = watch()
+                    series_parts.append(monitor.series)
             if event is not None or out_of_budget:
                 break
             # above tol: the next begin_epoch resumes the shards on
             # their untouched live waves
         x = probe.x
-        final_rr = residual if residual is not None \
-            else relative_residual(plan.a_mat, x, b_vec)
+        if final_rr is None:
+            final_rr = relative_residual(plan.a_mat, x, b_vec)
         if event is not None and event.rule == "residual" \
                 and crossing is not None:
             self._h_overshoot.observe(max(0.0, t - crossing))

@@ -31,9 +31,10 @@ def _run_worker(spec, port, idle_sleep: float) -> None:
     zero-wave states, then free-run sweeps **on the ports alone** until
     the coordinator ends *that* epoch (the STOP word names the epoch it
     ends, so neither a leftover STOP nor one that overtook the bump can
-    be misread); compute and publish the full states — the only time an
-    epoch touches the interiors — and ack the epoch; repeat until
-    shutdown.
+    be misread); publish the port and halo states and the wave snapshot
+    they came from — the only time an epoch touches a row below the
+    ports — and ack the epoch; repeat until shutdown.  The shard holds
+    no other rows: the coordinator builds the interiors of an answer.
     """
     kern = spec.kernel
     total_sweeps = 0
@@ -69,9 +70,8 @@ def _run_worker(spec, port, idle_sleep: float) -> None:
             port.record_sweeps(total_sweeps)
         # quiesced: publish the one state this epoch is judged on, then
         # ack (also when STOP overtook the bump: zero sweeps, one publish)
-        port.publish_states(
-            kern.full_states(port.wave_snapshot()), total_sweeps
-        )
+        a = port.wave_snapshot()
+        port.publish_states(kern.look_states(a), a, total_sweeps)
         port.ack(epoch)
 
 

@@ -169,8 +169,8 @@ class ShardReport:
 
     The sharded runtime owns no per-event log (workers free-run), so
     the measurement story is coarser than the simulator's: sweep
-    counts, the part range each worker owned, and the flat state-row
-    slice it published through shared memory.
+    counts, the part range each worker owned, and how many state rows
+    (its port and halo rows) it published per look.
     """
 
     shard: int

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from ..errors import PartitionError
 from ..graph.electric import ElectricGraph
 from ..graph.partition import Partition
+from ..linalg.spd import cho_solver
 from ..utils.timeseries import TimeSeries
 
 
@@ -71,10 +71,11 @@ def build_block_structure(graph: ElectricGraph,
         # external columns touched by this block's rows
         touched = a_rows.indices
         ext_arr = np.unique(touched[labels[touched] != q]).astype(np.int64)
-        factor = cho_factor(a_rows[:, rows].toarray())
-        x0_q = cho_solve(factor, b[rows])
+        solve = cho_solver(a_rows[:, rows].toarray(),
+                           f"the diagonal block of part {q}")
+        x0_q = solve(b[rows])
         if ext_arr.size:
-            m_q = cho_solve(factor, a_rows[:, ext_arr].toarray())
+            m_q = solve(a_rows[:, ext_arr].toarray())
         else:
             m_q = np.zeros((rows.size, 0))
         ext_vertices.append(ext_arr)

@@ -17,12 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from ..errors import PartitionError
 from ..graph.electric import ElectricGraph
 from ..graph.partition import Partition
-from ..linalg.spd import is_spd
+from ..linalg.spd import cho_solver, is_spd
 
 
 @dataclass
@@ -76,19 +75,19 @@ def solve_schur(graph: ElectricGraph, partition: Partition) -> SchurResult:
             continue
         interiors.append(int(rows.size))
         a_rows = a_sp[rows]
-        factor = cho_factor(a_rows[:, rows].toarray())
+        solve = cho_solver(a_rows[:, rows].toarray(),
+                           f"the interior block of part {q}")
         a_ib = a_rows[:, interface].toarray()
-        w = cho_solve(factor,
-                      np.concatenate([b[rows][:, None], a_ib], axis=1))
+        w = solve(np.concatenate([b[rows][:, None], a_ib], axis=1))
         y0 = w[:, 0]
         y_b = w[:, 1:]
         if interface.size:
             s -= a_ib.T @ y_b
             rhs -= a_ib.T @ y0
-        interior_data.append((rows, factor, a_ib, y0, y_b))
+        interior_data.append((rows, y0, y_b))
 
     if interface.size:
-        x_b = cho_solve(cho_factor(s), rhs)
+        x_b = cho_solver(s, "the interface Schur complement")(rhs)
         x[interface] = x_b
     else:
         x_b = np.zeros(0)
@@ -97,7 +96,7 @@ def solve_schur(graph: ElectricGraph, partition: Partition) -> SchurResult:
         data = interior_data[q]
         if data is None:
             continue
-        rows, _factor, _a_ib, y0, y_b = data
+        rows, y0, y_b = data
         x[rows] = y0 - (y_b @ x_b if interface.size else 0.0)
 
     return SchurResult(x=x, interface_vertices=interface, schur_matrix=s,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.errors import NotSpdError, SingularMatrixError, ValidationError
 from repro.graph.electric import ElectricGraph
 from repro.linalg import CsrMatrix, SparseSpdFactor, factor_sparse_spd
+from repro.plan import build_plan
 from repro.workloads.poisson import grid2d_poisson
 
 
@@ -411,3 +412,33 @@ def test_property_solve_inverts_matvec(n, seed):
     a = (a + a.T) / 2
     x = rng.standard_normal(n)
     assert np.allclose(factor_sparse_spd(a).solve(a @ x), x, atol=1e-7)
+
+
+def test_a_dominant_local_reads_no_pivots():
+    """A Poisson local is strictly diagonally dominant with a positive
+    diagonal: Gershgorin certifies it SPD, so the factor never reads
+    SuperLU's ``U`` (which the handle would then keep for life) — and
+    its pivots are still there on demand."""
+    plan = build_plan(grid2d_poisson(12), n_subdomains=4, seed=0)
+    for loc in plan.base_locals:
+        assert loc.factor._d is None
+        assert loc.factor.is_spd
+        assert loc.factor._d is not None
+    plan.reference(plan.base_b)
+    assert plan._ref_factor._d is None
+
+
+def test_a_non_dominant_spd_matrix_reads_its_pivots():
+    a = np.full((3, 3), 0.9) + 0.1 * np.eye(3)  # eigenvalues 2.8, .1, .1
+    f = factor_sparse_spd(a)
+    assert f._d is not None and f.is_spd
+
+
+@pytest.mark.parametrize("dense", [
+    [[1.0, 2.0], [2.0, 1.0]],  # eigenvalues 3, -1
+    [[2.0, -3.0, 0.0], [-3.0, 2.0, 0.0], [0.0, 0.0, 1.0]],
+    [[-4.0, 1.0], [1.0, -4.0]],  # dominant, negative diagonal
+], ids=["2x2", "block", "negative-dominant"])
+def test_non_spd_input_still_raises(dense):
+    with pytest.raises(NotSpdError):
+        factor_sparse_spd(np.array(dense))

@@ -5,13 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.laplace import port_operator
+from repro.errors import NotSpdError, ReproError
+from repro.graph.electric import ElectricGraph
+from repro.graph.partition import Partition, Subdomain
 from repro.linalg.sparse import CsrMatrix
 from repro.linalg.spd import (
+    cho_solver,
     definiteness_report,
     is_snnd,
     is_spd,
     min_eigenvalue,
 )
+from repro.solvers.base import build_block_structure
+from repro.solvers.schur import solve_schur
 
 
 SPD = np.array([[4.0, 1.0], [1.0, 3.0]])
@@ -98,3 +105,37 @@ def test_property_dominant_laplacian_plus_identity_is_spd(n, seed):
     np.fill_diagonal(w, 0.0)
     lap = np.diag(w.sum(axis=1)) - w + np.eye(n)
     assert is_spd(lap)
+
+
+def negative_path():
+    """A 4-vertex path with vertex weight −3: every diagonal block of
+    a split in two is negative definite."""
+    return ElectricGraph(np.full(4, -3.0), np.ones(4), np.arange(3),
+                         np.arange(1, 4), -np.ones(3))
+
+
+def test_cho_solver_solves_and_names_a_block_that_is_not_spd():
+    solve = cho_solver(SPD, "a block")
+    assert np.allclose(SPD @ solve(np.ones(2)), np.ones(2))
+    with pytest.raises(NotSpdError, match="the odd block"):
+        cho_solver(INDEFINITE, "the odd block")
+
+
+@pytest.mark.parametrize("site", ["block_jacobi", "schur", "laplace"])
+def test_dense_blocks_that_are_not_spd_raise_not_spd(site):
+    """The dense-block sites (the DDM baselines, the Laplace check)
+    report a block that is not SPD as the package's ``NotSpdError`` —
+    a ``ReproError`` — naming the block, not numpy's ``LinAlgError``."""
+    graph = negative_path()
+    with pytest.raises(ReproError) as err:
+        if site == "block_jacobi":
+            build_block_structure(graph, Partition([0, 0, 1, 1],
+                                                   [False] * 4))
+        elif site == "schur":
+            solve_schur(graph, Partition(
+                [0, 0, 1, 1], [False, True, False, False]))
+        else:
+            a, b = graph.to_system()
+            port_operator(Subdomain(0, a, b, np.arange(4), n_ports=1))
+    assert isinstance(err.value, NotSpdError)
+    assert "block" in str(err.value)

@@ -2,8 +2,9 @@
 
 ``ShardSpec.from_payload`` reads buffers that may have crossed a
 socket (the mesh SPEC frame).  The contract pinned here: a well-formed
-payload comes back as read-only zero-copy views that sweep bit for bit
-like the spec they were encoded from, and *anything else* — truncated,
+payload carries each member's port and halo rows and nothing else,
+comes back as read-only zero-copy views that sweep bit for bit like
+the spec they were encoded from, and *anything else* — truncated,
 corrupted, hand-crafted to point outside the buffer, of another schema,
 or an older build's pickle — raises ``ValidationError`` before a
 single view is made.
@@ -11,7 +12,9 @@ single view is made.
 
 import json
 import pickle
+import socket
 import struct
+import threading
 from binascii import crc32
 
 import numpy as np
@@ -19,10 +22,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ValidationError
+from repro.errors import ProtocolError, ValidationError
+from repro.net import wire
+from repro.net.mesh import MeshWorkerPort
 from repro.net.transport import EdgeMailbox
 from repro.plan import build_plan
-from repro.plan.shard import PAYLOAD_SCHEMA, ShardSpec, extract_shards
+from repro.plan.shard import (
+    PAYLOAD_SCHEMA,
+    ShardSpec,
+    extract_shards,
+    look_rows,
+)
 from repro.workloads.poisson import grid2d_poisson
 
 PREFIX = struct.Struct("<II")
@@ -66,9 +76,33 @@ def payload_arrays(spec) -> list:
     return arrays
 
 
+def look_x0(plan) -> np.ndarray:
+    """The plan's zero-wave states in the look layout workers load."""
+    return np.concatenate(
+        [
+            loc.x0[rows]
+            for loc, rows in zip(plan.base_locals, look_rows(plan.split))
+        ]
+    )
+
+
+def port_positions(kernel) -> np.ndarray:
+    """Where each port (in port order) sits in a look-layout state."""
+    return np.concatenate(
+        [
+            kernel.state_off[i] + np.arange(width)
+            for i, width in enumerate(np.diff(kernel.port_off))
+        ]
+    )
+
+
 @pytest.fixture(scope="module")
-def spec():
-    plan = build_plan(grid2d_poisson(12), n_subdomains=6, seed=2)
+def plan():
+    return build_plan(grid2d_poisson(12), n_subdomains=6, seed=2)
+
+
+@pytest.fixture(scope="module")
+def spec(plan):
     return extract_shards(plan, 2)[1]
 
 
@@ -100,11 +134,31 @@ class TestRoundTrip:
             assert arr.flags.writeable is False
             assert arr.flags.owndata is False
 
-    def test_the_payload_is_the_arrays_plus_a_small_header(
-        self, spec, payload
-    ):
-        nbytes = sum(arr.nbytes for arr in payload_arrays(spec))
+    def test_the_payload_is_the_arrays_plus_a_small_header(self, payload):
+        clone = ShardSpec.from_payload(payload)
+        nbytes = sum(arr.nbytes for arr in payload_arrays(clone))
         assert nbytes < len(payload) < nbytes + 16 * 1024
+
+    def test_only_port_and_halo_rows_are_carried(self, plan, spec, payload):
+        """Each member's stack holds its ports, then its halo rows (the
+        inner rows its matrix couples to a port) — the very rows of the
+        fleet's stack — and the full stacks are never shipped."""
+        clone = ShardSpec.from_payload(payload)
+        full = sum(g.X3.nbytes for g in spec.kernel.groups)
+        held = sum(g.X3.nbytes for g in clone.kernel.groups)
+        assert held < full
+        for g in clone.kernel.groups:
+            for row, m in zip(g.X3, g.members):
+                rows = spec.look_rows[m]
+                r = g.r
+                assert np.array_equal(rows[:r], np.arange(r))
+                sub = spec.kernel.groups[spec.kernel.part_group[m]]
+                X = sub.X3[spec.kernel.part_row[m]]
+                assert np.array_equal(row, X[rows])
+                # a halo row couples to a port; no other inner row does
+                a = plan.split.subdomains[spec.parts[m]].matrix.to_dense()
+                couples = np.flatnonzero(np.abs(a[r:, :r]).sum(axis=1)) + r
+                assert np.array_equal(rows[r:], couples)
 
     def test_the_port_responses_are_not_stored_apart(self, payload):
         """The stacks exist once: the port rows are read off ``X3``."""
@@ -136,14 +190,20 @@ class TestRoundTrip:
         """For generated plans and shard counts, every decoded shard
         sweeps bit for bit like the spec it was encoded from, over
         five lockstep sweeps exchanged through the *decoded*
-        mailboxes, and ends in the same full states."""
+        mailboxes, and ends in the same port and halo states — its
+        ports bit for bit as the sweep resolves them."""
         plan = build_plan(grid2d_poisson(nx), n_subdomains=parts, seed=seed)
         n_shards = data.draw(st.integers(1, plan.n_parts))
         specs = extract_shards(plan, n_shards)
         clones = [ShardSpec.from_payload(s.to_payload()) for s in specs]
         x0 = np.concatenate([loc.x0 for loc in plan.base_locals])
-        for shard in specs + clones:
-            shard.kernel.load_x0(x0[shard.state_lo : shard.state_hi])
+        x0_look = look_x0(plan)
+        state_off = plan.fleet_template.kernel.state_off
+        for shard in specs:
+            lo, hi = state_off[shard.parts[0]], state_off[shard.parts[-1] + 1]
+            shard.kernel.load_x0(x0[lo:hi])
+        for shard in clones:
+            shard.kernel.load_x0(x0_look[shard.state_lo : shard.state_hi])
         waves = np.zeros(plan.fleet_template.n_slots_total)
         for _ in range(5):
             next_waves = waves.copy()
@@ -156,8 +216,18 @@ class TestRoundTrip:
             waves = next_waves
         for ours, theirs in zip(clones, specs):
             a = waves[ours.slot_lo : ours.slot_hi].copy()
-            got = ours.kernel.full_states(a)
-            assert np.array_equal(got, theirs.kernel.full_states(a))
+            got = ours.kernel.look_states(a)
+            full = theirs.kernel.full_states(a)
+            want = np.concatenate(
+                [
+                    full[theirs.kernel.state_off[i] + rows]
+                    for i, rows in enumerate(theirs.look_rows)
+                ]
+            )
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+            u = np.empty(ours.kernel.n_ports)
+            ours.kernel.resolve(a, u)
+            assert np.array_equal(got[port_positions(ours.kernel)], u)
 
 
 BAD_ENTRIES = [
@@ -188,6 +258,7 @@ BAD_FIELDS = [
     ("outboxes", [7]),
     ("outboxes", None),
     ("groups", [[1, 2, 3]]),
+    ("groups", [[1, 2, 3, 4]]),  # a /4 group's [g, n, r, s]
     ("groups", 4),
     ("groups", []),
     ("arrays", None),
@@ -292,6 +363,13 @@ class TestUntrustedBytes:
         with pytest.raises(ValidationError, match="own range"):
             ShardSpec.from_payload(pack(header, bytes(data)))
 
+    def test_a_group_holding_more_rows_than_it_has(self, payload):
+        header, data = split(payload)
+        g, n, r, h, s = header["groups"][0]
+        header["groups"][0] = [g, r + h - 1, r, h, s]
+        with pytest.raises(ValidationError, match="more rows"):
+            ShardSpec.from_payload(pack(header, data))
+
     def test_header_that_is_not_a_json_object(self, payload):
         _, data = split(payload)
         for head in (b"[1, 2]", b"\xff\xfe", b"{", b"[" * 100_000):
@@ -305,6 +383,39 @@ class TestUntrustedBytes:
         both = "repro-shard-payload/9.*" + PAYLOAD_SCHEMA
         with pytest.raises(ValidationError, match=both):
             ShardSpec.from_payload(pack(header, data))
+
+    def test_a_previous_schema_is_refused_at_the_mesh_handshake(
+        self, payload
+    ):
+        """A ``/4`` SPEC frame (full stacks, four group dimensions) from
+        a coordinator of another build: the worker refuses it with a
+        ProtocolError naming the version skew, before it sweeps."""
+        header, data = split(payload)
+        header["schema"] = "repro-shard-payload/4"
+        old = pack(header, data)
+        with pytest.raises(ValidationError, match="payload/4"):
+            ShardSpec.from_payload(old)
+        spec_header = dict(n_slots=8, n_states=8, idle_sleep=1e-3, obs=False)
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+
+        def hub():
+            conn, _ = listener.accept()
+            with conn:
+                wire.recv_message(conn)  # HELLO
+                wire.send_message(conn, wire.T_SPEC, spec_header, blob=old)
+                conn.recv(1)  # until the worker hangs up
+
+        thread = threading.Thread(target=hub, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(ProtocolError, match="same repro version"):
+                MeshWorkerPort(
+                    "127.0.0.1", port, "token", 0, connect_timeout=5.0
+                )
+        finally:
+            thread.join(timeout=5.0)
+            listener.close()
 
     def test_an_older_builds_pickle_is_refused_unread(self, spec):
         """The ``/2`` payload was ``pickle.dumps((schema, spec))``; it

@@ -16,8 +16,9 @@ Covers the numerical contract end to end:
   stopping-rule invariants of ``tests/test_stopping_integration.py``;
 * the stop protocol — ``_run_worker`` against a scripted in-memory
   port: a STOP that overtook the epoch bump ends that epoch, a STOP
-  left over from the previous epoch does not, and the interiors are
-  computed and published exactly once per epoch, between STOP and ack;
+  left over from the previous epoch does not, and the port and halo
+  rows are computed and published exactly once per epoch, between STOP
+  and ack;
 * look pacing — the coordinator against a scripted port and a fake
   clock: a look is STOP → ack → one measurement of the quiesced state
   → done | resume under the next epoch; a geometric residual is
@@ -53,6 +54,7 @@ from repro.plan.shard import (
     MailboxSpec,
     ShardSpec,
     extract_shards,
+    look_rows,
     shard_bounds,
 )
 from repro.net.transport import CoordinatorPort, Transport, WorkerPort
@@ -64,6 +66,7 @@ from repro.runtime.multiproc import (
     MultiprocDtmRunner,
     _ProbePacer,
 )
+from repro.runtime.look import HaloLook
 from repro.runtime.shard_worker import _run_worker
 from repro.runtime.server import DtmServer, PlanStore, ServeRequest, plan_hash
 from repro.sim.network import custom_topology, mesh_topology
@@ -97,6 +100,21 @@ def runner(poisson_plan):
     """One warm 3-shard worker pool shared by the solve tests."""
     with MultiprocDtmRunner(poisson_plan, shards=3) as r:
         yield r
+
+
+def full_x0(plan, spec) -> np.ndarray:
+    """The plan's zero-wave states of a coordinator-side spec's parts
+    (its kernel holds every row)."""
+    state_off = plan.fleet_template.kernel.state_off
+    x0 = np.concatenate([loc.x0 for loc in plan.base_locals])
+    return x0[state_off[spec.parts[0]]:state_off[spec.parts[-1] + 1]]
+
+
+def look_x0(plan) -> np.ndarray:
+    """The plan's zero-wave states in the look layout workers load."""
+    return np.concatenate([
+        loc.x0[rows] for loc, rows in zip(plan.base_locals,
+                                          look_rows(plan.split))])
 
 
 def direct_solution(plan, b=None):
@@ -216,9 +234,8 @@ class TestShardKernel:
         plan = poisson_plan
         fleet = plan.fork_fleet()
         specs = extract_shards(plan, n_shards)
-        x0_flat = np.concatenate([loc.x0 for loc in plan.base_locals])
         for spec in specs:
-            spec.kernel.load_x0(x0_flat[spec.state_lo:spec.state_hi])
+            spec.kernel.load_x0(full_x0(plan, spec))
         waves = np.zeros(fleet.n_slots_total)
         for _ in range(4):
             fleet.solve_all()
@@ -240,6 +257,54 @@ class TestShardKernel:
              for spec in specs])
         ref = np.concatenate([v.full_state() for v in fleet.views()])
         assert np.array_equal(states, ref)
+
+
+    @pytest.mark.parametrize("n_shards", [2, 3])
+    def test_the_answer_is_the_gather_of_the_shards_full_states(
+            self, poisson_plan, n_shards):
+        """Lockstep sweeps of the decoded worker shards (look rows
+        only): the port rows a shard publishes are, bit for bit, the
+        port values its sweep resolves; the coordinator's answer from
+        the shards' snapshots is, bit for bit, the gather of what the
+        shards' full stacks give for the same snapshots; and the look
+        measures that answer's relative residual."""
+        plan = poisson_plan
+        specs = extract_shards(plan, n_shards)
+        workers = [ShardSpec.from_payload(s.to_payload()) for s in specs]
+        look = HaloLook(plan, [rows for s in specs for rows in s.look_rows])
+        x0 = np.concatenate([loc.x0 for loc in plan.base_locals])
+        for spec in specs:
+            spec.kernel.load_x0(full_x0(plan, spec))
+        for w in workers:
+            w.kernel.load_x0(x0[look.state_rows][w.state_lo:w.state_hi])
+        waves = np.zeros(plan.fleet_template.n_slots_total)
+        for _ in range(6):
+            next_waves = waves.copy()
+            published = []
+            for w in workers:
+                a = waves[w.slot_lo:w.slot_hi].copy()
+                out = w.kernel.sweep(a)
+                for box in [w.loopback] + w.outboxes:
+                    EdgeMailbox(box, next_waves).post(out)
+                u = np.empty(w.kernel.n_ports)
+                w.kernel.resolve(a, u)
+                assert np.array_equal(out, 2.0 * u[w.kernel.slot_port] - a)
+                states = w.kernel.look_states(a)
+                ports = np.concatenate([
+                    w.kernel.state_off[i] + np.arange(r) for i, r in
+                    enumerate(np.diff(w.kernel.port_off))])
+                assert np.array_equal(states[ports], u)
+                published.append(states)
+            x = look.answer(x0, waves)
+            want = plan.split.gather_flat(np.concatenate(
+                [s.kernel.full_states(waves[s.slot_lo:s.slot_hi].copy())
+                 for s in specs]))
+            assert np.array_equal(x, want)
+            look.start(plan.base_b)
+            assert look.residual(np.concatenate(published)) \
+                == pytest.approx(relative_residual(
+                    plan.a_mat, x, plan.base_b), rel=1e-12)
+            waves = next_waves
 
 
 # ----------------------------------------------------------------------
@@ -286,11 +351,10 @@ class TestMailboxProperty:
         specs = extract_shards(plan, 2)
         rng = np.random.default_rng(seed)
         waves = np.zeros(plan.fleet_template.n_slots_total)
-        x0_flat = np.concatenate([loc.x0 for loc in plan.base_locals])
         state_off = np.concatenate(
             [[0], np.cumsum([loc.n_local for loc in plan.base_locals])])
         for spec in specs:
-            spec.kernel.load_x0(x0_flat[spec.state_lo:spec.state_hi])
+            spec.kernel.load_x0(full_x0(plan, spec))
 
         def gather():
             states = np.concatenate(
@@ -364,6 +428,7 @@ class ScriptedPort(WorkerPort):
         self.sweeps = 0
         self.epoch_start = 0
         self.log = []
+        self.published = []
         self.shutdown = False
 
     def shutdown_requested(self):
@@ -394,8 +459,9 @@ class ScriptedPort(WorkerPort):
                 and total - self.epoch_start >= self.stop_after:
             self.stop = self.epoch
 
-    def publish_states(self, states, sweeps):
+    def publish_states(self, states, waves, sweeps):
         self.log.append(("publish", sweeps))
+        self.published.append((states, waves))
 
     def ack(self, epoch):
         self.log.append(("ack", epoch))
@@ -420,12 +486,14 @@ class ScriptedPort(WorkerPort):
 
 class TestStopProtocol:
     def _drive(self, poisson_plan, **script):
-        spec = extract_shards(poisson_plan, 2)[0]
-        x0 = np.concatenate([loc.x0 for loc in poisson_plan.base_locals])
-        port = ScriptedPort(spec, x0, **script)
+        # the worker's own spec: decoded from the payload, look rows only
+        spec = ShardSpec.from_payload(
+            extract_shards(poisson_plan, 2)[0].to_payload())
+        port = ScriptedPort(spec, look_x0(poisson_plan), **script)
         with mock.patch.object(
-                spec.kernel, "full_states",
-                wraps=spec.kernel.full_states) as full_states:
+                spec.kernel, "look_states",
+                wraps=spec.kernel.look_states) as look_states, \
+                mock.patch.object(spec.kernel, "full_states") as full_states:
             worker = threading.Thread(
                 target=_run_worker, args=(spec, port, 1e-4), daemon=True)
             worker.start()
@@ -434,7 +502,8 @@ class TestStopProtocol:
             port.shutdown = True  # release a spinning loop either way
             worker.join(timeout=10.0)
         assert not hung, "worker never acknowledged the epoch"
-        port.n_full_states = full_states.call_count
+        assert full_states.call_count == 0  # a worker has no interiors
+        port.n_look_states = look_states.call_count
         return port
 
     def test_stop_raised_before_the_worker_saw_the_epoch(
@@ -446,7 +515,7 @@ class TestStopProtocol:
         the ack."""
         port = self._drive(poisson_plan, epoch=3, stop=3)
         assert port.log == [("publish", 0), ("ack", 3)]
-        assert port.n_full_states == 1
+        assert port.n_look_states == 1
 
     def test_leftover_stop_does_not_end_the_next_epoch(
             self, poisson_plan):
@@ -456,15 +525,19 @@ class TestStopProtocol:
         assert port.events("ack") == [3]
         assert port.sweeps == 5
 
-    def test_interiors_are_computed_once_per_epoch(self, poisson_plan):
+    def test_halo_rows_are_published_once_per_epoch(self, poisson_plan):
         """The loop touches ports only: however long an epoch sweeps,
-        ``full_states`` runs (and is published) exactly once — after
-        STOP, before the ack — and never between two sweeps."""
+        the port and halo rows are computed (``look_states``) and
+        published exactly once — after STOP, before the ack, with the
+        wave snapshot they came from — and never between two sweeps."""
         port = self._drive(poisson_plan, epoch=1, stop=0, stop_after=40,
                            epochs=3)
         assert port.sweeps == 120
-        assert port.n_full_states == 3
+        assert port.n_look_states == 3
         assert port.events("publish") == [40, 80, 120]
+        for states, waves in port.published:
+            assert states.shape == port.x0.shape
+            assert waves.shape == port.waves.shape
         assert port.events("ack") == [1, 2, 3]
         for i, (kind, _) in enumerate(port.log):
             if kind == "publish":
@@ -480,7 +553,7 @@ class TestStopProtocol:
                            epochs=2, idle_waits=3)
         assert port.events("idle") == [1e-4] * 6
         assert port.events("ack") == [1, 2]
-        assert port.sweeps == 8 and port.n_full_states == 2
+        assert port.sweeps == 8 and port.n_look_states == 2
         assert [kind for kind, _ in port.log[-4:]] \
             == ["ack", "idle", "idle", "idle"]
 
@@ -510,12 +583,24 @@ class ScriptedCoordinatorPort(CoordinatorPort):
     shards hold, they keep sweeping until they ack, ``ack_delay``
     seconds after STOP names the epoch, and then hold still until the
     next epoch begins.  Reading states outside that quiesced window is
-    an error: a look must measure what the shards hold at the look."""
+    an error: a look must measure what the shards hold at the look.
 
-    def __init__(self, plan, clock, n_shards):
+    What the shards hold is ``x* + r e`` with every copy of a split
+    vertex alike and ``A e`` on the split vertices' rows only, so the
+    look (port and halo rows) and a full residual both read ``r``; the
+    answer the runner builds is that state (:func:`scripted_runner`).
+    """
+
+    def __init__(self, plan, clock, specs):
         self.plan = plan
         self.clock = clock
-        self.n_shards = n_shards
+        self.n_shards = len(specs)
+        subs = plan.split.subdomains
+        self.vertex = np.concatenate([
+            subs[q].global_vertices[rows] for spec in specs
+            for q, rows in zip(spec.parts, spec.look_rows)])
+        self.held = None
+        self.answers = 0
         self.residual_of = None
         self.ack_delay = 0.0
         self.t0 = clock.now
@@ -527,11 +612,13 @@ class ScriptedCoordinatorPort(CoordinatorPort):
         self.served = []  # (solve time held, residual) per read_states
         self.wave_writes = 0
         self.wave_level = 0.0
-        n = plan.n
-        self.x_star = np.linalg.solve(plan.a_mat.to_dense(), plan.base_b)
-        e = np.random.default_rng(0).standard_normal(n)
-        self.e = e * (np.linalg.norm(plan.base_b)
-                      / np.linalg.norm(plan.a_mat.matvec(e)))
+        a = plan.a_mat.to_dense()
+        self.x_star = np.linalg.solve(a, plan.base_b)
+        f = np.zeros(plan.n)
+        split = plan.split.split_vertices
+        f[split] = np.random.default_rng(0).standard_normal(len(split))
+        self.e = np.linalg.solve(
+            a, f * (np.linalg.norm(plan.base_b) / np.linalg.norm(f)))
         self.n_slots = plan.fleet_template.n_slots_total
 
     def begin_epoch(self, epoch):
@@ -565,8 +652,18 @@ class ScriptedCoordinatorPort(CoordinatorPort):
         t = self.stop_time + self.ack_delay - self.t0
         r = float(self.residual_of(t))
         self.served.append((t, r))
-        return np.concatenate(
-            self.plan.split.spread(self.x_star + r * self.e))
+        self.held = self.x_star + r * self.e
+        return self.held[self.vertex]
+
+    def read_snapshots(self):
+        assert self._quiesced(), "snapshots read while the shards run"
+        return np.zeros(self.n_slots)
+
+    def answer(self, x0_full, snapshots):
+        """What the runner's answer build sees: the held state."""
+        assert self._quiesced(), "an answer built while the shards run"
+        self.answers += 1
+        return self.held
 
     def sweep_counts(self):
         return np.zeros(self.n_shards, dtype=np.int64)
@@ -591,8 +688,7 @@ class ScriptedTransport(Transport):
         self.port = None
 
     def bind(self, specs, **_):
-        self.port = ScriptedCoordinatorPort(self.plan, self.clock,
-                                            len(specs))
+        self.port = ScriptedCoordinatorPort(self.plan, self.clock, specs)
         return self.port
 
     def close(self):
@@ -601,13 +697,16 @@ class ScriptedTransport(Transport):
 
 @contextmanager
 def scripted_runner(plan, **runner_kwargs):
-    """``(runner, port, clock)`` with the runner's clock faked."""
+    """``(runner, port, clock)`` with the runner's clock faked (and
+    its answer build reading the scripted state)."""
     clock = FakeClock()
     transport = ScriptedTransport(plan, clock)
     with mock.patch.object(multiproc, "time", clock):
         with MultiprocDtmRunner(plan, shards=2, transport=transport,
                                 spawn_workers=False,
-                                **runner_kwargs) as runner:
+                                **runner_kwargs) as runner, \
+                mock.patch.object(runner._look, "answer",
+                                  transport.port.answer):
             yield runner, transport.port, clock
 
 
@@ -661,24 +760,66 @@ class TestProbePacing:
     def test_a_look_is_one_quiesced_measurement(self, poisson_plan):
         """Every look — the ones that resume and the one that ends the
         solve, converged or out of budget — reads the states once and
-        multiplies by the matrix once: nothing is measured twice."""
+        measures them once, on the port and halo rows; the answer the
+        solve ends on is built once and multiplied by the matrix once:
+        nothing is measured twice."""
         with scripted_runner(poisson_plan) as (runner, port, _), \
                 mock.patch.object(
                     CsrMatrix, "matvec", autospec=True,
-                    side_effect=CsrMatrix.matvec) as matvec:
+                    side_effect=CsrMatrix.matvec) as matvec, \
+                mock.patch.object(runner._look, "residual",
+                                  wraps=runner._look.residual) as look:
             for script, budget in ((geometric(0.02), 60.0),  # cold
                                    (geometric(0.02), 60.0),  # seeded
                                    (lambda t: 1e-3, 0.025)):  # no stop
                 del port.stops[:]
                 matvec.reset_mock()
+                look.reset_mock()
+                port.answers = 0
                 res, served = self._solve(runner, port, script,
                                           wall_budget=budget)
                 assert res.converged == (budget == 60.0)
                 assert len(res.errors) >= 2
                 assert len(port.stops) == len(served) == len(res.errors)
-                assert matvec.call_count == len(res.errors)
-                assert res.relative_residual == res.errors.values[-1] \
-                    == pytest.approx(served[-1][1], rel=1e-6)
+                assert look.call_count == len(res.errors)
+                assert port.answers == matvec.call_count == 1
+                assert res.relative_residual == pytest.approx(
+                    res.errors.values[-1], rel=1e-6)
+                assert res.errors.values[-1] == pytest.approx(
+                    served[-1][1], rel=1e-6)
+
+    def test_an_answer_that_misses_tol_resumes_the_solve(
+            self, poisson_plan):
+        """The look reads the rows below the halo as met; the answer a
+        look stops on is judged whole, once.  An answer whose full
+        residual misses ``tol`` (here an inner vertex no worker
+        publishes is off) stops nothing: the solve looks on, and is
+        reported converged only on an answer that meets ``tol``."""
+        with scripted_runner(poisson_plan) as (runner, port, _):
+            inner = np.setdiff1d(np.arange(poisson_plan.n), port.vertex)[0]
+            held = port.answer
+            built = []
+
+            def first_answer_off(x0_full, snapshots):
+                x = held(x0_full, snapshots).copy()
+                if not built:
+                    x[inner] += 1.0
+                built.append(x)
+                return x
+
+            with mock.patch.object(runner._look, "answer",
+                                   first_answer_off):
+                res, served = self._solve(runner, port, geometric(0.006))
+            assert len(built) == 2
+            # two looks met tol: the first one's answer did not
+            assert [r <= self.TOL for _, r in served][-2:] == [True, True]
+            assert relative_residual(
+                poisson_plan.a_mat, built[0], poisson_plan.base_b) \
+                > self.TOL
+            assert len(served) == len(port.stops)
+            assert res.converged and res.stopped_by == "residual"
+            assert res.x is built[-1]
+            assert res.relative_residual <= self.TOL
 
     def test_a_look_above_tol_resumes_on_untouched_waves(
             self, poisson_plan):
@@ -886,7 +1027,8 @@ class TestProbePacing:
                 measured = res.errors.values[-1]
                 assert measured == pytest.approx(held, rel=1e-6)
                 assert res.converged == (measured <= self.TOL)
-                assert res.relative_residual == measured
+                assert res.relative_residual == pytest.approx(
+                    measured, rel=1e-6)
                 assert np.all(res.errors.values[:-1] > self.TOL)
                 # measured on what the shards held after the last STOP
                 assert t_held >= port.stops[-1][1]
@@ -906,6 +1048,16 @@ class TestProbePacing:
             assert probe["residual"] == res.errors.values[0]
             assert probe["crossing"] == pytest.approx(0.006, abs=5e-4)
             assert 0.0 < probe["next_delay"] <= PROBE_CEILING
+            # the look's cost, as the pacer learned it: STOP to verdict,
+            # the answer build after it timed as its own event
+            assert probe["cost"] == runner._pacer._costs[-1] >= 0.0
+            kinds = [r["kind"] for r in res.trace.records]
+            assert kinds.count("answer") == 1
+            assert kinds.index("answer") > kinds.index("probe")
+            (answer,) = [r for r in res.trace.records
+                         if r["kind"] == "answer"]
+            assert answer["epoch"] == probe["epoch"]
+            assert answer["ms"] >= 0.0
             snap = runner.metrics_snapshot()
             assert snap.value("repro_runner_stop_probes")["count"] == 3
             overshoot = snap.value("repro_runner_stop_overshoot_seconds")
