@@ -17,10 +17,14 @@ solution ``x̄`` (split vertices averaged over their copies, paper §4):
 over the published look vector ``p`` and a per-solve ``c``, so a look
 measures ``‖c − M p‖ / ‖b‖`` in O(ports) — no interior row, no gather,
 no ``A x − b`` over every unknown.  The interiors are built only for an
-answer (:meth:`HaloLook.answer`), from the plan's own stacks.
+answer (:meth:`HaloLook.answer`), from the plan's own stacks, shard cut
+by shard cut on the cores the parked workers free; that answer is then
+re-checked whole, once (:meth:`HaloLook.recheck`).
 """
 
 from __future__ import annotations
+
+from concurrent import futures
 
 import numpy as np
 
@@ -40,9 +44,14 @@ class HaloLook:
     rows:
         Per part, the local rows its worker publishes — ports first —
         as :func:`repro.plan.shard.look_rows` returns them.
+    cuts, helpers:
+        The shards' ``[lo, hi)`` part ranges (default: one over every
+        part), and with more than one cut a
+        :class:`concurrent.futures.Executor` with a thread for each cut
+        after the first (the caller's own).
     """
 
-    def __init__(self, plan, rows) -> None:
+    def __init__(self, plan, rows, cuts=None, helpers=None) -> None:
         from scipy import sparse
 
         split = plan.split
@@ -51,14 +60,15 @@ class HaloLook:
         state_off = _offsets([sub.n_local for sub in subs])
         #: look row -> row of the full state layout (ports first per part)
         self.state_rows = np.concatenate(
-            [state_off[q] + r for q, r in enumerate(rows)]).astype(np.int64)
+            [state_off[q] + r for q, r in enumerate(rows)]
+        )
         look_off = _offsets([r.size for r in rows])
         #: look rows holding port potentials, in the fleet's port order
         self.port_rows = np.concatenate(
-            [look_off[q] + np.arange(sub.n_ports)
-             for q, sub in enumerate(subs)]).astype(np.int64)
-        vertex = np.concatenate(
-            [sub.global_vertices for sub in subs])[self.state_rows]
+            [look_off[q] + np.arange(s.n_ports) for q, s in enumerate(subs)]
+        )
+        vertex = np.concatenate([sub.global_vertices for sub in subs])
+        vertex = vertex[self.state_rows]
         part = np.repeat(np.arange(len(subs)), [r.size for r in rows])
         is_port = np.zeros(vertex.size, dtype=bool)
         is_port[self.port_rows] = True
@@ -73,17 +83,21 @@ class HaloLook:
         col[halo_v] = n_s + np.arange(halo_v.size)
         copies = np.bincount(vertex[is_port], minlength=n)
         # G: look vector -> x̄ on the split vertices, then the halo rows
+        weight = np.where(is_port, 1.0 / np.maximum(copies[vertex], 1), 1.0)
         gather = sparse.csr_matrix(
-            (np.where(is_port, 1.0 / np.maximum(copies[vertex], 1), 1.0),
-             (col[vertex], np.arange(L))), shape=(n_s + halo_v.size, L))
+            (weight, (col[vertex], np.arange(L))),
+            shape=(n_s + halo_v.size, L),
+        )
         a = plan.a_mat.to_scipy()
         on_split = a[split_v]
         if np.any(col[on_split.indices] < 0):
             raise ValidationError(
-                "a split vertex couples to a row no worker publishes")
+                "a split vertex couples to a row no worker publishes"
+            )
         on_split = sparse.csr_matrix(
             (on_split.data, col[on_split.indices], on_split.indptr),
-            shape=(n_s, gather.shape[0]))
+            shape=(n_s, gather.shape[0]),
+        )
         # halo rows: A[h, j] (x̄_j − x_q,j) over the split neighbors j
         on_halo = a[halo_v].tocoo()
         keep = (col[on_halo.col] >= 0) & (col[on_halo.col] < n_s)
@@ -96,16 +110,26 @@ class HaloLook:
         if i.size and not np.array_equal(vertex[own], j):
             raise ValidationError(
                 "a halo row couples to a split vertex its part holds no "
-                "copy of")
-        shape = (halo_v.size, L)
-        on_halo = sparse.csr_matrix(
-            (w, (i, col[j])), shape=(halo_v.size, gather.shape[0])) @ gather \
-            - sparse.csr_matrix((w, (i, own)), shape=shape)
+                "copy of"
+            )
+        to_mean = sparse.csr_matrix(
+            (w, (i, col[j])), shape=(halo_v.size, gather.shape[0])
+        )
+        to_own = sparse.csr_matrix((w, (i, own)), shape=(halo_v.size, L))
+        on_halo = to_mean @ gather - to_own
         self._m = sparse.vstack([on_split @ gather, on_halo]).tocsr()
         self._split_v = split_v
         self._n_halo = halo_v.size
         self._plan = plan
-        self._kernel = None
+        self._a = a
+        kernel = plan.fleet_template.kernel
+        off = (kernel.state_off, kernel.slot_off)
+        #: per cut, a private kernel slice, its state rows and its slots
+        self._cuts = [
+            (kernel.slice(lo, hi), *(slice(o[lo], o[hi]) for o in off))
+            for lo, hi in cuts or [(0, kernel.parts.size)]
+        ]
+        self._helpers = helpers
         self._c = np.zeros(self._m.shape[0])
         self._b_norm = 1.0
 
@@ -117,6 +141,7 @@ class HaloLook:
     def start(self, b: np.ndarray) -> None:
         """Begin a solve against right-hand side *b*."""
         self._c = np.concatenate([b[self._split_v], np.zeros(self._n_halo)])
+        self._b = b
         self._b_norm = _norm2(b) or 1.0
 
     def residual(self, p: np.ndarray) -> float:
@@ -124,17 +149,32 @@ class HaloLook:
         gathers to (inner rows below the halo read as met)."""
         return _norm2(self._c - self._m @ p) / self._b_norm
 
-    def answer(self, x0_full: np.ndarray, snapshots: np.ndarray
-               ) -> np.ndarray:
+    def recheck(self, x: np.ndarray) -> float:
+        """``‖b − A x‖ / ‖b‖`` of an answer *x*, every row (scipy's CSR
+        product: ``CsrMatrix.matvec`` up to round-off)."""
+        return _norm2(self._b - self._a @ x) / self._b_norm
+
+    def answer(
+        self, x0_full: np.ndarray, snapshots: np.ndarray
+    ) -> np.ndarray:
         """The gathered solution of the shards' wave *snapshots*.
 
-        Every member's full states on a private slice of the plan's
-        fleet kernel: bit for bit what the shard workers' own stacks
-        would give (a member's product does not depend on its batch).
+        Every member's full states, cut by cut on private slices of the
+        plan's fleet kernel (the first on the caller, the others on the
+        helpers): bit for bit one slice over every part, or the workers'
+        own stacks (a member's product does not depend on its batch).
         """
-        if self._kernel is None:
-            kernel = self._plan.fleet_template.kernel
-            self._kernel = kernel.slice(0, kernel.parts.size)
-        self._kernel.load_x0(x0_full)
-        return self._plan.split.gather_flat(
-            self._kernel.full_states(snapshots))
+        states = np.empty_like(x0_full)
+
+        def build(kernel, rows, slots) -> None:
+            kernel.load_x0(x0_full[rows])
+            states[rows] = kernel.full_states(snapshots[slots])
+
+        jobs = [self._helpers.submit(build, *cut) for cut in self._cuts[1:]]
+        try:
+            build(*self._cuts[0])
+        finally:
+            futures.wait(jobs)
+        for job in jobs:
+            job.result()  # a helper's exception is the caller's
+        return self._plan.split.gather_flat(states)

@@ -30,6 +30,7 @@ locks**:
   coordinator judges the look on the residual those rows determine
   (:class:`~repro.runtime.look.HaloLook`).  The interiors are built by
   the coordinator, from the plan's own stacks, only for an answer —
+  shard by shard, on helper threads while the workers are parked —
   which one full residual then re-checks.  *When* the coordinator looks
   is paced by the measured residual decay (:class:`_ProbePacer`);
   *whether* it stops is only ever decided on a measured, quiesced
@@ -64,8 +65,10 @@ from __future__ import annotations
 
 import math
 import statistics
+import threading
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from multiprocessing import get_context
 from typing import Optional
@@ -80,7 +83,6 @@ from ..core.convergence import (
     StoppingRule,
     as_stopping_rule,
     begin_monitor,
-    relative_residual,
 )
 from ..errors import ConfigurationError, MultiprocError, WorkerLostError
 from ..net.transport import EdgeMailbox, resolve_transport
@@ -385,13 +387,18 @@ class MultiprocDtmRunner:
         self._session = None
         self.specs = extract_shards(plan, self.shards)
         plan.record_session()
-        self._state_off = np.concatenate(
-            [[0], np.cumsum([loc.n_local for loc in plan.base_locals])]
-        ).astype(np.int64)
-        self._n_states = int(self._state_off[-1])
         self._n_slots = int(plan.fleet_template.n_slots_total)
+        # the answer's helpers: a thread per shard past the first, started now
+        self._helpers = ThreadPoolExecutor(
+            self.shards - 1, thread_name_prefix="dtm-answer")
+        started = threading.Barrier(self.shards - 1)
+        for job in [self._helpers.submit(started.wait)
+                    for _ in self.specs[1:]]:
+            job.result()
         self._look = HaloLook(
-            plan, [rows for spec in self.specs for rows in spec.look_rows])
+            plan, [rows for spec in self.specs for rows in spec.look_rows],
+            [(spec.parts[0], spec.parts[-1] + 1) for spec in self.specs],
+            self._helpers)
         self.transport = resolve_transport(transport)
         self.recover = (bool(self.transport.supports_recovery)
                         if recover is None else bool(recover))
@@ -460,6 +467,7 @@ class MultiprocDtmRunner:
                 worker.retire(deadline)
         self._port.close()
         self._wakes = []
+        self._helpers.shutdown()
 
     def __enter__(self) -> "MultiprocDtmRunner":
         return self
@@ -688,12 +696,9 @@ class MultiprocDtmRunner:
         # subdomain against the plan's retained factors, then one
         # transport publish
         rhs_list = plan.spread_sources(b_vec)
-        x0_full = np.zeros(self._n_states)
-        for loc, rhs in zip(plan.base_locals, rhs_list):
-            if loc.n_local:
-                x0_full[self._state_off[loc.part]:
-                        self._state_off[loc.part + 1]] = \
-                    loc.response_for(rhs)
+        x0_full = np.concatenate([
+            loc.response_for(rhs) if loc.n_local else rhs
+            for loc, rhs in zip(plan.base_locals, rhs_list)])
         self._port.write_x0(x0_full[self._look.state_rows])
         self._look.start(b_vec)
         if tr is not None:
@@ -784,7 +789,7 @@ class MultiprocDtmRunner:
             if event is not None and event.rule == "residual":
                 # the look read the rows below the halo as met: the
                 # answer it stops on is judged whole, once
-                final_rr = relative_residual(plan.a_mat, probe.x, b_vec)
+                final_rr = self._look.recheck(probe.x)
                 if final_rr > res_tol:
                     event = None
                     monitor, residuals = watch()
@@ -795,7 +800,7 @@ class MultiprocDtmRunner:
             # their untouched live waves
         x = probe.x
         if final_rr is None:
-            final_rr = relative_residual(plan.a_mat, x, b_vec)
+            final_rr = self._look.recheck(x)
         if event is not None and event.rule == "residual" \
                 and crossing is not None:
             self._h_overshoot.observe(max(0.0, t - crossing))

@@ -26,7 +26,7 @@ import multiprocessing as mp
 import os
 import threading
 import time
-from multiprocessing import resource_tracker
+from multiprocessing import resource_tracker, util
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from ..errors import ConfigurationError
@@ -96,6 +96,17 @@ def map_ordered(
 IDLE_LINGER = 2.0
 
 
+def _unlinker(sem) -> Callable[[], None]:
+    """The finalizer that unlinks *sem*'s name once, called or collected
+    (``multiprocessing`` has no public handle on it; under fork a
+    semaphore has no name, and this is a no-op)."""
+    for fin in list(util._finalizer_registry.values()):
+        ref = getattr(fin, "_weakref", None)
+        if ref is not None and ref() is sem:
+            return fin
+    return lambda: None
+
+
 class PooledWorker:
     """One booted shard worker: its process, the coordinator's end of
     its job pipe, and the wake semaphore it was born with (a
@@ -109,6 +120,7 @@ class PooledWorker:
         resource_tracker.ensure_running()
         self.conn, child = ctx.Pipe()
         self.wake = ctx.Semaphore(0)
+        self._unlink = _unlinker(self.wake)
         self.proc = ctx.Process(
             target=_pooled_main,
             args=(child, self.wake),
@@ -147,7 +159,9 @@ class PooledWorker:
         """End the worker: ``None`` and EOF on its pipe, a join until
         *deadline*, then ``terminate`` if it is still there (a stuck
         worker).  (``None`` because a forked sibling may hold a copy of
-        this pipe end, and then closing it is no EOF.)"""
+        this pipe end, and then closing it is no EOF.)  The wake
+        semaphore's name is unlinked first, before the worker can exit."""
+        self._unlink()
         try:
             self.conn.send(None)
         except OSError:  # it is gone, or the pipe is closed already
@@ -157,7 +171,7 @@ class PooledWorker:
         if self.proc.is_alive():
             self.proc.terminate()
             self.proc.join(timeout=1.0)
-        self.wake = None  # the last reference unlinks its name
+        self.wake = None
 
 
 class WorkerPool:

@@ -6,11 +6,14 @@ measures the relative residual of the gathered solution from them.
 The property pinned here: for any partition — regular grid blocks or
 random labels with a vertex-cover separator — any right-hand side and
 any wave vector, the look agrees with ``relative_residual`` of the
-gathered full state to 1e-12 relative, and the answer it builds is
-that gathered full state, bit for bit.
+gathered full state to 1e-12 relative, the full re-check of an answer
+agrees with ``relative_residual`` to the same, and the answer it builds
+— shard cut by shard cut on helper threads, for every cut — is that
+gathered full state, bit for bit.
 """
 
 import faulthandler
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from repro.graph.evs import DominancePreservingSplit, split_graph
 from repro.graph.partition import Partition
 from repro.graph.partitioners import vertex_cover_separator
 from repro.plan import build_plan
-from repro.plan.shard import look_rows
+from repro.plan.shard import extract_shards, look_rows
 from repro.runtime.look import HaloLook
 from repro.workloads.poisson import grid2d_poisson, grid2d_random
 
@@ -86,10 +89,18 @@ def test_the_look_is_the_residual_of_the_gathered_state(plan, data):
     x = plan.split.gather_flat(states)
     look.start(b)
     got = look.residual(states[look.state_rows])
-    assert got == pytest.approx(
-        relative_residual(plan.a_mat, x, b), rel=1e-12, abs=1e-15
-    )
+    want = relative_residual(plan.a_mat, x, b)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert look.recheck(x) == pytest.approx(want, rel=1e-12, abs=1e-15)
     assert np.array_equal(look.answer(x0, waves), x)
+    for k in range(1, min(4, plan.n_parts) + 1):
+        cuts = [
+            (spec.parts[0], spec.parts[-1] + 1)
+            for spec in extract_shards(plan, k)
+        ]
+        with ThreadPoolExecutor(max(1, k - 1)) as helpers:
+            cut = HaloLook(plan, look_rows(plan.split), cuts, helpers)
+            assert np.array_equal(cut.answer(x0, waves), x), cuts
 
 
 def test_the_look_reads_a_small_share_of_the_rows():

@@ -47,7 +47,6 @@ from repro.core.shard_kernel import ShardKernel
 from repro.errors import ConfigurationError, MultiprocError, ValidationError
 from repro.graph.evs import DominancePreservingSplit, split_graph
 from repro.graph.partitioners import grid_block_partition
-from repro.linalg.sparse import CsrMatrix
 from repro.plan import build_plan
 from repro.plan.session import SolverSession
 from repro.plan.shard import (
@@ -761,19 +760,18 @@ class TestProbePacing:
         """Every look — the ones that resume and the one that ends the
         solve, converged or out of budget — reads the states once and
         measures them once, on the port and halo rows; the answer the
-        solve ends on is built once and multiplied by the matrix once:
+        solve ends on is built once and re-checked in full once:
         nothing is measured twice."""
         with scripted_runner(poisson_plan) as (runner, port, _), \
-                mock.patch.object(
-                    CsrMatrix, "matvec", autospec=True,
-                    side_effect=CsrMatrix.matvec) as matvec, \
+                mock.patch.object(runner._look, "recheck",
+                                  wraps=runner._look.recheck) as recheck, \
                 mock.patch.object(runner._look, "residual",
                                   wraps=runner._look.residual) as look:
             for script, budget in ((geometric(0.02), 60.0),  # cold
                                    (geometric(0.02), 60.0),  # seeded
                                    (lambda t: 1e-3, 0.025)):  # no stop
                 del port.stops[:]
-                matvec.reset_mock()
+                recheck.reset_mock()
                 look.reset_mock()
                 port.answers = 0
                 res, served = self._solve(runner, port, script,
@@ -782,7 +780,7 @@ class TestProbePacing:
                 assert len(res.errors) >= 2
                 assert len(port.stops) == len(served) == len(res.errors)
                 assert look.call_count == len(res.errors)
-                assert port.answers == matvec.call_count == 1
+                assert port.answers == recheck.call_count == 1
                 assert res.relative_residual == pytest.approx(
                     res.errors.values[-1], rel=1e-6)
                 assert res.errors.values[-1] == pytest.approx(
@@ -1246,6 +1244,34 @@ class TestMultiprocSolve:
                           wall_budget=60.0)
         assert res.converged
         assert res.relative_residual <= TOL
+
+    def test_close_leaves_no_helper_thread(self, poisson_plan):
+        """The answer's helpers — a thread per shard beyond the first —
+        end with the runner."""
+        before = set(threading.enumerate())
+        with MultiprocDtmRunner(poisson_plan, shards=3) as r:
+            assert r.solve(stopping=ResidualRule(tol=TOL)).converged
+            helpers = [t for t in set(threading.enumerate()) - before
+                       if t.name.startswith("dtm-answer")]
+            assert len(helpers) == 2
+        assert not any(t.is_alive() for t in helpers)
+
+    def test_a_helper_failure_is_the_solves_exception(self, poisson_plan):
+        """An exception on a helper thread is raised by the solve that
+        handed it the cut — no hang — and the next solve answers."""
+        real = ShardKernel.full_states
+
+        def full_states(kernel, waves):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("helper failed")
+            return real(kernel, waves)
+
+        with MultiprocDtmRunner(poisson_plan, shards=2) as r:
+            with mock.patch.object(ShardKernel, "full_states", full_states), \
+                    pytest.raises(RuntimeError, match="helper failed"):
+                r.solve(stopping=ResidualRule(tol=TOL))
+            res = r.solve(stopping=ResidualRule(tol=TOL))
+            assert res.converged and res.relative_residual <= TOL
 
     def test_reference_rule_rejected(self, runner):
         with pytest.raises(ConfigurationError):

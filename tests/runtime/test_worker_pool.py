@@ -9,6 +9,7 @@ shutdown deadline; and an idle worker maps no segment of the runner it
 served, and ends when no runner takes it within its linger.
 """
 
+import gc
 import os
 import signal
 import subprocess
@@ -209,6 +210,41 @@ def test_an_idle_worker_leaves_when_its_linger_runs_out(
     assert not set(pids) & idle_pids()
     if os.path.isdir("/dev/shm"):
         assert eventually(lambda: not wakes & set(os.listdir("/dev/shm")))
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/dev/shm"), reason="needs a listable /dev/shm"
+)
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+def test_a_retired_workers_wake_name_is_gone_before_it_is_told_to_end(
+    plan, patient, monkeypatch
+):
+    """A leak check may list ``/dev/shm`` the moment the worker is
+    reaped: its wake semaphore's name must be unlinked before the
+    worker is told to end, and the semaphore's finalizer must not
+    unlink it a second time."""
+    with MultiprocDtmRunner(plan, shards=2) as runner:
+        solve_ok(runner)
+    worker = worker_pool().take()  # booted: it has opened its semaphore
+    name = "/dev/shm/sem." + worker.wake._semlock.name.lstrip("/")
+    assert os.path.exists(name)
+    seen = []
+    send, join = worker.conn.send, worker.proc.join
+
+    def spy(step, call):
+        def wrapped(*args, **kwargs):
+            seen.append((step, os.path.exists(name)))
+            return call(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(worker.conn, "send", spy("send", send))
+    monkeypatch.setattr(worker.proc, "join", spy("join", join))
+    worker.retire(time.perf_counter() + 5.0)
+    assert seen == [("send", False), ("join", False)]
+    assert not worker.proc.is_alive()
+    del worker
+    gc.collect()
 
 
 def test_a_worker_taken_again_is_not_ended_by_its_old_linger(
