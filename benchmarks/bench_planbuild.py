@@ -5,14 +5,12 @@ arrays (:func:`repro.core.local.build_all_local_systems`).  For each
 Poisson case one plan is built serially (timed as **plan_s**), and
 then the locals step of that plan — factor every subdomain's
 ``K + diag(1/Z)`` and solve its right-hand-side block — is timed over
-the plan's own split and DTLP network three ways:
+the plan's own split and DTLP network two ways:
 
 * **lapack_s** — the comparator, written inline here: densify each
   local, add ``1/Z`` to its diagonal, ``scipy.linalg.cho_factor`` it
   and ``cho_solve`` its right-hand-side block;
-* **superlu_s** — ``build_all_local_systems``, serial;
-* **superlu_parallel_s** — the same fanned out across a process pool
-  (``workers=-1``), bitwise-identical to the serial build (asserted).
+* **superlu_s** — ``build_all_local_systems``.
 
 **speedup** = ``lapack_s / superlu_s``, each the best of
 ``REPEATS`` (three) runs.  The built-in equivalence guard fails the
@@ -144,16 +142,6 @@ def bench_case(nx: int, *, n_parts: int,
             f"{max_rel:.2e} (tolerance {EQUIV_TOL:.0e})")
     del lapack
 
-    t0 = time.perf_counter()
-    pooled = build_all_local_systems(split, network, workers=-1)
-    superlu_parallel_s = time.perf_counter() - t0
-    for ls, lp in zip(serial, pooled):
-        if not (np.array_equal(ls.x0, lp.x0)
-                and np.array_equal(ls.X, lp.X)):
-            raise RuntimeError(
-                f"nx={nx}: pooled build is not bitwise-identical to the "
-                "serial build")
-
     return {
         "nx": nx,
         "n": n,
@@ -162,7 +150,6 @@ def bench_case(nx: int, *, n_parts: int,
         "plan_s": plan_s,
         "lapack_s": lapack_s,
         "superlu_s": superlu_s,
-        "superlu_parallel_s": superlu_parallel_s,
         "speedup": lapack_s / superlu_s,
         "max_rel_diff": max_rel,
     }
@@ -194,8 +181,8 @@ def run_bench(cases=tuple(sorted(CASES)), *, large: bool = True,
         results.append(case)
         print(f"  plan {case['plan_s']:6.2f} s | locals: LAPACK "
               f"{case['lapack_s']:6.2f} s, SuperLU "
-              f"{case['superlu_s']:6.2f} s ({case['speedup']:.1f}x), "
-              f"pooled {case['superlu_parallel_s']:6.2f} s", flush=True)
+              f"{case['superlu_s']:6.2f} s ({case['speedup']:.1f}x)",
+              flush=True)
     record = {
         "benchmark": "planbuild",
         "speedup_floor": SPEEDUP_FLOOR,

@@ -1,14 +1,14 @@
 """Persistent plan store benchmark: mmap load vs full rebuild.
 
 Measures the headline of ISSUE 7 — planning is the expensive tier
-(8.6 s for the 102k-unknown sparse+parallel build, BENCH_planbuild),
+(1.7 s for the 102k-unknown sparse build, BENCH_planbuild),
 so a durable artifact that loads in milliseconds changes what a
 restart or a new replica costs.  Per case the same plan is produced
 two ways:
 
-* **rebuild_s** — ``build_plan(..., build_workers=-1)``: the fastest
-  build the repo has (SuperLU locals over a process pool), i.e. what
-  a cold process would actually pay;
+* **rebuild_s** — ``build_plan(...)``: the one build the repo has
+  (SuperLU locals, one subdomain after another), i.e. what a cold
+  process would actually pay;
 * **load_mmap_s** — ``load_plan(path)`` over the artifact written by
   ``save_plan``: one read-only mmap, zero-copy ``np.frombuffer``
   views (best of ``LOAD_REPEATS`` — load is I/O bound and the
@@ -67,7 +67,7 @@ DEFAULT_OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "BENCH_planstore.json")
 
 #: absolute floor the nx=320 load-vs-rebuild speedup must clear
-#: (acceptance: mmap load >= 10x faster than the sparse+parallel build)
+#: (acceptance: mmap load >= 10x faster than a rebuild)
 SPEEDUP_FLOOR = 10.0
 
 #: mmap/eager loads are repeated and the best is kept (I/O noise)
@@ -97,7 +97,7 @@ def _build(nx: int, *, n_parts: int, parts_shape) -> tuple:
     graph = grid2d_poisson(nx, nx)
     t0 = time.perf_counter()
     plan = build_plan(graph, n_subdomains=n_parts, grid_shape=(nx, nx),
-                      parts_shape=parts_shape, build_workers=-1)
+                      parts_shape=parts_shape)
     return graph, plan, time.perf_counter() - t0
 
 
@@ -181,8 +181,7 @@ def bench_warm_restart(nx: int = RESTART_NX) -> dict:
         t0 = time.perf_counter()
         plan_id = server1.register(
             graph, n_subdomains=spec["n_parts"], grid_shape=(nx, nx),
-            parts_shape=spec["parts_shape"], build_workers=-1,
-            use_cache=False)
+            parts_shape=spec["parts_shape"], use_cache=False)
         cold_register_s = time.perf_counter() - t0
         x_cold = server1.solve(plan_id, b, **guard).x
         server1.close()

@@ -14,7 +14,7 @@ Run:  python examples/heterogeneous_delays.py
 from repro.core.impedance import GeometricMeanImpedance
 from repro.graph import DominancePreservingSplit, multilevel_partition, \
     split_graph
-from repro.linalg import conjugate_gradient
+from repro.linalg import direct_reference_solution
 from repro.plan import build_plan
 from repro.sim import DtmSimulator, custom_topology
 from repro.workloads import resistor_grid
@@ -38,7 +38,7 @@ print(f"slowest link: 400 ms, fastest: 9 ms "
       f"(ratio {400 / 9:.0f}x, asymmetry {machine.asymmetry():.2f})")
 
 a, b = graph.to_system()
-reference = conjugate_gradient(a, b, tol=1e-12).x
+reference = direct_reference_solution(a, b)
 
 plan = build_plan(split=split, topology=machine,
                   impedance=GeometricMeanImpedance(2.0))

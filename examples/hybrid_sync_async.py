@@ -18,13 +18,13 @@ from repro.core.hybrid import ClusteredDtmSimulator, \
     PeriodicResyncDtmSimulator
 from repro.core.impedance import GeometricMeanImpedance
 from repro.experiments.common import paper_split_for, run_paper_dtm
-from repro.linalg import conjugate_gradient
+from repro.linalg import direct_reference_solution
 from repro.plan import build_plan
 from repro.sim import mesh_topology, paper_fig11_topology
 
 split = paper_split_for(289, 16, seed=11)
 a, b = split.graph.to_system()
-reference = conjugate_gradient(a, b, tol=1e-12).x
+reference = direct_reference_solution(a, b)
 impedance = GeometricMeanImpedance(2.0)
 T_MAX, TOL = 8000.0, 1e-6
 

@@ -12,7 +12,7 @@ Run:  python examples/poisson_cluster.py
 from repro.core.impedance import GeometricMeanImpedance
 from repro.graph import DominancePreservingSplit, grid_block_partition, \
     split_graph
-from repro.linalg import conjugate_gradient
+from repro.linalg import direct_reference_solution
 from repro.plan import build_plan
 from repro.sim import DtmSimulator, paper_fig11_topology
 from repro.workloads import grid2d_random
@@ -38,7 +38,7 @@ print(f"Machine: {machine.name}, delays {stats['min']:.0f}..."
       f"{stats['max']:.0f} ms (max/min = {stats['ratio']:.1f}x)")
 
 a, b = graph.to_system()
-reference = conjugate_gradient(a, b, tol=1e-12).x
+reference = direct_reference_solution(a, b)
 
 plan = build_plan(split=split, topology=machine,
                   impedance=GeometricMeanImpedance(2.0))

@@ -43,6 +43,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError, ValidationError
+from ..linalg.sparse import CsrMatrix
 from ..utils.timeseries import TimeSeries
 
 
@@ -81,12 +82,21 @@ def _norm2(v: np.ndarray) -> float:
 
 
 def relative_residual(a, x, b) -> float:
-    """``‖b − A x‖₂ / ‖b‖₂`` (reference-free convergence measure)."""
+    """``‖b − A x‖₂ / ‖b‖₂`` (reference-free convergence measure).
+
+    A :class:`~repro.linalg.sparse.CsrMatrix` multiplies through its
+    zero-copy :meth:`~repro.linalg.sparse.CsrMatrix.to_scipy` view; any
+    other *a* (a dense array, a scipy matrix) through ``@``.
+    """
     x = np.asarray(x, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    r = b - (a.matvec(x) if hasattr(a, "matvec") else
-             np.asarray(a, dtype=np.float64) @ x)
-    return _norm2(r) / (_norm2(b) or 1.0)
+    if isinstance(a, CsrMatrix):
+        a = a.to_scipy()
+    if x.shape != (a.shape[1],):
+        raise ValidationError(
+            f"relative_residual needs x of shape ({a.shape[1]},), "
+            f"got {x.shape}")
+    return _norm2(b - a @ x) / (_norm2(b) or 1.0)
 
 
 @dataclass

@@ -70,7 +70,7 @@ class LocalSystem:
     def __getstate__(self) -> dict:
         # drop the read-only view: pickled as-is it would detach from
         # x0 on load, silently breaking the set_x0 aliasing contract
-        # (pool workers ship LocalSystems back to the coordinator)
+        # (a plan artifact pickles its LocalSystems)
         state = self.__dict__.copy()
         state.pop("_x0_ro", None)
         return state
@@ -201,7 +201,7 @@ class LocalSystem:
         omega = np.zeros(self.n_local)
         omega[: self.n_ports] = self.port_currents(
             waves, x[: self.n_ports])
-        return matrix.matvec(x) - rhs - omega
+        return matrix.to_scipy() @ x - rhs - omega
 
 
 def build_local_system(sub: Subdomain,
@@ -283,36 +283,18 @@ def build_local_system(sub: Subdomain,
                        x0=x0, X=X, factor=factor)
 
 
-def _build_local_job(job) -> LocalSystem:
-    """Pool-target wrapper (module-level so it pickles under spawn)."""
-    sub, attachments, allow_indefinite = job
-    return build_local_system(sub, attachments,
-                              allow_indefinite=allow_indefinite)
-
-
 def build_all_local_systems(split, network, *,
-                            allow_indefinite: bool = False,
-                            workers: Optional[int] = None
+                            allow_indefinite: bool = False
                             ) -> list[LocalSystem]:
-    """Build the factored local system of every subdomain of a split.
+    """Build the factored local system of every subdomain of a split,
+    in the split's subdomain order.
 
     *network* is the :class:`~repro.core.dtl.DtlpNetwork` whose
-    attachment tables define the wave slots.  With ``workers`` > 1 the
-    per-subdomain factorizations fan out across a process pool (see
-    :mod:`repro.runtime.pool`); assembly order is the split's subdomain
-    order regardless of completion order, and a pooled build is
-    bitwise-identical to a serial one (same code, same libraries, no
-    accumulation-order change — each subdomain is independent).
+    attachment tables define the wave slots.
     """
-    jobs = [(sub, network.attachments[sub.part], allow_indefinite)
+    return [build_local_system(sub, network.attachments[sub.part],
+                               allow_indefinite=allow_indefinite)
             for sub in split.subdomains]
-    if workers is None or workers == 1 or len(jobs) <= 1:
-        return [_build_local_job(job) for job in jobs]
-    # late import: repro.runtime imports the plan layer, which imports
-    # this module — binding at call time keeps the layering acyclic
-    from ..runtime.pool import map_ordered
-
-    return map_ordered(_build_local_job, jobs, workers=workers)
 
 
 def validate_local_system(local: LocalSystem, sub: Subdomain,

@@ -1,10 +1,13 @@
-"""Conjugate gradients and the direct reference solution.
+"""The direct reference solution, and conjugate gradients.
 
-:func:`conjugate_gradient` (SPD systems, relative-residual stopping)
-is the examples' global iterative baseline;
 :func:`direct_reference_solution` is the library's "exact" solution,
-one SuperLU factor and solve at every size.  Both take a
-:class:`~repro.linalg.sparse.CsrMatrix` or a dense array.
+one SuperLU factor and solve at every size.
+:func:`conjugate_gradient` (SPD systems, relative-residual stopping) is
+kept only for the CG rung of the end-to-end benchmark's traced ledger
+(``benchmarks/e2e/ledger.py``); it goes when that rung moves to the
+benchmark harness's own ``cg_reference``.  Both take a
+:class:`~repro.linalg.sparse.CsrMatrix` (multiplied through scipy) or a
+dense array.
 The paper's discrete-time foils, block Jacobi and block Gauss–Seidel,
 are baselines in :mod:`repro.solvers`.
 """
@@ -38,9 +41,10 @@ class IterativeResult:
 
 def _as_matvec(a):
     if isinstance(a, CsrMatrix):
-        return a.matvec, a.nrows
-    arr = as_square_matrix(a, "matrix")
-    return (lambda x: arr @ x), arr.shape[0]
+        op = a.to_scipy()
+    else:
+        op = as_square_matrix(a, "matrix")
+    return (lambda x: op @ x), op.shape[0]
 
 
 def conjugate_gradient(

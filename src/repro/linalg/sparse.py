@@ -2,10 +2,10 @@
 
 :class:`CsrMatrix` is a frozen ``(data, indices, indptr, shape)`` record
 whose rows hold sorted, unique column indices.  It validates, builds and
-multiplies (the residual probe's ``matvec``) on numpy alone, so clients
-and workers never load scipy.  Every other operation is a
-:mod:`scipy.sparse` call on :meth:`CsrMatrix.to_scipy`, imported inside
-the function that needs it.
+densifies on numpy alone, so clients and workers never load scipy.
+Every product and every other operation is a :mod:`scipy.sparse` call
+on :meth:`CsrMatrix.to_scipy`, imported inside the function that needs
+it.
 """
 
 from __future__ import annotations
@@ -128,21 +128,6 @@ class CsrMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CsrMatrix(shape={self.shape}, nnz={self.nnz})"
-
-    def matvec(self, x) -> np.ndarray:
-        """Sparse matrix-vector product ``A @ x`` (vectorised reduceat)."""
-        xv = np.asarray(x, dtype=np.float64)
-        require(
-            xv.shape == (self.ncols,),
-            f"matvec operand must have shape ({self.ncols},), got {xv.shape}",
-        )
-        y = np.zeros(self.nrows, dtype=np.float64)
-        if self.nnz == 0:
-            return y
-        contrib = self.data * xv[self.indices]
-        nonempty = np.diff(self.indptr) > 0
-        y[nonempty] = np.add.reduceat(contrib, self.indptr[:-1][nonempty])
-        return y
 
     def to_dense(self) -> np.ndarray:
         """Materialise as a dense float64 array."""

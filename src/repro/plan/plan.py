@@ -145,11 +145,7 @@ def plan_key(graph: ElectricGraph, *, mode: str, n_subdomains: int,
              seed: int, grid_shape, parts_shape, topology, impedance,
              placement, allow_indefinite: bool,
              split: Optional[SplitResult] = None) -> tuple:
-    """Hashable identity of a plan build — every plan-affecting input.
-
-    ``build_workers`` is deliberately *not* key material: a pooled
-    build is bitwise-identical to a serial one.
-    """
+    """Hashable identity of a plan build — every plan-affecting input."""
     split_token = ("split", _split_digest(split)) if split is not None \
         else ("auto-split", int(n_subdomains),
               tuple(grid_shape) if grid_shape else None,
@@ -400,7 +396,6 @@ def build_plan(a=None, b=None, *, mode: str = "dtm",
                parts_shape: Optional[tuple[int, int]] = None,
                placement: Optional[Sequence[int]] = None,
                allow_indefinite: bool = False,
-               build_workers: Optional[int] = None,
                split: Optional[SplitResult] = None,
                key: Optional[tuple] = None) -> SolverPlan:
     """Run the one-time planning pipeline and return a :class:`SolverPlan`.
@@ -410,10 +405,8 @@ def build_plan(a=None, b=None, *, mode: str = "dtm",
     prebuilt *split*.  ``mode="vtm"`` builds the synchronous special
     case: unit DTL delays, no machine topology.
 
-    Every local system is factored once by SuperLU (see
-    :func:`repro.core.local.build_local_system`); ``build_workers``
-    fans the factorizations out across a process pool (``-1`` = all
-    CPUs) without changing a single result bit.
+    Every local system is factored once by SuperLU, one subdomain
+    after another (see :func:`repro.core.local.build_local_system`).
     """
     t0 = time.perf_counter()
     if mode not in ("dtm", "vtm"):
@@ -465,8 +458,7 @@ def build_plan(a=None, b=None, *, mode: str = "dtm",
     z_list = as_impedance_strategy(impedance).assign(split)
     network = build_dtlp_network(split, z_list, delay_spec)
     base_locals = build_all_local_systems(
-        split, network, allow_indefinite=allow_indefinite,
-        workers=build_workers)
+        split, network, allow_indefinite=allow_indefinite)
     fleet_template = build_fleet(split, network, base_locals)
 
     a_mat, base_b = graph.to_system()
@@ -502,8 +494,8 @@ def get_plan(a=None, b=None, *, cache: Optional[PlanCache] = None,
     consulted by :func:`compute_plan_hash` before building, and a
     fresh build is saved back as an mmap-able artifact — so a new
     process (or a restarted server) against the same directory comes
-    up warm.  Like ``build_workers``, ``plan_dir`` is *not* key
-    material: a loaded plan is bitwise-equivalent to a built one.
+    up warm.  ``plan_dir`` is *not* key material: a loaded plan is
+    bitwise-equivalent to a built one.
 
     A keyword :func:`build_plan` does not take raises
     :class:`ConfigurationError` naming it, on a cache hit as on a miss.

@@ -21,7 +21,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "MultiprocDtmRunner",
             "solve_dtm_multiproc",
         ),
-        "pool": ("map_ordered", "resolve_workers"),
         "server": (
             "DtmServer",
             "PlanStore",

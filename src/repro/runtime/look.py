@@ -28,7 +28,7 @@ from concurrent import futures
 
 import numpy as np
 
-from ..core.convergence import _norm2
+from ..core.convergence import _norm2, relative_residual
 from ..core.shard_kernel import _offsets
 from ..errors import ValidationError
 
@@ -150,9 +150,10 @@ class HaloLook:
         return _norm2(self._c - self._m @ p) / self._b_norm
 
     def recheck(self, x: np.ndarray) -> float:
-        """``‖b − A x‖ / ‖b‖`` of an answer *x*, every row (scipy's CSR
-        product: ``CsrMatrix.matvec`` up to round-off)."""
-        return _norm2(self._b - self._a @ x) / self._b_norm
+        """``‖b − A x‖ / ‖b‖`` of an answer *x*, every row: the
+        :func:`~repro.core.convergence.relative_residual` of every
+        other result, on this look's scipy view of ``A``."""
+        return relative_residual(self._a, x, self._b)
 
     def answer(
         self, x0_full: np.ndarray, snapshots: np.ndarray

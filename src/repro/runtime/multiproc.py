@@ -96,7 +96,7 @@ from ..plan.session import SolveResult, SolverSession, _as_rhs
 from ..plan.shard import ShardSpec, extract_shards
 from ..sim.trace import ShardReport, merge_shard_series
 from .look import HaloLook
-from .pool import worker_pool
+from .pool import START_METHOD, worker_pool
 
 __all__ = [
     "EdgeMailbox",
@@ -267,11 +267,6 @@ class MultiprocDtmRunner:
         is paced by the measured residual decay, see
         :class:`_ProbePacer` and PERFORMANCE.md "Stopping without a
         barrier").
-    mp_context:
-        ``multiprocessing`` start method of the worker pool (default
-        ``"spawn"``, the start method that is safe regardless of
-        parent threads; pass ``"fork"`` on POSIX for faster worker
-        boots).
     ack_timeout:
         Seconds to wait for workers to acknowledge epoch transitions
         before declaring them lost.
@@ -322,7 +317,6 @@ class MultiprocDtmRunner:
 
     def __init__(self, plan, shards: int = 2, *,
                  idle_sleep: float = 0.001,
-                 mp_context: str = "spawn",
                  ack_timeout: float = 30.0,
                  transport="shm",
                  spawn_workers: bool = True,
@@ -410,11 +404,11 @@ class MultiprocDtmRunner:
         if spawn_workers:
             # taken before the bind: an idle worker is booted already,
             # and a fresh one boots while the shards are encoded
-            self._pool = worker_pool(mp_context)
+            self._pool = worker_pool()
             self._workers = [self._pool.take() for _ in self.specs]
             self._wakes = [worker.wake for worker in self._workers]
         else:  # for workers attached by hand
-            ctx = get_context(mp_context)
+            ctx = get_context(START_METHOD)
             self._wakes = [ctx.Semaphore(0) for _ in self.specs]
         try:
             self._port = self.transport.bind(

@@ -1,23 +1,12 @@
-"""Process pools: the build-side fan-out and the booted shard workers.
+"""The process-wide pool of booted shard workers.
 
-Two pools live here.  :func:`map_ordered` is the *build*-side one: a
-thin, deterministic fan-out used by
-:func:`repro.core.local.build_all_local_systems` to factor independent
-subdomain systems in parallel.  :func:`worker_pool` is the *solve*-side
-one: shard workers of :mod:`repro.runtime.multiproc`, booted once and
-handed one runner's shard after another, so a new runner binds to
-processes that have already paid the interpreter's boot and the
-worker's imports (PERFORMANCE.md, "Cold start"); a worker that no
-runner takes for :data:`IDLE_LINGER` seconds is ended.
-
-Determinism contract: :func:`map_ordered` returns results in
-**submission order** regardless of completion order (the
-``multiprocessing.Pool.map`` semantics), and each task is a pure
-function of its item computed with the same interpreter and libraries
-as the coordinator — so a pooled build is bitwise-identical to a
-serial one, which the plan tests assert.  Items and results must
-pickle (``LocalSystem`` and its factor do; the factor's SuperLU
-handle is a drop-on-pickle cache).
+:func:`worker_pool` holds the shard workers of
+:mod:`repro.runtime.multiproc`, booted once and handed one runner's
+shard after another, so a new runner binds to processes that have
+already paid the interpreter's boot and the worker's imports
+(PERFORMANCE.md, "Cold start"); a worker that no runner takes for
+:data:`IDLE_LINGER` seconds is ended.  Workers are started with
+:data:`START_METHOD`.
 """
 
 from __future__ import annotations
@@ -27,63 +16,13 @@ import os
 import threading
 import time
 from multiprocessing import resource_tracker, util
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Optional
 
-from ..errors import ConfigurationError
 from .shard_worker import _pooled_main
 
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-
-def resolve_workers(workers: Optional[int]) -> int:
-    """Normalise a worker-count request.
-
-    ``None``/``1`` → 1 (serial, no pool); ``-1`` → one worker per CPU;
-    other positive ints pass through.  Zero and other negatives are
-    configuration errors.
-    """
-    if workers is None or workers == 1:
-        return 1
-    if workers == -1:
-        return max(mp.cpu_count(), 1)
-    if workers < 1:
-        raise ConfigurationError(
-            f"workers must be a positive int, -1 (all CPUs) or None, got {workers}"
-        )
-    return int(workers)
-
-
-def map_ordered(
-    fn: Callable[[_T], _R],
-    items: Iterable[_T],
-    *,
-    workers: Optional[int],
-    mp_context: Optional[str] = None,
-    chunksize: Optional[int] = None,
-) -> list[_R]:
-    """``[fn(item) for item in items]``, fanned out across processes.
-
-    Results always come back in submission order.  With an effective
-    worker count of 1 (or fewer than two items) no pool is created and
-    the map runs inline — the serial and pooled paths produce
-    bitwise-identical results, so callers can expose ``workers`` as a
-    pure throughput knob.
-
-    ``mp_context`` selects the start method (default: the platform
-    default, ``fork`` on Linux — cheapest for read-only fan-out over
-    already-built inputs); ``chunksize`` overrides the work-batching
-    granularity (default: ~4 chunks per worker).
-    """
-    work: Sequence[_T] = list(items)
-    n_workers = min(resolve_workers(workers), len(work))
-    if n_workers <= 1 or len(work) < 2:
-        return [fn(item) for item in work]
-    if chunksize is None:
-        chunksize = max(1, len(work) // (4 * n_workers))
-    ctx = mp.get_context(mp_context)
-    with ctx.Pool(processes=n_workers) as pool:
-        return pool.map(fn, work, chunksize=chunksize)
+#: how every shard worker is started: a fresh interpreter, so a worker
+#: never inherits the coordinator's threads, locks or open segments
+START_METHOD = "spawn"
 
 
 # ----------------------------------------------------------------------
@@ -175,7 +114,7 @@ class PooledWorker:
 
 
 class WorkerPool:
-    """Idle booted shard workers of one start method.
+    """Idle booted shard workers.
 
     :meth:`take` hands out an idle worker, booting one only if none is
     left; :meth:`give_back` keeps a worker that finished cleanly, up to
@@ -184,8 +123,8 @@ class WorkerPool:
     the process exits.
     """
 
-    def __init__(self, method: str) -> None:
-        self._ctx = mp.get_context(method)
+    def __init__(self) -> None:
+        self._ctx = mp.get_context(START_METHOD)
         self._idle: list = []
         self._lock = threading.Lock()
         #: most idle workers kept: more than one per CPU never run at once
@@ -241,22 +180,22 @@ class WorkerPool:
             worker.retire(deadline)
 
 
-_POOLS: dict = {}
-_POOLS_LOCK = threading.Lock()
+_POOL = WorkerPool()
 
 
-def worker_pool(method: str = "spawn") -> WorkerPool:
-    """The process-wide pool of booted shard workers for *method*.
+def worker_pool() -> WorkerPool:
+    """The process-wide pool of booted shard workers.
 
     Its workers are daemonic: ``multiprocessing`` ends them when the
     process exits, and an idle one also leaves on EOF from its pipe.
     """
-    with _POOLS_LOCK:
-        pool = _POOLS.get(method)
-        if pool is None:
-            pool = _POOLS[method] = WorkerPool(method)
-    return pool
+    return _POOL
+
+
+def _forget_pool() -> None:
+    global _POOL
+    _POOL = WorkerPool()
 
 
 # a forked child starts with no pool (the parent's workers are not its)
-os.register_at_fork(after_in_child=_POOLS.clear)
+os.register_at_fork(after_in_child=_forget_pool)

@@ -47,6 +47,47 @@ def test_relative_residual_zero_rhs():
     assert relative_residual(a, np.zeros(2), np.zeros(2)) == 0.0
 
 
+def test_relative_residual_shape_check():
+    for a in (np.eye(3), CsrMatrix.from_dense(np.eye(3))):
+        with pytest.raises(ValidationError):
+            relative_residual(a, np.ones(4), np.ones(3))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_relative_residual_of_a_csr_matches_its_dense_array(seed):
+    # a CsrMatrix multiplies through scipy, a dense array through numpy:
+    # the two agree to round-off on a random rectangular matrix
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((11, 8))
+    a[rng.random((11, 8)) > 0.25] = 0.0
+    x = rng.standard_normal(8)
+    b = rng.standard_normal(11)
+    want = np.linalg.norm(b - a @ x) / np.linalg.norm(b)
+    got = relative_residual(CsrMatrix.from_dense(a), x, b)
+    assert got == pytest.approx(want, rel=1e-12)
+    assert relative_residual(a, x, b) == pytest.approx(want, rel=1e-12)
+
+
+def test_relative_residual_of_a_csr_with_empty_rows():
+    a = np.zeros((4, 3))
+    a[1, 2] = 5.0
+    m = CsrMatrix.from_dense(a)
+    x = np.array([1.0, 1.0, 2.0])
+    assert relative_residual(m, x, np.array([0.0, 10.0, 0.0, 0.0])) == 0.0
+    # only the one stored entry contributes to A x
+    assert relative_residual(m, x, np.array([1.0, 10.0, 0.0, 0.0])) \
+        == pytest.approx(1.0 / np.sqrt(101.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("shape, want", [
+    ((0, 3), 0.0), ((3, 0), 1.0), ((0, 0), 0.0)])
+def test_relative_residual_on_empty_shapes(shape, want):
+    # A x of an empty CsrMatrix is a zero vector of its row count
+    m = CsrMatrix.zeros(shape)
+    b = np.ones(shape[0])
+    assert relative_residual(m, np.ones(shape[1]), b) == want
+
+
 def _laplacian_1d(n):
     i = np.arange(n)
     return CsrMatrix.from_coo(
@@ -67,7 +108,7 @@ def test_relative_residual_stays_off_the_blas_pool(monkeypatch):
     monkeypatch.setattr(np, "dot", blas)
     a = _laplacian_1d(50)
     x = np.linspace(0.0, 1.0, 50)
-    assert relative_residual(a, x, a.matvec(x)) == 0.0
+    assert relative_residual(a, x, a.to_scipy() @ x) == 0.0
     assert relative_residual(a, np.zeros(50), np.ones(50)) \
         == pytest.approx(1.0)
 
@@ -79,7 +120,7 @@ def test_relative_residual_agrees_with_the_blas_formula(n):
     for scale in (1.0, 1e-9, 1e7):
         x = rng.standard_normal(n)
         b = scale * rng.standard_normal(n)
-        blas = np.linalg.norm(b - a.matvec(x)) / np.linalg.norm(b)
+        blas = np.linalg.norm(b - a.to_scipy() @ x) / np.linalg.norm(b)
         assert relative_residual(a, x, b) == pytest.approx(blas, rel=1e-14)
 
 

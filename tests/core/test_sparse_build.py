@@ -2,9 +2,7 @@
 
 Every local system is factored by SuperLU on its CSR arrays: its
 ``x0`` and ``X`` agree with a ``scipy.linalg`` dense solve of the same
-system to 1e-10 relative, the build never densifies, and the pooled
-:func:`build_all_local_systems` is bitwise-identical to the serial
-build.
+system to 1e-10 relative, and the build never densifies.
 """
 
 import numpy as np
@@ -17,7 +15,7 @@ from repro.core.local import (
     build_local_system,
     validate_local_system,
 )
-from repro.errors import ConfigurationError, NotSpdError
+from repro.errors import NotSpdError
 from repro.graph.evs import DominancePreservingSplit, split_graph
 from repro.graph.partitioners import (
     greedy_grow_partition,
@@ -118,7 +116,7 @@ def test_sparse_not_spd_names_subdomain():
 
 
 # ----------------------------------------------------------------------
-# fork sharing + pooled builds
+# fork sharing
 # ----------------------------------------------------------------------
 @makers
 def test_fork_shares_immutable_factor_and_response(maker):
@@ -132,20 +130,9 @@ def test_fork_shares_immutable_factor_and_response(maker):
         assert np.array_equal(f.x0, loc.x0)
 
 
-@makers
-def test_pooled_build_bitwise_identical_to_serial(maker):
-    split, net = maker()
-    serial = build_all_local_systems(split, net)
-    pooled = build_all_local_systems(split, net, workers=2)
-    for ls, lp in zip(serial, pooled):
-        assert np.array_equal(ls.x0, lp.x0)
-        assert np.array_equal(ls.X, lp.X)
-        assert np.array_equal(ls.slot_ports, lp.slot_ports)
-
-
-def test_pooled_build_rejects_bad_worker_counts():
+def test_build_all_local_systems_takes_no_worker_count():
+    # every local is factored in the calling process; the retired
+    # process-pool keyword is an unknown one, named in the error
     split, net = _split_poisson(nx=8, pr=2, pc=1)
-    with pytest.raises(ConfigurationError):
-        build_all_local_systems(split, net, workers=0)
-    with pytest.raises(ConfigurationError):
-        build_all_local_systems(split, net, workers=-3)
+    with pytest.raises(TypeError, match="workers"):
+        build_all_local_systems(split, net, workers=2)

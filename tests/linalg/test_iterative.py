@@ -22,7 +22,7 @@ def test_cg_solves_grid():
     a, b = grid_system(7)
     res = conjugate_gradient(a, b, tol=1e-12)
     assert res.converged
-    assert np.allclose(a.matvec(res.x), b, atol=1e-8)
+    assert np.allclose(a.to_scipy() @ res.x, b, atol=1e-8)
     assert res.residual_norms[-1] < res.residual_norms[0]
 
 
@@ -71,11 +71,11 @@ def test_cg_rejects_rectangular():
 def test_direct_reference_solution_small_and_large():
     a, b = grid_system(4)
     x = direct_reference_solution(a, b)
-    assert np.allclose(a.matvec(x), b, atol=1e-9)
+    assert np.allclose(a.to_scipy() @ x, b, atol=1e-9)
     # large branch goes through CG
     a2, b2 = grid_system(26)  # 676 unknowns > 600 threshold
     x2 = direct_reference_solution(a2, b2)
-    assert np.allclose(a2.matvec(x2), b2, atol=1e-6)
+    assert np.allclose(a2.to_scipy() @ x2, b2, atol=1e-6)
 
 
 def test_direct_reference_solution_dense_input():

@@ -89,7 +89,6 @@ def test_property_from_coo_agrees_with_scipy(n, m, seed):
 def test_zeros():
     z = CsrMatrix.zeros((3, 4))
     assert z.nnz == 0 and z.shape == (3, 4)
-    assert np.array_equal(z.matvec(np.ones(4)), np.zeros(3))
     assert np.array_equal(z.to_dense(), np.zeros((3, 4)))
 
 
@@ -239,7 +238,7 @@ def test_to_scipy_shares_the_arrays_read_only():
         assert np.shares_memory(getattr(theirs, name), getattr(ours, name))
     assert np.array_equal(theirs.toarray(), a)
     x = rng.standard_normal(6)
-    assert np.allclose(theirs @ x, ours.matvec(x))
+    assert np.allclose(theirs @ x, a @ x)
     # an in-place edit raises instead of changing the record; a copy
     # is free to change
     with pytest.raises(ValueError, match="read-only"):
@@ -251,36 +250,9 @@ def test_to_scipy_shares_the_arrays_read_only():
     assert np.array_equal(ours.to_dense(), a)
 
 
-# ----------------------------------------------------------------------
-# matvec
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", range(4))
-def test_matvec_matches_dense(seed):
-    rng = np.random.default_rng(seed)
-    a = random_dense(rng, 11, 8, density=0.25)
-    x = rng.standard_normal(8)
-    m = CsrMatrix.from_dense(a)
-    assert np.allclose(m.matvec(x), a @ x)
-
-
-def test_matvec_empty_rows():
-    a = np.zeros((4, 3))
-    a[1, 2] = 5.0
-    m = CsrMatrix.from_dense(a)
-    y = m.matvec(np.array([1.0, 1.0, 2.0]))
-    assert np.array_equal(y, [0.0, 10.0, 0.0, 0.0])
-
-
-def test_matvec_shape_check():
-    m = CsrMatrix.from_dense(np.eye(3))
-    with pytest.raises(ValidationError):
-        m.matvec(np.ones(4))
-
-
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
-def test_matvec_and_to_dense_on_empty_shapes(shape):
+def test_to_dense_and_to_scipy_on_empty_shapes(shape):
     m = CsrMatrix.zeros(shape)
-    assert np.array_equal(m.matvec(np.ones(shape[1])), np.zeros(shape[0]))
     assert m.to_dense().shape == shape
     assert m.to_scipy().shape == shape
 
@@ -315,13 +287,11 @@ def test_is_symmetric_needs_a_symmetric_pattern():
 # ----------------------------------------------------------------------
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**31 - 1))
-def test_property_dense_round_trip_and_matvec(n, m, seed):
+def test_property_dense_round_trip(n, m, seed):
     rng = np.random.default_rng(seed)
     a = random_dense(rng, n, m, density=0.4)
     mat = CsrMatrix.from_dense(a)
     assert np.array_equal(mat.to_dense(), a)
-    x = rng.standard_normal(m)
-    assert np.allclose(mat.matvec(x), a @ x, atol=1e-12)
     assert np.array_equal(mat.to_scipy().toarray(), a)
 
 

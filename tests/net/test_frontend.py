@@ -153,13 +153,14 @@ class TestHardenedLoopOverTcp:
             client.register(bad, np.ones(2))
 
     def test_register_with_a_retired_knob_names_it(self, service, graph):
-        # an old client still sending numerics= gets an error response
-        # naming the key, even though this system's plan is cached
-        # server-side, and the server keeps serving
+        # an old client still sending numerics= or build_workers= gets
+        # an error response naming the key, even though this system's
+        # plan is cached server-side, and the server keeps serving
         _, _, client, plan_id = service
-        with pytest.raises(RemoteError, match="numerics"):
-            client.register(graph, n_subdomains=4, seed=1,
-                            numerics="sparse")
+        for knob, value in (("numerics", "sparse"), ("build_workers", 2)):
+            with pytest.raises(RemoteError, match=knob):
+                client.register(graph, n_subdomains=4, seed=1,
+                                **{knob: value})
         assert client.ping()
         assert client.register(graph, n_subdomains=4, seed=1) == plan_id
         assert client.solve(plan_id, np.ones(graph.n), tol=1e-6).converged

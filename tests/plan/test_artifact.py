@@ -364,7 +364,7 @@ class TestGetPlanDiskTier:
         assert loaded.build_seconds == built.build_seconds
 
     def test_plan_dir_is_not_key_material(self, graph, tmp_path):
-        # like build_workers, plan_dir changes where a plan is stored,
+        # plan_dir changes where a plan is stored,
         # never what it computes — same cache entry either way
         cache = PlanCache()
         p1 = get_plan(graph, n_subdomains=N_PARTS, mode="dtm",

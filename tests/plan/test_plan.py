@@ -176,19 +176,20 @@ class TestPlanCache:
                 get_plan(graph, n_subdomains=4, seed=1, cache=cache, **bad)
         assert len(cache) == 1
 
+    @pytest.mark.parametrize("knob, value", [
+        ("numerics", "sparse"), ("build_workers", 2)])
     @pytest.mark.parametrize("front_end", [
         "solve_dtm", "solve_vtm_system", "build_plan", "get_plan"])
-    def test_retired_numerics_knob_is_named_by_every_front_end(
-            self, graph, front_end):
-        # a client that still sends `numerics` is refused by name,
+    def test_retired_knob_is_named_by_every_front_end(
+            self, graph, front_end, knob, value):
+        # a client that still sends a retired knob is refused by name,
         # never served a plan that silently ignored it
         from repro import api
         from repro.plan import plan as plan_mod
 
         fn = getattr(api, front_end, None) or getattr(plan_mod, front_end)
-        with pytest.raises((TypeError, ConfigurationError),
-                           match="numerics"):
-            fn(graph, n_subdomains=4, seed=1, numerics="sparse")
+        with pytest.raises((TypeError, ConfigurationError), match=knob):
+            fn(graph, n_subdomains=4, seed=1, **{knob: value})
 
     def test_lru_eviction(self, graph):
         cache = PlanCache(maxsize=1)

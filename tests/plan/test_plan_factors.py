@@ -1,10 +1,8 @@
-"""A plan's SuperLU locals through caching, pooled builds and sessions.
+"""A plan's SuperLU locals through caching and sessions.
 
-``build_workers`` is not plan-cache key material (a pooled build is
-bitwise-identical to a serial one), forked sessions of one plan share
-its factors and are bitwise-identical, the cached reference agrees
-with a dense solve to 1e-10, and a reference-free solve never
-densifies a subdomain system.
+Forked sessions of one plan share its factors and are
+bitwise-identical, the cached reference agrees with a dense solve to
+1e-10, and a reference-free solve never densifies a subdomain system.
 """
 
 import numpy as np
@@ -43,25 +41,6 @@ def test_identical_inputs_hit_the_cache():
     assert not hit1
     assert p2.from_cache
     assert p2.base_locals is p1.base_locals  # the same built plan
-
-
-def test_build_workers_is_not_key_material():
-    # the pooled build is bitwise-identical to the serial build, so the
-    # worker count must NOT fragment the cache
-    g = grid2d_poisson(10)
-    cache = PlanCache()
-    p1 = get_plan(g, cache=cache, n_subdomains=4, build_workers=None)
-    p2 = get_plan(g, cache=cache, n_subdomains=4, build_workers=2)
-    assert p2.from_cache
-    assert p2.base_locals is p1.base_locals
-
-
-def test_pooled_plan_bitwise_identical_to_serial(workload):
-    serial = build_plan(workload, n_subdomains=4)
-    pooled = build_plan(workload, n_subdomains=4, build_workers=2)
-    for ls, lp in zip(serial.base_locals, pooled.base_locals):
-        assert np.array_equal(ls.x0, lp.x0)
-        assert np.array_equal(ls.X, lp.X)
 
 
 def test_reference_matches_dense_solve(workload):

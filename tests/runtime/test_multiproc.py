@@ -1347,6 +1347,9 @@ class TestPaperSystems:
             MultiprocDtmRunner(paper_plan, shards=2, idle_sleep=0.0)
         with pytest.raises(ConfigurationError):
             MultiprocDtmRunner(paper_plan, shards=3)
+        # workers always start by spawn: there is no start-method knob
+        with pytest.raises(TypeError, match="mp_context"):
+            MultiprocDtmRunner(paper_plan, shards=2, mp_context="fork")
 
     @pytest.mark.parametrize("transport", ["shm", "mesh"])
     def test_four_subdomain_mesh(self, transport):

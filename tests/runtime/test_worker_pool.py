@@ -304,6 +304,46 @@ def test_a_fresh_interpreter_leaves_no_child_process():
     assert gone(children), [pid for pid in children if alive(pid)]
 
 
+def test_one_pool_per_process_started_by_spawn():
+    assert worker_pool() is worker_pool()
+    assert pool_mod.START_METHOD == "spawn"
+    assert worker_pool()._ctx.get_start_method() == "spawn"
+
+
+def test_a_forked_child_starts_with_a_pool_of_its_own():
+    """The parent's idle workers are not a forked child's to take."""
+    code = textwrap.dedent(
+        """
+        import os
+
+        from repro.runtime.pool import worker_pool
+
+        parent = worker_pool()
+        parent._idle.append("a worker of the parent's")
+        pid = os.fork()
+        if pid == 0:
+            child = worker_pool()
+            ok = child is not parent and child.idle == []
+            os._exit(0 if ok and worker_pool() is child else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert worker_pool() is parent
+        parent._idle.clear()
+        """
+    )
+    env = dict(os.environ)
+    inherited = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = SRC + (os.pathsep + inherited if inherited else "")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_the_wake_semaphore_is_the_workers_own(plan, patient):
     """Each pooled worker was born with its semaphore, and the shm
     fabric posts that one: a reused worker's epochs wake it, so its

@@ -76,7 +76,7 @@ def test_schur_single_part_no_interface():
                   separator=np.zeros(16, dtype=bool), n_parts=1)
     res = solve_schur(g, p)
     a, b = g.to_system()
-    assert np.allclose(a.matvec(res.x), b, atol=1e-9)
+    assert np.allclose(a.to_scipy() @ res.x, b, atol=1e-9)
     assert res.interface_size == 0
 
 

@@ -94,7 +94,8 @@ def test_removed_engines_and_knob_stay_removed():
 def test_removed_factorization_knobs_stay_removed():
     """SuperLU is the one factorization and its only ordering.
 
-    ``sparse_ordering`` and ``numerics`` fail like any unknown keyword,
+    ``sparse_ordering``, ``numerics`` and ``build_workers`` (the build's
+    process pool) fail like any unknown keyword,
     the engine and ordering arguments of the factor function are gone,
     and so are the dense factorization kernels and the pure-python
     ordering helpers.
@@ -105,7 +106,8 @@ def test_removed_factorization_knobs_stay_removed():
     from repro.plan import build_plan
 
     g = grid2d_random(6, seed=0)
-    for knob, value in (("sparse_ordering", "amd"), ("numerics", "dense")):
+    for knob, value in (("sparse_ordering", "amd"), ("numerics", "dense"),
+                        ("build_workers", 2)):
         with pytest.raises(TypeError, match=knob):
             solve_dtm(g, t_max=100.0, tol=None, **{knob: value})
         with pytest.raises(TypeError, match=knob):

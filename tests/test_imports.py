@@ -61,8 +61,8 @@ def test_boot_path_leaves_scipy_and_asyncio_out(module):
 
 
 def test_client_builds_and_probes_a_matrix_without_scipy():
-    """A client's register path validates a matrix, multiplies and
-    densifies it; the CSR record does all of that on numpy alone."""
+    """A client's register path validates and densifies a matrix; the
+    CSR record does both on numpy alone."""
     run_fresh(
         """
         import sys
@@ -78,9 +78,7 @@ def test_client_builds_and_probes_a_matrix_without_scipy():
             [0, 2, 5, 7],
             (3, 3),
         )
-        x = np.arange(3.0)
         for m in (raw, CsrMatrix.from_dense(a)):
-            assert np.array_equal(m.matvec(x), a @ x)
             assert np.array_equal(m.to_dense(), a)
         assert "scipy" not in sys.modules
         """

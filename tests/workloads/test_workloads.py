@@ -46,7 +46,7 @@ def test_grid2d_poisson_pure_laplacian_is_singular():
     g = grid2d_poisson(3, ground=0.0)
     m = g.to_matrix()
     # the pure Laplacian annihilates constants: SNND with a zero eigenvalue
-    assert np.allclose(m.matvec(np.ones(9)), 0.0)
+    assert np.allclose(m.to_scipy() @ np.ones(9), 0.0)
     assert is_snnd(m)
     assert abs(min_eigenvalue(m)) < 1e-10
 
